@@ -463,7 +463,7 @@ def main_term_params(
     elif case.branch is Branch.PM11_MOD24:
         zhq = zeta_real(q / 2.0, min(tol, 1e-12))
         rhalf = sqrt_factor_at_half(
-            q, prime_cutoff if prime_cutoff else 10**8, max(tol, 2e-4)
+            q, prime_cutoff if prime_cutoff else 10**8, tol
         )
     return MainTermParams(
         q=q,

@@ -29,10 +29,10 @@ from math import isqrt, log
 import mpmath as mp
 import numpy as np
 
-from . import _kernels
 from .errors import ArgumentError, TaucharError, UndecidablePointError
 from .roots import floor_rational_root, floor_root_grid
-from .sieves import check_budget, mobius_sieve, segment_primes
+from .sieves import check_budget, mobius_sieve
+from .summatory import divisor_summatory
 
 GUARD_BAND = 1e-12
 GENERAL_ROUTE_DPS = 50
@@ -382,15 +382,8 @@ def _pair_count(x: Fraction, y: Fraction, n: int) -> int:
 
 
 def _tau_window_sum(x: Fraction, y: Fraction) -> int:
-    """sum of the divisor count over integers in (x, x+y]."""
-    lo = _floor_frac(x) + 1
-    hi = _floor_frac(x + y)
-    if hi < lo:
-        return 0
-    check_budget(hi - lo + 1, "divisor window sum")
-    primes = segment_primes(hi + 1)
-    tau = _kernels.factor_block(lo, hi + 1, primes, want_tau=True)["tau"]
-    return int(np.sum(tau, dtype=np.int64))
+    """sum of the divisor count over integers in (x, x+y], as D(x+y) - D(x)."""
+    return divisor_summatory(_floor_frac(x + y)) - divisor_summatory(_floor_frac(x))
 
 
 def _scan(inst: ShortIntervalInstance, with_shapes: bool) -> RangeScanReport:

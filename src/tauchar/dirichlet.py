@@ -40,7 +40,6 @@ from .sieves import (
     CoeffSeries,
     LegendreChar,
     check_budget,
-    identity_series,
     ones_series,
     power_indicator_series,
     primes_up_to,
@@ -504,8 +503,3 @@ def _mobius_series(limit: int) -> CoeffSeries:
     from .sieves import mobius_sieve
 
     return mobius_sieve(limit)
-
-
-def identity_for(limit: int) -> CoeffSeries:
-    """Convenience re-export of the convolution identity series."""
-    return identity_series(limit)

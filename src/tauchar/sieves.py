@@ -11,7 +11,6 @@ fallback); this module owns validation, budgets, and the public types.
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import isqrt
 
 import numpy as np
 
@@ -302,22 +301,7 @@ def tau_char_sieve(char: LegendreChar | int, limit: int) -> CoeffSeries:
     return CoeffSeries(limit, values)
 
 
-def tau_char_block(char: LegendreChar, lo: int, hi: int, primes: np.ndarray) -> np.ndarray:
-    """Tau-character values for n in [lo, hi) as int8 (segmented workhorse).
-
-    ``primes`` must contain every prime p with p*p < hi; see
-    ``_kernels.factor_block``.
-    """
-    tau = _kernels.factor_block(lo, hi, primes, want_tau=True)["tau"]
-    return char.table[tau % char.q]
-
-
 def primes_up_to(limit: int) -> np.ndarray:
     """All primes <= limit as an int64 array (re-export from the kernels)."""
     check_budget(limit, "prime sieve")
     return _kernels.primes_up_to(limit)
-
-
-def segment_primes(hi: int) -> np.ndarray:
-    """Primes sufficient to factor any block with upper end hi: p <= sqrt(hi-1)."""
-    return _kernels.primes_up_to(isqrt(max(hi - 1, 1)))

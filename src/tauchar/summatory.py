@@ -1,13 +1,29 @@
 """Large-argument summatory computations and residual diagnostics.
 
 The central quantity is S(x) = sum over d <= x of tauchar(d) * floor(x/d),
-the partial sum of the tau character convolved with the constant function 1.
-It is computed exactly from the character sieve (O(x) memory, O(x) time per
-evaluation); everything float-valued here is derived from exact integers and
-certified constants, so residuals carry honest error intervals.
+the partial sum of f = tauchar * 1.  f is multiplicative with
+f(p^e) = sum_{k <= e+1} (k/q), independent of p, so f(p) = 1 + (2/q):
+
+* q = +-3 (mod 8): f(p) = 0, f lives on powerful numbers, and S(x) is the
+  sum of f over the powerful n <= x;
+* q = +-1 (mod 8): f(p) = 2 = tau(p), so h = f * tau^{-1} (local series
+  F(u)(1-u)^2) lives on powerful numbers and
+  S(x) = sum_{n powerful} h(n) D(x/n), D the divisor summatory function.
+
+Either way one depth-first walk over the roughly 2.2 sqrt(x) powerful
+numbers up to the top checkpoint (Golomb, Powerful numbers, Amer. Math.
+Monthly 77, 1970) gives every checkpoint, and D(y) costs O(sqrt y) by the
+hyperbola method.  Nothing of size x is built: memory is O(sqrt x), and
+every int64 intermediate is guarded by MAX_EXACT_X.  The sieve route
+(a character table and weighted floor sums) stays available through
+``summatory_convolved(..., table=...)`` as an independent oracle.
+Everything float-valued here is derived from exact integers and certified
+constants, so residuals carry honest error intervals.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from math import exp, isqrt, log
 
 import numpy as np
@@ -22,30 +38,154 @@ from .constants import (
     main_term,
     main_term_params,
 )
-from .errors import ArgumentError, ClassificationError
-from .roots import floor_root_grid
+from .errors import ArgumentError, ClassificationError, OverflowHardError
+from .roots import floor_root_grid, integer_nth_root
 from .sieves import (
     LegendreChar,
     check_budget,
+    divisor_count_sieve,
     liouville_sieve,
     mobius_sieve,
+    primes_up_to,
     tau_char_sieve,
 )
 
 DEFAULT_LIMIT = 10**8
+
+# Largest argument of the powerful-number route and of D.  Below it every
+# int64 intermediate stays under 2^63: D(y) <= y (1 + log y) < 41 y, a
+# chunk of the hyperbola sum is at most y H_chunk < 13 y, and partial sums
+# of f are bounded by D because |f(p^e)| <= e + 1.
+MAX_EXACT_X = 2**57
+
+_D_CHUNK = 1 << 16
 
 
 def _validate_x(x: int, limit: int) -> int:
     x = int(x)
     if x < 1:
         raise ArgumentError(f"x must be >= 1, got {x}")
-    check_budget(x, "summatory evaluation")
     if x > limit:
         raise ArgumentError(
             f"x = {x} exceeds the configured limit {limit}; raise the limit "
-            "explicitly to accept the memory cost"
+            "explicitly to accept the cost"
+        )
+    if x > MAX_EXACT_X:
+        raise OverflowHardError(
+            f"x = {x} exceeds MAX_EXACT_X = 2^57, beyond which int64 "
+            "intermediates could overflow"
         )
     return x
+
+
+def divisor_summatory(y: int) -> int:
+    """D(y) = sum_{n <= y} tau(n), exactly, for 0 <= y <= MAX_EXACT_X.
+
+    Dirichlet's hyperbola method, D(y) = 2 sum_{i <= sqrt y} floor(y/i) -
+    floor(sqrt y)^2, summed in int64 chunks of fixed size: O(sqrt y) time,
+    O(1) memory.
+    """
+    y = int(y)
+    if y < 0:
+        raise ArgumentError(f"D(y) needs y >= 0, got {y}")
+    if y > MAX_EXACT_X:
+        raise OverflowHardError(f"D({y}) exceeds MAX_EXACT_X = 2^57")
+    r = isqrt(y)
+    total = 0
+    for lo in range(1, r + 1, _D_CHUNK):
+        i = np.arange(lo, min(lo + _D_CHUNK, r + 1), dtype=np.int64)
+        total += int(np.sum(y // i))
+    return 2 * total - r * r
+
+
+def _local_weights(q: int, emax: int) -> tuple[list[int], bool]:
+    """Powerful-supported local weights w[0..emax] and whether they are h.
+
+    w = f(p^e) when f(p) = 0 (q = +-3 mod 8); otherwise
+    w = h(p^e) = f(p^e) - 2 f(p^(e-1)) + f(p^(e-2)), the coefficients of
+    F(u)(1-u)^2.  Either way w[0] = 1 and w[1] = 0.
+    """
+    chi = LegendreChar(q)
+    f = list(accumulate(chi(k) for k in range(1, emax + 2)))
+    if f[1] == 0:
+        return f, False
+    g = [0, 0] + f
+    return [g[e + 2] - 2 * g[e + 1] + g[e] for e in range(emax + 1)], True
+
+
+def _powerful_terms(w: list[int], top: int, primes: list[int]):
+    """Every powerful n <= top with w(n) = prod w[e_p] nonzero, as int64
+    arrays (n, w(n)) sorted by n.
+
+    Depth-first over primes in ascending order.  Below a node n, a prime
+    p > (top/n)^(1/3) can only enter squared and leaves no room for a
+    larger prime, so those children are emitted as one vectorized block.
+    """
+    nodes_n, nodes_w = [1], [1]
+    blocks_n, blocks_w = [], []
+    stack = [(1, 1, 0)]
+    while stack:
+        n, wn, j = stack.pop()
+        m = top // n
+        k = bisect_right(primes, isqrt(m), j)
+        c = bisect_right(primes, integer_nth_root(m, 3), j, k)
+        if w[2] and c < k:
+            block = np.asarray(primes[c:k], dtype=np.int64)
+            blocks_n.append(n * block * block)
+            blocks_w.append(np.full(k - c, wn * w[2], dtype=np.int64))
+        for i in range(j, c):
+            p = primes[i]
+            pe, e = p * p, 2
+            while pe <= m:
+                if w[e]:
+                    nodes_n.append(n * pe)
+                    nodes_w.append(wn * w[e])
+                    stack.append((n * pe, wn * w[e], i + 1))
+                pe *= p
+                e += 1
+    n_all = np.concatenate([np.array(nodes_n, dtype=np.int64)] + blocks_n)
+    w_all = np.concatenate([np.array(nodes_w, dtype=np.int64)] + blocks_w)
+    order = np.argsort(n_all)
+    return n_all[order], w_all[order]
+
+
+def _checkpoint_sums(q: int, cps: tuple[int, ...], progress=None) -> tuple[int, ...]:
+    """Exact S(x) at every checkpoint in ascending ``cps`` by the
+    powerful-number route.
+
+    ``progress``, when given, is called as progress(stage, done, total)
+    after the prime sieve and after each checkpoint.
+    """
+    top = cps[-1]
+    w, convolve_d = _local_weights(q, top.bit_length() + 1)
+    primes = primes_up_to(isqrt(top)).tolist()
+    if progress is not None:
+        progress("sieve", 1, 1)
+    n, wn = _powerful_terms(w, top, primes)
+    ends = np.searchsorted(n, cps, side="right")
+    if convolve_d:
+        # D(y) for y <= top^(1/3) by table lookup; only the few n with
+        # x/n above that call divisor_summatory
+        y_small = integer_nth_root(top, 3)
+        d_small = np.cumsum(divisor_count_sieve(y_small).values)
+        if int(np.max(np.abs(wn))) >= 2**63 // int(d_small[-1]):
+            raise OverflowHardError(f"h(n) * D(y) could overflow int64 below {top}")
+    else:
+        prefix = np.cumsum(wn)
+    values = []
+    for i, (x, end) in enumerate(zip(cps, ends)):
+        if convolve_d:
+            y, wy = x // n[:end], wn[:end]
+            near = y <= y_small
+            value = sum((wy[near] * d_small[y[near]]).tolist())
+            for yd, wd in zip(y[~near].tolist(), wy[~near].tolist()):
+                value += wd * divisor_summatory(yd)
+            values.append(value)
+        else:
+            values.append(int(prefix[end - 1]))
+        if progress is not None:
+            progress("checkpoint", i + 1, len(cps))
+    return tuple(values)
 
 
 def summatory_convolved(
@@ -53,13 +193,15 @@ def summatory_convolved(
 ) -> int:
     """Exact S(x) = sum_{d <= x} tauchar_q(d) * floor(x / d).
 
-    ``table`` may carry a precomputed character table (values indexed by d,
-    length > x) to amortize the sieve across many evaluations.
+    Computed by the powerful-number route in O(sqrt x) memory.  ``table``,
+    a precomputed character table (values indexed by d, length > x),
+    selects the sieve route instead: weighted floor sums over the table,
+    which shares nothing with the default route and serves as its oracle.
     """
     x = _validate_x(x, limit)
     if table is None:
-        table = tau_char_sieve(LegendreChar(q), x).values
-    elif len(table) <= x:
+        return _checkpoint_sums(q, (x,))[0]
+    if len(table) <= x:
         raise ArgumentError(f"provided table covers d < {len(table)}, need {x}")
     return _kernels.weighted_floor_sum(table, x)
 
@@ -229,16 +371,7 @@ def trace(
         raise ArgumentError(f"normalization exponents must lie in (0, 1]: {alphas}")
 
     params = main_term_params(q, prime_cutoff=prime_cutoff)
-    top = cps[-1]
-    table = tau_char_sieve(LegendreChar(q), top).values
-    if progress is not None:
-        progress("sieve", 1, 1)
-    values = []
-    for i, x in enumerate(cps):
-        values.append(_kernels.weighted_floor_sum(table, x))
-        if progress is not None:
-            progress("checkpoint", i + 1, len(cps))
-    values = tuple(values)
+    values = _checkpoint_sums(q, cps, progress)
     mains = [main_term(q, float(x), params=params) for x in cps]
     residuals = tuple(float(v) - m.value for v, m in zip(values, mains))
     intervals = tuple(
@@ -328,16 +461,7 @@ def rh_diagnostic(
     if checkpoints is None:
         checkpoints = default_checkpoints(limit)
     cps = _validate_checkpoints(checkpoints, limit, X_FLOOR)
-    top = cps[-1]
-    table = tau_char_sieve(LegendreChar(q), top).values
-    if progress is not None:
-        progress("sieve", 1, 1)
-    values = []
-    for i, x in enumerate(cps):
-        values.append(_kernels.weighted_floor_sum(table, x))
-        if progress is not None:
-            progress("checkpoint", i + 1, len(cps))
-    values = tuple(values)
+    values = _checkpoint_sums(q, cps, progress)
     uncond = tuple(
         abs(v) / (float(x) ** 0.5 * subexp_decay(float(x) ** 0.25, c))
         for v, x in zip(values, cps)

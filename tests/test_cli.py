@@ -140,6 +140,15 @@ def test_constants_unreachable_tolerance_is_resource_exit(capsys):
     assert "resource/precision" in err
 
 
+def test_constants_sqrt_branch_unmet_tolerance_is_resource_exit(capsys):
+    code, _, err = run(
+        ["constants", "--q", "13", "--prime-cutoff", "1e7", "--tolerance", "1e-5"],
+        capsys,
+    )
+    assert code == 3
+    assert "resource/precision" in err
+
+
 def test_trace_exact_branch(capsys):
     code, out, _ = run(
         ["trace", "--q", "3", "--checkpoints", "1024,2048", "--no-timestamp"], capsys
@@ -192,6 +201,7 @@ def test_trace_multiple_alphas_extend_header(capsys):
 
 def test_trace_usage_errors(capsys):
     assert run(["trace", "--q", "3", "--max", "512"], capsys)[0] == 2
+    assert run(["trace", "--q", "13", "--max", "1e18"], capsys)[0] == 3
     assert run(["trace", "--q", "3", "--checkpoints", "2048,1024"], capsys)[0] == 2
 
 

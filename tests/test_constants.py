@@ -210,6 +210,14 @@ def test_sqrt_factor_unreachable_tolerance():
         sqrt_factor_at_half(13, prime_cutoff=100, tol=1e-9)
 
 
+def test_main_term_params_passes_sqrt_tolerance_through():
+    # the half-line tail at cutoff 1e7 is about 1.7e-4: a 1e-5 request
+    # cannot be met and must say so rather than return the weaker bound
+    with pytest.raises(PrecisionError) as exc:
+        main_term_params(13, prime_cutoff=10**7, tol=1e-5)
+    assert 1e-4 < exc.value.achievable < 2e-4
+
+
 def test_main_term_exact_cube_root():
     mt = main_term(3, 10.0**6)
     assert mt.kind == "exact_cuberoot"

@@ -8,11 +8,13 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from tauchar import _kernels
 from tauchar.curves import (
     BoundShapes,
     CurveConfig,
     ShortIntervalInstance,
     _near_integer_sq,
+    _tau_window_sum,
     bound_shapes,
     count_near_curve,
     decompose_short_interval,
@@ -20,6 +22,7 @@ from tauchar.curves import (
     short_interval_sum,
 )
 from tauchar.errors import ArgumentError, UndecidablePointError
+from tauchar.sieves import primes_up_to
 from tauchar.summatory import summatory_convolved
 
 
@@ -189,6 +192,28 @@ def brute_pair_total(x: int, y: int) -> int:
             d += 1
         n += 1
     return total
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [(1, 1), (100, 37), (Fraction(1999, 2), Fraction(101, 2)), (10**6, 999),
+     (10**12, 3000), (10**13, 0)],
+)
+def test_tau_window_sum_matches_factor_block(x, y):
+    x, y = Fraction(x), Fraction(y)
+    lo, hi = x.numerator // x.denominator + 1, (x + y).numerator // (x + y).denominator
+    want = 0
+    if hi >= lo:
+        tau = _kernels.factor_block(lo, hi + 1, primes_up_to(isqrt(hi)), want_tau=True)
+        want = int(np.sum(tau["tau"], dtype=np.int64))
+    assert _tau_window_sum(x, y) == want
+    if hi <= 10**6:
+        walk = sum(
+            2 * sum(1 for d in range(1, isqrt(n) + 1) if n % d == 0)
+            - (isqrt(n) ** 2 == n)
+            for n in range(lo, hi + 1)
+        )
+        assert _tau_window_sum(x, y) == walk
 
 
 def test_scan_double_count_matches_enumeration():

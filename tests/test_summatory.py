@@ -6,14 +6,18 @@ from math import isqrt
 import numpy as np
 import pytest
 
+from tauchar import summatory
 from tauchar.constants import Branch, classify
-from tauchar.errors import ArgumentError, ClassificationError
-from tauchar.roots import integer_nth_root
+from tauchar.errors import ArgumentError, ClassificationError, OverflowHardError
+from tauchar.roots import floor_root_grid, integer_nth_root
 from tauchar.sieves import LegendreChar, legendre_symbol, mobius_sieve, tau_char_sieve
 from tauchar.summatory import (
+    MAX_EXACT_X,
+    _checkpoint_sums,
     cube_root_identity_scan,
     default_alphas,
     default_checkpoints,
+    divisor_summatory,
     fifth_power_identity_scan,
     liouville_summatory,
     mertens,
@@ -45,6 +49,65 @@ def brute_summatory(q: int, x: int) -> int:
 def test_summatory_matches_double_sum(q):
     for x in (1, 2, 10, 47, 120):
         assert summatory_convolved(q, x) == brute_summatory(q, x)
+
+
+def sieve_route(q: int, cps) -> tuple[int, ...]:
+    table = tau_char_sieve(LegendreChar(q), cps[-1]).values
+    return tuple(summatory_convolved(q, x, limit=cps[-1], table=table) for x in cps)
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 11, 13, 17, 19, 23])
+def test_powerful_route_matches_sieve_route(q):
+    cps = tuple(2**k for k in range(10, 21))
+    assert _checkpoint_sums(q, cps) == sieve_route(q, cps)
+
+
+@pytest.mark.parametrize("q", [7, 13])
+def test_powerful_route_matches_sieve_route_at_2_23(q):
+    cps = tuple(2**k for k in range(10, 24))
+    assert _checkpoint_sums(q, cps) == sieve_route(q, cps)
+
+
+def test_powerful_route_above_the_table_budget():
+    # q = 3: S(x) = floor(x^(1/3)); q = 5: the Mobius fifth-root identity
+    assert summatory_convolved(3, 10**12, limit=10**12) == 10**4
+    x = 10**10
+    top = isqrt(x)
+    d = np.arange(1, top + 1, dtype=np.int64)
+    mu = mobius_sieve(top).values[1:]
+    expect = int(np.dot(mu, floor_root_grid(x // (d * d), 5)))
+    assert summatory_convolved(5, x, limit=x) == expect
+
+
+def test_divisor_summatory_matches_divisor_walk():
+    tau = np.zeros(3001, dtype=np.int64)
+    for d in range(1, 3001):
+        tau[d::d] += 1
+    walk = np.cumsum(tau)
+    assert [divisor_summatory(y) for y in range(3001)] == walk.tolist()
+    # sqrt(y) past one int64 chunk: the same hyperbola sum in Python ints
+    for y in (2**32 + 12345, 3 * 10**10):
+        r = isqrt(y)
+        assert divisor_summatory(y) == 2 * sum(y // i for i in range(1, r + 1)) - r * r
+    with pytest.raises(ArgumentError):
+        divisor_summatory(-1)
+
+
+def test_int64_guard_rejects_before_any_work(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the int64 guard")
+
+    monkeypatch.setattr(summatory, "primes_up_to", no_work)
+    monkeypatch.setattr(summatory, "main_term_params", no_work)
+    big = MAX_EXACT_X + 1
+    with pytest.raises(OverflowHardError):
+        divisor_summatory(big)
+    with pytest.raises(OverflowHardError):
+        summatory_convolved(7, big, limit=2**60)
+    with pytest.raises(OverflowHardError):
+        trace(13, (1024, big), limit=2**60)
+    with pytest.raises(OverflowHardError):
+        rh_diagnostic(19, (1024, big), limit=2**60)
 
 
 def test_mertens_known_values():
