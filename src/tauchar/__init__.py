@@ -16,8 +16,9 @@ convolution.  The package provides:
 * a CLI for all of the above (``tauchar`` console script, module ``cli``).
 """
 
-from ._kernels import BACKEND as KERNEL_BACKEND
-
 __version__ = "0.1.0"
+
+# The kernels are numpy; the name is kept in every report's metadata.
+KERNEL_BACKEND = "python"
 
 __all__ = ["KERNEL_BACKEND", "__version__"]

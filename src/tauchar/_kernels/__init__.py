@@ -1,58 +1,22 @@
-"""Kernel backend selection.
+"""The numpy kernels behind ``tauchar.sieves``.
 
-Two interchangeable backends provide the hot loops:
+The loops live in the submodule ``pyback`` and are re-exported here:
+calls from one kernel to another stay inside that submodule, so a tracer
+that wraps this package's names from outside sees only the calls made by
+the rest of the package.
 
-* ``_ext`` -- Cython-compiled (spf-chain full tables, scalar block scans)
-* ``pyback`` -- pure numpy (per-prime-power stride passes)
-
-Selection happens once at import time.  The environment variable
-``TAUCHAR_KERNELS`` forces a choice: ``c`` requires the compiled extension
-(ImportError if missing), ``python`` forces the numpy fallback, anything else
-(or unset) tries the extension first and falls back silently.
-
-Exported surface (identical for both):
-    BACKEND, DEFAULT_SEGMENT,
+Exported surface:
+    DEFAULT_SEGMENT,
     primes_up_to(limit), spf_table(limit, segment),
-    full_tables(limit, segment, want_tau, want_mu, want_liou),
-    factor_block(lo, hi, primes, want_tau, want_mu, want_liou),
+    factor_block(lo, hi, primes, c), full_tables(limit, c, segment),
     weighted_floor_sum(values, x)
 """
 
-import os
-
-_choice = os.environ.get("TAUCHAR_KERNELS", "auto").strip().lower()
-
-if _choice == "python":
-    from . import pyback as _impl
-elif _choice == "c":
-    from . import _ext as _impl  # hard ImportError if the extension is absent
-else:
-    try:
-        from . import _ext as _impl
-    except ImportError:
-        from . import pyback as _impl
-
-BACKEND = _impl.BACKEND_NAME
-DEFAULT_SEGMENT = _impl.DEFAULT_SEGMENT
-primes_up_to = _impl.primes_up_to
-spf_table = _impl.spf_table
-full_tables = _impl.full_tables
-factor_block = _impl.factor_block
-weighted_floor_sum = _impl.weighted_floor_sum
-
-
-def load_backend(name: str):
-    """Return a specific backend module by name ('c' or 'python').
-
-    Used by the benchmark script and the backend-equivalence tests; normal
-    code goes through the module-level functions above.
-    """
-    if name == "python":
-        from . import pyback
-
-        return pyback
-    if name == "c":
-        from . import _ext
-
-        return _ext
-    raise ValueError(f"unknown kernel backend {name!r}")
+from .pyback import (
+    DEFAULT_SEGMENT,
+    factor_block,
+    full_tables,
+    primes_up_to,
+    spf_table,
+    weighted_floor_sum,
+)

@@ -1,24 +1,21 @@
-"""Pure numpy kernel backend.
+"""The numpy kernels: prime sieves and one multiplicative-table block kernel.
 
-Same call surface as the compiled backend (`_ext`), selected by
-``tauchar._kernels`` when the extension is unavailable or disabled.
-
-Factorization of a block [lo, hi) is done with per-prime-power stride passes
-rather than a smallest-prime-factor chain: numpy cannot follow the sequential
-spf recurrence efficiently, but strided in-place updates run at C speed.  The
-two backends therefore compute the same tables by different routes, which the
-test suite exploits as a cross-check.
+Every multiplicative table in the package is fixed by per-exponent values
+``c[e]`` that are the same for all primes, and comes from ``factor_block``
+(one block) or ``full_tables`` (a table from 1, block by block).
+Factorization uses per-prime-power stride passes rather than a
+smallest-prime-factor chain: numpy cannot follow the sequential spf
+recurrence efficiently, but strided in-place updates run at C speed.
 """
 
 from math import isqrt
 
 import numpy as np
 
-# Block size for internal segmentation: sieves beyond this many entries are
-# processed in chunks so peak memory stays bounded.
-DEFAULT_SEGMENT = 1 << 26
-
-BACKEND_NAME = "python"
+# Block size for internal segmentation, both of the tables and of the prime
+# sieve: peak memory stays bounded, and a block's working arrays stay small
+# enough that the per-prime strided passes run faster than over larger ones.
+DEFAULT_SEGMENT = 1 << 20
 
 
 def _simple_prime_mask(limit: int) -> np.ndarray:
@@ -83,98 +80,67 @@ def spf_table(limit: int, segment: int = DEFAULT_SEGMENT) -> np.ndarray:
     return spf
 
 
-def factor_block(
-    lo: int,
-    hi: int,
-    primes: np.ndarray,
-    want_tau: bool = False,
-    want_mu: bool = False,
-    want_liou: bool = False,
-) -> dict:
-    """Divisor count / Mobius / Liouville values for n in [lo, hi).
+def factor_block(lo: int, hi: int, primes: np.ndarray, c) -> np.ndarray:
+    """Values f(n) for n in [lo, hi) of the multiplicative f with f(p^e) = c[e].
 
-    ``primes`` must contain every prime p with p*p < hi.  Returns a dict with
-    keys among {'tau' (int16), 'mu' (int8), 'liou' (int8)}, arrays indexed by
-    n - lo.  Exact for hi <= ~1.8e9 (divisor counts below that fit in int16;
-    callers enforce far smaller budgets).
+    f(n) is the product of c[e_p] over the prime powers p^e_p exactly
+    dividing n.  ``c[0]`` must be 1 and ``c`` must reach every exponent below
+    hi, that is len(c) >= (hi - 1).bit_length().  ``primes`` must contain
+    every prime p with p*p < hi; the one prime factor above that a number can
+    have is found as a leftover and contributes c[1].  The array is int8 when
+    every |c[e]| <= 1, else int64; the caller keeps products of c within
+    int64.
     """
     if lo < 1 or hi <= lo:
         raise ValueError("factor_block requires 1 <= lo < hi")
+    c = [int(v) for v in c]
+    if len(c) < max(2, (hi - 1).bit_length()) or c[0] != 1:
+        raise ValueError("c must start at c[0] = 1 and cover every exponent below hi")
+    dtype = np.int8 if max(map(abs, c)) <= 1 else np.int64
     size = hi - lo
-    rem = np.arange(lo, hi, dtype=np.int64)
-    tau = np.ones(size, dtype=np.int16) if want_tau else None
-    mu = np.ones(size, dtype=np.int8) if want_mu else None
-    liou = np.ones(size, dtype=np.int8) if want_liou else None
+    vals = np.ones(size, dtype=dtype)
+    # product of the prime powers found so far (below n < hi, so uint32 holds
+    # it for hi <= 2^32); where it stops short of n, a large prime is left
+    found = np.ones(size, dtype=np.uint32 if hi <= 2**32 else np.int64)
+    buf = np.empty((size + 1) // 2, dtype=dtype)  # factors at multiples of p
 
     for p in primes:
         p = int(p)
         if p * p >= hi:
             break
-        start = ((lo + p - 1) // p) * p
+        start = -(-lo // p) * p
         if start >= hi:
             continue
         s1 = slice(start - lo, size, p)
-        rem[s1] //= p
-        if want_tau:
-            tau[s1] *= 2
-        if want_mu:
-            np.negative(mu[s1], out=mu[s1])
-        if want_liou:
-            np.negative(liou[s1], out=liou[s1])
-        # exponent k >= 2: positions divisible by p^k carry divisor factor k
-        # from the previous level, promoted in place to k+1
+        fac = buf[: (hi - 1 - start) // p + 1]
+        fac[:] = c[1]
+        found[s1] *= p
+        # multiples of p^k sit every p^(k-1) places among the multiples of p
         k, pk = 2, p * p
         while pk < hi:
-            start_k = ((lo + pk - 1) // pk) * pk
+            start_k = -(-lo // pk) * pk
             if start_k >= hi:
                 break
-            sk = slice(start_k - lo, size, pk)
-            rem[sk] //= p
-            if want_tau:
-                tau[sk] = tau[sk] // k * (k + 1)
-            if want_mu:
-                mu[sk] = 0
-            if want_liou:
-                np.negative(liou[sk], out=liou[sk])
+            fac[(start_k - start) // p :: pk // p] = c[k]
+            found[start_k - lo :: pk] *= p
             k += 1
             pk *= p
+        vals[s1] *= fac
 
-    # whatever remains after removing all p <= sqrt(hi) is 1 or a single prime
-    big = rem > 1
-    out = {}
-    if want_tau:
-        tau[big] *= 2
-        out["tau"] = tau
-    if want_mu:
-        np.negative(mu, out=mu, where=big)
-        out["mu"] = mu
-    if want_liou:
-        np.negative(liou, out=liou, where=big)
-        out["liou"] = liou
-    return out
+    if c[1] != 1:
+        leftover = found != np.arange(lo, hi, dtype=found.dtype)
+        np.multiply(vals, c[1], out=vals, where=leftover)
+    return vals
 
 
-def full_tables(
-    limit: int,
-    segment: int = DEFAULT_SEGMENT,
-    want_tau: bool = False,
-    want_mu: bool = False,
-    want_liou: bool = False,
-) -> dict:
-    """Tables over [0, limit] (index 0 unused, set to 0), built block-wise."""
-    base = primes_up_to(isqrt(limit), segment) if limit >= 4 else np.empty(0, np.int64)
-    out = {}
-    if want_tau:
-        out["tau"] = np.zeros(limit + 1, dtype=np.int16)
-    if want_mu:
-        out["mu"] = np.zeros(limit + 1, dtype=np.int8)
-    if want_liou:
-        out["liou"] = np.zeros(limit + 1, dtype=np.int8)
+def full_tables(limit: int, c, segment: int = DEFAULT_SEGMENT) -> np.ndarray:
+    """``factor_block`` values over [0, limit] as int64 (entry 0 set to 0),
+    built block by block; ``c`` must cover every exponent up to log2(limit)."""
+    base = primes_up_to(isqrt(limit), segment)
+    out = np.zeros(limit + 1, dtype=np.int64)
     for lo in range(1, limit + 1, segment):
         hi = min(lo + segment, limit + 1)
-        block = factor_block(lo, hi, base, want_tau, want_mu, want_liou)
-        for key, arr in block.items():
-            out[key][lo:hi] = arr
+        out[lo:hi] = factor_block(lo, hi, base, c)
     return out
 
 

@@ -34,7 +34,7 @@ import time
 from datetime import datetime, timezone
 from fractions import Fraction
 
-from . import KERNEL_BACKEND, __version__, _kernels
+from . import KERNEL_BACKEND, __version__
 from .constants import Branch, classify, main_term_params
 from .curves import ShortIntervalInstance, decompose_short_interval, range_scan
 from .dirichlet import verify_factorization
@@ -46,6 +46,7 @@ from .errors import (
     TaucharError,
     UndecidablePointError,
 )
+from .sieves import primes_up_to
 from .summatory import (
     cube_root_identity_scan,
     fifth_power_identity_scan,
@@ -189,7 +190,7 @@ def _emit(args, meta: dict, header: list[str], rows: list, summary: dict | None)
 
 
 def _odd_primes_up_to(bound: int) -> list[int]:
-    return [int(p) for p in _kernels.primes_up_to(bound) if p > 2]
+    return [int(p) for p in primes_up_to(bound) if p > 2]
 
 
 def _cmd_verify(args) -> int:

@@ -40,9 +40,10 @@ from .sieves import (
     CoeffSeries,
     LegendreChar,
     check_budget,
+    is_prime,
+    multiplicative_series,
     ones_series,
     power_indicator_series,
-    primes_up_to,
     tau_char_sieve,
 )
 
@@ -143,8 +144,7 @@ class LocalFactor:
     """Euler factor at a prime p, as an exact rational function of u = p^(-s).
 
     ``numerator`` / ``denominator`` are integer polynomial coefficients in u,
-    constant term first.  All factors in scope are independent of p, but the
-    expansion API keeps p in its signature to allow p-dependent factors.
+    constant term first.  Every factor in scope is the same at every prime.
     """
 
     name: str
@@ -160,8 +160,8 @@ class LocalFactor:
                 f"local factor {self.name!r} has constant term {c0}, expected 1"
             )
 
-    def coeffs(self, p: int, max_exp: int) -> tuple[int, ...]:
-        """Integer series coefficients of u^0..u^max_exp at the prime p."""
+    def coeffs(self, max_exp: int) -> tuple[int, ...]:
+        """Integer series coefficients of u^0..u^max_exp."""
         return _expand_rational(self.numerator, self.denominator, max_exp)
 
 
@@ -319,42 +319,35 @@ def dirichlet_inverse(a: CoeffSeries) -> CoeffSeries:
     return CoeffSeries.from_values(b)
 
 
+def _omega_max(limit: int) -> int:
+    """Largest k with p_1 p_2 ... p_k <= limit: the most distinct prime
+    factors any n <= limit has."""
+    k, primorial, p = 0, 1, 2
+    while primorial * p <= limit:
+        primorial *= p
+        k += 1
+        p += 1
+        while not is_prime(p):
+            p += 1
+    return k
+
+
 def expand_euler_product(local: LocalFactor, limit: int) -> CoeffSeries:
     """Multiplicative extension of a local Euler factor to n = 1..limit.
 
-    values[n] = product over p^e || n of the factor's u^e coefficient at p.
-    Primes are processed ascending, each multiplying its contribution into
-    the output in place.
+    values[n] = product over p^e || n of the factor's u^e coefficient.  A
+    value is a product of at most omega_max(limit) coefficients, so the
+    int64 check is made on that bound before any work.
     """
     if limit < 1:
         raise ArgumentError(f"limit must be >= 1, got {limit}")
-    check_budget(limit, "euler product expansion")
-    out = np.ones(limit + 1, dtype=np.int64)
-    out[0] = 0
-    for p in primes_up_to(limit):
-        p = int(p)
-        emax = 0
-        pk = 1
-        while pk <= limit // p:
-            pk *= p
-            emax += 1
-        coeffs = local.coeffs(p, emax)
-        # a zero coefficient at u^e zeroes every n with p^e exactly dividing
-        # it, so even an all-zero tail must be multiplied through
-        cmax = max(abs(c) for c in coeffs)
-        mult = out[p::p]
-        peak = int(np.max(np.abs(mult)))
-        if peak * cmax > _INT64_MAX:
-            raise OverflowHardError(
-                f"euler product expansion would overflow int64 at p={p}"
-            )
-        fac = np.full(len(mult), coeffs[1], dtype=np.int64)
-        step = 1
-        for e in range(2, emax + 1):
-            step *= p  # p^(e-1): positions of multiples of p^e within mult
-            fac[step - 1 :: step] = coeffs[e]
-        mult *= fac
-    return CoeffSeries(limit, out)
+    c = local.coeffs(limit.bit_length() - 1)
+    if max(map(abs, c)) ** _omega_max(limit) > _INT64_MAX:
+        raise OverflowHardError(
+            f"euler product expansion of {local.name} could overflow int64 "
+            f"below {limit}"
+        )
+    return multiplicative_series(limit, c, "euler product expansion")
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,10 @@ and Liouville functions, perfect-power indicators, the Legendre symbol, and
 the tau character (the Legendre symbol of the divisor count), all over
 1..limit as exact 64-bit integers.
 
-Heavy loops live in ``tauchar._kernels`` (compiled extension or numpy
-fallback); this module owns validation, budgets, and the public types.
+Every multiplicative table comes from one numpy block kernel in
+``tauchar._kernels``, fixed by the per-exponent values c[e] = f(p^e) that
+all these functions share across primes (``multiplicative_series``); this
+module owns validation, budgets, and the public types.
 """
 
 from dataclasses import dataclass
@@ -226,31 +228,35 @@ def build_factor_sieve(limit: int) -> FactorSieve:
     return FactorSieve(limit=limit, spf=spf)
 
 
-def _full_table(limit: int, key: str) -> np.ndarray:
-    check_budget(limit)
-    kw = {f"want_{key}": True}
-    return _kernels.full_tables(limit, **kw)[key]
+def multiplicative_series(limit: int, c, what: str = "sieve") -> CoeffSeries:
+    """The multiplicative f with f(p^e) = c[e] for every prime p, n = 1..limit.
+
+    ``c[0]`` must be 1, and ``c`` must reach every exponent e with
+    2^e <= limit, that is len(c) >= limit.bit_length().  Every entry must
+    fit in int64, and so must every product of c-values over the distinct
+    prime factors of one n <= limit.
+    """
+    if limit < 1:
+        raise ArgumentError(f"limit must be >= 1, got {limit}")
+    check_budget(limit, what)
+    return CoeffSeries(limit, _kernels.full_tables(limit, c))
 
 
 def divisor_count_sieve(limit: int) -> CoeffSeries:
     """tau(n) = number of divisors of n, for n = 1..limit."""
-    if limit < 1:
-        raise ArgumentError(f"limit must be >= 1, got {limit}")
-    return CoeffSeries(limit, _full_table(limit, "tau").astype(np.int64))
+    return multiplicative_series(limit, range(1, limit.bit_length() + 2))
 
 
 def mobius_sieve(limit: int) -> CoeffSeries:
     """mu(n) for n = 1..limit."""
-    if limit < 1:
-        raise ArgumentError(f"limit must be >= 1, got {limit}")
-    return CoeffSeries(limit, _full_table(limit, "mu").astype(np.int64))
+    return multiplicative_series(limit, [1, -1] + [0] * limit.bit_length())
 
 
 def liouville_sieve(limit: int) -> CoeffSeries:
     """Liouville (-1)**Omega(n) for n = 1..limit."""
-    if limit < 1:
-        raise ArgumentError(f"limit must be >= 1, got {limit}")
-    return CoeffSeries(limit, _full_table(limit, "liou").astype(np.int64))
+    return multiplicative_series(
+        limit, [(-1) ** e for e in range(limit.bit_length() + 1)]
+    )
 
 
 def power_indicator_series(r: int, limit: int) -> CoeffSeries:
@@ -289,16 +295,12 @@ def tau_char_sieve(char: LegendreChar | int, limit: int) -> CoeffSeries:
     """The tau character: n -> Legendre symbol (tau(n) / q), values in {-1,0,1}.
 
     Multiplicative because tau is multiplicative and the symbol is completely
-    multiplicative.
+    multiplicative: its value at p^e is chi(e + 1).
     """
     if isinstance(char, int):
         char = LegendreChar(char)
-    if limit < 1:
-        raise ArgumentError(f"limit must be >= 1, got {limit}")
-    tau = _full_table(limit, "tau")
-    values = char.table[tau % char.q].astype(np.int64)
-    values[0] = 0
-    return CoeffSeries(limit, values)
+    c = [int(char.table[(e + 1) % char.q]) for e in range(limit.bit_length() + 1)]
+    return multiplicative_series(limit, c)
 
 
 def primes_up_to(limit: int) -> np.ndarray:

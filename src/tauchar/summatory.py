@@ -213,17 +213,15 @@ def mertens(x: int, *, limit: int = DEFAULT_LIMIT) -> int:
     return int(np.sum(mu.values[1:], dtype=np.int64))
 
 
-def _prefix_sums(q: int, limit: int) -> np.ndarray:
-    """S(1..limit) for the q-character convolved with 1, as one pass.
+def _prefix_sums(a: np.ndarray) -> np.ndarray:
+    """Partial sums of a * 1 at x = 0..len(a) - 1, for a indexed by d.
 
     sum_{n<=x} sum_{d|n} a(d) = sum_d a(d) floor(x/d) accumulates by adding
     a(d) at every multiple of d, then prefix-summing.
     """
-    a = tau_char_sieve(LegendreChar(q), limit).values
-    acc = np.zeros(limit + 1, dtype=np.int64)
-    for d in range(1, limit + 1):
-        if a[d]:
-            acc[d::d] += a[d]
+    acc = np.zeros(len(a), dtype=np.int64)
+    for d in np.nonzero(a)[0].tolist():
+        acc[d::d] += a[d]
     return np.cumsum(acc)
 
 
@@ -235,12 +233,7 @@ def square_root_identity_scan(limit: int) -> int | None:
     sign), so its partial sum counts squares up to x.
     """
     check_budget(limit, "identity scan")
-    lam = liouville_sieve(limit).values
-    acc = np.zeros(limit + 1, dtype=np.int64)
-    for d in range(1, limit + 1):
-        if lam[d]:
-            acc[d::d] += lam[d]
-    s = np.cumsum(acc)
+    s = _prefix_sums(liouville_sieve(limit).values)
     x = np.arange(0, limit + 1, dtype=np.int64)
     expect = floor_root_grid(x, 2)
     bad = np.nonzero(s[1:] != expect[1:])[0]
@@ -251,7 +244,7 @@ def cube_root_identity_scan(limit: int) -> int | None:
     """First x <= limit where the q=3 convolution sum differs from
     floor(x^(1/3)); None when the identity holds everywhere."""
     check_budget(limit, "identity scan")
-    s = _prefix_sums(3, limit)
+    s = _prefix_sums(tau_char_sieve(3, limit).values)
     x = np.arange(0, limit + 1, dtype=np.int64)
     expect = floor_root_grid(x, 3)
     bad = np.nonzero(s[1:] != expect[1:])[0]
@@ -267,7 +260,7 @@ def fifth_power_identity_scan(limit: int) -> int | None:
     convolution on one side, Mobius sieve and integer roots on the other).
     """
     check_budget(limit, "identity scan")
-    s = _prefix_sums(5, limit)
+    s = _prefix_sums(tau_char_sieve(5, limit).values)
     x = np.arange(0, limit + 1, dtype=np.int64)
     expect = np.zeros(limit + 1, dtype=np.int64)
     mu = mobius_sieve(isqrt(limit)).values

@@ -7,6 +7,7 @@ import pytest
 from tauchar.dirichlet import (
     Family,
     FormalPowerSeries,
+    LocalFactor,
     dirichlet_convolve,
     dirichlet_inverse,
     expand_euler_product,
@@ -146,10 +147,10 @@ def test_combined_factor_splits_against_u4_family(q):
     # the +-19/+-29 mod 120 factor absorbs a (1 - u^4): raw * (1-u^4) == split
     order = 24
     raw = FormalPowerSeries.from_ints(
-        local_factor(q, Family.PM5_MOD24_RAW).coeffs(2, order), order
+        local_factor(q, Family.PM5_MOD24_RAW).coeffs(order), order
     )
     split = FormalPowerSeries.from_ints(
-        local_factor(q, Family.PM19_29_MOD120).coeffs(2, order), order
+        local_factor(q, Family.PM19_29_MOD120).coeffs(order), order
     )
     shift = FormalPowerSeries.from_ints([1, 0, 0, 0, -1], order)
     assert (raw * shift).coeffs == split.coeffs
@@ -160,10 +161,10 @@ def test_combined_factor_splits_against_inverse_u4_family(q):
     # the +-43/+-53 mod 120 factor sheds a (1 - u^4): split * (1-u^4) == raw
     order = 24
     raw = FormalPowerSeries.from_ints(
-        local_factor(q, Family.PM5_MOD24_RAW).coeffs(2, order), order
+        local_factor(q, Family.PM5_MOD24_RAW).coeffs(order), order
     )
     split = FormalPowerSeries.from_ints(
-        local_factor(q, Family.PM43_53_MOD120).coeffs(2, order), order
+        local_factor(q, Family.PM43_53_MOD120).coeffs(order), order
     )
     shift = FormalPowerSeries.from_ints([1, 0, 0, 0, -1], order)
     assert (split * shift).coeffs == raw.coeffs
@@ -190,7 +191,7 @@ def test_euler_expansion_is_multiplicative():
     series = expand_euler_product(lf, n)
 
     def coeff(p, e):
-        c = lf.coeffs(p, e)
+        c = lf.coeffs(e)
         return c[e] if e < len(c) else 0
 
     for m in range(1, n + 1):
@@ -200,11 +201,20 @@ def test_euler_expansion_is_multiplicative():
 def test_euler_expansion_prime_powers():
     lf = local_factor(11, Family.PM11_MOD24)
     series = expand_euler_product(lf, 3**7)
-    c = lf.coeffs(3, 7)
+    c = lf.coeffs(7)
     for e in range(0, 8):
         expect = c[e] if e < len(c) else 0
         if 3**e <= 3**7:
             assert series[3**e] == expect
+
+
+def test_euler_expansion_overflow_guard():
+    # 30 = 2 * 3 * 5 has three distinct primes, and (2^40)^3 > 2^63 - 1; a
+    # single prime's value 2^40 still fits, so limit 5 expands
+    lf = LocalFactor("wide", (1, 2**40), (1,))
+    with pytest.raises(OverflowHardError):
+        expand_euler_product(lf, 30)
+    assert expand_euler_product(lf, 5)[5] == 2**40
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 11, 13, 19, 23, 29, 43, 47, 53])

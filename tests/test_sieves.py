@@ -1,8 +1,11 @@
-"""Sieve tables against brute-force oracles."""
+"""Sieve tables and the kernels behind them against brute-force oracles."""
+
+from math import isqrt
 
 import numpy as np
 import pytest
 
+from tauchar import _kernels
 from tauchar.errors import ArgumentError, ResourceLimitError
 from tauchar.sieves import (
     CoeffSeries,
@@ -28,6 +31,21 @@ N = 3000
 
 def brute_tau(n):
     return sum(1 for d in range(1, n + 1) if n % d == 0)
+
+
+def brute_exponents(n, primes):
+    """Exponents of n's prime factors, by trial division by the primes <= sqrt(n)."""
+    out, m = [], n
+    for p in primes:
+        if p * p > m:
+            break
+        e = 0
+        while m % p == 0:
+            m //= p
+            e += 1
+        if e:
+            out.append(e)
+    return out + [1] if m > 1 else out
 
 
 def brute_mu(n):
@@ -161,10 +179,104 @@ def test_factor_sieve_factorizations_multiply_back():
         assert prod == n
 
 
+def brute_primes(limit):
+    return [n for n in range(2, limit + 1) if all(n % d for d in range(2, isqrt(n) + 1))]
+
+
 def test_primes_up_to_oracle():
-    ps = primes_up_to(1000)
-    expected = [n for n in range(2, 1001) if all(n % d for d in range(2, n))]
-    assert list(ps) == expected
+    for limit in (0, 1, 2, 3, 10, 97, 1000, 10**5):
+        assert list(primes_up_to(limit)) == brute_primes(limit), limit
+
+
+def test_spf_table_spot_values():
+    spf = _kernels.spf_table(10**4)
+    assert spf[0] == 0 and spf[1] == 0
+    assert spf[12] == 2
+    assert spf[97] == 97
+    assert spf[9991] == 97  # 97 * 103
+    for n in range(2, 2000):
+        assert spf[n] == next(p for p in range(2, n + 1) if n % p == 0)
+
+
+# per-exponent values c[e] = f(p^e) of the three base functions
+TAU_C = list(range(1, 41))
+MU_C = [1, -1] + [0] * 39
+LIOU_C = [(-1) ** e for e in range(41)]
+BRUTE = ((TAU_C, brute_tau), (MU_C, brute_mu), (LIOU_C, brute_omega_parity))
+
+
+def test_factor_block_against_brute_force():
+    lo, hi = 1, 400
+    primes = primes_up_to(30)
+    for c, brute in BRUTE:
+        out = _kernels.factor_block(lo, hi, primes, c)
+        for n in range(lo, hi):
+            assert out[n - lo] == brute(n), (c[:3], n)
+
+
+def test_factor_block_random_windows():
+    rng = np.random.default_rng(9)
+    small = brute_primes(1000)
+    for _ in range(12):
+        lo = int(rng.integers(1, 10**6))
+        hi = lo + int(rng.integers(1, 3000))
+        primes = primes_up_to(isqrt(hi) + 1)
+        exps = [brute_exponents(n, small) for n in range(lo, hi)]
+        for c, _ in BRUTE:
+            out = _kernels.factor_block(lo, hi, primes, c)
+            want = [int(np.prod([c[e] for e in es])) for es in exps]
+            assert [int(v) for v in out] == want, (c[:3], lo, hi)
+
+
+def test_factor_block_tau_character_at_offset_1e12():
+    # c[e] = chi(e + 1) gives (tau(n) / q) without a divisor-count table
+    lo, hi = 10**12, 10**12 + 64
+    primes = primes_up_to(isqrt(hi))
+    # trial division by the prime list, itself checked against brute force
+    taus = [
+        int(np.prod([e + 1 for e in brute_exponents(n, primes.tolist())]))
+        for n in range(lo, hi)
+    ]
+    for q in (5, 7, 13):
+        char = LegendreChar(q)
+        c = [char(e + 1) for e in range(hi.bit_length())]
+        out = _kernels.factor_block(lo, hi, primes, c)
+        assert out.dtype == np.int8
+        assert [int(v) for v in out] == [euler_criterion(t, q) for t in taus], q
+
+
+def test_factor_block_rejects_short_coefficients():
+    with pytest.raises(ValueError):
+        _kernels.factor_block(1, 1025, primes_up_to(32), TAU_C[:10])
+    with pytest.raises(ValueError):
+        _kernels.factor_block(1, 100, primes_up_to(10), [2] + TAU_C[1:])
+
+
+@pytest.mark.parametrize("segment", [1024, 777])
+def test_full_tables_across_segment_sizes(segment):
+    for c, _ in BRUTE:
+        table = _kernels.full_tables(5000, c, segment=segment)
+        assert table[0] == 0
+        single = _kernels.factor_block(1, 5001, primes_up_to(70), c)
+        assert np.array_equal(table[1:], single)
+
+
+def test_weighted_floor_sum_against_brute_force():
+    rng = np.random.default_rng(10)
+    for _ in range(10):
+        n = int(rng.integers(1, 4000))
+        values = rng.integers(-1, 2, size=n + 1).astype(np.int8)
+        values[0] = 0
+        for x in (1, n // 2 + 1, n, 2 * n):
+            brute = sum(int(values[d]) * (x // d) for d in range(1, min(x, n) + 1))
+            assert _kernels.weighted_floor_sum(values, x) == brute
+
+
+def test_weighted_floor_sum_wide_values():
+    values = np.array([0, 3, -7, 5, 11], dtype=np.int64)
+    for x in (1, 4, 100):
+        brute = sum(int(values[d]) * (x // d) for d in range(1, min(x, 4) + 1))
+        assert _kernels.weighted_floor_sum(values, x) == brute
 
 
 def test_budget_errors():
