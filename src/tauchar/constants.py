@@ -375,11 +375,9 @@ def sqrt_factor_at_half(
             achievable=tail,
         )
     coeffs = [(m, t) for (m, t) in _step_coeffs(q, +1) if m <= _EXPONENT_CAP]
-    log_prod = 0.0
     n_primes = 0
     # segments keep peak memory flat at large cutoffs
     seg = 4 * 10**6
-    lo = 2
     parts: list[float] = []
     all_primes = primes_up_to(prime_cutoff)
     for i in range(0, len(all_primes), seg):

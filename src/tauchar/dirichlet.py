@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 
 import numpy as np
 
@@ -40,7 +41,9 @@ from .sieves import (
     CoeffSeries,
     LegendreChar,
     check_budget,
+    divisor_count_sieve,
     is_prime,
+    mobius_sieve,
     multiplicative_series,
     ones_series,
     power_indicator_series,
@@ -273,8 +276,6 @@ def dirichlet_convolve(a: CoeffSeries, b: CoeffSeries) -> CoeffSeries:
     # a-priori overflow bound: tau(n) < 2 sqrt(n) terms of size maxA*maxB
     max_a = int(np.max(np.abs(a.values))) if n else 0
     max_b = int(np.max(np.abs(b.values))) if n else 0
-    from math import isqrt
-
     if max_a * max_b * (2 * isqrt(n) + 1) > _INT64_MAX:
         raise OverflowHardError(
             "convolution could exceed signed 64-bit range "
@@ -410,12 +411,12 @@ def verify_factorization(q: int, limit: int) -> FactorizationReport:
                 "tau_char == conv(cube_indicator, mobius)",
                 tau_char_sieve(char, limit),
                 chain(power_indicator_series(3, limit),
-                      _mobius_series(limit)),
+                      mobius_sieve(limit)),
             )
         )
     elif q % 8 in (1, 7):
         g = chain(a_q, expand_euler_product(local_factor(q, Family.PM1_MOD8), limit))
-        tau = dirichlet_convolve(ones_series(limit), ones_series(limit))
+        tau = divisor_count_sieve(limit)
         routes.append(
             _route(
                 "conv(tau_char, 1) == conv(log_branch_coeffs, tau)",
@@ -490,9 +491,3 @@ def verify_factorization(q: int, limit: int) -> FactorizationReport:
                     )
                 )
     return FactorizationReport(q=q, limit=limit, routes=tuple(routes))
-
-
-def _mobius_series(limit: int) -> CoeffSeries:
-    from .sieves import mobius_sieve
-
-    return mobius_sieve(limit)

@@ -270,6 +270,7 @@ def fifth_power_identity_scan(limit: int) -> int | None:
     bad = np.nonzero(s[1:] != expect[1:])[0]
     return int(bad[0]) + 1 if bad.size else None
 
+
 def liouville_summatory(x: int, *, limit: int = DEFAULT_LIMIT) -> int:
     """Exact partial sum of the completely multiplicative sign function
     (parity of the number of prime factors) up to x."""

@@ -265,6 +265,24 @@ def test_near_curve_adds_shape_columns(capsys):
     assert shapes <= {"fifth_derivative", "filaseta_trifonov", "first_derivative"}
 
 
+
+def test_near_curve_beyond_the_sieve_budget(capsys):
+    # the short sum factors only the few d of the enumerated pairs, so no
+    # table to sqrt(x + y) caps the scan
+    code, out, _ = run(
+        ["near-curve", "--x", "1e16", "--y", "1e9", "--no-timestamp"], capsys
+    )
+    assert code == 0
+    _, summary, _, _ = parse_csv(out)
+    assert abs(int(summary["short_sum"])) <= int(summary["total_double"])
+
+
+def test_near_curve_beyond_exact_divisor_sum_is_resource_exit(capsys):
+    # the trivial bound's D(x + y) refuses x + y above MAX_EXACT_X = 2^57
+    code, _, err = run(["near-curve", "--x", "2e17", "--y", "1e9"], capsys)
+    assert code == 3
+    assert "MAX_EXACT_X" in err
+
 def test_rh_diagnostic_rows(capsys):
     code, out, _ = run(
         ["rh-diagnostic", "--q", "19", "--checkpoints", "1024,2048", "--no-timestamp"],

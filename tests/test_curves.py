@@ -22,7 +22,8 @@ from tauchar.curves import (
     short_interval_sum,
 )
 from tauchar.errors import ArgumentError, UndecidablePointError
-from tauchar.sieves import primes_up_to
+from tauchar.roots import integer_nth_root
+from tauchar.sieves import mobius_sieve, primes_up_to
 from tauchar.summatory import summatory_convolved
 
 
@@ -162,6 +163,49 @@ def test_short_interval_fractional_endpoints():
     direct = summatory_convolved(5, hi) - summatory_convolved(5, lo)
     assert short_interval_sum(inst) == direct
 
+
+
+def endpoint_identity(t: int, mu: list) -> int:
+    # the fifth-power convolution summed over 1..t, by the floor identity
+    # sum_{d <= sqrt(t)} mu(d) floor((t/d^2)^(1/5))
+    return sum(
+        mu[d] * integer_nth_root(t // (d * d), 5)
+        for d in range(1, isqrt(t) + 1)
+        if mu[d]
+    )
+
+
+def test_short_interval_matches_endpoint_identity():
+    # the pair route against the endpoint identity at both ends, on random
+    # integer and rational windows with x + y <= 1e9
+    mu = mobius_sieve(isqrt(10**9)).values.tolist()
+    rng = np.random.default_rng(20)
+    cases = []
+    for k in range(220):
+        x = int(10 ** rng.uniform(0, 9))
+        y = int(min(x, 10**9 - x) * rng.random() ** 3)
+        if k % 2:
+            den = int(rng.integers(2, 60))
+            x = Fraction(x * den + int(rng.integers(den)), den)
+            y = Fraction(y * den + int(rng.integers(den)), den)
+            y = min(y, x, 10**9 - x)
+        cases.append((Fraction(x), Fraction(y)))
+    for x in (1, 2, 32, 33, 999, 1024, 10**6, Fraction(10**8 + 1, 3)):
+        cases += [(Fraction(x), Fraction(0)), (Fraction(x), Fraction(x))]
+    for x, y in cases:
+        lo = x.numerator // x.denominator
+        hi = (x + y).numerator // (x + y).denominator
+        want = endpoint_identity(hi, mu) - endpoint_identity(lo, mu)
+        assert short_interval_sum(ShortIntervalInstance(x, y)) == want, (x, y)
+
+
+def test_short_interval_matches_powerful_number_route():
+    x, y = 10**12, 10**6
+    inst = ShortIntervalInstance(Fraction(x), Fraction(y))
+    direct = summatory_convolved(5, x + y, limit=x + y) - summatory_convolved(
+        5, x, limit=x
+    )
+    assert short_interval_sum(inst) == direct
 
 def test_instance_validation_and_exact_flags():
     with pytest.raises(ArgumentError):
