@@ -50,36 +50,6 @@ def primes_up_to(limit: int, segment: int = DEFAULT_SEGMENT) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def spf_table(limit: int, segment: int = DEFAULT_SEGMENT) -> np.ndarray:
-    """Smallest-prime-factor table over [0, limit] (entries 0 and 1 are 0).
-
-    Filled block by block; within a block, primes are applied ascending and
-    only positions not yet claimed by a smaller prime are written, so each
-    entry ends up with its smallest prime factor.  Unwritten entries >= 2
-    after all base primes are themselves prime.
-    """
-    spf = np.zeros(limit + 1, dtype=np.uint32)
-    if limit < 2:
-        return spf
-    base = primes_up_to(isqrt(limit), segment)
-    for lo in range(2, limit + 1, segment):
-        hi = min(lo + segment, limit + 1)
-        view = spf[lo:hi]
-        for p in base:
-            p = int(p)
-            if p * p >= hi:
-                break
-            # composites with smallest factor p start at p*p
-            start = max(p * p, ((lo + p - 1) // p) * p)
-            if start >= hi:
-                continue
-            sl = view[start - lo :: p]
-            sl[sl == 0] = p
-        unmarked = np.nonzero(view == 0)[0]
-        view[unmarked] = (unmarked + lo).astype(np.uint32)
-    return spf
-
-
 def factor_block(lo: int, hi: int, primes: np.ndarray, c) -> np.ndarray:
     """Values f(n) for n in [lo, hi) of the multiplicative f with f(p^e) = c[e].
 
@@ -143,18 +113,3 @@ def full_tables(limit: int, c, segment: int = DEFAULT_SEGMENT) -> np.ndarray:
         out[lo:hi] = factor_block(lo, hi, base, c)
     return out
 
-
-def weighted_floor_sum(values: np.ndarray, x: int, chunk: int = 1 << 22) -> int:
-    """Sum of values[d] * (x // d) over 1 <= d <= min(x, len(values) - 1).
-
-    ``values`` is indexed by d (entry 0 ignored).  Accumulated in int64
-    chunks; the result is returned as an exact Python int.  The magnitude is
-    bounded by x * H_x which stays far below 2^63 for x <= 1e9.
-    """
-    top = min(x, len(values) - 1)
-    total = 0
-    for lo in range(1, top + 1, chunk):
-        hi = min(lo + chunk, top + 1)
-        d = np.arange(lo, hi, dtype=np.int64)
-        total += int(np.dot(values[lo:hi].astype(np.int64), x // d))
-    return total

@@ -28,6 +28,7 @@ single-process (documented; sieve passes are memory-bound).
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -78,7 +79,7 @@ def _int_like(s: str) -> int:
         f = float(s)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {s!r}")
-    if f != int(f):
+    if not math.isfinite(f) or f != int(f):
         raise argparse.ArgumentTypeError(f"expected an integer, got {s!r}")
     return int(f)
 

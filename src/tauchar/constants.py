@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import exp, fsum, isqrt, log
+from math import exp, fsum, log
 
 import numpy as np
 

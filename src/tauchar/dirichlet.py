@@ -76,20 +76,6 @@ class FormalPowerSeries:
         vals = (vals + [Fraction(0)] * (order + 1))[: order + 1]
         return cls(order, tuple(vals))
 
-    def __add__(self, other: "FormalPowerSeries") -> "FormalPowerSeries":
-        order = min(self.order, other.order)
-        return FormalPowerSeries(
-            order,
-            tuple(self.coeffs[k] + other.coeffs[k] for k in range(order + 1)),
-        )
-
-    def __sub__(self, other: "FormalPowerSeries") -> "FormalPowerSeries":
-        order = min(self.order, other.order)
-        return FormalPowerSeries(
-            order,
-            tuple(self.coeffs[k] - other.coeffs[k] for k in range(order + 1)),
-        )
-
     def __mul__(self, other: "FormalPowerSeries") -> "FormalPowerSeries":
         order = min(self.order, other.order)
         out = [Fraction(0)] * (order + 1)

@@ -36,7 +36,7 @@ def is_prime(n: int) -> bool:
     """Deterministic primality for 64-bit-scale integers (Miller-Rabin)."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d, r = n - 1, 0
@@ -122,45 +122,6 @@ class CoeffSeries:
         diff = np.nonzero(self.values != other.values)[0]
         return int(diff[0]) if len(diff) else None
 
-    def prefix_sum_at(self, x: int) -> int:
-        """Sum of values[1..x] as an exact Python int."""
-        if not 0 <= x <= self.limit:
-            raise IndexError(f"prefix bound {x} outside [0, {self.limit}]")
-        if x == 0:
-            return 0
-        part = self.values[1 : x + 1]
-        peak = int(np.max(np.abs(part))) if len(part) else 0
-        if peak * len(part) < 2**62:  # int64 accumulation provably safe
-            return int(np.sum(part, dtype=np.int64))
-        return int(sum(int(t) for t in part))
-
-
-@dataclass(frozen=True)
-class FactorSieve:
-    """Smallest-prime-factor table for every n in [2, limit]."""
-
-    limit: int
-    spf: np.ndarray
-
-    def smallest_factor(self, n: int) -> int:
-        if not 2 <= n <= self.limit:
-            raise ArgumentError(f"n={n} outside the sieve range [2, {self.limit}]")
-        return int(self.spf[n])
-
-    def factorize(self, n: int) -> list[tuple[int, int]]:
-        """Prime factorization of n (2 <= n <= limit) as (p, exponent) pairs."""
-        self.smallest_factor(n)  # range check
-        out = []
-        m = n
-        while m > 1:
-            p = int(self.spf[m])
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            out.append((p, e))
-        return out
-
 
 @dataclass(frozen=True)
 class LegendreChar:
@@ -209,23 +170,6 @@ def _jacobi(a: int, n: int) -> int:
             result = -result
         a %= n
     return result if n == 1 else 0
-
-
-def legendre_symbol(a: int, char: LegendreChar | int) -> int:
-    """(a/q) in {-1, 0, 1}: 0 iff q | a, else +-1 by quadratic residuosity."""
-    if isinstance(char, int):
-        char = LegendreChar(char)
-    return char(a)
-
-
-def build_factor_sieve(limit: int) -> FactorSieve:
-    """Smallest-prime-factor table over [2, limit]."""
-    if limit < 2:
-        raise ArgumentError(f"factor sieve needs limit >= 2, got {limit}")
-    check_budget(limit, "factor sieve")
-    spf = _kernels.spf_table(limit)
-    spf.setflags(write=False)
-    return FactorSieve(limit=limit, spf=spf)
 
 
 def multiplicative_series(limit: int, c, what: str = "sieve") -> CoeffSeries:
@@ -279,15 +223,6 @@ def ones_series(limit: int) -> CoeffSeries:
     check_budget(limit)
     values = np.ones(limit + 1, dtype=np.int64)
     values[0] = 0
-    return CoeffSeries(limit, values)
-
-
-def identity_series(limit: int) -> CoeffSeries:
-    """The convolution identity e (1 at n=1, else 0)."""
-    if limit < 1:
-        raise ArgumentError(f"limit must be >= 1, got {limit}")
-    values = np.zeros(limit + 1, dtype=np.int64)
-    values[1] = 1
     return CoeffSeries(limit, values)
 
 

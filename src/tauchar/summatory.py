@@ -14,11 +14,9 @@ Either way one depth-first walk over the roughly 2.2 sqrt(x) powerful
 numbers up to the top checkpoint (Golomb, Powerful numbers, Amer. Math.
 Monthly 77, 1970) gives every checkpoint, and D(y) costs O(sqrt y) by the
 hyperbola method.  Nothing of size x is built: memory is O(sqrt x), and
-every int64 intermediate is guarded by MAX_EXACT_X.  The sieve route
-(a character table and weighted floor sums) stays available through
-``summatory_convolved(..., table=...)`` as an independent oracle.
-Everything float-valued here is derived from exact integers and certified
-constants, so residuals carry honest error intervals.
+every int64 intermediate is guarded by MAX_EXACT_X.  Everything
+float-valued here is derived from exact integers and certified constants,
+so residuals carry honest error intervals.
 """
 
 from bisect import bisect_right
@@ -28,7 +26,6 @@ from math import exp, isqrt, log
 
 import numpy as np
 
-from . import _kernels
 from .constants import (
     Branch,
     CaseClass,
@@ -188,29 +185,10 @@ def _checkpoint_sums(q: int, cps: tuple[int, ...], progress=None) -> tuple[int, 
     return tuple(values)
 
 
-def summatory_convolved(
-    q: int, x: int, *, limit: int = DEFAULT_LIMIT, table: np.ndarray | None = None
-) -> int:
-    """Exact S(x) = sum_{d <= x} tauchar_q(d) * floor(x / d).
-
-    Computed by the powerful-number route in O(sqrt x) memory.  ``table``,
-    a precomputed character table (values indexed by d, length > x),
-    selects the sieve route instead: weighted floor sums over the table,
-    which shares nothing with the default route and serves as its oracle.
-    """
-    x = _validate_x(x, limit)
-    if table is None:
-        return _checkpoint_sums(q, (x,))[0]
-    if len(table) <= x:
-        raise ArgumentError(f"provided table covers d < {len(table)}, need {x}")
-    return _kernels.weighted_floor_sum(table, x)
-
-
-def mertens(x: int, *, limit: int = DEFAULT_LIMIT) -> int:
-    """Exact partial sum of the Mobius function up to x."""
-    x = _validate_x(x, limit)
-    mu = mobius_sieve(x)
-    return int(np.sum(mu.values[1:], dtype=np.int64))
+def summatory_convolved(q: int, x: int, *, limit: int = DEFAULT_LIMIT) -> int:
+    """Exact S(x) = sum_{d <= x} tauchar_q(d) * floor(x / d), by the
+    powerful-number route in O(sqrt x) memory."""
+    return _checkpoint_sums(q, (_validate_x(x, limit),))[0]
 
 
 def _prefix_sums(a: np.ndarray) -> np.ndarray:
@@ -225,6 +203,12 @@ def _prefix_sums(a: np.ndarray) -> np.ndarray:
     return np.cumsum(acc)
 
 
+def _first_mismatch(s: np.ndarray, expect: np.ndarray) -> int | None:
+    """Smallest x >= 1 with s[x] != expect[x], or None when they agree."""
+    bad = np.nonzero(s[1:] != expect[1:])[0]
+    return int(bad[0]) + 1 if bad.size else None
+
+
 def square_root_identity_scan(limit: int) -> int | None:
     """First x <= limit where the Liouville convolution sum differs from
     floor(sqrt(x)); None when the identity holds everywhere.
@@ -235,9 +219,7 @@ def square_root_identity_scan(limit: int) -> int | None:
     check_budget(limit, "identity scan")
     s = _prefix_sums(liouville_sieve(limit).values)
     x = np.arange(0, limit + 1, dtype=np.int64)
-    expect = floor_root_grid(x, 2)
-    bad = np.nonzero(s[1:] != expect[1:])[0]
-    return int(bad[0]) + 1 if bad.size else None
+    return _first_mismatch(s, floor_root_grid(x, 2))
 
 
 def cube_root_identity_scan(limit: int) -> int | None:
@@ -246,9 +228,7 @@ def cube_root_identity_scan(limit: int) -> int | None:
     check_budget(limit, "identity scan")
     s = _prefix_sums(tau_char_sieve(3, limit).values)
     x = np.arange(0, limit + 1, dtype=np.int64)
-    expect = floor_root_grid(x, 3)
-    bad = np.nonzero(s[1:] != expect[1:])[0]
-    return int(bad[0]) + 1 if bad.size else None
+    return _first_mismatch(s, floor_root_grid(x, 3))
 
 
 def fifth_power_identity_scan(limit: int) -> int | None:
@@ -267,16 +247,7 @@ def fifth_power_identity_scan(limit: int) -> int | None:
     for d in range(1, isqrt(limit) + 1):
         if mu[d]:
             expect[d * d :] += mu[d] * floor_root_grid(x[d * d :] // (d * d), 5)
-    bad = np.nonzero(s[1:] != expect[1:])[0]
-    return int(bad[0]) + 1 if bad.size else None
-
-
-def liouville_summatory(x: int, *, limit: int = DEFAULT_LIMIT) -> int:
-    """Exact partial sum of the completely multiplicative sign function
-    (parity of the number of prime factors) up to x."""
-    x = _validate_x(x, limit)
-    lv = liouville_sieve(x)
-    return int(np.sum(lv.values[1:], dtype=np.int64))
+    return _first_mismatch(s, expect)
 
 
 def default_checkpoints(limit: int = DEFAULT_LIMIT) -> tuple[int, ...]:
@@ -361,7 +332,7 @@ def trace(
     if alphas is None:
         alphas = default_alphas(case)
     alphas = tuple(float(a) for a in alphas)
-    if any(a <= 0 or a > 1 for a in alphas):
+    if not all(0 < a <= 1 for a in alphas):
         raise ArgumentError(f"normalization exponents must lie in (0, 1]: {alphas}")
 
     params = main_term_params(q, prime_cutoff=prime_cutoff)
@@ -450,7 +421,7 @@ def rh_diagnostic(
         )
     if not 0.0 < eps < 0.25:
         raise ArgumentError(f"eps must lie in (0, 1/4), got {eps}")
-    if c <= 0:
+    if not c > 0:
         raise ArgumentError(f"c must be positive, got {c}")
     if checkpoints is None:
         checkpoints = default_checkpoints(limit)

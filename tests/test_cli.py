@@ -211,6 +211,8 @@ def test_trace_usage_errors(capsys):
     assert run(["trace", "--q", "3", "--max", "512"], capsys)[0] == 2
     assert run(["trace", "--q", "13", "--max", "1e18"], capsys)[0] == 3
     assert run(["trace", "--q", "3", "--checkpoints", "2048,1024"], capsys)[0] == 2
+    nan_alpha = ["trace", "--q", "13", "--max", "1e5", "--alphas", "nan"]
+    assert run(nan_alpha, capsys)[0] == 2
 
 
 def test_short_interval_summary_matches_library(capsys):
@@ -391,9 +393,15 @@ def test_argparse_level_usage_errors(capsys):
     with pytest.raises(SystemExit) as info:
         main(["short-interval", "--y", "10"])  # missing required --x
     assert info.value.code == 2
-    with pytest.raises(SystemExit) as info:
-        main(["verify", "--q", "abc"])
-    assert info.value.code == 2
+    # "--limit=-inf": a bare "-inf" would parse as an unknown option
+    for bad in (
+        ["--q", "abc"],
+        ["--q", "5", "--limit", "inf"],
+        ["--q", "5", "--limit=-inf"],
+    ):
+        with pytest.raises(SystemExit) as info:
+            main(["verify", *bad])
+        assert info.value.code == 2
 
 
 def test_fast_runs_emit_no_progress_noise(capsys):

@@ -6,17 +6,15 @@ import numpy as np
 import pytest
 
 from tauchar import _kernels
+from tauchar.dirichlet import dirichlet_convolve
 from tauchar.errors import ArgumentError, ResourceLimitError
 from tauchar.sieves import (
     CoeffSeries,
     LegendreChar,
     MAX_SIEVE_ENTRIES,
-    build_factor_sieve,
     check_budget,
     divisor_count_sieve,
-    identity_series,
     is_prime,
-    legendre_symbol,
     liouville_sieve,
     mobius_sieve,
     ones_series,
@@ -109,9 +107,9 @@ def test_power_indicator_series():
 
 def test_ones_and_identity_series():
     ones = ones_series(50)
-    ident = identity_series(50)
+    e = CoeffSeries.from_values([0, 1] + [0] * 49)
     assert all(ones[n] == 1 for n in range(1, 51))
-    assert ident[1] == 1 and all(ident[n] == 0 for n in range(2, 51))
+    assert dirichlet_convolve(ones, e) == ones
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 11, 13, 23, 199])
@@ -143,9 +141,7 @@ def test_legendre_symbol_is_multiplicative():
         char = LegendreChar(q)
         for _ in range(200):
             a, b = map(int, rng.integers(1, 10**6, size=2))
-            assert legendre_symbol(a * b, char) == legendre_symbol(
-                a, char
-            ) * legendre_symbol(b, char)
+            assert char(a * b) == char(a) * char(b)
 
 
 def test_tau_char_sieve_matches_pointwise_definition():
@@ -169,16 +165,6 @@ def test_tau_char_is_multiplicative_on_coprime_pairs():
         checked += 1
 
 
-def test_factor_sieve_factorizations_multiply_back():
-    fs = build_factor_sieve(2000)
-    for n in range(2, 2001):
-        prod = 1
-        for p, e in fs.factorize(n):
-            assert is_prime(p)
-            prod *= p**e
-        assert prod == n
-
-
 def brute_primes(limit):
     return [n for n in range(2, limit + 1) if all(n % d for d in range(2, isqrt(n) + 1))]
 
@@ -186,16 +172,6 @@ def brute_primes(limit):
 def test_primes_up_to_oracle():
     for limit in (0, 1, 2, 3, 10, 97, 1000, 10**5):
         assert list(primes_up_to(limit)) == brute_primes(limit), limit
-
-
-def test_spf_table_spot_values():
-    spf = _kernels.spf_table(10**4)
-    assert spf[0] == 0 and spf[1] == 0
-    assert spf[12] == 2
-    assert spf[97] == 97
-    assert spf[9991] == 97  # 97 * 103
-    for n in range(2, 2000):
-        assert spf[n] == next(p for p in range(2, n + 1) if n % p == 0)
 
 
 # per-exponent values c[e] = f(p^e) of the three base functions
@@ -261,24 +237,6 @@ def test_full_tables_across_segment_sizes(segment):
         assert np.array_equal(table[1:], single)
 
 
-def test_weighted_floor_sum_against_brute_force():
-    rng = np.random.default_rng(10)
-    for _ in range(10):
-        n = int(rng.integers(1, 4000))
-        values = rng.integers(-1, 2, size=n + 1).astype(np.int8)
-        values[0] = 0
-        for x in (1, n // 2 + 1, n, 2 * n):
-            brute = sum(int(values[d]) * (x // d) for d in range(1, min(x, n) + 1))
-            assert _kernels.weighted_floor_sum(values, x) == brute
-
-
-def test_weighted_floor_sum_wide_values():
-    values = np.array([0, 3, -7, 5, 11], dtype=np.int64)
-    for x in (1, 4, 100):
-        brute = sum(int(values[d]) * (x // d) for d in range(1, min(x, 4) + 1))
-        assert _kernels.weighted_floor_sum(values, x) == brute
-
-
 def test_budget_errors():
     with pytest.raises(ResourceLimitError):
         check_budget(MAX_SIEVE_ENTRIES + 1)
@@ -291,7 +249,6 @@ def test_coeff_series_prefix_and_mismatch():
     b = CoeffSeries.from_values([0, 1, -1, 1, 2])
     assert a.first_mismatch(b) == 3
     assert a.first_mismatch(a) is None
-    assert a.prefix_sum_at(4) == 2
 
 
 def test_coeff_series_rejects_wrong_shapes():

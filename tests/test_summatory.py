@@ -10,7 +10,7 @@ from tauchar import summatory
 from tauchar.constants import Branch, classify
 from tauchar.errors import ArgumentError, ClassificationError, OverflowHardError
 from tauchar.roots import floor_root_grid, integer_nth_root
-from tauchar.sieves import LegendreChar, legendre_symbol, mobius_sieve, tau_char_sieve
+from tauchar.sieves import LegendreChar, liouville_sieve, mobius_sieve, tau_char_sieve
 from tauchar.summatory import (
     MAX_EXACT_X,
     _checkpoint_sums,
@@ -19,8 +19,6 @@ from tauchar.summatory import (
     default_checkpoints,
     divisor_summatory,
     fifth_power_identity_scan,
-    liouville_summatory,
-    mertens,
     rh_diagnostic,
     rh_growth,
     square_root_identity_scan,
@@ -41,7 +39,7 @@ def brute_summatory(q: int, x: int) -> int:
     for n in range(1, x + 1):
         for d in range(1, n + 1):
             if n % d == 0:
-                total += legendre_symbol(brute_tau(d), char)
+                total += char(brute_tau(d))
     return total
 
 
@@ -51,9 +49,46 @@ def test_summatory_matches_double_sum(q):
         assert summatory_convolved(q, x) == brute_summatory(q, x)
 
 
+def weighted_floor_sum(values: np.ndarray, x: int) -> int:
+    """Sum of values[d] * (x // d) over 1 <= d <= min(x, len(values) - 1).
+
+    ``values`` is indexed by d (entry 0 ignored).  Accumulated in int64
+    chunks; the result is returned as an exact Python int.  The magnitude is
+    bounded by x * H_x which stays far below 2^63 for x <= 1e9.
+    """
+    chunk = 1 << 22
+    top = min(x, len(values) - 1)
+    total = 0
+    for lo in range(1, top + 1, chunk):
+        hi = min(lo + chunk, top + 1)
+        d = np.arange(lo, hi, dtype=np.int64)
+        total += int(np.dot(values[lo:hi].astype(np.int64), x // d))
+    return total
+
+
+def test_weighted_floor_sum_against_brute_force():
+    rng = np.random.default_rng(10)
+    for _ in range(10):
+        n = int(rng.integers(1, 4000))
+        values = rng.integers(-1, 2, size=n + 1).astype(np.int8)
+        values[0] = 0
+        for x in (1, n // 2 + 1, n, 2 * n):
+            brute = sum(int(values[d]) * (x // d) for d in range(1, min(x, n) + 1))
+            assert weighted_floor_sum(values, x) == brute
+
+
+def test_weighted_floor_sum_wide_values():
+    values = np.array([0, 3, -7, 5, 11], dtype=np.int64)
+    for x in (1, 4, 100):
+        brute = sum(int(values[d]) * (x // d) for d in range(1, min(x, 4) + 1))
+        assert weighted_floor_sum(values, x) == brute
+
+
 def sieve_route(q: int, cps) -> tuple[int, ...]:
+    # S(x) as weighted floor sums over one character table: shares nothing
+    # with the powerful-number route
     table = tau_char_sieve(LegendreChar(q), cps[-1]).values
-    return tuple(summatory_convolved(q, x, limit=cps[-1], table=table) for x in cps)
+    return tuple(weighted_floor_sum(table, x) for x in cps)
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 11, 13, 17, 19, 23])
@@ -111,25 +146,20 @@ def test_int64_guard_rejects_before_any_work(monkeypatch):
 
 
 def test_mertens_known_values():
-    assert mertens(1) == 1
-    assert mertens(10) == -1
-    assert mertens(100) == 1
-    assert mertens(1000) == 2
-    assert mertens(10000) == -23
+    m = np.cumsum(mobius_sieve(10**4).values)
+    assert [int(m[x]) for x in (1, 10, 100, 1000, 10000)] == [1, -1, 1, 2, -23]
 
 
 def test_liouville_summatory_known_values():
-    assert liouville_summatory(1) == 1
-    assert liouville_summatory(10) == 0
-    assert liouville_summatory(100) == -2
+    s = np.cumsum(liouville_sieve(100).values)
+    assert [int(s[x]) for x in (1, 10, 100)] == [1, 0, -2]
 
 
 def test_summatory_accepts_shared_table():
+    # one character table serves the sieve route at every x it covers
     table = tau_char_sieve(LegendreChar(7), 500).values
     for x in (1, 63, 500):
-        assert summatory_convolved(7, x, table=table) == summatory_convolved(7, x)
-    with pytest.raises(ArgumentError):
-        summatory_convolved(7, 501, table=table)
+        assert weighted_floor_sum(table, x) == summatory_convolved(7, x)
 
 
 def test_summatory_domain_guards():
@@ -159,6 +189,14 @@ def test_identity_scans_hold_to_ten_thousand():
     assert square_root_identity_scan(10000) is None
     assert cube_root_identity_scan(10000) is None
     assert fifth_power_identity_scan(10000) is None
+
+
+def test_identity_scan_reports_the_first_mismatch():
+    # entry 0 stands for no x and is never compared
+    expect = np.array([9, 1, 2, 3, 4])
+    assert summatory._first_mismatch(np.array([0, 1, 2, 3, 4]), expect) is None
+    assert summatory._first_mismatch(np.array([0, 0, 2, 0, 4]), expect) == 1
+    assert summatory._first_mismatch(np.array([0, 1, 2, 0, 0]), expect) == 3
 
 
 def test_default_checkpoints_doubling():
@@ -227,6 +265,8 @@ def test_trace_checkpoint_validation():
         trace(3, (1024,), alphas=(1.5,))
     with pytest.raises(ArgumentError):
         trace(3, (1024,), alphas=(0.0,))
+    with pytest.raises(ArgumentError):
+        trace(3, (1024,), alphas=(0.5, float("nan")))
 
 
 def test_rh_diagnostic_structure():
@@ -253,6 +293,8 @@ def test_rh_diagnostic_parameter_guards():
         rh_diagnostic(19, (1024,), eps=0.3)
     with pytest.raises(ArgumentError):
         rh_diagnostic(19, (1024,), c=0.0)
+    with pytest.raises(ArgumentError):
+        rh_diagnostic(19, (1024,), c=float("nan"))
 
 
 def test_envelope_shapes():
