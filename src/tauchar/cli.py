@@ -28,7 +28,6 @@ single-process (documented; sieve passes are memory-bound).
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 import time
@@ -70,18 +69,23 @@ _KIND_BY_BRANCH = {
 
 
 def _int_like(s: str) -> int:
-    """Integer argument, allowing float-style spellings like 1e7."""
+    """Integer argument, allowing exact float-style spellings like 1e7.
+
+    Parsed through Fraction, so a spelling is accepted only when its exact
+    value is an integer: '1.00000000000000001e17' is 10^17 + 1, not a
+    double's rounding of it, and '1.5', 'inf' and 'nan' are rejected.
+    Fraction builds 10^exponent in full, so exponents past four digits are
+    rejected before it runs.
+    """
+    if len(s.lower().partition("e")[2].strip().lstrip("+-")) > 4:
+        raise argparse.ArgumentTypeError(f"exponent too large in {s!r}")
     try:
-        return int(s)
-    except ValueError:
-        pass
-    try:
-        f = float(s)
-    except ValueError:
+        v = Fraction(s)
+    except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"expected an integer, got {s!r}")
-    if not math.isfinite(f) or f != int(f):
+    if v.denominator != 1:
         raise argparse.ArgumentTypeError(f"expected an integer, got {s!r}")
-    return int(f)
+    return int(v)
 
 
 def _rational(s: str) -> Fraction:

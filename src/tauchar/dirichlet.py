@@ -252,35 +252,54 @@ def local_factor(q: int, family: Family | str) -> LocalFactor:
     raise ArgumentError(f"unhandled family {family}")  # pragma: no cover
 
 
+def _abs_max(v: np.ndarray) -> int:
+    """Largest |v[i]| as a Python int; np.abs would wrap INT64_MIN."""
+    return max(-int(v.min()), int(v.max()))
+
+
 def dirichlet_convolve(a: CoeffSeries, b: CoeffSeries) -> CoeffSeries:
-    """(a * b)(n) = sum over d | n of a(d) b(n/d), exactly, up to the limit."""
+    """(a * b)(n) = sum over d | n of a(d) b(n/d), exactly, up to the limit.
+
+    The pairs d k <= n split at r = isqrt(n), as in the hyperbola method:
+    for d <= r one strided update adds a(d) b(k) over every k, and for
+    d > r (so k <= n // (r + 1) <= r) one strided update adds b(k) a(d)
+    over every d.  That is O(n log n) work in at most 2 r numpy calls.
+    """
     if a.limit != b.limit:
         raise ArgumentError(
             f"series limits differ: {a.limit} != {b.limit}"
         )
     n = a.limit
     # a-priori overflow bound: tau(n) < 2 sqrt(n) terms of size maxA*maxB
-    max_a = int(np.max(np.abs(a.values))) if n else 0
-    max_b = int(np.max(np.abs(b.values))) if n else 0
+    max_a = _abs_max(a.values)
+    max_b = _abs_max(b.values)
     if max_a * max_b * (2 * isqrt(n) + 1) > _INT64_MAX:
         raise OverflowHardError(
             "convolution could exceed signed 64-bit range "
             f"(bound {max_a} * {max_b} * tau)"
         )
+    r = isqrt(n)
     out = np.zeros(n + 1, dtype=np.int64)
     av = a.values
     bv = b.values
-    for d in np.nonzero(av)[0]:
-        d = int(d)
+    for d in (np.flatnonzero(av[1 : r + 1]) + 1).tolist():
         out[d::d] += av[d] * bv[1 : n // d + 1]
+    for k in (np.flatnonzero(bv[1 : n // (r + 1) + 1]) + 1).tolist():
+        hi = n // k
+        out[(r + 1) * k : hi * k + 1 : k] += bv[k] * av[r + 1 : hi + 1]
     return CoeffSeries(n, out)
 
 
 def dirichlet_inverse(a: CoeffSeries) -> CoeffSeries:
     """The convolution inverse of a, requiring a(1) in {+1, -1}.
 
-    Computed with arbitrary-precision integers (no silent wraparound), then
-    checked back into the 64-bit coefficient window.
+    Newton iteration b <- b - b * (a * b - e).  If b is right up to N, the
+    error E = a * b - e vanishes on [1, N], so a * (b - b * E) = e - E * E
+    is right below (N + 1)^2.  From b = a(1) e, right up to 1, the steps
+    reach 3, 15, 255, 65535, ..., so O(log log n) steps of two truncated
+    convolutions reach the limit.  Every value comes out of a convolution
+    with the int64 guard of dirichlet_convolve, so a result that might not
+    fit raises OverflowHardError instead of wrapping.
     """
     n = a.limit
     a1 = a[1]
@@ -288,22 +307,17 @@ def dirichlet_inverse(a: CoeffSeries) -> CoeffSeries:
         raise NotInvertibleError(
             f"series with leading value {a1} has no integer convolution inverse"
         )
-    av = [int(v) for v in a.values]
-    nz = [k for k in range(2, n + 1) if av[k]]
-    b = [0] * (n + 1)
+    b = np.zeros(n + 1, dtype=np.int64)
     b[1] = a1
-    acc = [0] * (n + 1)  # accumulates sum_{d | m, d > 1} a(d) b(m/d)
-    for m in range(1, n + 1):
-        if m > 1:
-            b[m] = -a1 * acc[m]
-        bm = b[m]
-        if bm:
-            kmax = n // m
-            for k in nz:
-                if k > kmax:
-                    break
-                acc[k * m] += av[k] * bm
-    return CoeffSeries.from_values(b)
+    good = 1
+    while good < n:
+        good = min(n, (good + 1) ** 2 - 1)
+        a_good = CoeffSeries(good, a.values[: good + 1])
+        b_good = CoeffSeries(good, b[: good + 1])
+        err = dirichlet_convolve(a_good, b_good).values.copy()
+        err[1] -= 1  # a * b - e
+        b[: good + 1] -= dirichlet_convolve(CoeffSeries(good, err), b_good).values
+    return CoeffSeries(n, b)
 
 
 def _omega_max(limit: int) -> int:

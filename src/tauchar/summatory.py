@@ -35,14 +35,17 @@ from .constants import (
     main_term,
     main_term_params,
 )
+from .dirichlet import dirichlet_convolve
 from .errors import ArgumentError, ClassificationError, OverflowHardError
 from .roots import floor_root_grid, integer_nth_root
 from .sieves import (
+    CoeffSeries,
     LegendreChar,
     check_budget,
     divisor_count_sieve,
     liouville_sieve,
     mobius_sieve,
+    ones_series,
     primes_up_to,
     tau_char_sieve,
 )
@@ -191,16 +194,9 @@ def summatory_convolved(q: int, x: int, *, limit: int = DEFAULT_LIMIT) -> int:
     return _checkpoint_sums(q, (_validate_x(x, limit),))[0]
 
 
-def _prefix_sums(a: np.ndarray) -> np.ndarray:
-    """Partial sums of a * 1 at x = 0..len(a) - 1, for a indexed by d.
-
-    sum_{n<=x} sum_{d|n} a(d) = sum_d a(d) floor(x/d) accumulates by adding
-    a(d) at every multiple of d, then prefix-summing.
-    """
-    acc = np.zeros(len(a), dtype=np.int64)
-    for d in np.nonzero(a)[0].tolist():
-        acc[d::d] += a[d]
-    return np.cumsum(acc)
+def _prefix_sums(a: CoeffSeries) -> np.ndarray:
+    """Partial sums of a * 1 at x = 0..a.limit."""
+    return np.cumsum(dirichlet_convolve(a, ones_series(a.limit)).values)
 
 
 def _first_mismatch(s: np.ndarray, expect: np.ndarray) -> int | None:
@@ -217,7 +213,7 @@ def square_root_identity_scan(limit: int) -> int | None:
     sign), so its partial sum counts squares up to x.
     """
     check_budget(limit, "identity scan")
-    s = _prefix_sums(liouville_sieve(limit).values)
+    s = _prefix_sums(liouville_sieve(limit))
     x = np.arange(0, limit + 1, dtype=np.int64)
     return _first_mismatch(s, floor_root_grid(x, 2))
 
@@ -226,28 +222,39 @@ def cube_root_identity_scan(limit: int) -> int | None:
     """First x <= limit where the q=3 convolution sum differs from
     floor(x^(1/3)); None when the identity holds everywhere."""
     check_budget(limit, "identity scan")
-    s = _prefix_sums(tau_char_sieve(3, limit).values)
+    s = _prefix_sums(tau_char_sieve(3, limit))
     x = np.arange(0, limit + 1, dtype=np.int64)
     return _first_mismatch(s, floor_root_grid(x, 3))
+
+
+def _fifth_power_mobius_sums(limit: int) -> np.ndarray:
+    """sum_{d <= sqrt(x)} mu(d) floor((x/d^2)^(1/5)) at x = 0..limit.
+
+    The sum counts the pairs d^2 m^5 <= x weighted by mu(d), so it is the
+    cumsum of mu(d) placed at every jump point d^2 m^5 <= limit: one
+    scatter per m <= limit^(1/5).
+    """
+    jumps = np.zeros(limit + 1, dtype=np.int64)
+    mu = mobius_sieve(isqrt(limit)).values
+    for m in range(1, integer_nth_root(limit, 5) + 1):
+        m5 = m**5
+        d = np.arange(1, isqrt(limit // m5) + 1, dtype=np.int64)
+        jumps[d * d * m5] += mu[1 : len(d) + 1]
+    return np.cumsum(jumps)
 
 
 def fifth_power_identity_scan(limit: int) -> int | None:
     """First x <= limit where the q=5 convolution sum differs from
     sum_{d <= sqrt(x)} mu(d) floor((x/d^2)^(1/5)); None when none differs.
 
-    The right side is assembled per squarefree d over the whole x-grid, so
-    the two sides come from independent pipelines (character sieve and
-    convolution on one side, Mobius sieve and integer roots on the other).
+    The left side is the character sieve convolved with 1; the right side
+    is the Mobius sieve summed over the jump points d^2 m^5, so the two
+    sides share no table.  Tests check the jump-point sum against the
+    integer-root form, one floor((x/d^2)^(1/5)) grid per squarefree d.
     """
     check_budget(limit, "identity scan")
-    s = _prefix_sums(tau_char_sieve(5, limit).values)
-    x = np.arange(0, limit + 1, dtype=np.int64)
-    expect = np.zeros(limit + 1, dtype=np.int64)
-    mu = mobius_sieve(isqrt(limit)).values
-    for d in range(1, isqrt(limit) + 1):
-        if mu[d]:
-            expect[d * d :] += mu[d] * floor_root_grid(x[d * d :] // (d * d), 5)
-    return _first_mismatch(s, expect)
+    s = _prefix_sums(tau_char_sieve(5, limit))
+    return _first_mismatch(s, _fifth_power_mobius_sums(limit))
 
 
 def default_checkpoints(limit: int = DEFAULT_LIMIT) -> tuple[int, ...]:

@@ -1,13 +1,14 @@
 """The command-line surface: exit codes, CSV and JSON shapes, byte-level
 determinism, and the documented error mapping."""
 
+import argparse
 import csv
 import io
 import json
 
 import pytest
 
-from tauchar.cli import main
+from tauchar.cli import _int_like, main
 from tauchar.curves import ShortIntervalInstance, decompose_short_interval
 from tauchar.roots import integer_nth_root
 
@@ -402,6 +403,19 @@ def test_argparse_level_usage_errors(capsys):
         with pytest.raises(SystemExit) as info:
             main(["verify", *bad])
         assert info.value.code == 2
+
+
+def test_int_like_parses_exactly():
+    assert [_int_like(s) for s in ("1e4", "1e7", "2e4", "20000")] == [
+        10**4, 10**7, 2 * 10**4, 2 * 10**4,
+    ]
+    # a double would give 12345678901234567168 and 10^17
+    assert _int_like("12345678901234567891e0") == 12345678901234567891
+    assert _int_like("1.00000000000000001e17") == 10**17 + 1
+    # rejected; 1e999999999 before Fraction would spend minutes on 10^999999999
+    for bad in ("1.5", "inf", "-inf", "nan", "1e-2", "1e999999999", "abc"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            _int_like(bad)
 
 
 def test_fast_runs_emit_no_progress_noise(capsys):

@@ -24,6 +24,7 @@ from tauchar.sieves import (
     CoeffSeries,
     mobius_sieve,
     ones_series,
+    power_indicator_series,
     tau_char_sieve,
 )
 
@@ -79,6 +80,105 @@ def test_convolution_overflow_guard():
     s = CoeffSeries.from_values(big)
     with pytest.raises(OverflowHardError):
         dirichlet_convolve(s, s)
+
+
+def test_convolution_overflow_guard_sees_int64_min():
+    # np.abs(-2**63) is -2**63: a guard built on it passes, and a(2) b(2)
+    # wraps at n = 4
+    a = CoeffSeries.from_values([0, 1, -(2**63), 0, 0])
+    b = CoeffSeries.from_values([0, 1, 3, 0, 0])
+    with pytest.raises(OverflowHardError):
+        dirichlet_convolve(a, b)
+    with pytest.raises(OverflowHardError):
+        dirichlet_convolve(b, a)
+
+
+def loop_convolve(a: CoeffSeries, b: CoeffSeries) -> CoeffSeries:
+    """The per-d route: one strided update for every nonzero a(d)."""
+    n = a.limit
+    out = np.zeros(n + 1, dtype=np.int64)
+    for d in np.nonzero(a.values)[0].tolist():
+        out[d::d] += a.values[d] * b.values[1 : n // d + 1]
+    return CoeffSeries(n, out)
+
+
+def loop_inverse(a: CoeffSeries) -> CoeffSeries:
+    """The recursion b(m) = -a(1) sum_{d | m, d > 1} a(d) b(m/d) in Python
+    ints, checked into int64 at the end."""
+    n = a.limit
+    a1 = a[1]
+    av = [int(v) for v in a.values]
+    nz = [k for k in range(2, n + 1) if av[k]]
+    b = [0] * (n + 1)
+    b[1] = a1
+    acc = [0] * (n + 1)  # sum_{d | m, d > 1} a(d) b(m/d)
+    for m in range(1, n + 1):
+        if m > 1:
+            b[m] = -a1 * acc[m]
+        if b[m]:
+            for k in nz:
+                if k > n // m:
+                    break
+                acc[k * m] += av[k] * b[m]
+    return CoeffSeries.from_values(b)
+
+
+def series_kinds(rng, n, lead):
+    """A dense, a sparse and an indicator series on 1..n with a(1) = lead."""
+    dense = rng.integers(-5, 6, size=n + 1)
+    sparse = rng.integers(-3, 4, size=n + 1) * (rng.random(n + 1) < 0.02)
+    indicator = np.array(power_indicator_series(2 + n % 3, n).values)
+    out = []
+    for v in (dense, sparse, indicator):
+        v = np.array(v, dtype=np.int64)
+        v[1] = lead
+        out.append(CoeffSeries.from_values(v))
+    return out
+
+
+# n = 1, 2, 3 and r^2 - 1, r^2, r^2 + r around the split r = isqrt(n)
+SPLIT_EDGES = [1, 2, 3, 48, 49, 56, 9999, 10000, 10100]
+
+
+@pytest.mark.parametrize("n", SPLIT_EDGES)
+def test_split_convolution_matches_loop_at_split_edges(n):
+    rng = np.random.default_rng(n)
+    for lead in (0, 1, -1):
+        kinds = series_kinds(rng, n, lead)
+        for a in kinds:
+            for b in kinds:
+                assert dirichlet_convolve(a, b) == loop_convolve(a, b)
+
+
+def test_split_convolution_matches_loop_at_random_limits():
+    rng = np.random.default_rng(8)
+    for n in rng.integers(1, 2 * 10**4, size=8).tolist():
+        kinds = series_kinds(rng, n, int(rng.integers(-1, 2)))
+        for a in kinds:
+            for b in kinds:
+                assert dirichlet_convolve(a, b) == loop_convolve(a, b), n
+
+
+@pytest.mark.parametrize("lead", [1, -1])
+def test_newton_inverse_matches_loop(lead):
+    rng = np.random.default_rng(9 + lead)
+    # n = (N + 1)^2 - 1 and (N + 1)^2 around the Newton steps from N = 1, 3, 15
+    steps = [3, 4, 15, 16, 255, 256]
+    limits = SPLIT_EDGES + steps + rng.integers(1, 2 * 10**4, size=4).tolist()
+    for n in limits:
+        for a in series_kinds(rng, n, lead):
+            assert dirichlet_inverse(a) == loop_inverse(a), n
+
+
+def test_inverse_overflow_guard():
+    # b(2) = 2^63 does not fit; and b(4) = a(2)^2 - a(4) = 2^64 does not fit,
+    # which only the second Newton step reaches
+    for vals in ([0, 1, -(2**63)], [0, 1, 2**32] + [0] * 14):
+        a = CoeffSeries.from_values(vals)
+        with pytest.raises(OverflowHardError):
+            loop_inverse(a)
+        with pytest.raises(OverflowHardError):
+            dirichlet_inverse(a)
 
 
 def test_inverse_is_two_sided():
@@ -237,6 +337,12 @@ def test_mod120_branches_carry_extra_route():
         rep = verify_factorization(q, 1500)
         assert len(rep.routes) >= 2
         assert rep.ok
+
+
+def test_factorization_at_a_million():
+    # the deepest chain, two inverses and a three-way convolution, at a size
+    # where one numpy call per coefficient would show as seconds
+    assert verify_factorization(43, 10**6).ok
 
 
 def test_factorization_detects_poisoned_table():

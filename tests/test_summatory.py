@@ -185,6 +185,24 @@ def test_fifth_power_identity_pointwise():
         assert summatory_convolved(5, x) == expect
 
 
+def grid_fifth_power_mobius_sums(limit: int) -> np.ndarray:
+    """sum_{d <= sqrt(x)} mu(d) floor((x/d^2)^(1/5)) at x = 0..limit, one
+    integer-root grid over every x per squarefree d."""
+    x = np.arange(0, limit + 1, dtype=np.int64)
+    out = np.zeros(limit + 1, dtype=np.int64)
+    mu = mobius_sieve(isqrt(limit)).values
+    for d in range(1, isqrt(limit) + 1):
+        if mu[d]:
+            out[d * d :] += mu[d] * floor_root_grid(x[d * d :] // (d * d), 5)
+    return out
+
+
+def test_fifth_power_jump_points_match_root_grid():
+    for limit in (1, 31, 32, 10**5):
+        got = summatory._fifth_power_mobius_sums(limit)
+        assert np.array_equal(got, grid_fifth_power_mobius_sums(limit)), limit
+
+
 def test_identity_scans_hold_to_ten_thousand():
     assert square_root_identity_scan(10000) is None
     assert cube_root_identity_scan(10000) is None
