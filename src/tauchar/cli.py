@@ -68,21 +68,28 @@ _KIND_BY_BRANCH = {
 }
 
 
-def _int_like(s: str) -> int:
-    """Integer argument, allowing exact float-style spellings like 1e7.
+def _exact(s: str, what: str) -> Fraction:
+    """The exact value of a spelling such as '3/4', '2.5' or '1e6'.
 
-    Parsed through Fraction, so a spelling is accepted only when its exact
-    value is an integer: '1.00000000000000001e17' is 10^17 + 1, not a
-    double's rounding of it, and '1.5', 'inf' and 'nan' are rejected.
     Fraction builds 10^exponent in full, so exponents past four digits are
     rejected before it runs.
     """
     if len(s.lower().partition("e")[2].strip().lstrip("+-")) > 4:
         raise argparse.ArgumentTypeError(f"exponent too large in {s!r}")
     try:
-        v = Fraction(s)
+        return Fraction(s)
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"expected an integer, got {s!r}")
+        raise argparse.ArgumentTypeError(f"expected {what}, got {s!r}")
+
+
+def _int_like(s: str) -> int:
+    """Integer argument, allowing exact float-style spellings like 1e7.
+
+    Accepted only when the exact value is an integer: '1.00000000000000001e17'
+    is 10^17 + 1, not a double's rounding of it, and '1.5', 'inf' and 'nan'
+    are rejected.
+    """
+    v = _exact(s, "an integer")
     if v.denominator != 1:
         raise argparse.ArgumentTypeError(f"expected an integer, got {s!r}")
     return int(v)
@@ -90,10 +97,7 @@ def _int_like(s: str) -> int:
 
 def _rational(s: str) -> Fraction:
     """Exact rational argument: '3/4', '100', '2.5', '1e6' all work."""
-    try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"expected a rational number, got {s!r}")
+    return _exact(s, "a rational number")
 
 
 def _int_list(s: str) -> tuple[int, ...]:
@@ -114,8 +118,6 @@ def _cell(v) -> str:
         return str(v)
     if isinstance(v, float):
         return format(v, ".17g")
-    if isinstance(v, Fraction):
-        return str(v)
     return str(v)
 
 
@@ -194,18 +196,23 @@ def _emit(args, meta: dict, header: list[str], rows: list, summary: dict | None)
         write(sys.stdout)
 
 
-def _odd_primes_up_to(bound: int) -> list[int]:
-    return [int(p) for p in primes_up_to(bound) if p > 2]
-
-
-def _cmd_verify(args) -> int:
+def _moduli(args) -> list[int]:
+    """The moduli of --q or --all-q, each classified before any heavy run."""
     if (args.q is None) == (args.all_q is None):
         raise ArgumentError("pass exactly one of --q or --all-q")
-    qs = [args.q] if args.q is not None else _odd_primes_up_to(args.all_q)
+    if args.q is not None:
+        qs = [args.q]
+    else:
+        qs = [int(p) for p in primes_up_to(args.all_q) if p > 2]
     if not qs:
         raise ArgumentError(f"no odd prime moduli at or below {args.all_q}")
     for q in qs:
-        classify(q)  # validates before any heavy run
+        classify(q)
+    return qs
+
+
+def _cmd_verify(args) -> int:
+    qs = _moduli(args)
     progress = _Progress("verify")
 
     rows = []
@@ -244,13 +251,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_constants(args) -> int:
-    if (args.q is None) == (args.all_q is None):
-        raise ArgumentError("pass exactly one of --q or --all-q")
-    qs = [args.q] if args.q is not None else _odd_primes_up_to(args.all_q)
-    if not qs:
-        raise ArgumentError(f"no odd prime moduli at or below {args.all_q}")
-    for q in qs:
-        classify(q)
+    qs = _moduli(args)
     progress = _Progress("constants")
 
     rows = []

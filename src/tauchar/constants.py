@@ -1,4 +1,11 @@
-"""Residue-class classification and certified evaluation of main-term constants.
+"""Residue-class classification, the local Euler factors it selects, and
+certified evaluation of main-term constants.
+
+``classify`` is the one place that reads q mod 8, 24 and 120.  Every other
+decision that depends on the residue class of q, including which local
+Euler factor ``local_factor`` returns, dispatches on its ``CaseClass``.  The
+factors are integer rational functions of u = p^(-s) whose denominators
+have constant term 1, so they expand by integer long division.
 
 Every numeric constant leaves this module as a ``Certified`` value: a float
 plus a rigorous absolute error bound combining an analytic tail estimate with
@@ -30,10 +37,8 @@ _R2 = 2.0 * _ULP
 EULER_GAMMA_LITERAL = "0.577215664901532860606512090082"
 EULER_GAMMA = float(EULER_GAMMA_LITERAL)
 
-# divisor-problem exponent window: best published upper bound and the
-# classical lower limit, kept symbolic so nothing downstream floats them
+# best published upper bound for the divisor-problem exponent
 THETA_UPPER = Fraction(131, 416)
-THETA_LOWER = Fraction(1, 4)
 
 MAX_ZETA_TERMS = 10**8
 MAX_PRIME_CUTOFF = 4 * 10**8
@@ -135,17 +140,13 @@ class CaseClass:
     sqrt_factor_start: int | None
 
 
-def _first_nonzero_step(table: np.ndarray, sign: int) -> int:
-    """Smallest m >= 2 with chi(m+1) + sign*chi(m) != 0 (chi as a table)."""
-    q = len(table)
-    m = np.arange(2, q, dtype=np.int64)
-    steps = table[(m + 1) % q].astype(np.int64) + sign * table[m].astype(np.int64)
-    nz = np.nonzero(steps)[0]
-    if len(nz) == 0:
-        raise ClassificationError(
-            f"no nonzero step coefficient for modulus {q}; table corrupt"
-        )
-    return int(m[nz[0]])
+def _step_coeffs(q: int, sign: int) -> np.ndarray:
+    """t[m] = chi(m+1) + sign*chi(m) for m = 0..q-1 as int64, with the unused
+    t[0] and t[1] set to 0 (chi the Legendre symbol mod q)."""
+    chi = LegendreChar(q).table.astype(np.int64)
+    t = np.concatenate((chi[1:], chi[:1])) + sign * chi
+    t[:2] = 0
+    return t
 
 
 def classify(q: int) -> CaseClass:
@@ -158,14 +159,18 @@ def classify(q: int) -> CaseClass:
     """
     if q < 3 or q % 2 == 0 or not is_prime(q):
         raise ClassificationError(f"q must be an odd prime, got {q}")
-    char = LegendreChar(q)
-    if q == 3:
-        return CaseClass(3, Branch.Q_EQUALS_3, None, None,
-                         _first_nonzero_step(char.table, +1))
     r8 = q % 8
     r24 = q % 24
-    if r8 in (1, 7):
-        start = _first_nonzero_step(char.table, -1)
+    log_branch = r8 in (1, 7)
+    nonzero = np.flatnonzero(_step_coeffs(q, -1 if log_branch else +1))
+    if len(nonzero) == 0:
+        raise ClassificationError(
+            f"no nonzero step coefficient for modulus {q}; table corrupt"
+        )
+    start = int(nonzero[0])
+    if q == 3:
+        return CaseClass(3, Branch.Q_EQUALS_3, None, None, start)
+    if log_branch:
         if r24 in (7, 17):
             sub = SubBranch.PM7_MOD24
             if start != 2:
@@ -179,7 +184,6 @@ def classify(q: int) -> CaseClass:
                     f"q={q}: start exponent {start} outside [4, q)"
                 )
         return CaseClass(q, Branch.PM1_MOD8, sub, start, None)
-    start = _first_nonzero_step(char.table, +1)
     if r24 in (11, 13):
         if start != 3:
             raise ClassificationError(
@@ -198,6 +202,95 @@ def classify(q: int) -> CaseClass:
     else:  # pragma: no cover - impossible for primes (residue shares factor 5)
         raise ClassificationError(f"q={q}: residue mod 120 shares a factor with 120")
     return CaseClass(q, Branch.PM5_MOD24, sub, None, start)
+
+
+@dataclass(frozen=True)
+class LocalFactor:
+    """Euler factor at a prime p, as a rational function of u = p^(-s).
+
+    ``numerator`` / ``denominator`` are integer polynomial coefficients in u,
+    constant term first; both constant terms are 1.  Every factor in scope
+    is the same at every prime.
+    """
+
+    name: str
+    numerator: tuple[int, ...]
+    denominator: tuple[int, ...]
+
+    def __post_init__(self):
+        if not self.denominator or self.denominator[0] != 1:
+            raise ArgumentError(
+                f"local factor {self.name!r} needs a denominator with constant term 1"
+            )
+        if not self.numerator or self.numerator[0] != 1:
+            raise ArgumentError(
+                f"local factor {self.name!r} needs a numerator with constant term 1"
+            )
+
+    def coeffs(self, max_exp: int) -> tuple[int, ...]:
+        """Integer series coefficients of u^0..u^max_exp, by long division:
+        out[k] = num[k] - sum_{j>=1} den[j] out[k-j], exact since den[0] = 1."""
+        num, den = self.numerator, self.denominator
+        out: list[int] = []
+        for k in range(max_exp + 1):
+            acc = num[k] if k < len(num) else 0
+            for j in range(1, min(k, len(den) - 1) + 1):
+                acc -= den[j] * out[k - j]
+            out.append(acc)
+        return tuple(out)
+
+
+def local_factor(q: int, combined: bool = False) -> LocalFactor:
+    """The local Euler factor that classify(q) selects.
+
+    With base = 1 + sum_{m>=2} t[m] u^m, t[m] = chi(m+1) -+ chi(m) (minus on
+    the log branch, plus elsewhere), the factors are:
+
+    * q = +-1 (mod 8): base, the cofactor of zeta(qs) zeta(s);
+    * q = +-11 (mod 24): base, the cofactor of zeta(qs) zeta(2s) / zeta(s);
+    * q = +-5 (mod 24), combined=True: base / (1 - u^2)^2, left once
+      zeta(s) zeta(2s) is cleared entirely;
+    * q = +-19, +-29 (mod 120): base (1 + u^2) / (1 - u^2), the combined
+      factor times (1 - u^4), a series starting at u^5;
+    * q = +-43, +-53 (mod 120): base / ((1 - u^2)^3 (1 + u^2)), the combined
+      factor over (1 - u^4), a series starting at u^6.
+
+    q = 3 and q = 5 have no local factor, and combined=True needs
+    q = +-5 (mod 24); both raise ClassificationError.  The low-order t[m]
+    each closed form relies on are checked, and a mismatch is a hard failure.
+    """
+    case = classify(q)
+    t = _step_coeffs(q, -1 if case.branch is Branch.PM1_MOD8 else +1)
+    base = t.copy()
+    base[0] = 1
+    if combined:
+        if case.branch is not Branch.PM5_MOD24:
+            raise ClassificationError(
+                f"q={q} is in branch {case.branch.value}, which has no "
+                "combined +-5 (mod 24) factor"
+            )
+        kind, num, den, low = "pm5_mod24_raw", base, (1, 0, -2, 0, 1), (-2, 0)
+    elif case.branch is Branch.PM1_MOD8:
+        kind, num, den, low = case.branch.value, base, (1,), ()
+    elif case.branch is Branch.PM11_MOD24:
+        kind, num, den, low = case.branch.value, base, (1,), (0,)
+    elif case.sub is SubBranch.PM19_29_MOD120:
+        num = np.convolve(base, [1, 0, 1])
+        kind, den, low = case.sub.value, (1, 0, -1), (-2, 0, 2, 2)
+    elif case.sub is SubBranch.PM43_53_MOD120:
+        den = (1, 0, -2, 0, 0, 0, 2, 0, -1)
+        kind, num, low = case.sub.value, base, (-2, 0, 0, 0)
+    else:
+        raise ClassificationError(
+            f"q={q} is in case {(case.sub or case.branch).value}, which has no "
+            "local factor"
+        )
+    got = tuple(t[2 : 2 + len(low)].tolist())
+    if got != low:
+        raise ArgumentError(
+            f"q={q}: low-order terms t2.. = {got}, expected {low}"
+        )
+    return LocalFactor(f"{kind}[q={q}]", tuple(num.tolist()), den)
 
 
 def _tail_interval(T: int, s: float) -> tuple[float, float]:
@@ -260,17 +353,6 @@ def zeta_prime_real(s: float, tol: float = 1e-12) -> Certified:
     return Certified(-c.value, c.error)
 
 
-def _step_coeffs(q: int, sign: int) -> list[tuple[int, int]]:
-    """Nonzero (m, chi(m+1) + sign*chi(m)) pairs for m = 2..q-1."""
-    tab = LegendreChar(q).table
-    out = []
-    for m in range(2, q):
-        t = int(tab[(m + 1) % q]) + sign * int(tab[m])
-        if t:
-            out.append((m, t))
-    return out
-
-
 # exponents beyond this contribute less than 2^-100 per prime; the absolute
 # remainder (sum over p of 2 p^-m summed over m > cap) is under 1e-29
 _EXPONENT_CAP = 100
@@ -318,7 +400,8 @@ def log_factor_constants(
             f"{max(tail_log_product, tail_logderiv):.3e}",
             achievable=max(tail_log_product, tail_logderiv),
         )
-    coeffs = [(m, t) for (m, t) in _step_coeffs(q, -1) if m <= _EXPONENT_CAP]
+    steps = _step_coeffs(q, -1)[: _EXPONENT_CAP + 1]
+    coeffs = [(m, int(steps[m])) for m in np.flatnonzero(steps).tolist()]
     p = np.asarray(primes_up_to(prime_cutoff), dtype=np.float64)
     factor = np.ones_like(p)
     deriv_num = np.zeros_like(p)
@@ -374,7 +457,8 @@ def sqrt_factor_at_half(
             f"prime tail at cutoff {prime_cutoff} only certifies {tail:.3e}",
             achievable=tail,
         )
-    coeffs = [(m, t) for (m, t) in _step_coeffs(q, +1) if m <= _EXPONENT_CAP]
+    steps = _step_coeffs(q, +1)[: _EXPONENT_CAP + 1]
+    coeffs = [(m, int(steps[m])) for m in np.flatnonzero(steps).tolist()]
     n_primes = 0
     # segments keep peak memory flat at large cutoffs
     seg = 4 * 10**6
@@ -405,8 +489,7 @@ def sqrt_factor_at_half(
 class MainTermParams:
     """Certified constants feeding the branch main term for modulus q.
 
-    Fields not applicable to the branch are None.  theta_* are symbolic
-    rationals, never floated here.
+    Fields not applicable to the branch are None.
     """
 
     q: int
@@ -418,8 +501,6 @@ class MainTermParams:
     zeta_half_q: Certified | None
     sqrt_product_half: Certified | None
     euler_gamma: Certified
-    theta_upper: Fraction
-    theta_lower: Fraction
 
     @property
     def leading_coefficient(self) -> Certified | None:
@@ -473,8 +554,6 @@ def main_term_params(
         zeta_half_q=zhq,
         sqrt_product_half=rhalf,
         euler_gamma=GAMMA,
-        theta_upper=THETA_UPPER,
-        theta_lower=THETA_LOWER,
     )
 
 

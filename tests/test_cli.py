@@ -5,10 +5,12 @@ import argparse
 import csv
 import io
 import json
+import time
+from fractions import Fraction
 
 import pytest
 
-from tauchar.cli import _int_like, main
+from tauchar.cli import _int_like, _rational, main
 from tauchar.curves import ShortIntervalInstance, decompose_short_interval
 from tauchar.roots import integer_nth_root
 
@@ -230,8 +232,6 @@ def test_short_interval_summary_matches_library(capsys):
         "window_double",
         "near_curve_count",
     ]
-    from fractions import Fraction
-
     rep = decompose_short_interval(
         ShortIntervalInstance(Fraction(100000), Fraction(300))
     )
@@ -416,6 +416,24 @@ def test_int_like_parses_exactly():
     for bad in ("1.5", "inf", "-inf", "nan", "1e-2", "1e999999999", "abc"):
         with pytest.raises(argparse.ArgumentTypeError):
             _int_like(bad)
+
+
+def test_rational_rejects_huge_exponents_at_once(capsys):
+    assert [_rational(s) for s in ("3/4", "2.5", "1e6", "-7")] == [
+        Fraction(3, 4), Fraction(5, 2), Fraction(10**6), Fraction(-7),
+    ]
+    for bad in ("1e10000", "2.5E-99999", "abc", "1/0"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            _rational(bad)
+    # Fraction('1e999999999') would build 10^999999999 before any range check
+    for flag in ("--x", "--y", "--c3"):
+        argv = {"--x": "1e8", "--y": "4170", flag: "1e999999999"}
+        t0 = time.perf_counter()
+        with pytest.raises(SystemExit) as info:
+            main(["near-curve", *[a for kv in argv.items() for a in kv]])
+        assert info.value.code == 2
+        assert time.perf_counter() - t0 < 2.0
+    assert "exponent too large" in capsys.readouterr().err
 
 
 def test_fast_runs_emit_no_progress_noise(capsys):

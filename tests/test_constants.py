@@ -13,6 +13,7 @@ from tauchar.constants import (
     Branch,
     Certified,
     SubBranch,
+    _step_coeffs,
     classify,
     log_factor_constants,
     main_term,
@@ -22,7 +23,7 @@ from tauchar.constants import (
     zeta_real,
 )
 from tauchar.errors import ArgumentError, ClassificationError, PrecisionError
-from tauchar.sieves import is_prime
+from tauchar.sieves import _jacobi, is_prime
 
 
 def test_zeta_closed_forms():
@@ -172,6 +173,20 @@ def test_classify_covers_all_odd_primes_below_2000():
             continue
         seen.add(classify(q).branch)
     assert seen == set(Branch)
+
+
+def test_step_coeffs_match_jacobi_below_2000():
+    # t[m] = chi(m+1) +- chi(m) against the reciprocity-law symbol, for both
+    # signs; t[0] and t[1] are unused and zero
+    for q in range(3, 2000, 2):
+        if not is_prime(q):
+            continue
+        chi = [_jacobi(m, q) for m in range(q + 1)]
+        for sign in (1, -1):
+            t = _step_coeffs(q, sign)
+            assert t.dtype == np.int64 and len(t) == q
+            want = [0, 0] + [chi[m + 1] + sign * chi[m] for m in range(2, q)]
+            assert t.tolist() == want, (q, sign)
 
 
 def test_log_constants_stable_under_doubled_cutoff():

@@ -1,17 +1,17 @@
 """Coefficient algebra against brute-force oracles, and the factorization
 routes for every structural branch."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from tauchar import constants
+from tauchar.constants import LocalFactor, local_factor
 from tauchar.dirichlet import (
-    Family,
-    FormalPowerSeries,
-    LocalFactor,
     dirichlet_convolve,
     dirichlet_inverse,
     expand_euler_product,
-    local_factor,
     verify_factorization,
 )
 from tauchar.errors import (
@@ -22,6 +22,7 @@ from tauchar.errors import (
 )
 from tauchar.sieves import (
     CoeffSeries,
+    is_prime,
     mobius_sieve,
     ones_series,
     power_indicator_series,
@@ -206,67 +207,118 @@ def test_inverse_rejects_non_unit():
         dirichlet_inverse(CoeffSeries.from_values(vals))
 
 
+def truncated_product(a, b, order: int) -> list[int]:
+    """Coefficients of u^0..u^order in the product of two power series."""
+    out = [0] * (order + 1)
+    for i, x in enumerate(a[: order + 1]):
+        for j, y in enumerate(b[: order + 1 - i]):
+            out[i + j] += x * y
+    return out
+
+
+def fraction_long_division(num, den, order: int) -> list[Fraction]:
+    """num / den to u^order in exact rationals, for any den[0] != 0."""
+    out: list[Fraction] = []
+    for k in range(order + 1):
+        acc = Fraction(num[k] if k < len(num) else 0)
+        for j in range(1, min(k, len(den) - 1) + 1):
+            acc -= den[j] * out[k - j]
+        out.append(acc / den[0])
+    return out
+
+
 def test_power_series_division_round_trip():
     rng = np.random.default_rng(6)
     for _ in range(20):
-        a = FormalPowerSeries.from_ints(list(rng.integers(-4, 5, size=12)), 11)
-        bv = list(rng.integers(-4, 5, size=12))
-        bv[0] = int(rng.choice([1, -1, 2]))
-        b = FormalPowerSeries.from_ints(bv, 11)
-        assert (a * b).divide(b).coeffs == a.coeffs
+        a = [1] + rng.integers(-4, 5, size=11).tolist()
+        b = [1] + rng.integers(-4, 5, size=11).tolist()
+        ab = truncated_product(a, b, 11)
+        assert LocalFactor("ab", tuple(ab), tuple(b)).coeffs(11) == tuple(a)
 
 
-def test_integer_coeffs_rejects_fractions():
-    num = FormalPowerSeries.from_ints([1, 1], 4)
-    den = FormalPowerSeries.from_ints([2, 1], 4)
-    with pytest.raises(ArgumentError):
-        num.divide(den).integer_coeffs()
+def test_local_factor_coeffs_match_fraction_division():
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        num = [1] + rng.integers(-4, 5, size=int(rng.integers(0, 15))).tolist()
+        den = [1] + rng.integers(-4, 5, size=int(rng.integers(0, 9))).tolist()
+        lf = LocalFactor("random", tuple(num), tuple(den))
+        assert list(lf.coeffs(30)) == fraction_long_division(num, den, 30)
+    checked = 0
+    for q in range(3, 2000, 2):
+        if not is_prime(q):
+            continue
+        for combined in (False, True):
+            try:
+                lf = local_factor(q, combined)
+            except ClassificationError:
+                continue
+            got = lf.coeffs(60)
+            assert all(type(c) is int for c in got), lf.name
+            assert list(got) == fraction_long_division(
+                lf.numerator, lf.denominator, 60
+            ), lf.name
+            checked += 1
+    assert checked > 300
+
+
+def test_local_factor_needs_unit_constant_terms():
+    for num, den in (((2,), (2,)), ((1, 1), (2, 1)), ((1,), (-1, 1)),
+                     ((1,), ()), ((0, 1), (1,)), ((), (1,))):
+        with pytest.raises(ArgumentError):
+            LocalFactor("bad", num, den)
 
 
 def test_log_branch_factor_q7_closed_form():
     # chi mod 7 steps give 1 - 2u^2 + 2u^3 - 2u^4 + u^6
-    lf = local_factor(7, Family.PM1_MOD8)
+    lf = local_factor(7)
     assert lf.numerator == (1, 0, -2, 2, -2, 0, 1)
     assert lf.denominator == (1,)
 
 
 def test_local_factor_residue_guards():
-    with pytest.raises(ClassificationError):
-        local_factor(5, Family.PM1_MOD8)
-    with pytest.raises(ClassificationError):
-        local_factor(7, Family.PM11_MOD24)
-    with pytest.raises(ClassificationError):
-        local_factor(19, Family.PM43_53_MOD120)
-    with pytest.raises(ClassificationError):
-        local_factor(43, Family.PM19_29_MOD120)
+    # q = 3 and q = 5 have no local factor; the combined factor is +-5 mod 24 only
+    for q, combined in ((3, False), (5, False), (7, True), (11, True), (3, True)):
+        with pytest.raises(ClassificationError):
+            local_factor(q, combined)
+    assert local_factor(19).name == "pm19_29_mod120[q=19]"
+    assert local_factor(43).name == "pm43_53_mod120[q=43]"
+    assert local_factor(43, combined=True).name == "pm5_mod24_raw[q=43]"
+
+
+@pytest.mark.parametrize("q,m", [(11, 2), (19, 3), (19, 5), (43, 4), (43, 5)])
+def test_local_factor_checks_low_order_terms(q, m, monkeypatch):
+    # each closed form holds only for its low-order t[m]; a corrupt one must
+    # fail hard, in classify or in local_factor, never build a factor
+    step_coeffs = constants._step_coeffs
+
+    def corrupt(q_, sign):
+        t = step_coeffs(q_, sign)
+        t[m] += 1
+        return t
+
+    monkeypatch.setattr(constants, "_step_coeffs", corrupt)
+    with pytest.raises(ArgumentError):
+        local_factor(q)
 
 
 @pytest.mark.parametrize("q", [19, 29, 101, 149, 211])
 def test_combined_factor_splits_against_u4_family(q):
     # the +-19/+-29 mod 120 factor absorbs a (1 - u^4): raw * (1-u^4) == split
     order = 24
-    raw = FormalPowerSeries.from_ints(
-        local_factor(q, Family.PM5_MOD24_RAW).coeffs(order), order
-    )
-    split = FormalPowerSeries.from_ints(
-        local_factor(q, Family.PM19_29_MOD120).coeffs(order), order
-    )
-    shift = FormalPowerSeries.from_ints([1, 0, 0, 0, -1], order)
-    assert (raw * shift).coeffs == split.coeffs
+    raw = local_factor(q, combined=True).coeffs(order)
+    split = local_factor(q).coeffs(order)
+    assert split[:5] == (1, 0, 0, 0, 0)
+    assert truncated_product(raw, [1, 0, 0, 0, -1], order) == list(split)
 
 
 @pytest.mark.parametrize("q", [43, 53, 67, 163, 173, 197])
 def test_combined_factor_splits_against_inverse_u4_family(q):
     # the +-43/+-53 mod 120 factor sheds a (1 - u^4): split * (1-u^4) == raw
     order = 24
-    raw = FormalPowerSeries.from_ints(
-        local_factor(q, Family.PM5_MOD24_RAW).coeffs(order), order
-    )
-    split = FormalPowerSeries.from_ints(
-        local_factor(q, Family.PM43_53_MOD120).coeffs(order), order
-    )
-    shift = FormalPowerSeries.from_ints([1, 0, 0, 0, -1], order)
-    assert (split * shift).coeffs == raw.coeffs
+    raw = local_factor(q, combined=True).coeffs(order)
+    split = local_factor(q).coeffs(order)
+    assert split[:6] == (1, 0, 0, 0, 0, 0)
+    assert truncated_product(split, [1, 0, 0, 0, -1], order) == list(raw)
 
 
 def brute_multiplicative_value(n, coeff_fn):
@@ -285,7 +337,7 @@ def brute_multiplicative_value(n, coeff_fn):
 
 
 def test_euler_expansion_is_multiplicative():
-    lf = local_factor(7, Family.PM1_MOD8)
+    lf = local_factor(7)
     n = 5000
     series = expand_euler_product(lf, n)
 
@@ -298,7 +350,7 @@ def test_euler_expansion_is_multiplicative():
 
 
 def test_euler_expansion_prime_powers():
-    lf = local_factor(11, Family.PM11_MOD24)
+    lf = local_factor(11)
     series = expand_euler_product(lf, 3**7)
     c = lf.coeffs(7)
     for e in range(0, 8):
@@ -322,6 +374,50 @@ def test_factorization_routes_pass(q):
     assert rep.ok, (q, [(r.name, r.first_mismatch) for r in rep.routes if not r.ok])
     assert rep.first_mismatch is None
     assert len(rep.routes) >= 1
+
+
+# (q, route name) for every odd prime q <= 60, 67 and 101; verify's CSV is
+# built from these names
+ROUTE_NAMES = [
+    (3, "conv(tau_char, 1) == cube_indicator"),
+    (3, "tau_char == conv(cube_indicator, mobius)"),
+    (5, "conv(tau_char, 1) == conv(fifth_power_indicator, inverse(square_indicator))"),
+    (7, "conv(tau_char, 1) == conv(log_branch_coeffs, tau)"),
+    (11, "conv(tau_char, 1) == conv(sqrt_branch_coeffs, square_indicator)"),
+    (13, "conv(tau_char, 1) == conv(sqrt_branch_coeffs, square_indicator)"),
+    (17, "conv(tau_char, 1) == conv(log_branch_coeffs, tau)"),
+    (19, "conv(tau_char, 1) == conv(raw_coeffs, inverse(square_indicator))"),
+    (19, "conv(tau_char, 1) == conv(u5_coeffs, fourth_power_indicator, inverse(square_indicator))"),
+    (23, "conv(tau_char, 1) == conv(log_branch_coeffs, tau)"),
+    (29, "conv(tau_char, 1) == conv(raw_coeffs, inverse(square_indicator))"),
+    (29, "conv(tau_char, 1) == conv(u5_coeffs, fourth_power_indicator, inverse(square_indicator))"),
+    (31, "conv(tau_char, 1) == conv(log_branch_coeffs, tau)"),
+    (37, "conv(tau_char, 1) == conv(sqrt_branch_coeffs, square_indicator)"),
+    (41, "conv(tau_char, 1) == conv(log_branch_coeffs, tau)"),
+    (43, "conv(tau_char, 1) == conv(raw_coeffs, inverse(square_indicator))"),
+    (43, "conv(tau_char, 1) == "
+         "conv(u6_coeffs, inverse(fourth_power_indicator), inverse(square_indicator))"),
+    (47, "conv(tau_char, 1) == conv(log_branch_coeffs, tau)"),
+    (53, "conv(tau_char, 1) == conv(raw_coeffs, inverse(square_indicator))"),
+    (53, "conv(tau_char, 1) == "
+         "conv(u6_coeffs, inverse(fourth_power_indicator), inverse(square_indicator))"),
+    (59, "conv(tau_char, 1) == conv(sqrt_branch_coeffs, square_indicator)"),
+    (67, "conv(tau_char, 1) == conv(raw_coeffs, inverse(square_indicator))"),
+    (67, "conv(tau_char, 1) == "
+         "conv(u6_coeffs, inverse(fourth_power_indicator), inverse(square_indicator))"),
+    (101, "conv(tau_char, 1) == conv(raw_coeffs, inverse(square_indicator))"),
+    (101, "conv(tau_char, 1) == conv(u5_coeffs, fourth_power_indicator, inverse(square_indicator))"),
+]
+
+
+def test_route_names_are_pinned():
+    qs = [q for q in range(3, 61, 2) if is_prime(q)] + [67, 101]
+    got = []
+    for q in qs:
+        rep = verify_factorization(q, 500)
+        assert rep.ok, q
+        got += [(q, r.name) for r in rep.routes]
+    assert got == ROUTE_NAMES
 
 
 def test_q3_has_two_routes():
