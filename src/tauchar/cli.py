@@ -487,7 +487,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--prime-cutoff",
         type=_int_like,
         default=None,
-        help="prime product cutoff (default: per-branch documented defaults)",
+        help="cap on the explicit primes of each Euler product, in [100, 4e8]",
     )
     pc.add_argument("--tolerance", type=float, default=1e-4)
     pc.set_defaults(func=_cmd_constants)

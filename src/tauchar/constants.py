@@ -7,103 +7,191 @@ Euler factor ``local_factor`` returns, dispatches on its ``CaseClass``.  The
 factors are integer rational functions of u = p^(-s) whose denominators
 have constant term 1, so they expand by integer long division.
 
-Every numeric constant leaves this module as a ``Certified`` value: a float
-plus a rigorous absolute error bound combining an analytic tail estimate with
-a (generous, explicit) rounding allowance.  Tails are certified with
-elementary integral comparison and the prime-counting bound
-pi(t) < 1.26 t / log t (valid for t >= 17), so no result depends on unproven
-estimates.  Tolerances that cannot be met at the configured cutoffs raise
-PrecisionError carrying the achievable bound instead of silently degrading.
+Every numeric constant leaves this module as a ``Certified`` value, an
+``mpmath.iv`` interval computed at ``PRECISION_BITS`` with outward rounding.
+Interval arithmetic encloses every rounding, so no accuracy of the platform
+libm is assumed.  The analytic remainders rest on three stated results.
+
+* Euler-Maclaurin summation.  For f(x) = x^-sigma and f(x) = x^-sigma log x
+  and integers N, M >= 1,
+  sum_{n>=N} f(n) = int_N^oo f + f(N)/2 - sum_{j<=M} B_2j/(2j)! f^(2j-1)(N) + R
+  with |R| <= 2 zeta(2M+1)/(2 pi)^(2M+1) int_N^oo |f^(2M+1)|, because the
+  periodic Bernoulli function obeys |P_n(x)|/n! <= 2 zeta(n)/(2 pi)^n.  The
+  derivative f^(2M+1) keeps one sign on [N, oo) (for the log weight this
+  needs log N >= sum_{i<=2M} 1/(sigma+i), which is checked), so the integral
+  is |f^(2M)(N)|, and zeta(2M+1) <= (2M+1)/(2M).  The Bernoulli numbers are
+  exact Fractions.  This gives zeta(sigma) and zeta'(sigma).
+* Cauchy's root bound.  The local factor L(u) = 1 + sum_m t[m] u^m reversed
+  is monic, so every root of L has |u| >= rho = 1/(1 + max|t[m]|), and
+  rho = 1/3 because |t[m]| <= 2.
+* The exponent factorisation (H. Cohen, High precision computation of
+  Hardy-Littlewood constants, 1998; P. Moree, Manuscripta Math. 101, 2000).
+  There are unique integers b_k with L(u) = prod_{k>=1} (1 - u^k)^(-b_k).
+  With D = deg L, the coefficients a_d of log L obey |a_d| <= D rho^-d / d,
+  and k b_k = sum_{d|k} mu(k/d) d a_d, so |b_k| <= D rho^-k / (k (1 - rho)).
+  For 0 <= u < rho (so u < 1/2) and K >= 1, the truncation
+  R_K(u) = L(u) prod_{k<=K} (1 - u^k)^(b_k) therefore satisfies
+  |log R_K(u)| <= D/(1 - rho) (u/rho)^(K+1) / (1 - u/rho),
+  and |u (log R_K)'(u)| obeys the same bound divided by 1 - u^(K+1).
+
+Summed over primes, the last result splits each Euler product as
+
+  log prod_p L(p^-s) = sum_{p<=P} log L(p^-s) + sum_{k<=K} b_k log zeta_P(ks) + E,
+
+where zeta_P(sigma) = zeta(sigma) prod_{p<=P} (1 - p^-sigma) and |E| is the
+bound above summed over every integer n > P, then compared with an integral.
+The s-derivative splits the same way.  So the primes up to 100 and a few
+dozen zeta values replace any prime sieve.  Tolerances stay gates: a
+result whose certified error exceeds the tolerance raises PrecisionError
+carrying the achieved bound instead of returning quietly.
 """
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import exp, fsum, log
+from itertools import count
+from math import exp, log, pi, ulp
 
 import numpy as np
+from mpmath import iv, libmp
 
 from .errors import ArgumentError, ClassificationError, PrecisionError
-from .sieves import LegendreChar, is_prime, primes_up_to
+from .sieves import LegendreChar, is_prime
 
-# one binary ulp at magnitude 1; every float operation below is charged
-# 2 ulps of relative rounding against the running error bound
-_ULP = 2.0**-52
-_R2 = 2.0 * _ULP
+# working precision of every interval computation; iv.prec is set to it only
+# inside _precision() and restored on the way out
+PRECISION_BITS = 192
 
-# Euler-Mascheroni constant, 30 decimal digits (standard tabulated value;
-# the float carries it to full double precision)
+# Euler-Mascheroni constant, 30 decimal digits (standard tabulated value,
+# within 1e-30 of the constant)
 EULER_GAMMA_LITERAL = "0.577215664901532860606512090082"
 EULER_GAMMA = float(EULER_GAMMA_LITERAL)
 
 # best published upper bound for the divisor-problem exponent
 THETA_UPPER = Fraction(131, 416)
 
-MAX_ZETA_TERMS = 10**8
 MAX_PRIME_CUTOFF = 4 * 10**8
 
+# the explicit part of every Euler product runs over p <= min(prime_cutoff,
+# EXPLICIT_PRIME_LIMIT); past it the zeta factors take over
+EXPLICIT_PRIME_LIMIT = 100
 
-@dataclass(frozen=True)
+# what the analytic remainders aim for: the Euler-Maclaurin remainder of a
+# zeta value, and the truncated-exponent tail of the log of a product
+_EM_TARGET = 2.0**-150
+_TAIL_TARGET = 2.0**-75
+_EM_LADDER = (8, 12, 16, 24, 32, 48, 64, 96, 128)
+_EM_MAX_TERMS = 40
+
+
+@contextmanager
+def _precision():
+    """Run a block at PRECISION_BITS and restore the caller's iv.prec."""
+    saved = iv.prec
+    iv.prec = PRECISION_BITS
+    try:
+        yield
+    finally:
+        iv.prec = saved
+
+
+def _iv(x: Fraction):
+    """Enclosure of an exact rational."""
+    return iv.mpf(x.numerator) / x.denominator
+
+
 class Certified:
-    """A float with a rigorous absolute error bound.
+    """A real number enclosed in an outward-rounded ``mpmath.iv`` interval.
 
-    Arithmetic propagates worst-case interval bounds and adds a 2-ulp
-    relative rounding charge per operation, so composite quantities stay
-    certified without interval libraries.
+    ``Certified(value, error)`` holds [value - error, value + error] exactly.
+    ``value`` is the float nearest the midpoint.  ``error`` is 0 when the
+    interval is that float alone.  Otherwise it is the distance from
+    ``value`` to the far end of the interval plus one ulp of their sum, so
+    value -+ error still brackets the interval when evaluated in double
+    arithmetic.  Arithmetic runs on the intervals at PRECISION_BITS.
     """
 
-    value: float
-    error: float
+    __slots__ = ("interval",)
 
-    def __post_init__(self):
-        if not (self.error >= 0.0):
-            raise ArgumentError(f"error bound must be >= 0, got {self.error}")
+    def __init__(self, value: float, error: float = 0.0):
+        if not (error >= 0.0):
+            raise ArgumentError(f"error bound must be >= 0, got {error}")
+        v, e = libmp.from_float(float(value)), libmp.from_float(float(error))
+        self.interval = iv.make_mpf((libmp.mpf_sub(v, e), libmp.mpf_add(v, e)))
+
+    @classmethod
+    def _of(cls, interval) -> "Certified":
+        c = cls.__new__(cls)
+        c.interval = interval
+        return c
 
     @staticmethod
-    def exact(v: float) -> "Certified":
-        return Certified(float(v), 0.0)
+    def exact(v: int | float) -> "Certified":
+        """A float, or an integer of up to PRECISION_BITS bits, held exactly."""
+        with _precision():
+            return Certified._of(iv.mpf(v))
 
-    def _charge(self, v: float, e: float) -> "Certified":
-        return Certified(v, e + abs(v) * _R2)
+    @property
+    def value(self) -> float:
+        a, b = self.interval._mpi_
+        return libmp.to_float(libmp.mpf_shift(libmp.mpf_add(a, b), -1), rnd="n")
+
+    @property
+    def error(self) -> float:
+        a, b = self.interval._mpi_
+        value = self.value
+        v = libmp.from_float(value)
+        if a == b == v:
+            return 0.0
+        above, below = libmp.mpf_sub(b, v), libmp.mpf_sub(v, a)
+        worst = above if libmp.mpf_cmp(above, below) >= 0 else below
+        margin = ulp(abs(value) + libmp.to_float(worst, rnd="c"))
+        return libmp.to_float(libmp.mpf_add(worst, libmp.from_float(margin)), rnd="c")
+
+    @property
+    def bounds(self) -> tuple[float, float]:
+        """Float endpoints, rounded outward."""
+        a, b = self.interval._mpi_
+        return libmp.to_float(a, rnd="f"), libmp.to_float(b, rnd="c")
 
     def __add__(self, o: "Certified") -> "Certified":
-        return self._charge(self.value + o.value, self.error + o.error)
+        with _precision():
+            return Certified._of(self.interval + o.interval)
 
     def __sub__(self, o: "Certified") -> "Certified":
-        return self._charge(self.value - o.value, self.error + o.error)
+        with _precision():
+            return Certified._of(self.interval - o.interval)
 
     def __mul__(self, o: "Certified") -> "Certified":
-        e = (
-            abs(self.value) * o.error
-            + abs(o.value) * self.error
-            + self.error * o.error
-        )
-        return self._charge(self.value * o.value, e)
+        with _precision():
+            return Certified._of(self.interval * o.interval)
 
     def __truediv__(self, o: "Certified") -> "Certified":
-        if o.error >= abs(o.value):
+        if 0 in o.interval:
             raise PrecisionError(
                 "division by an interval containing zero",
                 achievable=float("inf"),
             )
-        v = self.value / o.value
-        e = (self.error + abs(v) * o.error) / (abs(o.value) - o.error)
-        return self._charge(v, e)
+        with _precision():
+            return Certified._of(self.interval / o.interval)
 
     def scale(self, k: float) -> "Certified":
-        """Multiply by a float treated as exact (small k from formulas)."""
-        return self._charge(self.value * k, abs(k) * self.error)
-
-    @property
-    def bounds(self) -> tuple[float, float]:
-        return (self.value - self.error, self.value + self.error)
+        """Multiply by a float treated as exact."""
+        return self * Certified.exact(k)
 
     def within(self, target: float, slack: float) -> bool:
         return abs(self.value - target) <= slack
 
+    def __repr__(self) -> str:
+        return f"Certified({self.value!r}, {self.error!r})"
 
-GAMMA = Certified(EULER_GAMMA, 3e-16)  # literal truncation + representation
+
+with _precision():
+    GAMMA = Certified._of(
+        iv.mpf(EULER_GAMMA_LITERAL) + iv.mpf("1e-30") * iv.mpf([-1, 1])
+    )
 
 
 class Branch(str, Enum):
@@ -293,144 +381,292 @@ def local_factor(q: int, combined: bool = False) -> LocalFactor:
     return LocalFactor(f"{kind}[q={q}]", tuple(num.tolist()), den)
 
 
-def _tail_interval(T: int, s: float) -> tuple[float, float]:
-    """Enclosure of sum_{n > T} n^{-s} by integral comparison.
+@lru_cache(maxsize=None)
+def _bernoulli_terms() -> tuple:
+    """Enclosures of B_2j/(2j)! for j = 1.._EM_MAX_TERMS.
 
-    Lower: integral from T+1 (left endpoints of a decreasing function);
-    upper: integral from T+1/2 (midpoint rule under convexity).
+    The ratios c_m = B_m/m! are the coefficients of x/(e^x - 1), so c_0 = 1
+    and c_m = -sum_{k<m} c_k/(m+1-k)!, in exact Fractions; c_m = 0 for odd
+    m >= 3.  Call inside _precision().
     """
-    lo = (T + 1.0) ** (1.0 - s) / (s - 1.0)
-    hi = (T + 0.5) ** (1.0 - s) / (s - 1.0)
-    return lo, hi
+    n = 2 * _EM_MAX_TERMS
+    fact = [1]
+    for i in range(1, n + 2):
+        fact.append(fact[-1] * i)
+    c = [Fraction(1), Fraction(-1, 2)]
+    for m in range(2, n + 1):
+        odd = m % 2
+        c.append(Fraction(0) if odd else -sum(c[k] / fact[m + 1 - k] for k in range(m)))
+    return tuple(_iv(c[2 * j]) for j in range(1, _EM_MAX_TERMS + 1))
 
 
-def _tail_interval_logs(T: int, s: float) -> tuple[float, float]:
-    """Enclosure of sum_{n > T} log(n) n^{-s}, same comparison (T >= 8)."""
+def _inv_power(n: int, sigma: Fraction):
+    """Enclosure of n^-sigma: exact integer powers and one square root when
+    2 sigma is an integer, exp(-sigma log n) otherwise."""
+    if (2 * sigma).denominator == 1:
+        k, half = divmod(int(2 * sigma), 2)
+        x = iv.mpf(n**k)
+        if half:
+            x *= iv.sqrt(n)
+        return 1 / x
+    return iv.exp(-_iv(sigma) * iv.log(n))
 
-    def integral(a: float) -> float:
-        return a ** (1.0 - s) * (log(a) / (s - 1.0) + 1.0 / (s - 1.0) ** 2)
 
-    return integral(T + 1.0), integral(T + 0.5)
+def _em_plan(sigma: float) -> tuple[int, int]:
+    """The first (N, M) on the ladder whose Euler-Maclaurin remainder, as a
+    float estimate, meets _EM_TARGET; the remainder actually added to the
+    enclosure is recomputed in interval arithmetic."""
+    for N in _EM_LADDER:
+        log_rising = harmonic = 0.0
+        for M in range(1, _EM_MAX_TERMS + 1):
+            for i in (2 * M - 2, 2 * M - 1):
+                log_rising += log(sigma + i)
+                harmonic += 1.0 / (sigma + i)
+            if harmonic + 1.0 / (sigma + 2 * M) >= log(N):
+                break
+            remainder = (
+                log(4.0) - (2 * M + 1) * log(2 * pi) + log_rising
+                - (sigma + 2 * M) * log(N) + log(log(N))
+            )
+            if remainder <= log(_EM_TARGET):
+                return N, M
+    raise ArgumentError(f"no Euler-Maclaurin plan for zeta({sigma})")
 
 
-def _sum_with_tail(s: float, tol: float, weight_log: bool) -> Certified:
-    if s <= 1.1:
+def _euler_maclaurin(sigma: Fraction, N: int, M: int):
+    """Enclosures of (zeta(sigma), zeta'(sigma)) from the terms n < N, M
+    Bernoulli corrections at N and the remainder bound of the module
+    docstring.  Call inside _precision()."""
+    s = _iv(sigma)
+    zeta, zeta_log = iv.mpf(1), iv.mpf(0)  # sums of n^-s and of log(n) n^-s
+    for n in range(2, N):
+        term = _inv_power(n, sigma)
+        zeta += term
+        zeta_log += term * iv.log(n)
+    log_n = iv.log(N)
+    f_n = _inv_power(N, sigma)
+    s1 = s - 1
+    zeta += N * f_n / s1 + f_n / 2
+    zeta_log += N * f_n * (log_n / s1 + 1 / s1**2) + f_n * log_n / 2
+    # (sigma)_{2j-1}, sum_{i<2j-1} 1/(sigma+i) and N^(-sigma-2j+1), for j = 1
+    rising, harmonic, power = s, 1 / s, f_n / N
+    for j, ratio in enumerate(_bernoulli_terms()[:M], start=1):
+        term = ratio * rising * power
+        zeta += term
+        zeta_log += term * (log_n - harmonic)
+        a, b = s + (2 * j - 1), s + 2 * j
+        rising *= a * b
+        harmonic += 1 / a + 1 / b
+        power /= N * N
+    if not log_n > harmonic:
+        raise ArgumentError(f"log {N} is below the harmonic sum of zeta({sigma})")
+    # |f^(2M)(N)| = (sigma)_{2M} N^(-sigma-2M), times log N - H_{2M} for the
+    # log weight; 2 zeta(2M+1) <= 2 (2M+1)/(2M)
+    last = s + 2 * M
+    scale = 2 * _iv(Fraction(2 * M + 1, 2 * M)) / (2 * iv.pi) ** (2 * M + 1)
+    remainder = scale * rising / last * power * N
+    unit = iv.mpf([-1, 1])
+    zeta += remainder * unit
+    zeta_log += remainder * (log_n - harmonic + 1 / last) * unit
+    return zeta, -zeta_log
+
+
+@lru_cache(maxsize=None)
+def _zeta_pair(sigma: Fraction):
+    """(zeta(sigma), zeta'(sigma)) enclosures, cached by exact sigma."""
+    with _precision():
+        return _euler_maclaurin(sigma, *_em_plan(float(sigma)))
+
+
+def _series_argument(s: float, tol: float) -> Fraction:
+    if not s > 1.1:
         raise ArgumentError(f"series argument must exceed 1.1, got {s}")
     if not tol > 0:
         raise ArgumentError("tolerance must be positive")
-    T = 64
-    while True:
-        lo, hi = (_tail_interval_logs if weight_log else _tail_interval)(T, s)
-        gap = (hi - lo) / 2.0
-        if gap <= tol / 2.0 or T >= MAX_ZETA_TERMS:
-            break
-        T *= 2
-    if gap > tol / 2.0:
+    return Fraction(float(s))
+
+
+def _gate(achieved: float, tol: float, what: str) -> None:
+    if not achieved <= tol:
         raise PrecisionError(
-            f"series tail at cutoff {T} only certifies {gap:.3e}",
-            achievable=gap * 2.0,
+            f"{what} is certified to {achieved:.3e}, above the tolerance {tol:.3e}",
+            achievable=achieved,
         )
-    n = np.arange(1, T + 1, dtype=np.float64)
-    terms = n ** (-s)
-    if weight_log:
-        terms = terms * np.log(n)
-    head = fsum(terms.tolist())
-    # rounding: each term carries <= 2 ulp relative error (power and log),
-    # fsum of exact doubles is correctly rounded
-    rounding = 4.0 * _ULP * head + _ULP * abs(head)
-    value = head + (lo + hi) / 2.0
-    return Certified(value, gap + rounding + _R2 * abs(value))
 
 
 def zeta_real(s: float, tol: float = 1e-12) -> Certified:
     """zeta(s) for real s > 1.1 with certified absolute error <= tol."""
-    return _sum_with_tail(float(s), tol, weight_log=False)
+    c = Certified._of(_zeta_pair(_series_argument(s, tol))[0])
+    _gate(c.error, tol, f"zeta({s})")
+    return c
 
 
 def zeta_prime_real(s: float, tol: float = 1e-12) -> Certified:
     """zeta'(s) = -sum log(n) n^{-s} for real s > 1.1, certified as zeta_real."""
-    c = _sum_with_tail(float(s), tol, weight_log=True)
-    return Certified(-c.value, c.error)
+    c = Certified._of(_zeta_pair(_series_argument(s, tol))[1])
+    _gate(c.error, tol, f"zeta'({s})")
+    return c
 
 
-# exponents beyond this contribute less than 2^-100 per prime; the absolute
-# remainder (sum over p of 2 p^-m summed over m > cap) is under 1e-29
-_EXPONENT_CAP = 100
-_EXPONENT_CAP_REMAINDER = 1e-29
+@lru_cache(maxsize=None)
+def _primes_to(P: int) -> tuple[int, ...]:
+    return tuple(p for p in range(2, P + 1) if is_prime(p))
 
 
-def _prime_tail_power(P: int, a: float) -> float:
-    """Certified bound on sum_{p > P} p^{-a} via pi(t) < 1.26 t/log t."""
-    return 1.26 * a / ((a - 1.0) * log(P)) * P ** (1.0 - a)
+@lru_cache(maxsize=None)
+def _log_zeta_rough(sigma: Fraction, P: int):
+    """log zeta_P(sigma) and its sigma-derivative, where zeta_P is zeta with
+    the Euler factors of p <= P removed; shared by every modulus of a branch."""
+    with _precision():
+        z, dz = _zeta_pair(sigma)
+        factor, deriv = z, dz / z
+        for p in _primes_to(P):
+            w = _inv_power(p, sigma)
+            factor *= 1 - w
+            deriv += iv.log(p) * w / (1 - w)
+        return iv.log(factor), deriv
 
 
-def _prime_tail_power_log(P: int, a: float) -> float:
-    """Certified bound on sum_{p > P} log(p) p^{-a}."""
-    return 1.26 * a / (a - 1.0) * P ** (1.0 - a)
+def _root_radius(t: list[int]) -> Fraction:
+    """Cauchy's bound: no root u of 1 + sum_{m>=1} t[m] u^m has |u| below
+    1/(1 + max|t[m]|)."""
+    return Fraction(1, 1 + max(abs(c) for c in t[1:]))
+
+
+def _factor_exponents(t: list[int], K: int) -> list[int]:
+    """b_0..b_K (b_0 = 0) with L(u) prod_{k<=K} (1 - u^k)^(b_k) = 1 + O(u^(K+1))
+    for L = sum_m t[m] u^m, t[0] = 1, by integer series division: b_k is the
+    u^k coefficient left once the factors below k are applied."""
+    c = (list(t) + [0] * (K + 1))[: K + 1]
+    b = [0] * (K + 1)
+    for k in range(1, K + 1):
+        b[k] = bk = c[k]
+        if bk == 0:
+            continue
+        # (1 - u^k)^bk = sum_j w_j u^(jk), w_j = (-1)^j binom(bk, j)
+        w = [1]
+        for j in range(1, K // k + 1):
+            w.append(w[-1] * (j - 1 - bk) // j)
+        for n in range(K, k - 1, -1):
+            c[n] += sum(w[j] * c[n - j * k] for j in range(1, n // k + 1))
+    return b
+
+
+def _truncation_order(D: int, rho: Fraction, s: Fraction, P: int) -> int:
+    """The least K whose derivative tail bound (the larger of the two, as
+    log P > 1), in floats, meets _TAIL_TARGET."""
+    r, rho = float(P) ** -float(s), float(rho)
+    for K in count(2):
+        sig = float(s) * (K + 1)
+        if sig <= 1.0:
+            continue
+        lead = D / ((1 - rho) * (1 - r / rho)) * (r / rho) ** (K + 1) * P / (sig - 1)
+        if lead * (log(P) + 1 / (sig - 1)) / (1 - r ** (K + 1)) <= _TAIL_TARGET:
+            return K
+
+
+def _tail_bounds(D: int, rho: Fraction, s: Fraction, P: int, K: int):
+    """Bounds on |E| and |dE/ds| for the split at P and K: the bounds of the
+    module docstring at u = n^-s, summed over n > P against the integrals of
+    x^-sigma and x^-sigma log x from P, sigma = s (K+1).  Call inside
+    _precision()."""
+    r, rho_iv, sig = _inv_power(P, s), _iv(rho), _iv(s * (K + 1))
+    lead = D / ((1 - rho_iv) * (1 - r / rho_iv)) * _iv(1 / rho) ** (K + 1)
+    lead *= P * _inv_power(P, s * (K + 1))
+    tail = lead / (sig - 1)
+    dtail = lead / (1 - r ** (K + 1)) * (iv.log(P) / (sig - 1) + 1 / (sig - 1) ** 2)
+    return tail, dtail
+
+
+def _explicit_factors(t: list[int], s: Fraction, P: int):
+    """sum_{p<=P} log L(p^-s) and its s-derivative, -sum log p u L'(u)/L(u).
+
+    With s = 1/d and e = ceil(D/d), p^e L(p^-s) = sum_{r<d} A_r p^(-r/d) for
+    exact integers A_r, and likewise for u L'(u), so each prime costs a few
+    interval operations and the product needs one logarithm.
+    """
+    d, D = s.denominator, len(t) - 1
+    e = -(-D // d)
+    prod, deriv, scale = iv.mpf(1), iv.mpf(0), 1
+    for p in _primes_to(P):
+        val = slope = iv.mpf(0)
+        for r in range(d):
+            ms = range(r, D + 1, d)
+            a = a1 = 0
+            for m in ms:
+                a, a1 = a * p + t[m], a1 * p + m * t[m]
+            w = _inv_power(p, Fraction(r, d)) * p ** (e + 1 - len(ms))
+            val += a * w
+            slope += a1 * w
+        if not val > 0:
+            raise ArgumentError(
+                f"local factor not positive at p={p}; coefficients corrupt"
+            )
+        prod *= val
+        scale *= p**e
+        deriv -= iv.log(p) * slope / val
+    return iv.log(prod / scale), deriv
+
+
+def _euler_product(q: int, s: Fraction, P: int):
+    """Enclosures of log prod_p L(p^-s) and its s-derivative for the local
+    factor L of q, split at P as in the module docstring."""
+    t = list(local_factor(q).numerator)
+    while t[-1] == 0:
+        t.pop()
+    D, rho = len(t) - 1, _root_radius(t)
+    if not P > (1 / rho) ** s.denominator:  # p^-s < rho for p > P, s = 1/d
+        raise ArgumentError(f"split point {P} leaves p^-s above the root bound")
+    K = _truncation_order(D, rho, s, P)
+    b = _factor_exponents(t, K)
+    with _precision():
+        log_prod, deriv = _explicit_factors(t, s, P)
+        for k in range(1, K + 1):
+            if not b[k]:
+                continue
+            if k * s <= 1:
+                raise ArgumentError(f"q={q}: exponent b_{k} = {b[k]} at a zeta pole")
+            lz, dlz = _log_zeta_rough(k * s, P)
+            log_prod += b[k] * lz
+            deriv += b[k] * k * dlz
+        tail, dtail = _tail_bounds(D, rho, s, P, K)
+        unit = iv.mpf([-1, 1])
+        return log_prod + tail * unit, deriv + dtail * unit
+
+
+def _explicit_cutoff(prime_cutoff: int) -> int:
+    if prime_cutoff < 100 or prime_cutoff > MAX_PRIME_CUTOFF:
+        raise ArgumentError(
+            f"prime cutoff must lie in [100, {MAX_PRIME_CUTOFF}]"
+        )
+    return min(prime_cutoff, EXPLICIT_PRIME_LIMIT)
 
 
 @lru_cache(maxsize=32)
 def log_factor_constants(
     q: int, prime_cutoff: int = 10**6, tol: float = 1e-4
 ) -> tuple[Certified, Certified]:
-    """Product at 1 and its negative log-derivative for the log branch.
+    """Product at 1 and its log-derivative for the log branch.
 
     Returns (product, logderiv) where
     product  = prod_p (1 + sum_m t[m] p^{-m}),
     logderiv = -sum_p log p * (sum_m m t[m] p^{-m}) / (1 + sum_m t[m] p^{-m}),
-    with t[m] = chi(m+1) - chi(m) supported on m in [start, q).
+    the s-derivative of log prod_p L(p^-s) at s = 1, with
+    t[m] = chi(m+1) - chi(m) supported on m in [start, q).  ``tol`` bounds
+    the product's relative and the logderiv's absolute error.
     """
     case = classify(q)
     if case.branch is not Branch.PM1_MOD8:
         raise ClassificationError(
             f"q={q} is in branch {case.branch.value}, which has no log-branch product"
         )
-    if prime_cutoff < 100 or prime_cutoff > MAX_PRIME_CUTOFF:
-        raise ArgumentError(
-            f"prime cutoff must lie in [100, {MAX_PRIME_CUTOFF}]"
-        )
-    c = case.log_factor_start
-    # tails: |factor - 1| <= 4 p^{-c} so |log factor| <= 8 p^{-c} once
-    # p^{-c} <= 1/8; numerator of the logderiv term is <= 4(c+1) p^{-c}
-    tail_log_product = 8.0 * _prime_tail_power(prime_cutoff, float(c))
-    tail_logderiv = 4.2 * (c + 1) * _prime_tail_power_log(prime_cutoff, float(c))
-    if max(tail_log_product, tail_logderiv) > tol:
-        raise PrecisionError(
-            f"prime tail at cutoff {prime_cutoff} only certifies "
-            f"{max(tail_log_product, tail_logderiv):.3e}",
-            achievable=max(tail_log_product, tail_logderiv),
-        )
-    steps = _step_coeffs(q, -1)[: _EXPONENT_CAP + 1]
-    coeffs = [(m, int(steps[m])) for m in np.flatnonzero(steps).tolist()]
-    p = np.asarray(primes_up_to(prime_cutoff), dtype=np.float64)
-    factor = np.ones_like(p)
-    deriv_num = np.zeros_like(p)
-    for m, t in coeffs:
-        pw = p ** (-float(m))
-        factor += t * pw
-        deriv_num += (m * t) * pw
-    if not ((factor > 0.0).all() and (factor < 2.0).all()):
-        bad = int(p[np.argmin(factor)])
-        raise ArgumentError(
-            f"local factor outside (0, 2) at p={bad}; coefficients corrupt"
-        )
-    logs = np.log(factor)
-    log_prod = fsum(logs.tolist())
-    deriv_terms = np.log(p) * deriv_num / factor
-    logderiv = -fsum(deriv_terms.tolist())
-    # rounding allowance: each factor entry accumulates <= (#coeffs + 2)
-    # charges of 2 ulps on quantities <= 2; logs and the deriv quotient add
-    # a few more; fsum itself is exactly rounded
-    per_term = (len(coeffs) + 6) * _R2
-    rounding_logs = per_term * len(p) + _EXPONENT_CAP_REMAINDER
-    rounding_deriv = per_term * float(np.sum(np.abs(deriv_terms))) + per_term * len(p) * 1e-2
-    product = exp(log_prod)
-    err_product = product * (exp(tail_log_product + rounding_logs) - 1.0) + product * _R2
-    err_logderiv = tail_logderiv + rounding_deriv + abs(logderiv) * _R2
-    return (
-        Certified(product, err_product),
-        Certified(logderiv, err_logderiv),
-    )
+    log_prod, deriv = _euler_product(q, Fraction(1), _explicit_cutoff(prime_cutoff))
+    with _precision():
+        product = Certified._of(iv.exp(log_prod))
+    logderiv = Certified._of(deriv)
+    _gate(product.error / product.value, tol, f"q={q}: the product at 1")
+    _gate(logderiv.error, tol, f"q={q}: its log-derivative")
+    return product, logderiv
 
 
 @lru_cache(maxsize=32)
@@ -438,51 +674,19 @@ def sqrt_factor_at_half(
     q: int, prime_cutoff: int = 10**8, tol: float = 2e-4
 ) -> Certified:
     """The sqrt-branch product at the half-line:
-    prod_p (1 + sum_m t[m] p^{-m/2}) with t[m] = chi(m+1) + chi(m), m >= 3.
+    prod_p (1 + sum_m t[m] p^{-m/2}) with t[m] = chi(m+1) + chi(m), m >= 3,
+    to relative error ``tol``.
     """
     case = classify(q)
     if case.branch is not Branch.PM11_MOD24:
         raise ClassificationError(
             f"q={q} is in branch {case.branch.value}, which has no sqrt-branch product"
         )
-    if prime_cutoff < 100 or prime_cutoff > MAX_PRIME_CUTOFF:
-        raise ArgumentError(
-            f"prime cutoff must lie in [100, {MAX_PRIME_CUTOFF}]"
-        )
-    # |factor - 1| <= 2 p^{-3/2}/(1 - p^{-1/2}); for p > 100 the geometric
-    # correction is < 1.12, and |log(1+x)| <= 1.02|x| for |x| <= 0.03
-    tail = 2.29 * _prime_tail_power(prime_cutoff, 1.5)
-    if tail > tol:
-        raise PrecisionError(
-            f"prime tail at cutoff {prime_cutoff} only certifies {tail:.3e}",
-            achievable=tail,
-        )
-    steps = _step_coeffs(q, +1)[: _EXPONENT_CAP + 1]
-    coeffs = [(m, int(steps[m])) for m in np.flatnonzero(steps).tolist()]
-    n_primes = 0
-    # segments keep peak memory flat at large cutoffs
-    seg = 4 * 10**6
-    parts: list[float] = []
-    all_primes = primes_up_to(prime_cutoff)
-    for i in range(0, len(all_primes), seg):
-        p = all_primes[i : i + seg].astype(np.float64)
-        n_primes += len(p)
-        rt = p ** (-0.5)
-        factor = np.ones_like(p)
-        for m, t in coeffs:
-            factor += t * rt ** m
-        if not (factor > 0.0).all():
-            bad = int(p[np.argmin(factor)])
-            raise ArgumentError(
-                f"local factor nonpositive at p={bad}; coefficients corrupt"
-            )
-        parts.append(fsum(np.log(factor).tolist()))
-    log_prod = fsum(parts)
-    per_term = (len(coeffs) + 6) * _R2
-    rounding = per_term * n_primes + _EXPONENT_CAP_REMAINDER
-    value = exp(log_prod)
-    err = value * (exp(tail + rounding) - 1.0) + value * _R2
-    return Certified(value, err)
+    log_prod, _ = _euler_product(q, Fraction(1, 2), _explicit_cutoff(prime_cutoff))
+    with _precision():
+        product = Certified._of(iv.exp(log_prod))
+    _gate(product.error / product.value, tol, f"q={q}: the half-line product")
+    return product
 
 
 @dataclass(frozen=True)
@@ -528,22 +732,25 @@ def main_term_params(
     prime_cutoff: int | None = None,
     tol: float = 1e-4,
 ) -> MainTermParams:
-    """Assemble every certified constant the branch main term needs."""
+    """Assemble every certified constant the branch main term needs.
+
+    The branch product comes first, so an unmet ``tol`` reports the
+    product's own achieved error."""
     case = classify(q)
-    zq = zeta_real(float(q), min(tol, 1e-12))
     zpq = None
     p1 = ld1 = None
     zhq = rhalf = None
     if case.branch is Branch.PM1_MOD8:
-        zpq = zeta_prime_real(float(q), min(tol, 1e-12))
         p1, ld1 = log_factor_constants(
             q, prime_cutoff if prime_cutoff else 10**6, tol
         )
+        zpq = zeta_prime_real(float(q), min(tol, 1e-12))
     elif case.branch is Branch.PM11_MOD24:
-        zhq = zeta_real(q / 2.0, min(tol, 1e-12))
         rhalf = sqrt_factor_at_half(
             q, prime_cutoff if prime_cutoff else 10**8, tol
         )
+        zhq = zeta_real(q / 2.0, min(tol, 1e-12))
+    zq = zeta_real(float(q), min(tol, 1e-12))
     return MainTermParams(
         q=q,
         case=case,
@@ -567,8 +774,8 @@ class MainTerm:
     kind: str  # "log" | "sqrt" | "exact_cuberoot" | "upper_bound_only"
 
 
-def main_term(q: int, x: float, params: MainTermParams | None = None) -> MainTerm:
-    """Branch-appropriate main term at x.
+def main_term(q: int, x: int | float, params: MainTermParams | None = None) -> MainTerm:
+    """Branch-appropriate main term at x (an integer or a float, taken exactly).
 
     log branch:   x * C * (log x + 2 gamma + bracket), C = zeta(q) product(1)
     sqrt branch:  sqrt(x) * zeta(q/2) * sqrt-product(1/2)
@@ -580,21 +787,17 @@ def main_term(q: int, x: float, params: MainTermParams | None = None) -> MainTer
     if params is None:
         params = main_term_params(q)
     case = params.case
-    if case.branch is Branch.Q_EQUALS_3:
-        v = float(x) ** (1.0 / 3.0)
-        return MainTerm(v, 4.0 * _ULP * v, "exact_cuberoot")
     if case.branch is Branch.PM5_MOD24:
         return MainTerm(0.0, 0.0, "upper_bound_only")
-    if case.branch is Branch.PM1_MOD8:
-        lead = params.leading_coefficient
-        bracket = (
-            Certified(log(x), _R2 * abs(log(x)))
-            + params.euler_gamma.scale(2.0)
-            + params.bracket_constant
-        )
-        total = (lead * bracket).scale(float(x))
-        return MainTerm(total.value, total.error, "log")
-    lead = params.leading_coefficient
-    rx = x**0.5
-    total = lead.scale(rx)
-    return MainTerm(total.value, total.error + 2.0 * _ULP * abs(total.value), "sqrt")
+    X = Certified.exact(x)
+    with _precision():
+        log_x = Certified._of(iv.log(X.interval))
+        if case.branch is Branch.Q_EQUALS_3:
+            total, kind = Certified._of(iv.exp(log_x.interval / 3)), "exact_cuberoot"
+        elif case.branch is Branch.PM1_MOD8:
+            bracket = log_x + params.euler_gamma.scale(2.0) + params.bracket_constant
+            total, kind = params.leading_coefficient * bracket * X, "log"
+        else:
+            root = Certified._of(iv.sqrt(X.interval))
+            total, kind = params.leading_coefficient * root, "sqrt"
+    return MainTerm(total.value, total.error, kind)

@@ -29,6 +29,7 @@ import numpy as np
 from .constants import (
     Branch,
     CaseClass,
+    Certified,
     THETA_UPPER,
     X_FLOOR,
     classify,
@@ -285,9 +286,10 @@ def default_alphas(case: CaseClass) -> tuple[float, ...]:
 class SummatoryTrace:
     """Exact values vs main terms along a checkpoint schedule.
 
-    ``residual_intervals`` bracket value - main_term using the certified
-    constant errors; ``fitted_exponent`` is a least-squares slope of
-    log|residual| against log x — a report field, never an assertion.
+    ``residual_intervals`` bracket value - main_term, rounded outward from
+    the exact value and the main term's certified enclosure;
+    ``fitted_exponent`` is a least-squares slope of log|residual| against
+    log x — a report field, never an assertion.
     """
 
     q: int
@@ -344,11 +346,13 @@ def trace(
 
     params = main_term_params(q, prime_cutoff=prime_cutoff)
     values = _checkpoint_sums(q, cps, progress)
-    mains = [main_term(q, float(x), params=params) for x in cps]
-    residuals = tuple(float(v) - m.value for v, m in zip(values, mains))
-    intervals = tuple(
-        (r - m.error, r + m.error) for r, m in zip(residuals, mains)
-    )
+    mains = [main_term(q, x, params=params) for x in cps]
+    # exact S(x) minus the main-term enclosure, rounded outward once
+    diffs = [
+        Certified.exact(v) - Certified(m.value, m.error) for v, m in zip(values, mains)
+    ]
+    residuals = tuple(d.value for d in diffs)
+    intervals = tuple(d.bounds for d in diffs)
     normalized = tuple(
         tuple(r / float(x) ** a for r, x in zip(residuals, cps)) for a in alphas
     )

@@ -144,7 +144,7 @@ def test_constants_bound_only_branch_row(capsys):
 
 def test_constants_unreachable_tolerance_is_resource_exit(capsys):
     code, _, err = run(
-        ["constants", "--q", "7", "--prime-cutoff", "100", "--tolerance", "1e-9"],
+        ["constants", "--q", "7", "--prime-cutoff", "100", "--tolerance", "1e-30"],
         capsys,
     )
     assert code == 3
@@ -153,7 +153,7 @@ def test_constants_unreachable_tolerance_is_resource_exit(capsys):
 
 def test_constants_sqrt_branch_unmet_tolerance_is_resource_exit(capsys):
     code, _, err = run(
-        ["constants", "--q", "13", "--prime-cutoff", "1e7", "--tolerance", "1e-5"],
+        ["constants", "--q", "13", "--prime-cutoff", "1e7", "--tolerance", "1e-30"],
         capsys,
     )
     assert code == 3

@@ -1,11 +1,16 @@
 """Certified arithmetic and the branch constants, checked against closed
-forms and against themselves at doubled cutoffs."""
+forms, against mpmath, against the brute-force float prime products, and
+against themselves at moved split points."""
 
 import math
+from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
+from mpmath import iv
 
+from tauchar import constants
 from tauchar.constants import (
     EULER_GAMMA,
     EULER_GAMMA_LITERAL,
@@ -23,7 +28,7 @@ from tauchar.constants import (
     zeta_real,
 )
 from tauchar.errors import ArgumentError, ClassificationError, PrecisionError
-from tauchar.sieves import _jacobi, is_prime
+from tauchar.sieves import _jacobi, is_prime, primes_up_to
 
 
 def test_zeta_closed_forms():
@@ -189,9 +194,12 @@ def test_step_coeffs_match_jacobi_below_2000():
             assert t.tolist() == want, (q, sign)
 
 
-def test_log_constants_stable_under_doubled_cutoff():
-    a1, b1 = log_factor_constants(7, prime_cutoff=10**5, tol=1e-3)
-    a2, b2 = log_factor_constants(7, prime_cutoff=2 * 10**5, tol=1e-3)
+def test_log_constants_stable_under_doubled_cutoff(monkeypatch):
+    # the explicit product stops at min(prime_cutoff, EXPLICIT_PRIME_LIMIT),
+    # so the limit is raised for the doubled cutoff to move the split
+    monkeypatch.setattr(constants, "EXPLICIT_PRIME_LIMIT", 200)
+    a1, b1 = log_factor_constants.__wrapped__(7, prime_cutoff=100, tol=1e-3)
+    a2, b2 = log_factor_constants.__wrapped__(7, prime_cutoff=200, tol=1e-3)
     assert abs(a1.value - a2.value) <= a1.error + a2.error
     assert abs(b1.value - b2.value) <= b1.error + b2.error
 
@@ -205,13 +213,14 @@ def test_log_constants_wrong_branch_rejected():
 
 def test_log_constants_unreachable_tolerance():
     with pytest.raises(PrecisionError) as info:
-        log_factor_constants(7, prime_cutoff=100, tol=1e-12)
-    assert info.value.achievable > 1e-12
+        log_factor_constants(7, prime_cutoff=100, tol=1e-30)
+    assert info.value.achievable > 1e-30
 
 
-def test_sqrt_factor_stable_under_doubled_cutoff():
-    a = sqrt_factor_at_half(13, prime_cutoff=10**6, tol=2e-3)
-    b = sqrt_factor_at_half(13, prime_cutoff=2 * 10**6, tol=2e-3)
+def test_sqrt_factor_stable_under_doubled_cutoff(monkeypatch):
+    monkeypatch.setattr(constants, "EXPLICIT_PRIME_LIMIT", 200)
+    a = sqrt_factor_at_half.__wrapped__(13, prime_cutoff=100, tol=2e-3)
+    b = sqrt_factor_at_half.__wrapped__(13, prime_cutoff=200, tol=2e-3)
     assert abs(a.value - b.value) <= a.error + b.error
 
 
@@ -222,15 +231,16 @@ def test_sqrt_factor_wrong_branch_rejected():
 
 def test_sqrt_factor_unreachable_tolerance():
     with pytest.raises(PrecisionError):
-        sqrt_factor_at_half(13, prime_cutoff=100, tol=1e-9)
+        sqrt_factor_at_half(13, prime_cutoff=100, tol=1e-30)
 
 
 def test_main_term_params_passes_sqrt_tolerance_through():
-    # the half-line tail at cutoff 1e7 is about 1.7e-4: a 1e-5 request
-    # cannot be met and must say so rather than return the weaker bound
+    # a 1e-30 request cannot be met and must say so, with the half-line
+    # product's own achieved error, rather than return a weaker bound
+    got = sqrt_factor_at_half(13, prime_cutoff=10**7, tol=1e-3)
     with pytest.raises(PrecisionError) as exc:
-        main_term_params(13, prime_cutoff=10**7, tol=1e-5)
-    assert 1e-4 < exc.value.achievable < 2e-4
+        main_term_params(13, prime_cutoff=10**7, tol=1e-30)
+    assert exc.value.achievable == got.error / got.value > 1e-30
 
 
 def test_main_term_exact_cube_root():
@@ -277,3 +287,240 @@ def test_bracket_constant_only_on_log_branch():
     p5 = main_term_params(5)
     assert p5.leading_coefficient is None
     assert p5.bracket_constant is None
+
+
+def test_certified_bounds_round_outward():
+    # the float endpoints must contain the exact interval [v - e, v + e]
+    cases = [(1.0, 1e-17), (1.0, 0.0), (-3.5, 2.0**-80), (0.1, 1e-300), (1e300, 1.0)]
+    for v, e in cases:
+        lo, hi = Certified(v, e).bounds
+        assert Fraction(lo) <= Fraction(v) - Fraction(e)
+        assert Fraction(hi) >= Fraction(v) + Fraction(e)
+    assert Certified(1.0, 1e-17).bounds == (
+        math.nextafter(1.0, 0.0),
+        math.nextafter(1.0, 2.0),
+    )
+    # the float pair itself stays an enclosure of a computed interval
+    c = Certified(1.0, 0.0) / Certified(3.0, 0.0)
+    assert Fraction(c.value) - Fraction(c.error) <= Fraction(1, 3)
+    assert Fraction(1, 3) <= Fraction(c.value) + Fraction(c.error)
+
+
+def test_interval_precision_is_restored():
+    saved = iv.prec
+    try:
+        iv.prec = 77
+        zeta_real(2.5)
+        zeta_prime_real(3.0)
+        log_factor_constants.__wrapped__(7)
+        sqrt_factor_at_half.__wrapped__(11)
+        main_term(7, 10.0**6)
+        Certified(1.0, 1e-3) / Certified(3.0, 0.0)
+        with pytest.raises(PrecisionError):
+            log_factor_constants.__wrapped__(7, tol=1e-30)
+        assert iv.prec == 77
+    finally:
+        iv.prec = saved
+
+
+# ------------------------------------------------------------------
+# The brute-force float route the accelerated products replaced: a sum
+# of float logarithms over every prime to the cutoff, a prime-tail bound
+# from pi(t) < 1.26 t/log t, and a 2-ulp-per-operation rounding charge.
+
+_ULP = 2.0**-52
+_R2 = 2.0 * _ULP
+_EXPONENT_CAP = 100
+_EXPONENT_CAP_REMAINDER = 1e-29
+
+
+def _prime_tail_power(P, a):
+    return 1.26 * a / ((a - 1.0) * math.log(P)) * P ** (1.0 - a)
+
+
+def _prime_tail_power_log(P, a):
+    return 1.26 * a / (a - 1.0) * P ** (1.0 - a)
+
+
+def float_route_log(q, P):
+    """(product, err), (logderiv, err) over the primes p <= P."""
+    c = classify(q).log_factor_start
+    tail_log_product = 8.0 * _prime_tail_power(P, float(c))
+    tail_logderiv = 4.2 * (c + 1) * _prime_tail_power_log(P, float(c))
+    steps = _step_coeffs(q, -1)[: _EXPONENT_CAP + 1]
+    coeffs = [(m, int(steps[m])) for m in np.flatnonzero(steps).tolist()]
+    p = np.asarray(primes_up_to(P), dtype=np.float64)
+    factor = np.ones_like(p)
+    deriv_num = np.zeros_like(p)
+    for m, t in coeffs:
+        pw = p ** (-float(m))
+        factor += t * pw
+        deriv_num += (m * t) * pw
+    log_prod = math.fsum(np.log(factor).tolist())
+    deriv_terms = np.log(p) * deriv_num / factor
+    logderiv = -math.fsum(deriv_terms.tolist())
+    per_term = (len(coeffs) + 6) * _R2
+    rounding_logs = per_term * len(p) + _EXPONENT_CAP_REMAINDER
+    rounding_deriv = (
+        per_term * float(np.sum(np.abs(deriv_terms))) + per_term * len(p) * 1e-2
+    )
+    product = math.exp(log_prod)
+    err_product = (
+        product * (math.exp(tail_log_product + rounding_logs) - 1.0) + product * _R2
+    )
+    err_logderiv = tail_logderiv + rounding_deriv + abs(logderiv) * _R2
+    return (product, err_product), (logderiv, err_logderiv)
+
+
+def float_route_sqrt(q, P):
+    """(product, err) of the half-line product over the primes p <= P."""
+    tail = 2.29 * _prime_tail_power(P, 1.5)
+    steps = _step_coeffs(q, +1)[: _EXPONENT_CAP + 1]
+    coeffs = [(m, int(steps[m])) for m in np.flatnonzero(steps).tolist()]
+    p = primes_up_to(P).astype(np.float64)
+    rt = p ** (-0.5)
+    factor = np.ones_like(p)
+    for m, t in coeffs:
+        factor += t * rt**m
+    log_prod = math.fsum(np.log(factor).tolist())
+    rounding = (len(coeffs) + 6) * _R2 * len(p) + _EXPONENT_CAP_REMAINDER
+    value = math.exp(log_prod)
+    return value, value * (math.exp(tail + rounding) - 1.0) + value * _R2
+
+
+def branch_moduli(branch, below):
+    return [
+        q for q in range(7, below, 2) if is_prime(q) and classify(q).branch is branch
+    ]
+
+
+def meets(c, value, error):
+    return abs(c.value - value) <= c.error + error
+
+
+@pytest.mark.parametrize("q", branch_moduli(Branch.PM1_MOD8, 61))
+def test_log_constants_meet_float_route(q):
+    product, logderiv = log_factor_constants(q, prime_cutoff=10**5, tol=1e-3)
+    old_product, old_logderiv = float_route_log(q, 10**5)
+    assert meets(product, *old_product)
+    assert meets(logderiv, *old_logderiv)
+
+
+@pytest.mark.parametrize("q", branch_moduli(Branch.PM11_MOD24, 61))
+def test_sqrt_factor_meets_float_route(q):
+    product = sqrt_factor_at_half(q, prime_cutoff=10**5, tol=1e-3)
+    assert meets(product, *float_route_sqrt(q, 10**5))
+
+
+def test_products_agree_across_explicit_splits(monkeypatch):
+    # the split point moves the work between explicit primes and zeta
+    # factors; both enclosures must hold the same number, tightly
+    P0 = constants.EXPLICIT_PRIME_LIMIT
+    runs = []
+    for limit in (P0, 10 * P0):
+        monkeypatch.setattr(constants, "EXPLICIT_PRIME_LIMIT", limit)
+        got = {}
+        for q in branch_moduli(Branch.PM1_MOD8, 200):
+            got[q] = log_factor_constants.__wrapped__(q)
+        for q in branch_moduli(Branch.PM11_MOD24, 200):
+            got[q] = (sqrt_factor_at_half.__wrapped__(q),)
+        runs.append(got)
+    for q, small in runs[0].items():
+        for a, b in zip(small, runs[1][q]):
+            assert meets(a, b.value, b.error), q
+            for c in (a, b):
+                assert c.error <= 1e-15 * abs(c.value), q
+
+
+ZETA_POINTS = [1.2, 1.5, 2, 3.5, 5.5, 7, 23, 29.5]
+
+
+def encloses(c, x, slack):
+    a, b = (mp.make_mpf(e) for e in c.interval._mpi_)
+    return a - slack <= x <= b + slack
+
+
+@pytest.mark.parametrize("s", ZETA_POINTS)
+def test_zeta_against_mpmath(s):
+    with mp.workdps(50):
+        ref = mp.zeta(s), mp.zeta(s, derivative=1)
+        for c, x in zip((zeta_real(s), zeta_prime_real(s)), ref):
+            assert encloses(c, x, mp.mpf(10) ** -48), (s, c, x)
+            assert mp.mpf(c.value) - c.error <= x <= mp.mpf(c.value) + c.error
+            assert c.error <= 4 * math.ulp(c.value)
+
+
+def test_euler_maclaurin_remainder_is_an_enclosure():
+    # few terms and few corrections: the remainder bound carries the
+    # enclosure, and it must still hold the true value
+    with mp.workdps(50):
+        for sigma in (Fraction(3, 2), Fraction(6, 5), Fraction(7)):
+            with constants._precision():
+                z, dz = constants._euler_maclaurin(sigma, 8, 2)
+            for got, want in zip((z, dz), (mp.zeta(sigma), mp.zeta(sigma, derivative=1))):
+                c = Certified._of(got)
+                assert encloses(c, want, 0)
+                assert c.error < 1e-2
+
+
+def _factor_coeffs(q):
+    t = list(constants.local_factor(q).numerator)
+    while t[-1] == 0:
+        t.pop()
+    return t
+
+
+def _series_mul(a, b, K):
+    out = [0] * (K + 1)
+    for i, x in enumerate(a[: K + 1]):
+        if x:
+            for j, y in enumerate(b[: K + 1 - i]):
+                out[i + j] += x * y
+    return out
+
+
+def _one_minus_power(k, e, K):
+    """(1 - u^k)^e for an integer e >= 0, truncated after u^K."""
+    out = [0] * (K + 1)
+    for j in range(K // k + 1):
+        out[j * k] = (-1) ** j * math.comb(e, j)
+    return out
+
+
+@pytest.mark.parametrize(
+    "branch,s", [(Branch.PM1_MOD8, Fraction(1)), (Branch.PM11_MOD24, Fraction(1, 2))]
+)
+def test_factor_exponents_identity(branch, s):
+    # L * prod_{b_k > 0} (1 - u^k)^b_k == prod_{b_k < 0} (1 - u^k)^-b_k
+    # mod u^(K+1): positive powers only, so no series division
+    for q in branch_moduli(branch, 200):
+        t = _factor_coeffs(q)
+        K = constants._truncation_order(
+            len(t) - 1, constants._root_radius(t), s, constants.EXPLICIT_PRIME_LIMIT
+        )
+        b = constants._factor_exponents(t, K)
+        assert len(b) == K + 1 and b[0] == 0
+        left, right = t[: K + 1] + [0] * (K + 1 - len(t)), [1] + [0] * K
+        for k in range(1, K + 1):
+            if b[k] > 0:
+                left = _series_mul(left, _one_minus_power(k, b[k], K), K)
+            elif b[k] < 0:
+                right = _series_mul(right, _one_minus_power(k, -b[k], K), K)
+        assert left == right, q
+
+
+def test_root_radius_is_a_root_bound():
+    # Cauchy's bound must hold for every factor the coefficient bound
+    # |t[m]| <= 2 admits; 1 - 2u - ... - 2u^D has a root just above 1/3
+    worst = [1] + [-2] * 10
+    rho = constants._root_radius(worst)
+    assert min(abs(np.roots(worst[::-1]))) >= rho
+    D = len(worst) - 1
+    b = constants._factor_exponents(worst, 60)
+    for k in range(1, 61):
+        assert abs(b[k]) <= D * rho**-k / (k * (1 - rho)), k
+    for branch in (Branch.PM1_MOD8, Branch.PM11_MOD24):
+        for q in branch_moduli(branch, 200):
+            t = _factor_coeffs(q)
+            assert max(abs(c) for c in t[1:]) <= 2
+            assert min(abs(np.roots(t[::-1]))) >= constants._root_radius(t), q

@@ -1,6 +1,7 @@
 """Exact summatory evaluation against brute-force double sums, the three
 root-floor identities, and the trace/diagnostic report structure."""
 
+from fractions import Fraction
 from math import isqrt
 
 import numpy as np
@@ -263,6 +264,17 @@ def test_trace_log_branch_structure():
     for j, x in enumerate(cps):
         assert tr.normalized[0][j] == pytest.approx(tr.residuals[j] / x**0.55)
     assert tr.values == tuple(summatory_convolved(7, x) for x in cps)
+
+
+def test_trace_residual_intervals_round_outward():
+    # S(x) is exact and the main term lies in main -+ main_error, so the
+    # float residual interval must hold the exact difference
+    tr = trace(13, (1024, 4096, 2**23))
+    for v, m, e, (lo, hi) in zip(
+        tr.values, tr.main_values, tr.main_errors, tr.residual_intervals
+    ):
+        assert Fraction(lo) <= v - (Fraction(m) + Fraction(e))
+        assert v - (Fraction(m) - Fraction(e)) <= Fraction(hi)
 
 
 def test_trace_progress_callback():
