@@ -20,6 +20,9 @@ byte-identical output.
 Exit codes: 0 all checks pass / report produced; 1 mathematical mismatch;
 2 usage error; 3 resource or precision budget exceeded.
 
+The numpy-backed modules are imported inside the handlers that use them,
+so --help and constants never load numpy.
+
 Heavy subcommands print `# progress ...` lines to stderr at most once per
 second.  --jobs is recorded in the metadata; the pipelines themselves are
 single-process (documented; sieve passes are memory-bound).
@@ -35,9 +38,8 @@ from datetime import datetime, timezone
 from fractions import Fraction
 
 from . import KERNEL_BACKEND, __version__
+from .arith import check_budget, is_prime
 from .constants import Branch, classify, main_term_params
-from .curves import ShortIntervalInstance, decompose_short_interval, range_scan
-from .dirichlet import verify_factorization
 from .errors import (
     ArgumentError,
     OverflowHardError,
@@ -45,14 +47,6 @@ from .errors import (
     ResourceLimitError,
     TaucharError,
     UndecidablePointError,
-)
-from .sieves import primes_up_to
-from .summatory import (
-    cube_root_identity_scan,
-    fifth_power_identity_scan,
-    rh_diagnostic,
-    square_root_identity_scan,
-    trace,
 )
 
 EXIT_PASS = 0
@@ -203,7 +197,8 @@ def _moduli(args) -> list[int]:
     if args.q is not None:
         qs = [args.q]
     else:
-        qs = [int(p) for p in primes_up_to(args.all_q) if p > 2]
+        check_budget(args.all_q, "prime sieve")
+        qs = [q for q in range(3, args.all_q + 1, 2) if is_prime(q)]
     if not qs:
         raise ArgumentError(f"no odd prime moduli at or below {args.all_q}")
     for q in qs:
@@ -212,6 +207,13 @@ def _moduli(args) -> list[int]:
 
 
 def _cmd_verify(args) -> int:
+    from .dirichlet import verify_factorization
+    from .summatory import (
+        cube_root_identity_scan,
+        fifth_power_identity_scan,
+        square_root_identity_scan,
+    )
+
     qs = _moduli(args)
     progress = _Progress("verify")
 
@@ -315,6 +317,8 @@ def _cmd_constants(args) -> int:
 
 
 def _cmd_trace(args) -> int:
+    from .summatory import trace
+
     progress = _Progress("trace")
     tr = trace(
         args.q,
@@ -351,7 +355,9 @@ def _cmd_trace(args) -> int:
     return EXIT_PASS
 
 
-def _interval_instance(args) -> ShortIntervalInstance:
+def _interval_instance(args):
+    from .curves import ShortIntervalInstance
+
     return ShortIntervalInstance(args.x, args.y, args.c3)
 
 
@@ -393,6 +399,8 @@ _SCAN_HEADER = ["window_base", "n_lo", "n_hi", "delta", "window_double", "near_c
 
 
 def _cmd_short_interval(args) -> int:
+    from .curves import decompose_short_interval
+
     rep = decompose_short_interval(_interval_instance(args))
     meta = _metadata(args, {"x": args.x, "y": args.y, "c3": args.c3})
     _emit(args, meta, list(_SCAN_HEADER), _scan_rows(rep, False), _scan_summary(rep, False))
@@ -400,6 +408,8 @@ def _cmd_short_interval(args) -> int:
 
 
 def _cmd_near_curve(args) -> int:
+    from .curves import range_scan
+
     rep = range_scan(_interval_instance(args))
     meta = _metadata(args, {"x": args.x, "y": args.y, "c3": args.c3})
     header = _SCAN_HEADER + ["shape", "shape_value", "ratio", "ft_condition_ok"]
@@ -408,6 +418,8 @@ def _cmd_near_curve(args) -> int:
 
 
 def _cmd_rh_diagnostic(args) -> int:
+    from .summatory import rh_diagnostic
+
     progress = _Progress("rh-diagnostic")
     diag = rh_diagnostic(
         args.q,

@@ -20,7 +20,14 @@ libm is assumed.  The analytic remainders rest on three stated results.
   derivative f^(2M+1) keeps one sign on [N, oo) (for the log weight this
   needs log N >= sum_{i<=2M} 1/(sigma+i), which is checked), so the integral
   is |f^(2M)(N)|, and zeta(2M+1) <= (2M+1)/(2M).  The Bernoulli numbers are
-  exact Fractions.  This gives zeta(sigma) and zeta'(sigma).
+  exact Fractions.  This gives zeta(sigma) and zeta'(sigma).  Every term of
+  the tail is an exact rational times the one interval N^-sigma: with
+  P_M(sigma) = sum_{j<=M} B_2j/(2j)! (sigma)_{2j-1} N^(1-2j),
+    sum_{n>=N} n^-sigma = N^-sigma (N/(sigma-1) + 1/2 + P_M(sigma)) + R,
+  and since d/dsigma (sigma)_i = (sigma)_i H_i(sigma), where
+  H_i(sigma) = sum_{i'<i} 1/(sigma+i'),
+    sum_{n>=N} log(n) n^-sigma
+      = N^-sigma (log N (N/(sigma-1) + 1/2 + P_M) + N/(sigma-1)^2 - P_M') + R'.
 * Cauchy's root bound.  The local factor L(u) = 1 + sum_m t[m] u^m reversed
   is monic, so every root of L has |u| >= rho = 1/(1 + max|t[m]|), and
   rho = 1/3 because |t[m]| <= 2.
@@ -41,7 +48,11 @@ Summed over primes, the last result splits each Euler product as
 where zeta_P(sigma) = zeta(sigma) prod_{p<=P} (1 - p^-sigma) and |E| is the
 bound above summed over every integer n > P, then compared with an integral.
 The s-derivative splits the same way.  So the primes up to 100 and a few
-dozen zeta values replace any prime sieve.  Tolerances stay gates: a
+dozen zeta values replace any prime sieve.  The zeta values come from one
+ladder per split (s, P), shared by every modulus that uses the split: rung k
+holds log zeta_P(ks) and its sigma-derivative, n^-ks and p^-ks are running
+products of n^-s and p^-s, log n is taken once per integer, and a modulus
+that needs a larger K extends the ladder in place.  Tolerances stay gates: a
 result whose certified error exceeds the tolerance raises PrecisionError
 carrying the achieved bound instead of returning quietly.
 """
@@ -52,13 +63,12 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
-from math import exp, log, pi, ulp
+from math import exp, lcm, log, pi, ulp
 
-import numpy as np
 from mpmath import iv, libmp
 
+from .arith import _jacobi, is_prime
 from .errors import ArgumentError, ClassificationError, PrecisionError
-from .sieves import LegendreChar, is_prime
 
 # working precision of every interval computation; iv.prec is set to it only
 # inside _precision() and restored on the way out
@@ -228,13 +238,28 @@ class CaseClass:
     sqrt_factor_start: int | None
 
 
-def _step_coeffs(q: int, sign: int) -> np.ndarray:
-    """t[m] = chi(m+1) + sign*chi(m) for m = 0..q-1 as int64, with the unused
-    t[0] and t[1] set to 0 (chi the Legendre symbol mod q)."""
-    chi = LegendreChar(q).table.astype(np.int64)
-    t = np.concatenate((chi[1:], chi[:1])) + sign * chi
-    t[:2] = 0
+def _step_coeffs(q: int, sign: int) -> list[int]:
+    """t[m] = chi(m+1) + sign*chi(m) for m = 0..q-1, with the unused t[0] and
+    t[1] set to 0 (chi the Legendre symbol mod q, read off the nonzero
+    squares)."""
+    chi = [-1] * q
+    chi[0] = 0
+    for i in range(1, (q + 1) // 2):
+        chi[i * i % q] = 1
+    t = [chi[(m + 1) % q] + sign * chi[m] for m in range(q)]
+    t[0] = t[1] = 0
     return t
+
+
+def _start_exponent(q: int, sign: int) -> int | None:
+    """The least m >= 2 with chi(m+1) + sign*chi(m) != 0, by the Jacobi
+    symbol, so only the first few entries of the step row are evaluated."""
+    upper = _jacobi(2, q)
+    for m in range(2, q):
+        lower, upper = upper, _jacobi(m + 1, q)
+        if upper + sign * lower:
+            return m
+    return None
 
 
 def classify(q: int) -> CaseClass:
@@ -250,12 +275,11 @@ def classify(q: int) -> CaseClass:
     r8 = q % 8
     r24 = q % 24
     log_branch = r8 in (1, 7)
-    nonzero = np.flatnonzero(_step_coeffs(q, -1 if log_branch else +1))
-    if len(nonzero) == 0:
+    start = _start_exponent(q, -1 if log_branch else +1)
+    if start is None:
         raise ClassificationError(
             f"no nonzero step coefficient for modulus {q}; table corrupt"
         )
-    start = int(nonzero[0])
     if q == 3:
         return CaseClass(3, Branch.Q_EQUALS_3, None, None, start)
     if log_branch:
@@ -349,8 +373,7 @@ def local_factor(q: int, combined: bool = False) -> LocalFactor:
     """
     case = classify(q)
     t = _step_coeffs(q, -1 if case.branch is Branch.PM1_MOD8 else +1)
-    base = t.copy()
-    base[0] = 1
+    base = [1] + t[1:]
     if combined:
         if case.branch is not Branch.PM5_MOD24:
             raise ClassificationError(
@@ -363,7 +386,9 @@ def local_factor(q: int, combined: bool = False) -> LocalFactor:
     elif case.branch is Branch.PM11_MOD24:
         kind, num, den, low = case.branch.value, base, (1,), (0,)
     elif case.sub is SubBranch.PM19_29_MOD120:
-        num = np.convolve(base, [1, 0, 1])
+        num = base + [0, 0]
+        for m, c in enumerate(base):
+            num[m + 2] += c
         kind, den, low = case.sub.value, (1, 0, -1), (-2, 0, 2, 2)
     elif case.sub is SubBranch.PM43_53_MOD120:
         den = (1, 0, -2, 0, 0, 0, 2, 0, -1)
@@ -373,21 +398,22 @@ def local_factor(q: int, combined: bool = False) -> LocalFactor:
             f"q={q} is in case {(case.sub or case.branch).value}, which has no "
             "local factor"
         )
-    got = tuple(t[2 : 2 + len(low)].tolist())
+    got = tuple(t[2 : 2 + len(low)])
     if got != low:
         raise ArgumentError(
             f"q={q}: low-order terms t2.. = {got}, expected {low}"
         )
-    return LocalFactor(f"{kind}[q={q}]", tuple(num.tolist()), den)
+    return LocalFactor(f"{kind}[q={q}]", tuple(num), den)
 
 
 @lru_cache(maxsize=None)
-def _bernoulli_terms() -> tuple:
-    """Enclosures of B_2j/(2j)! for j = 1.._EM_MAX_TERMS.
+def _bernoulli_numerators() -> tuple[int, tuple[int, ...]]:
+    """(D, e) with B_2j/(2j)! = e[j-1]/D for j = 1.._EM_MAX_TERMS, D the
+    least common denominator.
 
     The ratios c_m = B_m/m! are the coefficients of x/(e^x - 1), so c_0 = 1
     and c_m = -sum_{k<m} c_k/(m+1-k)!, in exact Fractions; c_m = 0 for odd
-    m >= 3.  Call inside _precision().
+    m >= 3.
     """
     n = 2 * _EM_MAX_TERMS
     fact = [1]
@@ -397,7 +423,9 @@ def _bernoulli_terms() -> tuple:
     for m in range(2, n + 1):
         odd = m % 2
         c.append(Fraction(0) if odd else -sum(c[k] / fact[m + 1 - k] for k in range(m)))
-    return tuple(_iv(c[2 * j]) for j in range(1, _EM_MAX_TERMS + 1))
+    ratios = c[2::2]
+    D = lcm(*(r.denominator for r in ratios))
+    return D, tuple(r.numerator * (D // r.denominator) for r in ratios)
 
 
 def _inv_power(n: int, sigma: Fraction):
@@ -409,7 +437,13 @@ def _inv_power(n: int, sigma: Fraction):
         if half:
             x *= iv.sqrt(n)
         return 1 / x
-    return iv.exp(-_iv(sigma) * iv.log(n))
+    return iv.exp(-_iv(sigma) * _log_int(n))
+
+
+@lru_cache(maxsize=None)
+def _log_int(n: int):
+    """Enclosure of log n, taken once per integer.  Call inside _precision()."""
+    return iv.log(n)
 
 
 def _em_plan(sigma: float) -> tuple[int, int]:
@@ -433,49 +467,66 @@ def _em_plan(sigma: float) -> tuple[int, int]:
     raise ArgumentError(f"no Euler-Maclaurin plan for zeta({sigma})")
 
 
-def _euler_maclaurin(sigma: Fraction, N: int, M: int):
-    """Enclosures of (zeta(sigma), zeta'(sigma)) from the terms n < N, M
-    Bernoulli corrections at N and the remainder bound of the module
-    docstring.  Call inside _precision()."""
-    s = _iv(sigma)
+def _em_tail(sigma: Fraction, N: int, M: int, f_N, log_N):
+    """Enclosures of sum_{n>=N} n^-sigma and sum_{n>=N} log(n) n^-sigma from
+    f_N = N^-sigma and log_N = log N, by the Euler-Maclaurin identity of the
+    module docstring with M Bernoulli corrections.  Call inside _precision().
+
+    Every part is an exact rational times N^-sigma.  With sigma = a/b and
+    g = bN, (sigma)_i N^-i = r_i / g^i where r_i = prod_{i'<i} (a + i'b),
+    and (sigma)_i H_i(sigma) N^-i = b r'_i / g^i where r'_i is the
+    a-derivative of r_i.  So P_M and P_M' are integers over D g^(2M-1),
+    summed by Horner's rule in g^2, and only the final quotients round.
+    """
+    a, b = sigma.numerator, sigma.denominator
+    D, e = _bernoulli_numerators()
+    g = b * N
+    rise, drise = a, 1  # r_1, r'_1
+    p_num = dp_num = 0  # D g^(2M-1) P_M and D g^(2M-1) P_M' / b
+    for i in range(1, 2 * M):
+        if i % 2:  # i = 2j - 1
+            p_num = p_num * g * g + e[i // 2] * rise
+            dp_num = dp_num * g * g + e[i // 2] * drise
+        f = a + i * b
+        rise, drise = rise * f, drise * f + rise
+    # now r_2M and r'_2M: H_2M(sigma) = b r'_2M / r_2M
+    den = D * g ** (2 * M - 1)
+    a1 = a - b  # b (sigma - 1) > 0
+    # A = N/(sigma - 1) + 1/2 + P_M and B = N/(sigma - 1)^2 - P_M'
+    A = iv.mpf(2 * N * b * den + a1 * den + 2 * a1 * p_num) / (2 * a1 * den)
+    B = iv.mpf(N * b * b * den - b * a1 * a1 * dp_num) / (a1 * a1 * den)
+    last = a + 2 * M * b
+    if not log_N > iv.mpf(b * drise * last + b * rise) / (rise * last):
+        raise ArgumentError(f"log {N} is below the harmonic sum of zeta({sigma})")
+    # |f^(2M)(N)| = (sigma)_2M N^(-sigma-2M), times log N - H_2M for the log
+    # weight; 2 zeta(2M+1) <= 2 (2M+1)/(2M)
+    remainder = f_N * (iv.mpf((2 * M + 1) * rise) / (M * g ** (2 * M)))
+    remainder /= (2 * iv.pi) ** (2 * M + 1)
+    harmonic = iv.mpf(b * drise) / rise
+    unit = iv.mpf([-1, 1])
+    tail = f_N * A + remainder * unit
+    log_tail = f_N * (A * log_N + B) + remainder * (log_N - harmonic) * unit
+    return tail, log_tail
+
+
+def _zeta_sums(sigma: Fraction, N: int, M: int, power):
+    """Enclosures of (zeta(sigma), zeta'(sigma)) from the terms n < N and the
+    tail at N, where power(n) encloses n^-sigma.  Call inside _precision()."""
     zeta, zeta_log = iv.mpf(1), iv.mpf(0)  # sums of n^-s and of log(n) n^-s
     for n in range(2, N):
-        term = _inv_power(n, sigma)
+        term = power(n)
         zeta += term
-        zeta_log += term * iv.log(n)
-    log_n = iv.log(N)
-    f_n = _inv_power(N, sigma)
-    s1 = s - 1
-    zeta += N * f_n / s1 + f_n / 2
-    zeta_log += N * f_n * (log_n / s1 + 1 / s1**2) + f_n * log_n / 2
-    # (sigma)_{2j-1}, sum_{i<2j-1} 1/(sigma+i) and N^(-sigma-2j+1), for j = 1
-    rising, harmonic, power = s, 1 / s, f_n / N
-    for j, ratio in enumerate(_bernoulli_terms()[:M], start=1):
-        term = ratio * rising * power
-        zeta += term
-        zeta_log += term * (log_n - harmonic)
-        a, b = s + (2 * j - 1), s + 2 * j
-        rising *= a * b
-        harmonic += 1 / a + 1 / b
-        power /= N * N
-    if not log_n > harmonic:
-        raise ArgumentError(f"log {N} is below the harmonic sum of zeta({sigma})")
-    # |f^(2M)(N)| = (sigma)_{2M} N^(-sigma-2M), times log N - H_{2M} for the
-    # log weight; 2 zeta(2M+1) <= 2 (2M+1)/(2M)
-    last = s + 2 * M
-    scale = 2 * _iv(Fraction(2 * M + 1, 2 * M)) / (2 * iv.pi) ** (2 * M + 1)
-    remainder = scale * rising / last * power * N
-    unit = iv.mpf([-1, 1])
-    zeta += remainder * unit
-    zeta_log += remainder * (log_n - harmonic + 1 / last) * unit
-    return zeta, -zeta_log
+        zeta_log += term * _log_int(n)
+    tail, log_tail = _em_tail(sigma, N, M, power(N), _log_int(N))
+    return zeta + tail, -(zeta_log + log_tail)
 
 
 @lru_cache(maxsize=None)
-def _zeta_pair(sigma: Fraction):
+def _zeta_at(sigma: Fraction):
     """(zeta(sigma), zeta'(sigma)) enclosures, cached by exact sigma."""
     with _precision():
-        return _euler_maclaurin(sigma, *_em_plan(float(sigma)))
+        N, M = _em_plan(float(sigma))
+        return _zeta_sums(sigma, N, M, lambda n: _inv_power(n, sigma))
 
 
 def _series_argument(s: float, tol: float) -> Fraction:
@@ -496,14 +547,14 @@ def _gate(achieved: float, tol: float, what: str) -> None:
 
 def zeta_real(s: float, tol: float = 1e-12) -> Certified:
     """zeta(s) for real s > 1.1 with certified absolute error <= tol."""
-    c = Certified._of(_zeta_pair(_series_argument(s, tol))[0])
+    c = Certified._of(_zeta_at(_series_argument(s, tol))[0])
     _gate(c.error, tol, f"zeta({s})")
     return c
 
 
 def zeta_prime_real(s: float, tol: float = 1e-12) -> Certified:
     """zeta'(s) = -sum log(n) n^{-s} for real s > 1.1, certified as zeta_real."""
-    c = Certified._of(_zeta_pair(_series_argument(s, tol))[1])
+    c = Certified._of(_zeta_at(_series_argument(s, tol))[1])
     _gate(c.error, tol, f"zeta'({s})")
     return c
 
@@ -513,18 +564,62 @@ def _primes_to(P: int) -> tuple[int, ...]:
     return tuple(p for p in range(2, P + 1) if is_prime(p))
 
 
+class _ZetaLadder:
+    """Zeta data at sigma = k s, k = 1, 2, ..., for one split (s, P).
+
+    ``rungs[k]`` encloses (zeta(sigma), zeta'(sigma), log zeta_P(sigma),
+    d/dsigma log zeta_P(sigma)), and ``plans[k]`` is its _em_plan (N, M);
+    both are None where sigma <= 1.  n^-ks, for n <= N and for the primes
+    p <= P, is the running product of n^-s, so a rung costs one interval
+    product per integer on top of its sums.  ``extend`` adds rungs and never
+    touches the earlier ones, and every power is the same chain of products
+    whenever it is reached, so the rungs do not depend on the order in
+    which moduli ask for them.
+    """
+
+    def __init__(self, s: Fraction, P: int):
+        self.s, self.primes = s, _primes_to(P)
+        self.plans: list = [None]
+        self.rungs: list = [None]
+        self._powers: dict[int, list] = {}  # n -> [n^-s, e, n^-es]
+
+    def _power(self, n: int, k: int):
+        entry = self._powers.get(n)
+        if entry is None:
+            step = _inv_power(n, self.s)
+            entry = self._powers[n] = [step, 1, step]
+        step, e, x = entry
+        while e < k:
+            x *= step
+            e += 1
+        entry[1:] = e, x
+        return x
+
+    def extend(self, K: int) -> None:
+        """Add the rungs up to K."""
+        with _precision():
+            for k in range(len(self.rungs), K + 1):
+                sigma = k * self.s
+                if sigma <= 1:
+                    self.plans.append(None)
+                    self.rungs.append(None)
+                    continue
+                N, M = _em_plan(float(sigma))
+                zeta, dzeta = _zeta_sums(sigma, N, M, lambda n: self._power(n, k))
+                factor, deriv = zeta, dzeta / zeta
+                for p in self.primes:
+                    w = self._power(p, k)
+                    rest = 1 - w
+                    factor *= rest
+                    deriv += _log_int(p) * w / rest
+                self.plans.append((N, M))
+                self.rungs.append((zeta, dzeta, iv.log(factor), deriv))
+
+
 @lru_cache(maxsize=None)
-def _log_zeta_rough(sigma: Fraction, P: int):
-    """log zeta_P(sigma) and its sigma-derivative, where zeta_P is zeta with
-    the Euler factors of p <= P removed; shared by every modulus of a branch."""
-    with _precision():
-        z, dz = _zeta_pair(sigma)
-        factor, deriv = z, dz / z
-        for p in _primes_to(P):
-            w = _inv_power(p, sigma)
-            factor *= 1 - w
-            deriv += iv.log(p) * w / (1 - w)
-        return iv.log(factor), deriv
+def _ladder(s: Fraction, P: int) -> _ZetaLadder:
+    """The one zeta ladder of the split (s, P), shared by every modulus."""
+    return _ZetaLadder(s, P)
 
 
 def _root_radius(t: list[int]) -> Fraction:
@@ -574,7 +669,7 @@ def _tail_bounds(D: int, rho: Fraction, s: Fraction, P: int, K: int):
     lead = D / ((1 - rho_iv) * (1 - r / rho_iv)) * _iv(1 / rho) ** (K + 1)
     lead *= P * _inv_power(P, s * (K + 1))
     tail = lead / (sig - 1)
-    dtail = lead / (1 - r ** (K + 1)) * (iv.log(P) / (sig - 1) + 1 / (sig - 1) ** 2)
+    dtail = lead / (1 - r ** (K + 1)) * (_log_int(P) / (sig - 1) + 1 / (sig - 1) ** 2)
     return tail, dtail
 
 
@@ -604,7 +699,7 @@ def _explicit_factors(t: list[int], s: Fraction, P: int):
             )
         prod *= val
         scale *= p**e
-        deriv -= iv.log(p) * slope / val
+        deriv -= _log_int(p) * slope / val
     return iv.log(prod / scale), deriv
 
 
@@ -619,6 +714,8 @@ def _euler_product(q: int, s: Fraction, P: int):
         raise ArgumentError(f"split point {P} leaves p^-s above the root bound")
     K = _truncation_order(D, rho, s, P)
     b = _factor_exponents(t, K)
+    ladder = _ladder(s, P)
+    ladder.extend(K)
     with _precision():
         log_prod, deriv = _explicit_factors(t, s, P)
         for k in range(1, K + 1):
@@ -626,7 +723,7 @@ def _euler_product(q: int, s: Fraction, P: int):
                 continue
             if k * s <= 1:
                 raise ArgumentError(f"q={q}: exponent b_{k} = {b[k]} at a zeta pole")
-            lz, dlz = _log_zeta_rough(k * s, P)
+            _, _, lz, dlz = ladder.rungs[k]
             log_prod += b[k] * lz
             deriv += b[k] * k * dlz
         tail, dtail = _tail_bounds(D, rho, s, P, K)

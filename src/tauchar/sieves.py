@@ -8,7 +8,9 @@ the tau character (the Legendre symbol of the divisor count), all over
 Every multiplicative table comes from one numpy block kernel in
 ``tauchar._kernels``, fixed by the per-exponent values c[e] = f(p^e) that
 all these functions share across primes (``multiplicative_series``); this
-module owns validation, budgets, and the public types.
+module owns validation and the public types.  Primality, the Jacobi symbol
+and the table budget live in the numpy-free ``arith`` and are re-exported
+here.
 """
 
 from dataclasses import dataclass
@@ -17,52 +19,12 @@ from functools import cached_property
 import numpy as np
 
 from . import _kernels
-from .errors import ArgumentError, OverflowHardError, ResourceLimitError
+from .arith import MAX_SIEVE_ENTRIES, _jacobi, check_budget, is_prime
+from .errors import ArgumentError, OverflowHardError
 from .roots import integer_nth_root
-
-# Hard cap on table sizes (entries). 1e8 int64 entries = 800 MB, the largest
-# allocation this package will make by default.
-MAX_SIEVE_ENTRIES = 10**8
 
 _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
-
-# Miller-Rabin witnesses proven sufficient for every n < 3.3e24, far beyond
-# any modulus this package accepts.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def is_prime(n: int) -> bool:
-    """Deterministic primality for 64-bit-scale integers (Miller-Rabin)."""
-    if n < 2:
-        return False
-    for p in _MR_WITNESSES:
-        if n % p == 0:
-            return n == p
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_WITNESSES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def check_budget(limit: int, what: str = "sieve") -> None:
-    """Raise ResourceLimitError when limit exceeds the table budget."""
-    if limit > MAX_SIEVE_ENTRIES:
-        raise ResourceLimitError(
-            f"{what} limit {limit} exceeds the configured budget "
-            f"MAX_SIEVE_ENTRIES={MAX_SIEVE_ENTRIES}"
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,25 +113,6 @@ class LegendreChar:
 
     def __call__(self, a: int) -> int:
         return _jacobi(a % self.q, self.q)
-
-
-def _jacobi(a: int, n: int) -> int:
-    """Jacobi symbol (a/n) for odd n >= 1, by binary quadratic reciprocity.
-
-    Equals the Legendre symbol when n is an odd prime.
-    """
-    a %= n
-    result = 1
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a %= n
-    return result if n == 1 else 0
 
 
 def multiplicative_series(limit: int, c, what: str = "sieve") -> CoeffSeries:

@@ -3,13 +3,19 @@ determinism, and the documented error mapping."""
 
 import argparse
 import csv
+import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import tauchar
 from tauchar.cli import _int_like, _rational, main
 from tauchar.curves import ShortIntervalInstance, decompose_short_interval
 from tauchar.roots import integer_nth_root
@@ -439,3 +445,67 @@ def test_rational_rejects_huge_exponents_at_once(capsys):
 def test_fast_runs_emit_no_progress_noise(capsys):
     _, _, err = run(["verify", "--q", "3", "--limit", "1200"], capsys)
     assert err == ""
+
+
+# The benchmark's seed-0 constants-q60 and trace-q13 commands, with --jobs
+# fixed because the metadata records it.  The digests were taken from the
+# per-sigma zeta route that the shared zeta ladder replaced.
+PINNED_OUTPUTS = [
+    (
+        ["constants", "--all-q", "60", "--prime-cutoff", "10000000", "--tolerance", "2e-4"],
+        "5f7f9110d9c63ec9f7a571b14774bab57cb6d0ac897789baf45b2e34b03cc780",
+    ),
+    (
+        ["trace", "--q", "13", "--max", "10000000", "--prime-cutoff", "30000000"],
+        "7b685676965aab96ee5400c548758bb4b3e62fbebec99d9f49795fa330837bb4",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PINNED_OUTPUTS, ids=["constants", "trace"])
+def test_benchmark_outputs_are_pinned(argv, digest, capsys):
+    code, out, _ = run(argv + ["--no-timestamp", "--jobs", "2"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+_FRESH_MAIN = """
+import sys
+from tauchar import cli
+try:
+    code = cli.main(sys.argv[1:])
+except SystemExit as e:
+    code = e.code
+print("numpy" in sys.modules, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def fresh(argv):
+    """Run the CLI in a new interpreter: (exit code, stdout, numpy loaded)."""
+    env = dict(os.environ)
+    src = str(Path(tauchar.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _FRESH_MAIN, *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    return proc.returncode, proc.stdout, proc.stderr.splitlines()[-1] == "True"
+
+
+@pytest.mark.parametrize(
+    "argv", [["--help"], ["constants", "--all-q", "60", "--no-timestamp"]]
+)
+def test_help_and_constants_never_load_numpy(argv):
+    code, out, numpy_loaded = fresh(argv)
+    assert code == 0 and out
+    assert not numpy_loaded
+
+
+def test_constants_row_does_not_depend_on_the_other_moduli():
+    # q = 59 alone grows the half-line ladder in one step; --all-q 60 grows it
+    # modulus by modulus, after q = 11, 13 and 37
+    _, alone, _ = fresh(["constants", "--q", "59", "--no-timestamp"])
+    _, together, _ = fresh(["constants", "--all-q", "60", "--no-timestamp"])
+    rows = parse_csv(together)[3]
+    assert parse_csv(alone)[3] == [r for r in rows if r[0] == "59"]

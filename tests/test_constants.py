@@ -4,6 +4,7 @@ against themselves at moved split points."""
 
 import math
 from fractions import Fraction
+from functools import lru_cache, partial
 
 import mpmath as mp
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 from mpmath import iv
 
 from tauchar import constants
+from tauchar.arith import _jacobi, is_prime
 from tauchar.constants import (
     EULER_GAMMA,
     EULER_GAMMA_LITERAL,
@@ -28,7 +30,7 @@ from tauchar.constants import (
     zeta_real,
 )
 from tauchar.errors import ArgumentError, ClassificationError, PrecisionError
-from tauchar.sieves import _jacobi, is_prime, primes_up_to
+from tauchar.sieves import primes_up_to
 
 
 def test_zeta_closed_forms():
@@ -189,9 +191,9 @@ def test_step_coeffs_match_jacobi_below_2000():
         chi = [_jacobi(m, q) for m in range(q + 1)]
         for sign in (1, -1):
             t = _step_coeffs(q, sign)
-            assert t.dtype == np.int64 and len(t) == q
+            assert all(type(c) is int for c in t) and len(t) == q
             want = [0, 0] + [chi[m + 1] + sign * chi[m] for m in range(2, q)]
-            assert t.tolist() == want, (q, sign)
+            assert t == want, (q, sign)
 
 
 def test_log_constants_stable_under_doubled_cutoff(monkeypatch):
@@ -452,15 +454,149 @@ def test_zeta_against_mpmath(s):
 
 def test_euler_maclaurin_remainder_is_an_enclosure():
     # few terms and few corrections: the remainder bound carries the
-    # enclosure, and it must still hold the true value
+    # enclosure, and it must still hold the true value, on both routes
     with mp.workdps(50):
         for sigma in (Fraction(3, 2), Fraction(6, 5), Fraction(7)):
             with constants._precision():
-                z, dz = constants._euler_maclaurin(sigma, 8, 2)
-            for got, want in zip((z, dz), (mp.zeta(sigma), mp.zeta(sigma, derivative=1))):
-                c = Certified._of(got)
-                assert encloses(c, want, 0)
-                assert c.error < 1e-2
+                power = partial(constants._inv_power, sigma=sigma)
+                routes = (
+                    constants._zeta_sums(sigma, 8, 2, power),
+                    _euler_maclaurin(sigma, 8, 2),
+                )
+            for z, dz in routes:
+                want = (mp.zeta(sigma), mp.zeta(sigma, derivative=1))
+                for got, x in zip((z, dz), want):
+                    c = Certified._of(got)
+                    assert encloses(c, x, 0)
+                    assert c.error < 1e-2
+
+
+# ------------------------------------------------------------------
+# The per-sigma zeta route the ladder replaced: one interval
+# Euler-Maclaurin sum per sigma, with Bernoulli terms, rising factorials
+# and harmonic sums carried as intervals term by term, and its own powers
+# and logarithms of every n and p.
+
+
+@lru_cache(maxsize=None)
+def _bernoulli_terms() -> tuple:
+    """Enclosures of B_2j/(2j)! for j = 1.._EM_MAX_TERMS, from the
+    recurrence c_m = -sum_{k<m} c_k/(m+1-k)! for B_m/m!.  Call inside
+    _precision()."""
+    n = 2 * constants._EM_MAX_TERMS
+    fact = [1]
+    for i in range(1, n + 2):
+        fact.append(fact[-1] * i)
+    c = [Fraction(1), Fraction(-1, 2)]
+    for m in range(2, n + 1):
+        odd = m % 2
+        c.append(Fraction(0) if odd else -sum(c[k] / fact[m + 1 - k] for k in range(m)))
+    return tuple(constants._iv(c[2 * j]) for j in range(1, constants._EM_MAX_TERMS + 1))
+
+
+def _euler_maclaurin(sigma: Fraction, N: int, M: int):
+    """Enclosures of (zeta(sigma), zeta'(sigma)) from the terms n < N, M
+    Bernoulli corrections at N and the remainder bound.  Call inside
+    _precision()."""
+    _iv, _inv_power = constants._iv, constants._inv_power
+    s = _iv(sigma)
+    zeta, zeta_log = iv.mpf(1), iv.mpf(0)  # sums of n^-s and of log(n) n^-s
+    for n in range(2, N):
+        term = _inv_power(n, sigma)
+        zeta += term
+        zeta_log += term * iv.log(n)
+    log_n = iv.log(N)
+    f_n = _inv_power(N, sigma)
+    s1 = s - 1
+    zeta += N * f_n / s1 + f_n / 2
+    zeta_log += N * f_n * (log_n / s1 + 1 / s1**2) + f_n * log_n / 2
+    # (sigma)_{2j-1}, sum_{i<2j-1} 1/(sigma+i) and N^(-sigma-2j+1), for j = 1
+    rising, harmonic, power = s, 1 / s, f_n / N
+    for j, ratio in enumerate(_bernoulli_terms()[:M], start=1):
+        term = ratio * rising * power
+        zeta += term
+        zeta_log += term * (log_n - harmonic)
+        a, b = s + (2 * j - 1), s + 2 * j
+        rising *= a * b
+        harmonic += 1 / a + 1 / b
+        power /= N * N
+    if not log_n > harmonic:
+        raise ArgumentError(f"log {N} is below the harmonic sum of zeta({sigma})")
+    last = s + 2 * M
+    scale = 2 * _iv(Fraction(2 * M + 1, 2 * M)) / (2 * iv.pi) ** (2 * M + 1)
+    remainder = scale * rising / last * power * N
+    unit = iv.mpf([-1, 1])
+    zeta += remainder * unit
+    zeta_log += remainder * (log_n - harmonic + 1 / last) * unit
+    return zeta, -zeta_log
+
+
+@lru_cache(maxsize=None)
+def _zeta_pair(sigma: Fraction):
+    """(zeta(sigma), zeta'(sigma)) enclosures, cached by exact sigma."""
+    with constants._precision():
+        return _euler_maclaurin(sigma, *constants._em_plan(float(sigma)))
+
+
+@lru_cache(maxsize=None)
+def _log_zeta_rough(sigma: Fraction, P: int):
+    """log zeta_P(sigma) and its sigma-derivative, zeta_P being zeta with
+    the Euler factors of p <= P removed."""
+    with constants._precision():
+        z, dz = _zeta_pair(sigma)
+        factor, deriv = z, dz / z
+        for p in constants._primes_to(P):
+            w = constants._inv_power(p, sigma)
+            factor *= 1 - w
+            deriv += iv.log(p) * w / (1 - w)
+        return iv.log(factor), deriv
+
+
+def _width(x):
+    a, b = (mp.make_mpf(e) for e in x._mpi_)
+    return b - a
+
+
+def _meet(x, y):
+    (a, b), (c, d) = ((mp.make_mpf(e) for e in z._mpi_) for z in (x, y))
+    return a <= d and c <= b
+
+
+@pytest.mark.parametrize(
+    "s,ks", [(Fraction(1, 2), range(3, 50)), (Fraction(1), range(2, 18))]
+)
+def test_ladder_meets_per_sigma_route(s, ks):
+    # zeta, zeta', log zeta_P and its derivative on every rung must meet the
+    # old route's enclosures and be no wider than them beyond rounding
+    P = constants.EXPLICIT_PRIME_LIMIT
+    ladder = constants._ZetaLadder(s, P)
+    ladder.extend(max(ks))
+    slack = mp.mpf(2) ** -180
+    with mp.workdps(80):
+        for k in ks:
+            sigma = k * s
+            assert ladder.plans[k] == constants._em_plan(float(sigma))
+            old = _zeta_pair(sigma) + _log_zeta_rough(sigma, P)
+            for new, ref in zip(ladder.rungs[k], old):
+                assert _meet(new, ref), (sigma, new, ref)
+                assert _width(new) <= _width(ref) + slack, (sigma, new, ref)
+    assert all(ladder.rungs[k] is None for k in range(1, min(ks)))
+
+
+def test_ladder_does_not_depend_on_extension_order():
+    # a ladder grown in two steps holds the very intervals of one grown at once
+    s, P = Fraction(1, 2), constants.EXPLICIT_PRIME_LIMIT
+    grown, fresh = constants._ZetaLadder(s, P), constants._ZetaLadder(s, P)
+    grown.extend(16)
+    grown.extend(49)
+    fresh.extend(49)
+    assert grown.plans == fresh.plans
+    assert len(grown.rungs) == len(fresh.rungs) == 50
+    for a, b in zip(grown.rungs, fresh.rungs):
+        if a is None:
+            assert b is None
+            continue
+        assert [x._mpi_ for x in a] == [x._mpi_ for x in b]
 
 
 def _factor_coeffs(q):

@@ -5,7 +5,7 @@ from math import isqrt
 import numpy as np
 import pytest
 
-from tauchar import _kernels
+from tauchar import _kernels, arith, sieves
 from tauchar.dirichlet import dirichlet_convolve
 from tauchar.errors import ArgumentError, ResourceLimitError
 from tauchar.sieves import (
@@ -242,6 +242,13 @@ def test_budget_errors():
         check_budget(MAX_SIEVE_ENTRIES + 1)
     with pytest.raises(ResourceLimitError):
         tau_char_sieve(LegendreChar(5), MAX_SIEVE_ENTRIES + 1)
+
+
+def test_helpers_have_one_definition():
+    # primality, the Jacobi symbol and the budget live in the numpy-free
+    # arith module; sieves re-exports the very same objects
+    for name in ("MAX_SIEVE_ENTRIES", "_jacobi", "check_budget", "is_prime"):
+        assert getattr(sieves, name) is getattr(arith, name)
 
 
 def test_coeff_series_prefix_and_mismatch():
