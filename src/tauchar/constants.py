@@ -10,7 +10,25 @@ have constant term 1, so they expand by integer long division.
 Every numeric constant leaves this module as a ``Certified`` value, an
 ``mpmath.iv`` interval computed at ``PRECISION_BITS`` with outward rounding.
 Interval arithmetic encloses every rounding, so no accuracy of the platform
-libm is assumed.  The analytic remainders rest on three stated results.
+libm is assumed.  The per-integer and per-prime loops run on fixed-point
+enclosures instead: a pair of Python ints (lo, hi) stands for the interval
+[lo 2^-F, hi 2^-F], F = _FRAC = PRECISION_BITS + 32, and mpmath.iv is left
+for the leaves (log n, pi, exp and log of a whole sum or product, and
+n^-sigma when 2 sigma is not an integer).  They rest on one rounding fact.
+
+* Directed rounding.  For an integer z, floor(z 2^-F) = z >> F and
+  ceil(z 2^-F) = -((-z) >> F); for integers u and v > 0 the quotient
+  rounds by floor division; and for a real y >= 0, floor(sqrt(y)) =
+  isqrt(floor(y)).  The exact sum, product or quotient (divisor > 0) of two
+  intervals is the hull of the results at their endpoints, so rounding the
+  least of those down and the greatest up gives an interval that contains
+  it.  By induction, every fixed-point result encloses the exact real, and
+  each rounding widens it by at most 2^-F.  When 2 sigma = m is an integer,
+  n^-sigma 2^F = sqrt(2^2F / n^m) is rounded this way from integers alone,
+  to the tightest enclosure.  Conversions to mpmath.iv are exact
+  (from_man_exp), and conversions from it round outward.
+
+The analytic remainders rest on three stated results.
 
 * Euler-Maclaurin summation.  For f(x) = x^-sigma and f(x) = x^-sigma log x
   and integers N, M >= 1,
@@ -20,8 +38,10 @@ libm is assumed.  The analytic remainders rest on three stated results.
   derivative f^(2M+1) keeps one sign on [N, oo) (for the log weight this
   needs log N >= sum_{i<=2M} 1/(sigma+i), which is checked), so the integral
   is |f^(2M)(N)|, and zeta(2M+1) <= (2M+1)/(2M).  The Bernoulli numbers are
-  exact Fractions.  This gives zeta(sigma) and zeta'(sigma).  Every term of
-  the tail is an exact rational times the one interval N^-sigma: with
+  exact: B_2j/(2j)! = (-1)^(j-1) T_j / ((2j-1)! 4^j (4^j - 1)), with T_j the
+  integer tangent numbers (tan x = sum_j T_j x^(2j-1)/(2j-1)!).  This gives
+  zeta(sigma) and zeta'(sigma).  Every term of the tail is an exact rational
+  times the one enclosure of N^-sigma: with
   P_M(sigma) = sum_{j<=M} B_2j/(2j)! (sigma)_{2j-1} N^(1-2j),
     sum_{n>=N} n^-sigma = N^-sigma (N/(sigma-1) + 1/2 + P_M(sigma)) + R,
   and since d/dsigma (sigma)_i = (sigma)_i H_i(sigma), where
@@ -50,11 +70,12 @@ bound above summed over every integer n > P, then compared with an integral.
 The s-derivative splits the same way.  So the primes up to 100 and a few
 dozen zeta values replace any prime sieve.  The zeta values come from one
 ladder per split (s, P), shared by every modulus that uses the split: rung k
-holds log zeta_P(ks) and its sigma-derivative, n^-ks and p^-ks are running
-products of n^-s and p^-s, log n is taken once per integer, and a modulus
-that needs a larger K extends the ladder in place.  Tolerances stay gates: a
-result whose certified error exceeds the tolerance raises PrecisionError
-carrying the achieved bound instead of returning quietly.
+holds log zeta_P(ks) and its sigma-derivative, built on the zeta values of
+_zeta_at, which are cached by sigma: a sigma on both ladders, or asked for
+by zeta_real, is summed once.  log n is taken once per integer, and a
+modulus that needs a larger K extends the ladder in place.  Tolerances stay
+gates: a result whose certified error exceeds the tolerance raises
+PrecisionError carrying the achieved bound instead of returning quietly.
 """
 
 from contextlib import contextmanager
@@ -63,7 +84,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
-from math import exp, lcm, log, pi, ulp
+from math import exp, isqrt, lcm, log, pi, ulp
 
 from mpmath import iv, libmp
 
@@ -110,6 +131,65 @@ def _precision():
 def _iv(x: Fraction):
     """Enclosure of an exact rational."""
     return iv.mpf(x.numerator) / x.denominator
+
+
+# fraction bits of the fixed-point enclosures (lo, hi) = [lo, hi] 2^-_FRAC;
+# the 32 bits above PRECISION_BITS absorb the roundings of a loop's sums
+_FRAC = PRECISION_BITS + 32
+_ONE = 1 << _FRAC
+
+
+def _fx(num: int, den: int = 1) -> tuple[int, int]:
+    """Fixed-point enclosure of the rational num/den, den > 0."""
+    q, r = divmod(num << _FRAC, den)
+    return q, q + (r != 0)
+
+
+def _fx_add(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    """The exact enclosure of the sum of two enclosures."""
+    return x[0] + y[0], x[1] + y[1]
+
+
+def _fx_mul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    """Enclosure of the product of two enclosures."""
+    (a, b), (c, d) = x, y
+    if a >= 0 and c >= 0:
+        lo, hi = a * c, b * d
+    else:
+        ends = (a * c, a * d, b * c, b * d)
+        lo, hi = min(ends), max(ends)
+    return lo >> _FRAC, -(-hi >> _FRAC)
+
+
+def _fx_div(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    """Enclosure of x / y for an enclosure y of positive numbers."""
+    (a, b), (c, d) = x, y
+    if not c > 0:
+        raise ArgumentError("fixed-point division needs a positive divisor")
+    a, b = a << _FRAC, b << _FRAC
+    return a // (d if a >= 0 else c), -(-b // (c if b >= 0 else d))
+
+
+def _fx_scale(k: int, x: tuple[int, int]) -> tuple[int, int]:
+    """The exact enclosure of k x for an integer k."""
+    a, b = x
+    return (k * a, k * b) if k >= 0 else (k * b, k * a)
+
+
+def _fx_iv(x: tuple[int, int]):
+    """The mpmath.iv interval of a fixed-point enclosure, exactly."""
+    return iv.make_mpf(
+        (libmp.from_man_exp(x[0], -_FRAC), libmp.from_man_exp(x[1], -_FRAC))
+    )
+
+
+def _fx_of(interval) -> tuple[int, int]:
+    """Fixed-point enclosure of an mpmath.iv interval, rounded outward."""
+    a, b = interval._mpi_
+    return (
+        libmp.to_int(libmp.mpf_shift(a, _FRAC), "f"),
+        libmp.to_int(libmp.mpf_shift(b, _FRAC), "c"),
+    )
 
 
 class Certified:
@@ -411,66 +491,85 @@ def _bernoulli_numerators() -> tuple[int, tuple[int, ...]]:
     """(D, e) with B_2j/(2j)! = e[j-1]/D for j = 1.._EM_MAX_TERMS, D the
     least common denominator.
 
-    The ratios c_m = B_m/m! are the coefficients of x/(e^x - 1), so c_0 = 1
-    and c_m = -sum_{k<m} c_k/(m+1-k)!, in exact Fractions; c_m = 0 for odd
-    m >= 3.
+    B_2j/(2j)! = (-1)^(j-1) T_j / ((2j-1)! 4^j (4^j - 1)), and the tangent
+    numbers T_j come from the all-integer recurrence of R. P. Brent and
+    D. Harvey (Fast computation of Bernoulli, tangent and secant numbers,
+    2011): start from T_k = (k-1)!, then for k = 2, 3, ... replace
+    T_j by (j-k) T_(j-1) + (j-k+2) T_j for j = k, k+1, ...
     """
-    n = 2 * _EM_MAX_TERMS
-    fact = [1]
-    for i in range(1, n + 2):
-        fact.append(fact[-1] * i)
-    c = [Fraction(1), Fraction(-1, 2)]
-    for m in range(2, n + 1):
-        odd = m % 2
-        c.append(Fraction(0) if odd else -sum(c[k] / fact[m + 1 - k] for k in range(m)))
-    ratios = c[2::2]
+    n = _EM_MAX_TERMS
+    T = [0, 1]
+    for k in range(2, n + 1):
+        T.append((k - 1) * T[-1])
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            T[j] = (j - k) * T[j - 1] + (j - k + 2) * T[j]
+    ratios, fact = [], 1  # fact = (2j - 1)!
+    for j in range(1, n + 1):
+        ratios.append(Fraction((-1) ** (j - 1) * T[j], fact * 4**j * (4**j - 1)))
+        fact *= 2 * j * (2 * j + 1)
     D = lcm(*(r.denominator for r in ratios))
     return D, tuple(r.numerator * (D // r.denominator) for r in ratios)
 
 
-def _inv_power(n: int, sigma: Fraction):
-    """Enclosure of n^-sigma: exact integer powers and one square root when
-    2 sigma is an integer, exp(-sigma log n) otherwise."""
-    if (2 * sigma).denominator == 1:
-        k, half = divmod(int(2 * sigma), 2)
-        x = iv.mpf(n**k)
-        if half:
-            x *= iv.sqrt(n)
-        return 1 / x
-    return iv.exp(-_iv(sigma) * _log_int(n))
+def _inv_power(n: int, sigma: Fraction) -> tuple[int, int]:
+    """Fixed-point enclosure of n^-sigma.  When m = 2 sigma is an integer it
+    is the tightest one, sqrt(2^2F / n^m) rounded by integer division and
+    isqrt; otherwise it is exp(-sigma log n) in mpmath.iv."""
+    if sigma.denominator <= 2:
+        m = sigma.numerator * (2 // sigma.denominator)
+        if m % 2 == 0:
+            return _fx(1, n ** (m // 2))
+        x, y = n**m, _ONE << _FRAC
+        lo = isqrt(y // x)
+        return lo, lo + (lo * lo * x != y)
+    with _precision():
+        return _fx_of(iv.exp(-_iv(sigma) * _fx_iv(_log_int(n))))
 
 
 @lru_cache(maxsize=None)
-def _log_int(n: int):
-    """Enclosure of log n, taken once per integer.  Call inside _precision()."""
-    return iv.log(n)
+def _log_int(n: int) -> tuple[int, int]:
+    """Fixed-point enclosure of log n, taken once per integer."""
+    with _precision():
+        return _fx_of(iv.log(n))
 
 
+@lru_cache(maxsize=None)
 def _em_plan(sigma: float) -> tuple[int, int]:
     """The first (N, M) on the ladder whose Euler-Maclaurin remainder, as a
     float estimate, meets _EM_TARGET; the remainder actually added to the
-    enclosure is recomputed in interval arithmetic."""
+    enclosure is recomputed in exact arithmetic.  Cached: _zeta_at and the
+    ladders both ask for it."""
+    # prefix sums over i < 2M of log(sigma + i) and 1/(sigma + i), added in
+    # the order of i, so every float is the one the estimate always used
+    log_rising, harmonic, lr, h = [], [], 0.0, 0.0
+    for i in range(2 * _EM_MAX_TERMS):
+        lr += log(sigma + i)
+        h += 1.0 / (sigma + i)
+        if i % 2:
+            log_rising.append(lr)
+            harmonic.append(h)
+    log_4, log_2pi, log_target = log(4.0), log(2 * pi), log(_EM_TARGET)
     for N in _EM_LADDER:
-        log_rising = harmonic = 0.0
+        log_N = log(N)
+        log_log_N = log(log_N)
         for M in range(1, _EM_MAX_TERMS + 1):
-            for i in (2 * M - 2, 2 * M - 1):
-                log_rising += log(sigma + i)
-                harmonic += 1.0 / (sigma + i)
-            if harmonic + 1.0 / (sigma + 2 * M) >= log(N):
+            if harmonic[M - 1] + 1.0 / (sigma + 2 * M) >= log_N:
                 break
             remainder = (
-                log(4.0) - (2 * M + 1) * log(2 * pi) + log_rising
-                - (sigma + 2 * M) * log(N) + log(log(N))
+                log_4 - (2 * M + 1) * log_2pi + log_rising[M - 1]
+                - (sigma + 2 * M) * log_N + log_log_N
             )
-            if remainder <= log(_EM_TARGET):
+            if remainder <= log_target:
                 return N, M
     raise ArgumentError(f"no Euler-Maclaurin plan for zeta({sigma})")
 
 
 def _em_tail(sigma: Fraction, N: int, M: int, f_N, log_N):
-    """Enclosures of sum_{n>=N} n^-sigma and sum_{n>=N} log(n) n^-sigma from
-    f_N = N^-sigma and log_N = log N, by the Euler-Maclaurin identity of the
-    module docstring with M Bernoulli corrections.  Call inside _precision().
+    """Fixed-point enclosures of sum_{n>=N} n^-sigma and
+    sum_{n>=N} log(n) n^-sigma from the enclosures f_N of N^-sigma and
+    log_N of log N, by the Euler-Maclaurin identity of the module docstring
+    with M Bernoulli corrections.
 
     Every part is an exact rational times N^-sigma.  With sigma = a/b and
     g = bN, (sigma)_i N^-i = r_i / g^i where r_i = prod_{i'<i} (a + i'b),
@@ -493,40 +592,53 @@ def _em_tail(sigma: Fraction, N: int, M: int, f_N, log_N):
     den = D * g ** (2 * M - 1)
     a1 = a - b  # b (sigma - 1) > 0
     # A = N/(sigma - 1) + 1/2 + P_M and B = N/(sigma - 1)^2 - P_M'
-    A = iv.mpf(2 * N * b * den + a1 * den + 2 * a1 * p_num) / (2 * a1 * den)
-    B = iv.mpf(N * b * b * den - b * a1 * a1 * dp_num) / (a1 * a1 * den)
+    A = _fx(2 * N * b * den + a1 * den + 2 * a1 * p_num, 2 * a1 * den)
+    B = _fx(N * b * b * den - b * a1 * a1 * dp_num, a1 * a1 * den)
     last = a + 2 * M * b
-    if not log_N > iv.mpf(b * drise * last + b * rise) / (rise * last):
+    # log N > H_(2M+1)(sigma) = (b r'_2M last + b r_2M) / (r_2M last)
+    if not log_N[0] * rise * last > (b * drise * last + b * rise) << _FRAC:
         raise ArgumentError(f"log {N} is below the harmonic sum of zeta({sigma})")
     # |f^(2M)(N)| = (sigma)_2M N^(-sigma-2M), times log N - H_2M for the log
-    # weight; 2 zeta(2M+1) <= 2 (2M+1)/(2M)
-    remainder = f_N * (iv.mpf((2 * M + 1) * rise) / (M * g ** (2 * M)))
-    remainder /= (2 * iv.pi) ** (2 * M + 1)
-    harmonic = iv.mpf(b * drise) / rise
-    unit = iv.mpf([-1, 1])
-    tail = f_N * A + remainder * unit
-    log_tail = f_N * (A * log_N + B) + remainder * (log_N - harmonic) * unit
-    return tail, log_tail
+    # weight; 2 zeta(2M+1) <= 2 (2M+1)/(2M); only upper bounds are needed
+    with _precision():  # (2 pi)^-(2M+1) <= m 2^ex, the upper end of an interval
+        _, m, ex, _ = ((2 * iv.pi) ** -(2 * M + 1))._mpi_[1]
+    num = f_N[1] * (2 * M + 1) * rise * m
+    remainder = -(-num // (M * g ** (2 * M) << -ex))
+    harmonic_lo = (b * drise << _FRAC) // rise
+    log_remainder = -(-remainder * (log_N[1] - harmonic_lo) >> _FRAC)
+    tail = _fx_mul(f_N, A)
+    log_tail = _fx_mul(f_N, _fx_add(_fx_mul(A, log_N), B))
+    return (
+        (tail[0] - remainder, tail[1] + remainder),
+        (log_tail[0] - log_remainder, log_tail[1] + log_remainder),
+    )
 
 
 def _zeta_sums(sigma: Fraction, N: int, M: int, power):
-    """Enclosures of (zeta(sigma), zeta'(sigma)) from the terms n < N and the
-    tail at N, where power(n) encloses n^-sigma.  Call inside _precision()."""
-    zeta, zeta_log = iv.mpf(1), iv.mpf(0)  # sums of n^-s and of log(n) n^-s
+    """Fixed-point enclosures of (zeta(sigma), zeta'(sigma)) from the terms
+    n < N and the tail at N, where power(n) encloses n^-sigma.  The products
+    log(n) n^-sigma are summed exactly at scale 2^-2F and rounded once."""
+    lo = hi = _ONE  # sum of n^-sigma
+    log_lo = log_hi = 0  # sum of log(n) n^-sigma, at scale 2^-2F
     for n in range(2, N):
-        term = power(n)
-        zeta += term
-        zeta_log += term * _log_int(n)
+        t_lo, t_hi = power(n)
+        g_lo, g_hi = _log_int(n)
+        lo += t_lo
+        hi += t_hi
+        log_lo += t_lo * g_lo
+        log_hi += t_hi * g_hi
     tail, log_tail = _em_tail(sigma, N, M, power(N), _log_int(N))
-    return zeta + tail, -(zeta_log + log_tail)
+    zeta = lo + tail[0], hi + tail[1]
+    dzeta = (-log_hi >> _FRAC) - log_tail[1], -(log_lo >> _FRAC) - log_tail[0]
+    return zeta, dzeta
 
 
 @lru_cache(maxsize=None)
 def _zeta_at(sigma: Fraction):
-    """(zeta(sigma), zeta'(sigma)) enclosures, cached by exact sigma."""
-    with _precision():
-        N, M = _em_plan(float(sigma))
-        return _zeta_sums(sigma, N, M, lambda n: _inv_power(n, sigma))
+    """Fixed-point (zeta(sigma), zeta'(sigma)) enclosures, cached by exact
+    sigma; every zeta value of the module is summed here."""
+    N, M = _em_plan(float(sigma))
+    return _zeta_sums(sigma, N, M, lambda n: _inv_power(n, sigma))
 
 
 def _series_argument(s: float, tol: float) -> Fraction:
@@ -547,14 +659,14 @@ def _gate(achieved: float, tol: float, what: str) -> None:
 
 def zeta_real(s: float, tol: float = 1e-12) -> Certified:
     """zeta(s) for real s > 1.1 with certified absolute error <= tol."""
-    c = Certified._of(_zeta_at(_series_argument(s, tol))[0])
+    c = Certified._of(_fx_iv(_zeta_at(_series_argument(s, tol))[0]))
     _gate(c.error, tol, f"zeta({s})")
     return c
 
 
 def zeta_prime_real(s: float, tol: float = 1e-12) -> Certified:
     """zeta'(s) = -sum log(n) n^{-s} for real s > 1.1, certified as zeta_real."""
-    c = Certified._of(_zeta_at(_series_argument(s, tol))[1])
+    c = Certified._of(_fx_iv(_zeta_at(_series_argument(s, tol))[1]))
     _gate(c.error, tol, f"zeta'({s})")
     return c
 
@@ -569,11 +681,10 @@ class _ZetaLadder:
 
     ``rungs[k]`` encloses (zeta(sigma), zeta'(sigma), log zeta_P(sigma),
     d/dsigma log zeta_P(sigma)), and ``plans[k]`` is its _em_plan (N, M);
-    both are None where sigma <= 1.  n^-ks, for n <= N and for the primes
-    p <= P, is the running product of n^-s, so a rung costs one interval
-    product per integer on top of its sums.  ``extend`` adds rungs and never
-    touches the earlier ones, and every power is the same chain of products
-    whenever it is reached, so the rungs do not depend on the order in
+    both are None where sigma <= 1.  zeta and zeta' are _zeta_at(sigma),
+    and the Euler factors of the primes p <= P come off in fixed point, so
+    a rung depends on sigma and P alone: ``extend`` adds rungs and never
+    touches the earlier ones, and the rungs do not depend on the order in
     which moduli ask for them.
     """
 
@@ -581,39 +692,33 @@ class _ZetaLadder:
         self.s, self.primes = s, _primes_to(P)
         self.plans: list = [None]
         self.rungs: list = [None]
-        self._powers: dict[int, list] = {}  # n -> [n^-s, e, n^-es]
-
-    def _power(self, n: int, k: int):
-        entry = self._powers.get(n)
-        if entry is None:
-            step = _inv_power(n, self.s)
-            entry = self._powers[n] = [step, 1, step]
-        step, e, x = entry
-        while e < k:
-            x *= step
-            e += 1
-        entry[1:] = e, x
-        return x
 
     def extend(self, K: int) -> None:
         """Add the rungs up to K."""
-        with _precision():
-            for k in range(len(self.rungs), K + 1):
-                sigma = k * self.s
-                if sigma <= 1:
-                    self.plans.append(None)
-                    self.rungs.append(None)
-                    continue
-                N, M = _em_plan(float(sigma))
-                zeta, dzeta = _zeta_sums(sigma, N, M, lambda n: self._power(n, k))
-                factor, deriv = zeta, dzeta / zeta
-                for p in self.primes:
-                    w = self._power(p, k)
-                    rest = 1 - w
-                    factor *= rest
-                    deriv += _log_int(p) * w / rest
-                self.plans.append((N, M))
-                self.rungs.append((zeta, dzeta, iv.log(factor), deriv))
+        for k in range(len(self.rungs), K + 1):
+            sigma = k * self.s
+            if sigma <= 1:
+                self.plans.append(None)
+                self.rungs.append(None)
+                continue
+            zeta, dzeta = _zeta_at(sigma)
+            factor = zeta
+            lo = hi = 0  # sum of log(p) w/(1 - w), w = p^-sigma, at scale 2^-2F
+            for p in self.primes:
+                w_lo, w_hi = _inv_power(p, sigma)
+                factor = _fx_mul(factor, (_ONE - w_hi, _ONE - w_lo))
+                g_lo, g_hi = _log_int(p)
+                # w/(1 - w) increases with w
+                lo += g_lo * ((w_lo << _FRAC) // (_ONE - w_lo))
+                hi += g_hi * -(-(w_hi << _FRAC) // (_ONE - w_hi))
+            ratio = _fx_div(dzeta, zeta)
+            deriv = ratio[0] + (lo >> _FRAC), ratio[1] - (-hi >> _FRAC)
+            with _precision():
+                log_factor = iv.log(_fx_iv(factor))
+            self.plans.append(_em_plan(float(sigma)))
+            self.rungs.append(
+                (_fx_iv(zeta), _fx_iv(dzeta), log_factor, _fx_iv(deriv))
+            )
 
 
 @lru_cache(maxsize=None)
@@ -665,42 +770,46 @@ def _tail_bounds(D: int, rho: Fraction, s: Fraction, P: int, K: int):
     module docstring at u = n^-s, summed over n > P against the integrals of
     x^-sigma and x^-sigma log x from P, sigma = s (K+1).  Call inside
     _precision()."""
-    r, rho_iv, sig = _inv_power(P, s), _iv(rho), _iv(s * (K + 1))
+    r, rho_iv, sig = _fx_iv(_inv_power(P, s)), _iv(rho), _iv(s * (K + 1))
     lead = D / ((1 - rho_iv) * (1 - r / rho_iv)) * _iv(1 / rho) ** (K + 1)
-    lead *= P * _inv_power(P, s * (K + 1))
+    lead *= P * _fx_iv(_inv_power(P, s * (K + 1)))
     tail = lead / (sig - 1)
-    dtail = lead / (1 - r ** (K + 1)) * (_log_int(P) / (sig - 1) + 1 / (sig - 1) ** 2)
+    log_P = _fx_iv(_log_int(P))
+    dtail = lead / (1 - r ** (K + 1)) * (log_P / (sig - 1) + 1 / (sig - 1) ** 2)
     return tail, dtail
 
 
 def _explicit_factors(t: list[int], s: Fraction, P: int):
-    """sum_{p<=P} log L(p^-s) and its s-derivative, -sum log p u L'(u)/L(u).
+    """Fixed-point enclosures of sum_{p<=P} log L(p^-s) and of its
+    s-derivative, -sum log p u L'(u)/L(u).
 
     With s = 1/d and e = ceil(D/d), p^e L(p^-s) = sum_{r<d} A_r p^(-r/d) for
     exact integers A_r, and likewise for u L'(u), so each prime costs a few
-    interval operations and the product needs one logarithm.
+    fixed-point operations and the product needs one logarithm.
     """
     d, D = s.denominator, len(t) - 1
     e = -(-D // d)
-    prod, deriv, scale = iv.mpf(1), iv.mpf(0), 1
+    prod, deriv = (_ONE, _ONE), (0, 0)
     for p in _primes_to(P):
-        val = slope = iv.mpf(0)
+        val = slope = (0, 0)  # p^e L(p^-s) and p^e u L'(u)
         for r in range(d):
             ms = range(r, D + 1, d)
             a = a1 = 0
             for m in ms:
                 a, a1 = a * p + t[m], a1 * p + m * t[m]
-            w = _inv_power(p, Fraction(r, d)) * p ** (e + 1 - len(ms))
-            val += a * w
-            slope += a1 * w
-        if not val > 0:
+            w = _inv_power(p, Fraction(r, d))
+            c = p ** (e + 1 - len(ms))
+            val = _fx_add(val, _fx_scale(a * c, w))
+            slope = _fx_add(slope, _fx_scale(a1 * c, w))
+        if not val[0] > 0:
             raise ArgumentError(
                 f"local factor not positive at p={p}; coefficients corrupt"
             )
-        prod *= val
-        scale *= p**e
-        deriv -= _log_int(p) * slope / val
-    return iv.log(prod / scale), deriv
+        prod = _fx_mul(prod, _fx_div(val, _fx(p**e)))
+        term = _fx_mul(_log_int(p), _fx_div(slope, val))
+        deriv = deriv[0] - term[1], deriv[1] - term[0]
+    with _precision():
+        return _fx_of(iv.log(_fx_iv(prod))), deriv
 
 
 def _euler_product(q: int, s: Fraction, P: int):
@@ -716,19 +825,19 @@ def _euler_product(q: int, s: Fraction, P: int):
     b = _factor_exponents(t, K)
     ladder = _ladder(s, P)
     ladder.extend(K)
+    log_prod, deriv = _explicit_factors(t, s, P)
+    for k in range(1, K + 1):
+        if not b[k]:
+            continue
+        if k * s <= 1:
+            raise ArgumentError(f"q={q}: exponent b_{k} = {b[k]} at a zeta pole")
+        _, _, lz, dlz = ladder.rungs[k]
+        log_prod = _fx_add(log_prod, _fx_scale(b[k], _fx_of(lz)))
+        deriv = _fx_add(deriv, _fx_scale(b[k] * k, _fx_of(dlz)))
     with _precision():
-        log_prod, deriv = _explicit_factors(t, s, P)
-        for k in range(1, K + 1):
-            if not b[k]:
-                continue
-            if k * s <= 1:
-                raise ArgumentError(f"q={q}: exponent b_{k} = {b[k]} at a zeta pole")
-            _, _, lz, dlz = ladder.rungs[k]
-            log_prod += b[k] * lz
-            deriv += b[k] * k * dlz
         tail, dtail = _tail_bounds(D, rho, s, P, K)
         unit = iv.mpf([-1, 1])
-        return log_prod + tail * unit, deriv + dtail * unit
+        return _fx_iv(log_prod) + tail * unit, _fx_iv(deriv) + dtail * unit
 
 
 def _explicit_cutoff(prime_cutoff: int) -> int:

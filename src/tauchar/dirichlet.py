@@ -50,6 +50,29 @@ def _abs_max(v: np.ndarray) -> int:
     return max(-int(v.min()), int(v.max()))
 
 
+def _split_convolve(av: np.ndarray, bv: np.ndarray, n: int, dtype) -> np.ndarray:
+    """sum_{d k = m} av[d] bv[k] for m = 0..n, in dtype, split at isqrt(n)."""
+    r = isqrt(n)
+    out = np.zeros(n + 1, dtype=dtype)
+    for d in (np.flatnonzero(av[1 : r + 1]) + 1).tolist():
+        out[d::d] += av[d] * bv[1 : n // d + 1]
+    for k in (np.flatnonzero(bv[1 : n // (r + 1) + 1]) + 1).tolist():
+        hi = n // k
+        out[(r + 1) * k : hi * k + 1 : k] += bv[k] * av[r + 1 : hi + 1]
+    return out
+
+
+def _exact_bound(a: CoeffSeries, b: CoeffSeries) -> int:
+    """max over m of sum_{d k = m} |a(d) b(k)|, in Python ints: the largest
+    partial sum any int64 convolution of a and b can reach."""
+    return int(
+        _split_convolve(
+            np.abs(a.values.astype(object)), np.abs(b.values.astype(object)),
+            a.limit, object,
+        ).max()
+    )
+
+
 def dirichlet_convolve(a: CoeffSeries, b: CoeffSeries) -> CoeffSeries:
     """(a * b)(n) = sum over d | n of a(d) b(n/d), exactly, up to the limit.
 
@@ -57,30 +80,27 @@ def dirichlet_convolve(a: CoeffSeries, b: CoeffSeries) -> CoeffSeries:
     for d <= r one strided update adds a(d) b(k) over every k, and for
     d > r (so k <= n // (r + 1) <= r) one strided update adds b(k) a(d)
     over every d.  That is O(n log n) work in at most 2 r numpy calls.
+
+    Overflow guard: tau(n) < 2 sqrt(n) terms of size max|a| max|b| bound
+    every partial sum a priori.  Only when that bound exceeds int64 is the
+    exact bound, the largest sum of |a(d) b(k)|, computed in Python ints
+    before the convolution is refused.
     """
     if a.limit != b.limit:
         raise ArgumentError(
             f"series limits differ: {a.limit} != {b.limit}"
         )
     n = a.limit
-    # a-priori overflow bound: tau(n) < 2 sqrt(n) terms of size maxA*maxB
     max_a = _abs_max(a.values)
     max_b = _abs_max(b.values)
     if max_a * max_b * (2 * isqrt(n) + 1) > _INT64_MAX:
-        raise OverflowHardError(
-            "convolution could exceed signed 64-bit range "
-            f"(bound {max_a} * {max_b} * tau)"
-        )
-    r = isqrt(n)
-    out = np.zeros(n + 1, dtype=np.int64)
-    av = a.values
-    bv = b.values
-    for d in (np.flatnonzero(av[1 : r + 1]) + 1).tolist():
-        out[d::d] += av[d] * bv[1 : n // d + 1]
-    for k in (np.flatnonzero(bv[1 : n // (r + 1) + 1]) + 1).tolist():
-        hi = n // k
-        out[(r + 1) * k : hi * k + 1 : k] += bv[k] * av[r + 1 : hi + 1]
-    return CoeffSeries(n, out)
+        bound = _exact_bound(a, b)
+        if bound > _INT64_MAX:
+            raise OverflowHardError(
+                "convolution could exceed signed 64-bit range "
+                f"(a sum of |a(d) b(k)| reaches {bound})"
+            )
+    return CoeffSeries(n, _split_convolve(a.values, b.values, n, np.int64))
 
 
 def dirichlet_inverse(a: CoeffSeries) -> CoeffSeries:
@@ -91,7 +111,7 @@ def dirichlet_inverse(a: CoeffSeries) -> CoeffSeries:
     is right below (N + 1)^2.  From b = a(1) e, right up to 1, the steps
     reach 3, 15, 255, 65535, ..., so O(log log n) steps of two truncated
     convolutions reach the limit.  Every value comes out of a convolution
-    with the int64 guard of dirichlet_convolve, so a result that might not
+    with the int64 guard of dirichlet_convolve, so a result that does not
     fit raises OverflowHardError instead of wrapping.
     """
     n = a.limit

@@ -3,6 +3,7 @@ forms, against mpmath, against the brute-force float prime products, and
 against themselves at moved split points."""
 
 import math
+import random
 from fractions import Fraction
 from functools import lru_cache, partial
 
@@ -460,7 +461,7 @@ def test_euler_maclaurin_remainder_is_an_enclosure():
             with constants._precision():
                 power = partial(constants._inv_power, sigma=sigma)
                 routes = (
-                    constants._zeta_sums(sigma, 8, 2, power),
+                    tuple(map(constants._fx_iv, constants._zeta_sums(sigma, 8, 2, power))),
                     _euler_maclaurin(sigma, 8, 2),
                 )
             for z, dz in routes:
@@ -479,10 +480,9 @@ def test_euler_maclaurin_remainder_is_an_enclosure():
 
 
 @lru_cache(maxsize=None)
-def _bernoulli_terms() -> tuple:
-    """Enclosures of B_2j/(2j)! for j = 1.._EM_MAX_TERMS, from the
-    recurrence c_m = -sum_{k<m} c_k/(m+1-k)! for B_m/m!.  Call inside
-    _precision()."""
+def _bernoulli_ratios() -> tuple:
+    """B_2j/(2j)! for j = 1.._EM_MAX_TERMS as Fractions, from the
+    recurrence c_m = -sum_{k<m} c_k/(m+1-k)! for B_m/m!."""
     n = 2 * constants._EM_MAX_TERMS
     fact = [1]
     for i in range(1, n + 2):
@@ -491,14 +491,33 @@ def _bernoulli_terms() -> tuple:
     for m in range(2, n + 1):
         odd = m % 2
         c.append(Fraction(0) if odd else -sum(c[k] / fact[m + 1 - k] for k in range(m)))
-    return tuple(constants._iv(c[2 * j]) for j in range(1, constants._EM_MAX_TERMS + 1))
+    return tuple(c[2 * j] for j in range(1, constants._EM_MAX_TERMS + 1))
+
+
+@lru_cache(maxsize=None)
+def _bernoulli_terms() -> tuple:
+    """Enclosures of B_2j/(2j)!.  Call inside _precision()."""
+    return tuple(map(constants._iv, _bernoulli_ratios()))
+
+
+def _inv_power(n: int, sigma: Fraction):
+    """Interval n^-sigma: exact integer powers and one square root when
+    2 sigma is an integer, exp(-sigma log n) otherwise.  Call inside
+    _precision()."""
+    if (2 * sigma).denominator == 1:
+        k, half = divmod(int(2 * sigma), 2)
+        x = iv.mpf(n**k)
+        if half:
+            x *= iv.sqrt(n)
+        return 1 / x
+    return iv.exp(-constants._iv(sigma) * iv.log(n))
 
 
 def _euler_maclaurin(sigma: Fraction, N: int, M: int):
     """Enclosures of (zeta(sigma), zeta'(sigma)) from the terms n < N, M
     Bernoulli corrections at N and the remainder bound.  Call inside
     _precision()."""
-    _iv, _inv_power = constants._iv, constants._inv_power
+    _iv = constants._iv
     s = _iv(sigma)
     zeta, zeta_log = iv.mpf(1), iv.mpf(0)  # sums of n^-s and of log(n) n^-s
     for n in range(2, N):
@@ -546,7 +565,7 @@ def _log_zeta_rough(sigma: Fraction, P: int):
         z, dz = _zeta_pair(sigma)
         factor, deriv = z, dz / z
         for p in constants._primes_to(P):
-            w = constants._inv_power(p, sigma)
+            w = _inv_power(p, sigma)
             factor *= 1 - w
             deriv += iv.log(p) * w / (1 - w)
         return iv.log(factor), deriv
@@ -597,6 +616,115 @@ def test_ladder_does_not_depend_on_extension_order():
             assert b is None
             continue
         assert [x._mpi_ for x in a] == [x._mpi_ for x in b]
+
+
+def _em_plan_per_n(sigma: float):
+    """The planner before its logarithms were hoisted: the log-rising and
+    harmonic sums rebuilt for every N."""
+    log, pi = math.log, math.pi
+    for N in constants._EM_LADDER:
+        log_rising = harmonic = 0.0
+        for M in range(1, constants._EM_MAX_TERMS + 1):
+            for i in (2 * M - 2, 2 * M - 1):
+                log_rising += log(sigma + i)
+                harmonic += 1.0 / (sigma + i)
+            if harmonic + 1.0 / (sigma + 2 * M) >= log(N):
+                break
+            remainder = (
+                log(4.0) - (2 * M + 1) * log(2 * pi) + log_rising
+                - (sigma + 2 * M) * log(N) + log(log(N))
+            )
+            if remainder <= log(constants._EM_TARGET):
+                return N, M
+    raise ArgumentError(f"no Euler-Maclaurin plan for zeta({sigma})")
+
+
+def test_em_plan_matches_per_n_planner():
+    sigmas = [k / 2 for k in range(3, 121)] + [float(s) for s in ZETA_POINTS]
+    for sigma in sigmas:
+        assert constants._em_plan(sigma) == _em_plan_per_n(sigma), sigma
+
+
+def test_bernoulli_numerators_match_fraction_recurrence():
+    D, e = constants._bernoulli_numerators()
+    ratios = _bernoulli_ratios()
+    assert D == math.lcm(*(r.denominator for r in ratios))
+    assert [Fraction(x, D) for x in e] == list(ratios)
+
+
+# ------------------------------------------------------------------
+# The fixed-point kernels against exact Fractions: every result encloses
+# the exact range of the operation over its operands, and is at most two
+# units of 2^-F wider than that range.
+
+ONE = constants._ONE
+
+
+def _ends(x):
+    return Fraction(x[0], ONE), Fraction(x[1], ONE)
+
+
+def _random_enclosure(rng, positive=False):
+    """An enclosure that is tiny (a few units of 2^-F), near 1 or huge
+    (around 2^300), of either sign unless positive."""
+    scale = rng.choice([2, ONE, ONE << 300])
+    lo = rng.randrange(0 if positive else -scale, scale)
+    if positive:
+        lo += 1
+    return lo, lo + rng.randrange(0, scale // 2 + 2)
+
+
+def _encloses_tightly(got, lo, hi, ulps=2):
+    a, b = got
+    return a <= lo * ONE and hi * ONE <= b and (b - a) <= (hi - lo) * ONE + ulps
+
+
+def test_fixed_point_kernels_enclose_exact_results():
+    rng = random.Random(20)
+    for _ in range(3000):
+        x, y = _random_enclosure(rng), _random_enclosure(rng)
+        k = rng.choice([-1, 1]) * rng.randrange(0, 2**rng.choice([3, 70, 400]))
+        (a, b), (c, d) = _ends(x), _ends(y)
+        assert constants._fx_add(x, y) == (x[0] + y[0], x[1] + y[1])
+        ends = (a * c, a * d, b * c, b * d)
+        assert _encloses_tightly(constants._fx_mul(x, y), min(ends), max(ends))
+        assert _encloses_tightly(constants._fx_scale(k, x), *sorted((k * a, k * b)), 0)
+        pos = _random_enclosure(rng, positive=True)
+        c, d = _ends(pos)
+        ends = (a / c, a / d, b / c, b / d)
+        assert _encloses_tightly(constants._fx_div(x, pos), min(ends), max(ends))
+        num, den = x[0] * k, rng.randrange(1, 2**rng.choice([3, 70, 400]))
+        got = constants._fx(num, den)
+        assert _encloses_tightly(got, Fraction(num, den), Fraction(num, den), 1)
+    with pytest.raises(ArgumentError):
+        constants._fx_div((ONE, ONE), (0, ONE))
+
+
+def test_fixed_point_powers_are_tightest():
+    # n^-m/2 2^F lies in [lo, hi] with hi - lo <= 1, checked by squaring
+    rng = random.Random(21)
+    for _ in range(400):
+        n, m = rng.randrange(2, 10**4), rng.randrange(0, 120)
+        lo, hi = constants._inv_power(n, Fraction(m, 2))
+        assert 0 <= lo and hi - lo <= 1, (n, m)
+        assert lo * lo * n**m <= ONE * ONE <= hi * hi * n**m, (n, m)
+    lo, hi = constants._inv_power(3, Fraction(6, 5))
+    with mp.workdps(80):
+        exact = mp.mpf(3) ** mp.mpf("-1.2") * ONE
+    assert lo <= exact <= hi and hi - lo <= 2**40
+
+
+def test_fixed_point_conversions():
+    rng = random.Random(22)
+    for _ in range(300):
+        x = _random_enclosure(rng)
+        # to mpmath.iv and back is exact
+        assert constants._fx_of(constants._fx_iv(x)) == x
+    with constants._precision():
+        for v in (iv.pi, -iv.pi / 3, iv.mpf(2) ** -300, -(iv.mpf(2) ** 300) / 7):
+            lo, hi = constants._fx_of(v)
+            a, b = (Fraction(*mp.libmp.to_rational(e)) for e in v._mpi_)
+            assert _encloses_tightly((lo, hi), a, b)
 
 
 def _factor_coeffs(q):

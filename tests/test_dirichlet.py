@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tauchar import constants
+from tauchar import constants, dirichlet
 from tauchar.constants import LocalFactor, local_factor
 from tauchar.dirichlet import (
     dirichlet_convolve,
@@ -180,6 +180,26 @@ def test_inverse_overflow_guard():
             loop_inverse(a)
         with pytest.raises(OverflowHardError):
             dirichlet_inverse(a)
+
+
+def test_inverse_guard_falls_back_to_the_exact_bound():
+    # the a-priori bound of the second Newton step is 2^31 * 2^31 * 5, above
+    # int64, but every partial sum stays within 2^62, so the inverse is
+    # returned, b(4) = a(2)^2 = 2^62
+    a = CoeffSeries.from_values([0, 1, 2**31, 0, 0])
+    b = dirichlet_inverse(a)
+    assert b == loop_inverse(a)
+    assert int(b[4]) == 2**62
+
+
+def test_verify_inverts_without_the_exact_bound(monkeypatch):
+    # verify inverts 0/1 indicators only, which the a-priori bound admits
+    def refuse(a, b):
+        raise AssertionError("exact overflow bound computed")
+
+    monkeypatch.setattr(dirichlet, "_exact_bound", refuse)
+    for q in (5, 19, 43):
+        assert verify_factorization(q, 10**4).ok, q
 
 
 def test_inverse_is_two_sided():
