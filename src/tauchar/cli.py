@@ -20,8 +20,10 @@ byte-identical output.
 Exit codes: 0 all checks pass / report produced; 1 mathematical mismatch;
 2 usage error; 3 resource or precision budget exceeded.
 
-The numpy-backed modules are imported inside the handlers that use them,
-so --help and constants never load numpy.
+The numpy-backed modules, and ``constants`` with mpmath, are imported
+inside the handlers that use them: --help loads neither numpy nor mpmath,
+constants loads only mpmath, and verify, short-interval, near-curve and
+rh-diagnostic load only numpy.  trace loads both.
 
 Heavy subcommands print `# progress ...` lines to stderr at most once per
 second.  --jobs is recorded in the metadata; the pipelines themselves are
@@ -39,7 +41,7 @@ from fractions import Fraction
 
 from . import KERNEL_BACKEND, __version__
 from .arith import check_budget, is_prime
-from .constants import Branch, classify, main_term_params
+from .cases import Branch, classify
 from .errors import (
     ArgumentError,
     OverflowHardError,
@@ -253,6 +255,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_constants(args) -> int:
+    from .constants import main_term_params
+
     qs = _moduli(args)
     progress = _Progress("constants")
 

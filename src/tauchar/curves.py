@@ -9,9 +9,10 @@ Two routes exist:
   rational inequalities — (sqrt(u) - k)^2 < delta^2 iff 2k sqrt(u) >
   u + k^2 - delta^2, squared once more when the right side is positive.
   No floating point, no misclassification.
-* general: high-precision evaluation with a guard band of 1e-12 around
-  delta; any point landing inside the band raises a hard error listing the
-  offending n rather than guessing.
+* general: an outward-rounded mpmath.iv enclosure of the distance at
+  constants.PRECISION_BITS; a point whose enclosure contains delta raises a
+  hard error listing the offending n rather than guessing.  mpmath is
+  imported inside this route only.
 
 The short-interval machinery specializes to the fifth-power curve
 f(n) = sqrt(x/n^5).  The fifth-power convolution, the Dirichlet product of
@@ -27,7 +28,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, log
 
-import mpmath as mp
 import numpy as np
 
 from ._kernels import DEFAULT_SEGMENT, factor_block
@@ -35,9 +35,6 @@ from .errors import ArgumentError, TaucharError, UndecidablePointError
 from .roots import floor_rational_root, integer_nth_root
 from .sieves import check_budget, primes_up_to
 from .summatory import divisor_summatory
-
-GUARD_BAND = 1e-12
-GENERAL_ROUTE_DPS = 50
 
 
 def _to_fraction(v) -> Fraction:
@@ -152,23 +149,36 @@ def _count_exact(cfg: CurveConfig, n_lo: int, n_hi: int) -> int:
 
 
 def _count_general(cfg: CurveConfig, n_lo: int, n_hi: int) -> int:
+    """Count by an interval enclosure of ||X n^-s|| for each n.
+
+    t = X exp(-s log n) is enclosed in mpmath.iv at PRECISION_BITS.  The
+    integer nearest any point of t lies in [floor(inf t), ceil(sup t)], so
+    the least distance to those integers, taken at each end, encloses
+    ||t||.  An n counts when that enclosure lies below delta; an n whose
+    enclosure contains delta raises UndecidablePointError.
+    """
+    from mpmath import iv, libmp
+
+    from .constants import _precision
+
     cnt = 0
     undecidable: list[int] = []
-    with mp.workdps(GENERAL_ROUTE_DPS):
-        X = mp.mpf(cfg.X)
-        delta = mp.mpf(cfg.delta)
-        guard = mp.mpf(GUARD_BAND)
-        s = mp.mpf(cfg.s.numerator) / cfg.s.denominator
+    with _precision():
+        X, delta = iv.mpf(cfg.X), iv.mpf(cfg.delta)
+        minus_s = -iv.mpf(cfg.s.numerator) / cfg.s.denominator
         for n in range(n_lo, n_hi + 1):
-            t = X * mp.power(n, -s)
-            dist = abs(t - mp.nint(t))
-            if abs(dist - delta) <= guard:
+            t = X * iv.exp(minus_s * iv.log(n))
+            a, b = t._mpi_
+            ks = range(libmp.to_int(a, "f"), libmp.to_int(b, "c") + 1)
+            near = [abs(t - k) for k in ks]
+            dist = iv.mpf([min(d.a for d in near), min(d.b for d in near)])
+            if delta in dist:
                 undecidable.append(n)
             elif dist < delta:
                 cnt += 1
     if undecidable:
         raise UndecidablePointError(
-            f"distance within {GUARD_BAND:g} of the threshold at "
+            "the distance enclosure contains the threshold at "
             f"{len(undecidable)} point(s); supply exact payloads to decide",
             points=undecidable,
         )
@@ -179,8 +189,8 @@ def count_near_curve(cfg: CurveConfig) -> int:
     """Number of n in [N, 2N] with ||X/n^s|| strictly below delta.
 
     Uses exact rational arithmetic when the config carries exact squares
-    (and 2s is an integer); otherwise high-precision evaluation that raises
-    rather than misclassify points inside the guard band.
+    (and 2s is an integer); otherwise interval enclosures that raise rather
+    than misclassify a point whose enclosure contains delta.
     """
     check_budget(2 * cfg.N, "near-curve window")
     if cfg.exact_capable:

@@ -17,10 +17,13 @@ leaves one of five local Euler factors, selected by the residue class of q:
   times a series starting at u^5; for q = +-43, +-53 it equals a series
   starting at u^6 divided by that fourth-power factor.
 
-The factors live in ``constants``: ``classify`` decides the residue class,
+The factors live in ``cases``: ``classify`` decides the residue class,
 and ``local_factor`` returns the factor it selects as an integer rational
 function of u.  ``verify_factorization`` dispatches on the same
-classification and expands each factor by integer long division.
+classification and expands each factor by integer long division.  Every
+such factor has no u^1 term, so its expansion lives on the powerful
+numbers and ``expand_euler_product`` lists them by the powerful walk of
+``sieves`` instead of sieving every n.
 """
 
 from dataclasses import dataclass
@@ -28,7 +31,7 @@ from math import isqrt
 
 import numpy as np
 
-from .constants import Branch, LocalFactor, SubBranch, classify, local_factor
+from .cases import Branch, LocalFactor, SubBranch, classify, local_factor
 from .errors import ArgumentError, NotInvertibleError, OverflowHardError
 from .sieves import (
     CoeffSeries,
@@ -39,6 +42,8 @@ from .sieves import (
     multiplicative_series,
     ones_series,
     power_indicator_series,
+    powerful_terms,
+    primes_up_to,
     tau_char_sieve,
 )
 
@@ -151,17 +156,27 @@ def expand_euler_product(local: LocalFactor, limit: int) -> CoeffSeries:
 
     values[n] = product over p^e || n of the factor's u^e coefficient.  A
     value is a product of at most omega_max(limit) coefficients, so the
-    int64 check is made on that bound before any work.
+    int64 check is made on that bound before any work.  When the u^1
+    coefficient is 0, as for every factor local_factor returns, the values
+    live on the powerful numbers, and the powerful walk lists them in
+    O(sqrt(limit)) steps; otherwise the multiplicative kernel sieves all of
+    1..limit.
     """
     if limit < 1:
         raise ArgumentError(f"limit must be >= 1, got {limit}")
-    c = local.coeffs(limit.bit_length() - 1)
+    c = local.coeffs(max(1, limit.bit_length() - 1))
     if max(map(abs, c)) ** _omega_max(limit) > _INT64_MAX:
         raise OverflowHardError(
             f"euler product expansion of {local.name} could overflow int64 "
             f"below {limit}"
         )
-    return multiplicative_series(limit, c, "euler product expansion")
+    if c[1]:
+        return multiplicative_series(limit, c, "euler product expansion")
+    check_budget(limit, "euler product expansion")
+    n, w = powerful_terms(c, limit, primes_up_to(isqrt(limit)).tolist())
+    values = np.zeros(limit + 1, dtype=np.int64)
+    values[n] = w
+    return CoeffSeries(limit, values)
 
 
 @dataclass(frozen=True)

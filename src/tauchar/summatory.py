@@ -11,31 +11,22 @@ f(p^e) = sum_{k <= e+1} (k/q), independent of p, so f(p) = 1 + (2/q):
   S(x) = sum_{n powerful} h(n) D(x/n), D the divisor summatory function.
 
 Either way one depth-first walk over the roughly 2.2 sqrt(x) powerful
-numbers up to the top checkpoint (Golomb, Powerful numbers, Amer. Math.
-Monthly 77, 1970) gives every checkpoint, and D(y) costs O(sqrt y) by the
-hyperbola method.  Nothing of size x is built: memory is O(sqrt x), and
-every int64 intermediate is guarded by MAX_EXACT_X.  Everything
-float-valued here is derived from exact integers and certified constants,
-so residuals carry honest error intervals.
+numbers up to the top checkpoint (``sieves.powerful_terms``) gives every
+checkpoint, and D(y) costs O(sqrt y) by the hyperbola method.  Nothing of
+size x is built: memory is O(sqrt x), and every int64 intermediate is
+guarded by MAX_EXACT_X.  Everything float-valued here is derived from exact
+integers and certified constants, so residuals carry honest error
+intervals.  Only ``trace`` needs those constants, so it alone imports the
+mpmath-backed ``constants``, inside the call.
 """
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 from math import exp, isqrt, log
 
 import numpy as np
 
-from .constants import (
-    Branch,
-    CaseClass,
-    Certified,
-    THETA_UPPER,
-    X_FLOOR,
-    classify,
-    main_term,
-    main_term_params,
-)
+from .cases import THETA_UPPER, X_FLOOR, Branch, CaseClass, classify
 from .dirichlet import dirichlet_convolve
 from .errors import ArgumentError, ClassificationError, OverflowHardError
 from .roots import floor_root_grid, integer_nth_root
@@ -47,6 +38,7 @@ from .sieves import (
     liouville_sieve,
     mobius_sieve,
     ones_series,
+    powerful_terms,
     primes_up_to,
     tau_char_sieve,
 )
@@ -114,42 +106,6 @@ def _local_weights(q: int, emax: int) -> tuple[list[int], bool]:
     return [g[e + 2] - 2 * g[e + 1] + g[e] for e in range(emax + 1)], True
 
 
-def _powerful_terms(w: list[int], top: int, primes: list[int]):
-    """Every powerful n <= top with w(n) = prod w[e_p] nonzero, as int64
-    arrays (n, w(n)) sorted by n.
-
-    Depth-first over primes in ascending order.  Below a node n, a prime
-    p > (top/n)^(1/3) can only enter squared and leaves no room for a
-    larger prime, so those children are emitted as one vectorized block.
-    """
-    nodes_n, nodes_w = [1], [1]
-    blocks_n, blocks_w = [], []
-    stack = [(1, 1, 0)]
-    while stack:
-        n, wn, j = stack.pop()
-        m = top // n
-        k = bisect_right(primes, isqrt(m), j)
-        c = bisect_right(primes, integer_nth_root(m, 3), j, k)
-        if w[2] and c < k:
-            block = np.asarray(primes[c:k], dtype=np.int64)
-            blocks_n.append(n * block * block)
-            blocks_w.append(np.full(k - c, wn * w[2], dtype=np.int64))
-        for i in range(j, c):
-            p = primes[i]
-            pe, e = p * p, 2
-            while pe <= m:
-                if w[e]:
-                    nodes_n.append(n * pe)
-                    nodes_w.append(wn * w[e])
-                    stack.append((n * pe, wn * w[e], i + 1))
-                pe *= p
-                e += 1
-    n_all = np.concatenate([np.array(nodes_n, dtype=np.int64)] + blocks_n)
-    w_all = np.concatenate([np.array(nodes_w, dtype=np.int64)] + blocks_w)
-    order = np.argsort(n_all)
-    return n_all[order], w_all[order]
-
-
 def _checkpoint_sums(q: int, cps: tuple[int, ...], progress=None) -> tuple[int, ...]:
     """Exact S(x) at every checkpoint in ascending ``cps`` by the
     powerful-number route.
@@ -162,7 +118,7 @@ def _checkpoint_sums(q: int, cps: tuple[int, ...], progress=None) -> tuple[int, 
     primes = primes_up_to(isqrt(top)).tolist()
     if progress is not None:
         progress("sieve", 1, 1)
-    n, wn = _powerful_terms(w, top, primes)
+    n, wn = powerful_terms(w, top, primes)
     ends = np.searchsorted(n, cps, side="right")
     if convolve_d:
         # D(y) for y <= top^(1/3) by table lookup; only the few n with
@@ -343,6 +299,8 @@ def trace(
     alphas = tuple(float(a) for a in alphas)
     if not all(0 < a <= 1 for a in alphas):
         raise ArgumentError(f"normalization exponents must lie in (0, 1]: {alphas}")
+
+    from .constants import Certified, main_term, main_term_params
 
     params = main_term_params(q, prime_cutoff=prime_cutoff)
     values = _checkpoint_sums(q, cps, progress)

@@ -447,9 +447,11 @@ def test_fast_runs_emit_no_progress_noise(capsys):
     assert err == ""
 
 
-# The benchmark's seed-0 constants-q60 and trace-q13 commands, with --jobs
-# fixed because the metadata records it.  The digests were taken from the
-# per-sigma zeta route that the shared zeta ladder replaced.
+# The benchmark's seed-0 commands, with --jobs fixed because the metadata
+# records it.  The constants and trace digests were taken from the per-sigma
+# zeta route that the shared zeta ladder replaced; the verify and near-curve
+# digests from the sieved Euler-factor expansions that the powerful walk
+# replaced.
 PINNED_OUTPUTS = [
     (
         ["constants", "--all-q", "60", "--prime-cutoff", "10000000", "--tolerance", "2e-4"],
@@ -459,10 +461,20 @@ PINNED_OUTPUTS = [
         ["trace", "--q", "13", "--max", "10000000", "--prime-cutoff", "30000000"],
         "7b685676965aab96ee5400c548758bb4b3e62fbebec99d9f49795fa330837bb4",
     ),
+    (
+        ["verify", "--all-q", "60", "--limit", "20000"],
+        "ad058981077e585db3402d67b71be680e8229eeee34d307eb89751e1cbda619d",
+    ),
+    (
+        ["near-curve", "--x", "1e13", "--y", "3e6"],
+        "34195b961bed8d805f7c704d5eef20c73b43b74100bf9a8c067c77b183fc30e5",
+    ),
 ]
 
 
-@pytest.mark.parametrize("argv,digest", PINNED_OUTPUTS, ids=["constants", "trace"])
+@pytest.mark.parametrize(
+    "argv,digest", PINNED_OUTPUTS, ids=["constants", "trace", "verify", "near-curve"]
+)
 def test_benchmark_outputs_are_pinned(argv, digest, capsys):
     code, out, _ = run(argv + ["--no-timestamp", "--jobs", "2"], capsys)
     assert code == 0
@@ -476,13 +488,14 @@ try:
     code = cli.main(sys.argv[1:])
 except SystemExit as e:
     code = e.code
-print("numpy" in sys.modules, file=sys.stderr)
+print("numpy" in sys.modules, "mpmath" in sys.modules, file=sys.stderr)
 sys.exit(code)
 """
 
 
 def fresh(argv):
-    """Run the CLI in a new interpreter: (exit code, stdout, numpy loaded)."""
+    """Run the CLI in a new interpreter:
+    (exit code, stdout, numpy loaded, mpmath loaded)."""
     env = dict(os.environ)
     src = str(Path(tauchar.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -490,22 +503,51 @@ def fresh(argv):
         [sys.executable, "-c", _FRESH_MAIN, *argv],
         env=env, capture_output=True, text=True, timeout=120,
     )
-    return proc.returncode, proc.stdout, proc.stderr.splitlines()[-1] == "True"
+    numpy_loaded, mpmath_loaded = proc.stderr.splitlines()[-1].split()
+    return proc.returncode, proc.stdout, numpy_loaded == "True", mpmath_loaded == "True"
 
 
 @pytest.mark.parametrize(
     "argv", [["--help"], ["constants", "--all-q", "60", "--no-timestamp"]]
 )
 def test_help_and_constants_never_load_numpy(argv):
-    code, out, numpy_loaded = fresh(argv)
+    code, out, numpy_loaded, _ = fresh(argv)
     assert code == 0 and out
     assert not numpy_loaded
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--help"],
+        ["verify", "--all-q", "60", "--limit", "2000"],
+        ["near-curve", "--x", "1e8", "--y", "4170"],
+        ["short-interval", "--x", "1e8", "--y", "4170"],
+        ["rh-diagnostic", "--q", "19", "--max", "1e5"],
+    ],
+    ids=["help", "verify", "near-curve", "short-interval", "rh-diagnostic"],
+)
+def test_exact_commands_never_load_mpmath(argv):
+    # mpmath is loaded only where a certified constant is printed
+    code, out, _, mpmath_loaded = fresh(argv)
+    assert code == 0 and out
+    assert not mpmath_loaded
+
+
+@pytest.mark.parametrize(
+    "argv", [["constants", "--q", "7"], ["trace", "--q", "13", "--max", "1e5"]]
+)
+def test_certified_commands_load_mpmath(argv):
+    # the probe above can see mpmath: the commands that need it load it
+    code, out, _, mpmath_loaded = fresh(argv)
+    assert code == 0 and out
+    assert mpmath_loaded
 
 
 def test_constants_row_does_not_depend_on_the_other_moduli():
     # q = 59 alone grows the half-line ladder in one step; --all-q 60 grows it
     # modulus by modulus, after q = 11, 13 and 37
-    _, alone, _ = fresh(["constants", "--q", "59", "--no-timestamp"])
-    _, together, _ = fresh(["constants", "--all-q", "60", "--no-timestamp"])
+    _, alone, _, _ = fresh(["constants", "--q", "59", "--no-timestamp"])
+    _, together, _, _ = fresh(["constants", "--all-q", "60", "--no-timestamp"])
     rows = parse_csv(together)[3]
     assert parse_csv(alone)[3] == [r for r in rows if r[0] == "59"]

@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 from mpmath import iv
 
-from tauchar import constants
+from tauchar import cases, constants
 from tauchar.arith import _jacobi, is_prime
+from tauchar.cases import _step_coeffs
 from tauchar.constants import (
     EULER_GAMMA,
     EULER_GAMMA_LITERAL,
@@ -21,7 +22,6 @@ from tauchar.constants import (
     Branch,
     Certified,
     SubBranch,
-    _step_coeffs,
     classify,
     log_factor_constants,
     main_term,
@@ -181,6 +181,14 @@ def test_classify_covers_all_odd_primes_below_2000():
             continue
         seen.add(classify(q).branch)
     assert seen == set(Branch)
+
+
+def test_case_names_have_one_definition():
+    # the residue classes live in the mpmath-free cases module; constants
+    # re-exports the very same objects
+    for name in ("Branch", "SubBranch", "CaseClass", "classify", "LocalFactor",
+                 "local_factor", "THETA_UPPER", "X_FLOOR"):
+        assert getattr(constants, name) is getattr(cases, name)
 
 
 def test_step_coeffs_match_jacobi_below_2000():

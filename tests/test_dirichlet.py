@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tauchar import constants, dirichlet
+from tauchar import cases, dirichlet
 from tauchar.constants import LocalFactor, local_factor
 from tauchar.dirichlet import (
     dirichlet_convolve,
@@ -24,6 +24,7 @@ from tauchar.sieves import (
     CoeffSeries,
     is_prime,
     mobius_sieve,
+    multiplicative_series,
     ones_series,
     power_indicator_series,
     tau_char_sieve,
@@ -309,14 +310,14 @@ def test_local_factor_residue_guards():
 def test_local_factor_checks_low_order_terms(q, m, monkeypatch):
     # each closed form holds only for its low-order t[m]; a corrupt one must
     # fail hard, in classify or in local_factor, never build a factor
-    step_coeffs = constants._step_coeffs
+    step_coeffs = cases._step_coeffs
 
     def corrupt(q_, sign):
         t = step_coeffs(q_, sign)
         t[m] += 1
         return t
 
-    monkeypatch.setattr(constants, "_step_coeffs", corrupt)
+    monkeypatch.setattr(cases, "_step_coeffs", corrupt)
     with pytest.raises(ArgumentError):
         local_factor(q)
 
@@ -377,6 +378,30 @@ def test_euler_expansion_prime_powers():
         expect = c[e] if e < len(c) else 0
         if 3**e <= 3**7:
             assert series[3**e] == expect
+
+
+def _local_factors_below_60():
+    for q in range(7, 60, 2):
+        if is_prime(q):
+            yield local_factor(q)
+            if q % 24 in (5, 19):
+                yield local_factor(q, combined=True)
+
+
+def test_euler_expansion_by_the_walk_equals_the_sieve():
+    # every factor local_factor returns has no u^1 term, so the expansion
+    # runs the powerful walk; the multiplicative kernel is the second route
+    rng = np.random.default_rng(12)
+    limits = [1, 2, 3, 4, 8, 9, 16, 17, 255, 256, 3000, 10**5]
+    limits += [int(n) for n in rng.integers(5, 10**5, size=4)]
+    factors = list(_local_factors_below_60())
+    assert len(factors) == 18
+    for lf in factors:
+        for n in limits:
+            c = lf.coeffs(max(1, n.bit_length() - 1))
+            assert c[1] == 0
+            walked = expand_euler_product(lf, n)
+            assert walked == multiplicative_series(n, c), (lf.name, n)
 
 
 def test_euler_expansion_overflow_guard():

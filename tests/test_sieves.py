@@ -5,7 +5,7 @@ from math import isqrt
 import numpy as np
 import pytest
 
-from tauchar import _kernels, arith, sieves
+from tauchar import _kernels, arith, dirichlet, sieves, summatory
 from tauchar.dirichlet import dirichlet_convolve
 from tauchar.errors import ArgumentError, ResourceLimitError
 from tauchar.sieves import (
@@ -249,6 +249,27 @@ def test_helpers_have_one_definition():
     # arith module; sieves re-exports the very same objects
     for name in ("MAX_SIEVE_ENTRIES", "_jacobi", "check_budget", "is_prime"):
         assert getattr(sieves, name) is getattr(arith, name)
+
+
+def test_powerful_walk_lists_the_powerful_numbers():
+    # w = 1 from the square on: the indicator of the powerful numbers
+    top = N
+    primes = primes_up_to(isqrt(top)).tolist()
+    n, w = sieves.powerful_terms([1, 0] + [1] * top.bit_length(), top, primes)
+    factored = [brute_exponents(m, primes) for m in range(1, top + 1)]
+    want = [m for m, es in enumerate(factored, 1) if all(e >= 2 for e in es)]
+    assert n.tolist() == want
+    assert w.tolist() == [1] * len(want)
+    # summatory and the Euler-factor expansion share this one walk
+    assert summatory.powerful_terms is dirichlet.powerful_terms is sieves.powerful_terms
+
+
+def test_powerful_walk_refuses_weights_off_the_powerful_numbers():
+    # w[1] != 0 would silently drop every n with a prime to the first power
+    primes = primes_up_to(31).tolist()
+    for bad in ([1, 1] + [1] * 9, [2, 0] + [1] * 9, [1, 0, 1]):
+        with pytest.raises(ArgumentError):
+            sieves.powerful_terms(bad, 1000, primes)
 
 
 def test_coeff_series_prefix_and_mismatch():

@@ -7,7 +7,7 @@ from math import isqrt
 import numpy as np
 import pytest
 
-from tauchar import summatory
+from tauchar import constants, summatory
 from tauchar.constants import Branch, classify
 from tauchar.errors import ArgumentError, ClassificationError, OverflowHardError
 from tauchar.roots import floor_root_grid, integer_nth_root
@@ -134,7 +134,7 @@ def test_int64_guard_rejects_before_any_work(monkeypatch):
         raise AssertionError("work started before the int64 guard")
 
     monkeypatch.setattr(summatory, "primes_up_to", no_work)
-    monkeypatch.setattr(summatory, "main_term_params", no_work)
+    monkeypatch.setattr(constants, "main_term_params", no_work)
     big = MAX_EXACT_X + 1
     with pytest.raises(OverflowHardError):
         divisor_summatory(big)
