@@ -6,8 +6,8 @@ that wraps this package's names from outside sees only the calls made by
 the rest of the package.
 
 Exported surface:
-    DEFAULT_SEGMENT, primes_up_to(limit),
-    factor_block(lo, hi, primes, c), full_tables(limit, c, segment)
+    DEFAULT_SEGMENT, factor_block(lo, hi, primes, c),
+    full_tables(limit, c, segment)
 """
 
-from .pyback import DEFAULT_SEGMENT, factor_block, full_tables, primes_up_to
+from .pyback import DEFAULT_SEGMENT, factor_block, full_tables

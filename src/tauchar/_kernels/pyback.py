@@ -1,4 +1,4 @@
-"""The numpy kernels: prime sieves and one multiplicative-table block kernel.
+"""The numpy kernel: one multiplicative-table block kernel.
 
 Every multiplicative table in the package is fixed by per-exponent values
 ``c[e]`` that are the same for all primes, and comes from ``factor_block``
@@ -12,54 +12,24 @@ from math import isqrt
 
 import numpy as np
 
-# Block size for internal segmentation, both of the tables and of the prime
-# sieve: peak memory stays bounded, and a block's working arrays stay small
-# enough that the per-prime strided passes run faster than over larger ones.
+from ..powerful import prime_list
+
+# Block size for internal segmentation of the tables: peak memory stays
+# bounded, and a block's working arrays stay small enough that the
+# per-prime strided passes run faster than over larger ones.
 DEFAULT_SEGMENT = 1 << 20
 
 
-def _simple_prime_mask(limit: int) -> np.ndarray:
-    """Boolean primality mask over [0, limit] by plain Eratosthenes."""
-    mask = np.ones(limit + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, isqrt(limit) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    return mask
-
-
-def primes_up_to(limit: int, segment: int = DEFAULT_SEGMENT) -> np.ndarray:
-    """All primes <= limit, ascending, as an int64 array (segmented)."""
-    if limit < 2:
-        return np.empty(0, dtype=np.int64)
-    root = isqrt(limit)
-    base_mask = _simple_prime_mask(root)
-    base = np.nonzero(base_mask)[0].astype(np.int64)
-    if limit == root:
-        return base
-    parts = [base]
-    for lo in range(root + 1, limit + 1, segment):
-        hi = min(lo + segment, limit + 1)
-        mark = np.ones(hi - lo, dtype=bool)
-        for p in base:
-            p = int(p)
-            start = max(p * p, ((lo + p - 1) // p) * p)
-            if start < hi:
-                mark[start - lo :: p] = False
-        parts.append(np.nonzero(mark)[0].astype(np.int64) + lo)
-    return np.concatenate(parts)
-
-
-def factor_block(lo: int, hi: int, primes: np.ndarray, c) -> np.ndarray:
+def factor_block(lo: int, hi: int, primes, c) -> np.ndarray:
     """Values f(n) for n in [lo, hi) of the multiplicative f with f(p^e) = c[e].
 
     f(n) is the product of c[e_p] over the prime powers p^e_p exactly
     dividing n.  ``c[0]`` must be 1 and ``c`` must reach every exponent below
-    hi, that is len(c) >= (hi - 1).bit_length().  ``primes`` must contain
-    every prime p with p*p < hi; the one prime factor above that a number can
-    have is found as a leftover and contributes c[1].  The array is int8 when
-    every |c[e]| <= 1, else int64; the caller keeps products of c within
-    int64.
+    hi, that is len(c) >= (hi - 1).bit_length().  ``primes`` (a list or an
+    int array, ascending) must contain every prime p with p*p < hi; the one
+    prime factor above that a number can have is found as a leftover and
+    contributes c[1].  The array is int8 when every |c[e]| <= 1, else
+    int64; the caller keeps products of c within int64.
     """
     if lo < 1 or hi <= lo:
         raise ValueError("factor_block requires 1 <= lo < hi")
@@ -106,7 +76,7 @@ def factor_block(lo: int, hi: int, primes: np.ndarray, c) -> np.ndarray:
 def full_tables(limit: int, c, segment: int = DEFAULT_SEGMENT) -> np.ndarray:
     """``factor_block`` values over [0, limit] as int64 (entry 0 set to 0),
     built block by block; ``c`` must cover every exponent up to log2(limit)."""
-    base = primes_up_to(isqrt(limit), segment)
+    base = prime_list(isqrt(limit))
     out = np.zeros(limit + 1, dtype=np.int64)
     for lo in range(1, limit + 1, segment):
         hi = min(lo + segment, limit + 1)

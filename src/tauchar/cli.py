@@ -22,8 +22,11 @@ Exit codes: 0 all checks pass / report produced; 1 mathematical mismatch;
 
 The numpy-backed modules, and ``constants`` with mpmath, are imported
 inside the handlers that use them: --help loads neither numpy nor mpmath,
-constants loads only mpmath, and verify, short-interval, near-curve and
-rh-diagnostic load only numpy.  trace loads both.
+constants loads only mpmath, and verify, short-interval and near-curve
+load only numpy.  rh-diagnostic, whose moduli are all +-3 (mod 8), sums
+over the powerful numbers in pure Python and loads neither.  trace loads
+mpmath, and numpy only for q = +-1 (mod 8), where S(x) needs the divisor
+summatory function.
 
 Heavy subcommands print `# progress ...` lines to stderr at most once per
 second.  --jobs is recorded in the metadata; the pipelines themselves are

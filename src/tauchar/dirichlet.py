@@ -22,8 +22,8 @@ and ``local_factor`` returns the factor it selects as an integer rational
 function of u.  ``verify_factorization`` dispatches on the same
 classification and expands each factor by integer long division.  Every
 such factor has no u^1 term, so its expansion lives on the powerful
-numbers and ``expand_euler_product`` lists them by the powerful walk of
-``sieves`` instead of sieving every n.
+numbers and ``expand_euler_product`` lists them by the powerful walk
+(``sieves.powerful_terms``) instead of sieving every n.
 """
 
 from dataclasses import dataclass
@@ -33,6 +33,7 @@ import numpy as np
 
 from .cases import Branch, LocalFactor, SubBranch, classify, local_factor
 from .errors import ArgumentError, NotInvertibleError, OverflowHardError
+from .powerful import prime_list
 from .sieves import (
     CoeffSeries,
     check_budget,
@@ -43,7 +44,6 @@ from .sieves import (
     ones_series,
     power_indicator_series,
     powerful_terms,
-    primes_up_to,
     tau_char_sieve,
 )
 
@@ -173,7 +173,7 @@ def expand_euler_product(local: LocalFactor, limit: int) -> CoeffSeries:
     if c[1]:
         return multiplicative_series(limit, c, "euler product expansion")
     check_budget(limit, "euler product expansion")
-    n, w = powerful_terms(c, limit, primes_up_to(isqrt(limit)).tolist())
+    n, w = powerful_terms(c, limit, prime_list(isqrt(limit)))
     values = np.zeros(limit + 1, dtype=np.int64)
     values[n] = w
     return CoeffSeries(limit, values)

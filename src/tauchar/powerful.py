@@ -1,0 +1,81 @@
+"""The primes and the powerful numbers, in pure Python.
+
+A multiplicative function w with w(p) = 0 at every prime lives on the
+powerful numbers (p | n implies p^2 | n), about 2.2 sqrt(top) of them up to
+top (Golomb, Powerful numbers, Amer. Math. Monthly 77, 1970).
+``powerful_walk`` visits them depth first over the primes to sqrt(top);
+``prime_list`` is the package's one prime sieve, which the walk, the
+multiplicative tables and ``sieves.primes_up_to`` all draw from.  Nothing
+here imports numpy or mpmath, so the summatory sums that need only the walk
+load neither.
+"""
+
+from bisect import bisect_right
+from itertools import compress
+from math import isqrt
+
+from .arith import check_budget
+from .errors import ArgumentError
+from .roots import integer_nth_root
+
+
+def prime_list(limit: int) -> list[int]:
+    """All primes <= limit, ascending, as Python ints.
+
+    Eratosthenes over the odd numbers only: flag i of one bytearray stands
+    for 2i + 1, and each odd prime p <= sqrt(limit) clears its odd multiples
+    from p^2 on in one slice assignment.
+    """
+    check_budget(limit, "prime sieve")
+    if limit < 2:
+        return []
+    size = (limit + 1) // 2
+    odd = bytearray([1]) * size
+    odd[0] = 0
+    for i in range(1, (isqrt(limit) + 1) // 2):
+        if odd[i]:
+            p = 2 * i + 1
+            start = p * p // 2
+            odd[start::p] = bytes(len(range(start, size, p)))
+    return [2, *compress(range(1, limit + 1, 2), odd)]
+
+
+def powerful_walk(w, top: int, primes: list[int]):
+    """Depth-first walk over every powerful n <= top with w(n) != 0, where
+    w(n) = prod w[e_p] over the prime powers p^e_p exactly dividing n.
+
+    ``w`` holds the per-exponent values, with w[0] = 1 and w[1] = 0 (so the
+    function lives on powerful numbers), reaching every exponent e with
+    2^e <= top; ``primes`` lists the primes up to isqrt(top) in ascending
+    order.  Yields one tuple (n, w(n), c, k) per node, n = 1 first.  Below
+    a node n, a prime p > (top/n)^(1/3) can only enter squared and leaves
+    no room for a larger prime, so those children are leaves, not nodes:
+    the n p^2 for p in primes[c:k], every one of weight w(n) w[2] (the
+    slice is empty when w[2] = 0).  Every powerful n <= top with w(n) != 0
+    is exactly one node or one leaf.
+    """
+    if len(w) < max(2, top.bit_length()) or w[0] != 1 or w[1] != 0:
+        raise ArgumentError(
+            "the powerful walk needs w[0] = 1, w[1] = 0 and a value for every "
+            f"exponent up to log2({top}), got {list(w[:2])} of length {len(w)}"
+        )
+    return _walk(list(w), top, primes)
+
+
+def _walk(w: list[int], top: int, primes: list[int]):
+    squares = len(w) > 2 and w[2] != 0  # w has no w[2] when top < 4
+    stack = [(1, 1, 0)]
+    while stack:
+        n, wn, j = stack.pop()
+        m = top // n
+        k = bisect_right(primes, isqrt(m), j)
+        c = bisect_right(primes, integer_nth_root(m, 3), j, k)
+        yield n, wn, c, k if squares else c
+        for i in range(j, c):
+            p = primes[i]
+            pe, e = p * p, 2
+            while pe <= m:
+                if w[e]:
+                    stack.append((n * pe, wn * w[e], i + 1))
+                pe *= p
+                e += 1

@@ -6,10 +6,12 @@ followed by an integer correction loop, verified by multiplication only.
 """
 
 from math import isqrt
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ArgumentError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def integer_nth_root(x: int, k: int) -> int:
@@ -52,13 +54,16 @@ def floor_rational_root(num: int, den: int, k: int) -> int:
     return integer_nth_root(num // den, k)
 
 
-def floor_root_grid(vals: np.ndarray, k: int) -> np.ndarray:
+def floor_root_grid(vals: "np.ndarray", k: int) -> "np.ndarray":
     """Elementwise floor(v**(1/k)) for an int64 array of nonnegative values.
 
     Float seed plus a bounded integer correction sweep; every comparison is
     in exact int64, so the result is exact as long as r**k stays in range
-    (callers keep v below ~9e18 so r**k <= v + small slack fits).
+    (callers keep v below ~9e18 so r**k <= v + small slack fits).  numpy
+    is imported here, so the scalar roots above load none.
     """
+    import numpy as np
+
     if k < 1:
         raise ArgumentError(f"root order must be >= 1, got {k}")
     vals = np.asarray(vals, dtype=np.int64)

@@ -8,25 +8,23 @@ the tau character (the Legendre symbol of the divisor count), all over
 Every multiplicative table comes from one numpy block kernel in
 ``tauchar._kernels``, fixed by the per-exponent values c[e] = f(p^e) that
 all these functions share across primes (``multiplicative_series``); this
-module owns validation and the public types.  A multiplicative function
-that vanishes at every prime lives on the powerful numbers, about
-2.2 sqrt(top) of them up to top (Golomb, Powerful numbers, Amer. Math.
-Monthly 77, 1970); ``powerful_terms`` is the one walk that lists them with
-their values, for the summatory sums and the Euler-factor expansions.
-Primality, the Jacobi symbol and the table budget live in the numpy-free
-``arith`` and are re-exported here.
+module owns validation and the public types.  The prime sieve and the
+powerful-number walk live in the numpy-free ``powerful``:
+``primes_up_to`` and ``powerful_terms`` pack their output into int64
+arrays for the table-based routes (the q = +-1 (mod 8) summatory sums and
+the Euler-factor expansions).  Primality, the Jacobi symbol and the table
+budget live in the numpy-free ``arith`` and are re-exported here.
 """
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from math import isqrt
 
 import numpy as np
 
 from . import _kernels
 from .arith import MAX_SIEVE_ENTRIES, _jacobi, check_budget, is_prime
 from .errors import ArgumentError, OverflowHardError
+from .powerful import powerful_walk, prime_list
 from .roots import integer_nth_root
 
 _INT64_MIN = -(2**63)
@@ -124,13 +122,21 @@ class LegendreChar:
 def multiplicative_series(limit: int, c, what: str = "sieve") -> CoeffSeries:
     """The multiplicative f with f(p^e) = c[e] for every prime p, n = 1..limit.
 
-    ``c[0]`` must be 1, and ``c`` must reach every exponent e with
-    2^e <= limit, that is len(c) >= limit.bit_length().  Every entry must
-    fit in int64, and so must every product of c-values over the distinct
-    prime factors of one n <= limit.
+    ``c[0]`` must be 1, and ``c`` must reach the exponent 1 and every
+    exponent e with 2^e <= limit, that is len(c) >= max(2,
+    limit.bit_length()); otherwise ArgumentError.  Every entry must fit in
+    int64, and so must every product of c-values over the distinct prime
+    factors of one n <= limit.
     """
     if limit < 1:
         raise ArgumentError(f"limit must be >= 1, got {limit}")
+    c = list(c)
+    if len(c) < max(2, limit.bit_length()) or c[0] != 1:
+        raise ArgumentError(
+            f"a multiplicative table to {limit} needs c[0] = 1 and a value for "
+            f"every exponent up to max(1, log2({limit})), got {c[:2]} of "
+            f"length {len(c)}"
+        )
     check_budget(limit, what)
     return CoeffSeries(limit, _kernels.full_tables(limit, c))
 
@@ -188,49 +194,27 @@ def tau_char_sieve(char: LegendreChar | int, limit: int) -> CoeffSeries:
 
 
 def primes_up_to(limit: int) -> np.ndarray:
-    """All primes <= limit as an int64 array (re-export from the kernels)."""
-    check_budget(limit, "prime sieve")
-    return _kernels.primes_up_to(limit)
+    """All primes <= limit as an int64 array (``powerful.prime_list``)."""
+    return np.array(prime_list(limit), dtype=np.int64)
 
 
 def powerful_terms(w, top: int, primes: list[int]):
     """Every powerful n <= top with w(n) = prod w[e_p] nonzero, as int64
     arrays (n, w(n)) sorted by n.
 
-    ``w`` holds the per-exponent values, with w[0] = 1 and w[1] = 0 (so the
-    function lives on powerful numbers), reaching every exponent e with
-    2^e <= top; ``primes`` lists the primes up to isqrt(top) in ascending
-    order.  Depth-first over those primes.  Below a node n, a prime
-    p > (top/n)^(1/3) can only enter squared and leaves no room for a
-    larger prime, so those children are emitted as one vectorized block.
+    The nodes and leaves of ``powerful.powerful_walk(w, top, primes)``,
+    which states what ``w`` and ``primes`` must hold; each block of leaves
+    becomes one vectorized slice.
     """
-    if len(w) < max(2, top.bit_length()) or w[0] != 1 or w[1] != 0:
-        raise ArgumentError(
-            "the powerful walk needs w[0] = 1, w[1] = 0 and a value for every "
-            f"exponent up to log2({top}), got {list(w[:2])} of length {len(w)}"
-        )
-    nodes_n, nodes_w = [1], [1]
+    nodes_n, nodes_w = [], []
     blocks_n, blocks_w = [], []
-    stack = [(1, 1, 0)]
-    while stack:
-        n, wn, j = stack.pop()
-        m = top // n
-        k = bisect_right(primes, isqrt(m), j)
-        c = bisect_right(primes, integer_nth_root(m, 3), j, k)
-        if c < k and w[2]:
+    for n, wn, c, k in powerful_walk(w, top, primes):
+        nodes_n.append(n)
+        nodes_w.append(wn)
+        if c < k:
             block = np.asarray(primes[c:k], dtype=np.int64)
             blocks_n.append(n * block * block)
             blocks_w.append(np.full(k - c, wn * w[2], dtype=np.int64))
-        for i in range(j, c):
-            p = primes[i]
-            pe, e = p * p, 2
-            while pe <= m:
-                if w[e]:
-                    nodes_n.append(n * pe)
-                    nodes_w.append(wn * w[e])
-                    stack.append((n * pe, wn * w[e], i + 1))
-                pe *= p
-                e += 1
     n_all = np.concatenate([np.array(nodes_n, dtype=np.int64)] + blocks_n)
     w_all = np.concatenate([np.array(nodes_w, dtype=np.int64)] + blocks_w)
     order = np.argsort(n_all)

@@ -11,37 +11,39 @@ f(p^e) = sum_{k <= e+1} (k/q), independent of p, so f(p) = 1 + (2/q):
   S(x) = sum_{n powerful} h(n) D(x/n), D the divisor summatory function.
 
 Either way one depth-first walk over the roughly 2.2 sqrt(x) powerful
-numbers up to the top checkpoint (``sieves.powerful_terms``) gives every
-checkpoint, and D(y) costs O(sqrt y) by the hyperbola method.  Nothing of
-size x is built: memory is O(sqrt x), and every int64 intermediate is
-guarded by MAX_EXACT_X.  Everything float-valued here is derived from exact
-integers and certified constants, so residuals carry honest error
-intervals.  Only ``trace`` needs those constants, so it alone imports the
-mpmath-backed ``constants``, inside the call.
+numbers up to the top checkpoint (``powerful.powerful_walk``) gives every
+checkpoint.  On the +-3 branch the walk is consumed as it runs, in Python
+integers: each node and each block of leaves is added to the checkpoints
+it falls below, so memory is O(pi(sqrt x)), the primes the walk needs, and
+numpy is never loaded.  On the +-1 branch the walk is packed into sorted
+int64 arrays (``sieves.powerful_terms``) and D(y) costs O(sqrt y) by the
+hyperbola method in numpy.  Nothing of size x is built, and every int64
+intermediate is guarded by MAX_EXACT_X.  Everything float-valued here is
+derived from exact integers and certified constants, so residuals carry
+honest error intervals.
+
+numpy, ``sieves`` and ``dirichlet`` are imported inside the functions that
+use them (D, the +-1 branch and the identity scans), and the mpmath-backed
+``constants`` inside ``trace``, the one caller of its main terms.
 """
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import accumulate
 from math import exp, isqrt, log
+from typing import TYPE_CHECKING
 
-import numpy as np
-
+from .arith import _jacobi, check_budget, is_prime
 from .cases import THETA_UPPER, X_FLOOR, Branch, CaseClass, classify
-from .dirichlet import dirichlet_convolve
 from .errors import ArgumentError, ClassificationError, OverflowHardError
+from .powerful import powerful_walk, prime_list
 from .roots import floor_root_grid, integer_nth_root
-from .sieves import (
-    CoeffSeries,
-    LegendreChar,
-    check_budget,
-    divisor_count_sieve,
-    liouville_sieve,
-    mobius_sieve,
-    ones_series,
-    powerful_terms,
-    primes_up_to,
-    tau_char_sieve,
-)
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .sieves import CoeffSeries
 
 DEFAULT_LIMIT = 10**8
 
@@ -78,6 +80,8 @@ def divisor_summatory(y: int) -> int:
     floor(sqrt y)^2, summed in int64 chunks of fixed size: O(sqrt y) time,
     O(1) memory.
     """
+    import numpy as np
+
     y = int(y)
     if y < 0:
         raise ArgumentError(f"D(y) needs y >= 0, got {y}")
@@ -98,12 +102,65 @@ def _local_weights(q: int, emax: int) -> tuple[list[int], bool]:
     w = h(p^e) = f(p^e) - 2 f(p^(e-1)) + f(p^(e-2)), the coefficients of
     F(u)(1-u)^2.  Either way w[0] = 1 and w[1] = 0.
     """
-    chi = LegendreChar(q)
-    f = list(accumulate(chi(k) for k in range(1, emax + 2)))
+    if q < 3 or q % 2 == 0 or not is_prime(q):
+        raise ArgumentError(f"modulus must be an odd prime, got {q}")
+    f = list(accumulate(_jacobi(k, q) for k in range(1, emax + 2)))
     if f[1] == 0:
         return f, False
     g = [0, 0] + f
     return [g[e + 2] - 2 * g[e + 1] + g[e] for e in range(emax + 1)], True
+
+
+def _powerful_sums(w: list[int], cps: tuple[int, ...], primes: list[int]) -> list[int]:
+    """The sum of w over the powerful n <= x at each checkpoint x, as the
+    walk runs: O(len(cps) + pi(sqrt x)) memory, Python integers throughout.
+
+    Each node's weight goes to the first checkpoint at or above it.  A
+    block of leaves n p^2, p in primes[c:k], takes one bisection of the
+    primes, p <= isqrt(x // n), per checkpoint x that it straddles, and its
+    remaining leaves go to the first checkpoint at or above its last leaf.
+    Prefix sums over the checkpoints finish the job.
+    """
+    part = [0] * len(cps)
+    for n, wn, c, k in powerful_walk(w, cps[-1], primes):
+        part[bisect_left(cps, n)] += wn
+        if c == k:
+            continue
+        wl, done = wn * w[2], c
+        i = bisect_left(cps, n * primes[c] * primes[c])
+        last = n * primes[k - 1] * primes[k - 1]
+        while cps[i] < last:
+            end = bisect_right(primes, isqrt(cps[i] // n), done, k)
+            part[i] += wl * (end - done)
+            done = end
+            i += 1
+        part[i] += wl * (k - done)
+    return list(accumulate(part))
+
+
+def _convolved_sums(w: list[int], cps: tuple[int, ...], primes: list[int]):
+    """sum_{n powerful} h(n) D(x/n) at each checkpoint x in turn, h = w,
+    from int64 arrays of the walk."""
+    import numpy as np
+
+    from .sieves import divisor_count_sieve, powerful_terms
+
+    top = cps[-1]
+    n, wn = powerful_terms(w, top, primes)
+    ends = np.searchsorted(n, cps, side="right")
+    # D(y) for y <= top^(1/3) by table lookup; only the few n with
+    # x/n above that call divisor_summatory
+    y_small = integer_nth_root(top, 3)
+    d_small = np.cumsum(divisor_count_sieve(y_small).values)
+    if int(np.max(np.abs(wn))) >= 2**63 // int(d_small[-1]):
+        raise OverflowHardError(f"h(n) * D(y) could overflow int64 below {top}")
+    for x, end in zip(cps, ends):
+        y, wy = x // n[:end], wn[:end]
+        near = y <= y_small
+        value = sum((wy[near] * d_small[y[near]]).tolist())
+        for yd, wd in zip(y[~near].tolist(), wy[~near].tolist()):
+            value += wd * divisor_summatory(yd)
+        yield value
 
 
 def _checkpoint_sums(q: int, cps: tuple[int, ...], progress=None) -> tuple[int, ...]:
@@ -115,31 +172,13 @@ def _checkpoint_sums(q: int, cps: tuple[int, ...], progress=None) -> tuple[int, 
     """
     top = cps[-1]
     w, convolve_d = _local_weights(q, top.bit_length() + 1)
-    primes = primes_up_to(isqrt(top)).tolist()
+    primes = prime_list(isqrt(top))
     if progress is not None:
         progress("sieve", 1, 1)
-    n, wn = powerful_terms(w, top, primes)
-    ends = np.searchsorted(n, cps, side="right")
-    if convolve_d:
-        # D(y) for y <= top^(1/3) by table lookup; only the few n with
-        # x/n above that call divisor_summatory
-        y_small = integer_nth_root(top, 3)
-        d_small = np.cumsum(divisor_count_sieve(y_small).values)
-        if int(np.max(np.abs(wn))) >= 2**63 // int(d_small[-1]):
-            raise OverflowHardError(f"h(n) * D(y) could overflow int64 below {top}")
-    else:
-        prefix = np.cumsum(wn)
+    sums = _convolved_sums if convolve_d else _powerful_sums
     values = []
-    for i, (x, end) in enumerate(zip(cps, ends)):
-        if convolve_d:
-            y, wy = x // n[:end], wn[:end]
-            near = y <= y_small
-            value = sum((wy[near] * d_small[y[near]]).tolist())
-            for yd, wd in zip(y[~near].tolist(), wy[~near].tolist()):
-                value += wd * divisor_summatory(yd)
-            values.append(value)
-        else:
-            values.append(int(prefix[end - 1]))
+    for i, value in enumerate(sums(w, cps, primes)):
+        values.append(value)
         if progress is not None:
             progress("checkpoint", i + 1, len(cps))
     return tuple(values)
@@ -151,13 +190,20 @@ def summatory_convolved(q: int, x: int, *, limit: int = DEFAULT_LIMIT) -> int:
     return _checkpoint_sums(q, (_validate_x(x, limit),))[0]
 
 
-def _prefix_sums(a: CoeffSeries) -> np.ndarray:
+def _prefix_sums(a: "CoeffSeries") -> "np.ndarray":
     """Partial sums of a * 1 at x = 0..a.limit."""
+    import numpy as np
+
+    from .dirichlet import dirichlet_convolve
+    from .sieves import ones_series
+
     return np.cumsum(dirichlet_convolve(a, ones_series(a.limit)).values)
 
 
-def _first_mismatch(s: np.ndarray, expect: np.ndarray) -> int | None:
+def _first_mismatch(s: "np.ndarray", expect: "np.ndarray") -> int | None:
     """Smallest x >= 1 with s[x] != expect[x], or None when they agree."""
+    import numpy as np
+
     bad = np.nonzero(s[1:] != expect[1:])[0]
     return int(bad[0]) + 1 if bad.size else None
 
@@ -169,6 +215,10 @@ def square_root_identity_scan(limit: int) -> int | None:
     The left side marks perfect squares (divisor-sum of the prime-parity
     sign), so its partial sum counts squares up to x.
     """
+    import numpy as np
+
+    from .sieves import liouville_sieve
+
     check_budget(limit, "identity scan")
     s = _prefix_sums(liouville_sieve(limit))
     x = np.arange(0, limit + 1, dtype=np.int64)
@@ -178,19 +228,27 @@ def square_root_identity_scan(limit: int) -> int | None:
 def cube_root_identity_scan(limit: int) -> int | None:
     """First x <= limit where the q=3 convolution sum differs from
     floor(x^(1/3)); None when the identity holds everywhere."""
+    import numpy as np
+
+    from .sieves import tau_char_sieve
+
     check_budget(limit, "identity scan")
     s = _prefix_sums(tau_char_sieve(3, limit))
     x = np.arange(0, limit + 1, dtype=np.int64)
     return _first_mismatch(s, floor_root_grid(x, 3))
 
 
-def _fifth_power_mobius_sums(limit: int) -> np.ndarray:
+def _fifth_power_mobius_sums(limit: int) -> "np.ndarray":
     """sum_{d <= sqrt(x)} mu(d) floor((x/d^2)^(1/5)) at x = 0..limit.
 
     The sum counts the pairs d^2 m^5 <= x weighted by mu(d), so it is the
     cumsum of mu(d) placed at every jump point d^2 m^5 <= limit: one
     scatter per m <= limit^(1/5).
     """
+    import numpy as np
+
+    from .sieves import mobius_sieve
+
     jumps = np.zeros(limit + 1, dtype=np.int64)
     mu = mobius_sieve(isqrt(limit)).values
     for m in range(1, integer_nth_root(limit, 5) + 1):
@@ -209,6 +267,8 @@ def fifth_power_identity_scan(limit: int) -> int | None:
     sides share no table.  Tests check the jump-point sum against the
     integer-root form, one floor((x/d^2)^(1/5)) grid per squarefree d.
     """
+    from .sieves import tau_char_sieve
+
     check_budget(limit, "identity scan")
     s = _prefix_sums(tau_char_sieve(5, limit))
     return _first_mismatch(s, _fifth_power_mobius_sums(limit))
@@ -244,8 +304,9 @@ class SummatoryTrace:
 
     ``residual_intervals`` bracket value - main_term, rounded outward from
     the exact value and the main term's certified enclosure;
-    ``fitted_exponent`` is a least-squares slope of log|residual| against
-    log x — a report field, never an assertion.
+    ``fitted_exponent`` is the least-squares slope of log|residual|
+    against log x, exact in rationals and rounded once to a float — a
+    report field, never an assertion.
     """
 
     q: int
@@ -314,13 +375,10 @@ def trace(
     normalized = tuple(
         tuple(r / float(x) ** a for r, x in zip(residuals, cps)) for a in alphas
     )
-    fitted = None
     pts = [
         (log(float(x)), log(abs(r))) for x, r in zip(cps, residuals) if r != 0.0
     ]
-    if len(pts) >= 2:
-        xs, ys = zip(*pts)
-        fitted = float(np.polyfit(np.array(xs), np.array(ys), 1)[0])
+    fitted = _slope(pts)
     return SummatoryTrace(
         q=q,
         kind=mains[0].kind,
@@ -334,6 +392,20 @@ def trace(
         normalized=normalized,
         fitted_exponent=fitted,
     )
+
+
+def _slope(pts: list[tuple[float, float]]) -> float | None:
+    """Least-squares slope of y against x through the float points,
+    computed exactly in rationals and rounded once; None unless at least
+    two distinct x occur."""
+    m = len(pts)
+    xs = [Fraction(x) for x, _ in pts]
+    ys = [Fraction(y) for _, y in pts]
+    sx, sy = sum(xs), sum(ys)
+    sxx = m * sum(x * x for x in xs) - sx * sx
+    if sxx == 0:
+        return None
+    return float((m * sum(x * y for x, y in zip(xs, ys)) - sx * sy) / sxx)
 
 
 def subexp_decay(x: float, c: float) -> float:

@@ -448,18 +448,22 @@ def test_fast_runs_emit_no_progress_noise(capsys):
 
 
 # The benchmark's seed-0 commands, with --jobs fixed because the metadata
-# records it.  The constants and trace digests were taken from the per-sigma
-# zeta route that the shared zeta ladder replaced; the verify and near-curve
-# digests from the sieved Euler-factor expansions that the powerful walk
+# records it.  The constants digest was taken from the per-sigma zeta route
+# that the shared zeta ladder replaced; the verify and near-curve digests
+# from the sieved Euler-factor expansions that the powerful walk replaced.
+# The trace digest is of the exact least-squares fitted_exponent, which
+# moved the last digits of that one line; every other line is pinned below
+# by a digest taken from the numpy array route that the streamed walk
 # replaced.
+TRACE_ARGV = ["trace", "--q", "13", "--max", "10000000", "--prime-cutoff", "30000000"]
 PINNED_OUTPUTS = [
     (
         ["constants", "--all-q", "60", "--prime-cutoff", "10000000", "--tolerance", "2e-4"],
         "5f7f9110d9c63ec9f7a571b14774bab57cb6d0ac897789baf45b2e34b03cc780",
     ),
     (
-        ["trace", "--q", "13", "--max", "10000000", "--prime-cutoff", "30000000"],
-        "7b685676965aab96ee5400c548758bb4b3e62fbebec99d9f49795fa330837bb4",
+        TRACE_ARGV,
+        "362facebdf00ead8dcd42cc99bb6eb9573ed8405442b21d77ed1f4ed9bd9f56b",
     ),
     (
         ["verify", "--all-q", "60", "--limit", "20000"],
@@ -479,6 +483,16 @@ def test_benchmark_outputs_are_pinned(argv, digest, capsys):
     code, out, _ = run(argv + ["--no-timestamp", "--jobs", "2"], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_trace_data_rows_are_pinned(capsys):
+    code, out, _ = run(TRACE_ARGV + ["--no-timestamp", "--jobs", "2"], capsys)
+    assert code == 0
+    kept = [line for line in out.splitlines(keepends=True)
+            if not line.startswith("# summary fitted_exponent=")]
+    assert len(kept) == len(out.splitlines()) - 1
+    digest = "a7dda4b8150820a1624841de8f1497e00871c326c5c29bc800c7fcbbeea014f2"
+    assert hashlib.sha256("".join(kept).encode()).hexdigest() == digest
 
 
 _FRESH_MAIN = """
@@ -542,6 +556,23 @@ def test_certified_commands_load_mpmath(argv):
     code, out, _, mpmath_loaded = fresh(argv)
     assert code == 0 and out
     assert mpmath_loaded
+
+
+@pytest.mark.parametrize(
+    "argv,loads_numpy",
+    [
+        (["trace", "--q", "13", "--max", "1e6"], False),
+        (["trace", "--q", "11", "--max", "1e6"], False),
+        (["rh-diagnostic", "--q", "19", "--max", "1e6"], False),
+        (["trace", "--q", "7", "--max", "1e6"], True),
+    ],
+    ids=["trace-13", "trace-11", "rh-diagnostic-19", "trace-7"],
+)
+def test_pm3_mod8_summatory_never_loads_numpy(argv, loads_numpy):
+    # q = +-3 (mod 8) sums only the walk; q = 7 needs D(y) and its tables
+    code, out, numpy_loaded, _ = fresh(argv)
+    assert code == 0 and out
+    assert numpy_loaded is loads_numpy
 
 
 def test_constants_row_does_not_depend_on_the_other_moduli():

@@ -5,7 +5,7 @@ from math import isqrt
 import numpy as np
 import pytest
 
-from tauchar import _kernels, arith, dirichlet, sieves, summatory
+from tauchar import _kernels, arith, dirichlet, powerful, sieves, summatory
 from tauchar.dirichlet import dirichlet_convolve
 from tauchar.errors import ArgumentError, ResourceLimitError
 from tauchar.sieves import (
@@ -17,6 +17,7 @@ from tauchar.sieves import (
     is_prime,
     liouville_sieve,
     mobius_sieve,
+    multiplicative_series,
     ones_series,
     power_indicator_series,
     primes_up_to,
@@ -174,6 +175,36 @@ def test_primes_up_to_oracle():
         assert list(primes_up_to(limit)) == brute_primes(limit), limit
 
 
+def test_prime_list_against_brute_force():
+    limits = list(range(301)) + [10**5]
+    limits += [p * p + d for p in brute_primes(99) for d in (-1, 0, 1)]
+    for limit in limits:
+        assert powerful.prime_list(limit) == brute_primes(limit), limit
+    with pytest.raises(ResourceLimitError):
+        powerful.prime_list(MAX_SIEVE_ENTRIES + 1)
+
+
+def test_every_prime_consumer_draws_from_prime_list(monkeypatch):
+    # the walk, the tables and primes_up_to share one sieve; the numpy one
+    # is gone from the kernels
+    assert not hasattr(_kernels, "primes_up_to")
+    for mod in (sieves, summatory, dirichlet, _kernels.pyback):
+        assert mod.prime_list is powerful.prime_list, mod.__name__
+    asked = []
+
+    def spy(limit):
+        asked.append(limit)
+        return powerful.prime_list(limit)
+
+    for mod in (sieves, summatory, dirichlet, _kernels.pyback):
+        monkeypatch.setattr(mod, "prime_list", spy)
+    assert primes_up_to(50).tolist() == brute_primes(50)
+    _kernels.full_tables(1000, TAU_C)
+    summatory.summatory_convolved(13, 10**4)
+    dirichlet.expand_euler_product(dirichlet.local_factor(13), 2000)
+    assert asked == [50, isqrt(1000), isqrt(10**4), isqrt(2000)]
+
+
 # per-exponent values c[e] = f(p^e) of the three base functions
 TAU_C = list(range(1, 41))
 MU_C = [1, -1] + [0] * 39
@@ -237,6 +268,15 @@ def test_full_tables_across_segment_sizes(segment):
         assert np.array_equal(table[1:], single)
 
 
+def test_multiplicative_series_rejects_short_or_unnormalised_c():
+    # the kernel's own check would raise a bare ValueError
+    for limit, c in ((1, [1]), (1024, TAU_C[:10]), (100, [2] + TAU_C[1:])):
+        with pytest.raises(ArgumentError):
+            multiplicative_series(limit, c)
+    assert multiplicative_series(1, [1, 5])[1] == 1
+    assert multiplicative_series(1023, TAU_C[:10]) == divisor_count_sieve(1023)
+
+
 def test_budget_errors():
     with pytest.raises(ResourceLimitError):
         check_budget(MAX_SIEVE_ENTRIES + 1)
@@ -261,7 +301,8 @@ def test_powerful_walk_lists_the_powerful_numbers():
     assert n.tolist() == want
     assert w.tolist() == [1] * len(want)
     # summatory and the Euler-factor expansion share this one walk
-    assert summatory.powerful_terms is dirichlet.powerful_terms is sieves.powerful_terms
+    assert summatory.powerful_walk is sieves.powerful_walk is powerful.powerful_walk
+    assert dirichlet.powerful_terms is sieves.powerful_terms
 
 
 def test_powerful_walk_refuses_weights_off_the_powerful_numbers():

@@ -2,16 +2,24 @@
 root-floor identities, and the trace/diagnostic report structure."""
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, log
 
 import numpy as np
 import pytest
 
 from tauchar import constants, summatory
+from tauchar.arith import is_prime
 from tauchar.constants import Branch, classify
 from tauchar.errors import ArgumentError, ClassificationError, OverflowHardError
+from tauchar.powerful import powerful_walk, prime_list
 from tauchar.roots import floor_root_grid, integer_nth_root
-from tauchar.sieves import LegendreChar, liouville_sieve, mobius_sieve, tau_char_sieve
+from tauchar.sieves import (
+    LegendreChar,
+    liouville_sieve,
+    mobius_sieve,
+    powerful_terms,
+    tau_char_sieve,
+)
 from tauchar.summatory import (
     MAX_EXACT_X,
     _checkpoint_sums,
@@ -104,6 +112,55 @@ def test_powerful_route_matches_sieve_route_at_2_23(q):
     assert _checkpoint_sums(q, cps) == sieve_route(q, cps)
 
 
+def materialised_route(q: int, cps) -> tuple[int, ...]:
+    # the +-3 (mod 8) sums from sorted int64 arrays of every powerful n <= top:
+    # one cumsum, then one searchsorted per checkpoint
+    top = cps[-1]
+    w, convolve_d = summatory._local_weights(q, top.bit_length() + 1)
+    assert not convolve_d
+    n, wn = powerful_terms(w, top, prime_list(isqrt(top)))
+    prefix = np.cumsum(wn)
+    return tuple(int(prefix[e - 1]) for e in np.searchsorted(n, cps, side="right"))
+
+
+PM3_MOD8_BELOW_120 = [q for q in range(3, 120) if is_prime(q) and q % 8 in (3, 5)]
+
+
+@pytest.mark.parametrize("q", PM3_MOD8_BELOW_120)
+def test_streamed_route_matches_materialised_route(q):
+    for k in (23, 30):
+        cps = tuple(2**e for e in range(10, k + 1))
+        assert _checkpoint_sums(q, cps) == materialised_route(q, cps), k
+
+
+def _block_edges(q: int, top: int) -> list[int]:
+    """First and last leaf n p^2 of every block of the walk to top."""
+    w, _ = summatory._local_weights(q, top.bit_length() + 1)
+    primes = prime_list(isqrt(top))
+    edges = []
+    for n, _, c, k in powerful_walk(w, top, primes):
+        if c < k:
+            edges += [n * primes[c] ** 2, n * primes[k - 1] ** 2]
+    return edges
+
+
+@pytest.mark.parametrize("q", [11, 13, 19])
+def test_streamed_route_on_random_checkpoints(q):
+    # checkpoints on, just below and just above the ends of the leaf blocks,
+    # where the streamed route splits a block between two checkpoints
+    rng = np.random.default_rng(q)
+    for trial in range(12):
+        top = int(rng.integers(2**12, 2**24))
+        edges = _block_edges(q, top)
+        picks = rng.choice(edges, size=min(len(edges), 8), replace=False)
+        pool = {top} | {int(e) + d for e in picks for d in (-1, 0, 1)}
+        pool |= {int(v) for v in rng.integers(1, top, size=8)}
+        pool = sorted(v for v in pool if 1 <= v <= top)
+        size = 1 if trial < 3 else int(rng.integers(2, len(pool) + 1))
+        cps = tuple(sorted(rng.choice(pool, size=size, replace=False).tolist()))
+        assert _checkpoint_sums(q, cps) == materialised_route(q, cps), cps
+
+
 def test_powerful_route_above_the_table_budget():
     # q = 3: S(x) = floor(x^(1/3)); q = 5: the Mobius fifth-root identity
     assert summatory_convolved(3, 10**12, limit=10**12) == 10**4
@@ -133,7 +190,7 @@ def test_int64_guard_rejects_before_any_work(monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the int64 guard")
 
-    monkeypatch.setattr(summatory, "primes_up_to", no_work)
+    monkeypatch.setattr(summatory, "prime_list", no_work)
     monkeypatch.setattr(constants, "main_term_params", no_work)
     big = MAX_EXACT_X + 1
     with pytest.raises(OverflowHardError):
@@ -275,6 +332,25 @@ def test_trace_residual_intervals_round_outward():
     ):
         assert Fraction(lo) <= v - (Fraction(m) + Fraction(e))
         assert v - (Fraction(m) - Fraction(e)) <= Fraction(hi)
+
+
+def test_fitted_exponent_is_the_exact_least_squares_slope():
+    # the centred form sum (x - mx)(y - my) / sum (x - mx)^2 in rationals
+    for q, cps in ((13, default_checkpoints(2**22)), (7, (1024, 5000, 77777))):
+        tr = trace(q, cps)
+        pts = [
+            (Fraction(log(float(x))), Fraction(log(abs(r))))
+            for x, r in zip(tr.checkpoints, tr.residuals)
+            if r != 0.0
+        ]
+        mx = sum(x for x, _ in pts) / len(pts)
+        my = sum(y for _, y in pts) / len(pts)
+        num = sum((x - mx) * (y - my) for x, y in pts)
+        den = sum((x - mx) ** 2 for x, _ in pts)
+        assert tr.fitted_exponent == float(num / den)
+    # one point, or two at one float abscissa, fix no slope
+    assert summatory._slope([(1.0, 2.0)]) is None
+    assert summatory._slope([(1.0, 2.0), (1.0, 3.0)]) is None
 
 
 def test_trace_progress_callback():
