@@ -18,7 +18,4 @@ convolution.  The package provides:
 
 __version__ = "0.1.0"
 
-# The kernels are numpy; the name is kept in every report's metadata.
-KERNEL_BACKEND = "python"
-
-__all__ = ["KERNEL_BACKEND", "__version__"]
+__all__ = ["__version__"]

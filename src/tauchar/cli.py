@@ -29,20 +29,18 @@ mpmath, and numpy only for q = +-1 (mod 8), where S(x) needs the divisor
 summatory function.
 
 Heavy subcommands print `# progress ...` lines to stderr at most once per
-second.  --jobs is recorded in the metadata; the pipelines themselves are
-single-process (documented; sieve passes are memory-bound).
+second.
 """
 
 import argparse
 import csv
 import json
-import os
 import sys
 import time
 from datetime import datetime, timezone
 from fractions import Fraction
 
-from . import KERNEL_BACKEND, __version__
+from . import __version__
 from .arith import check_budget, is_prime
 from .cases import Branch, classify
 from .errors import (
@@ -131,15 +129,14 @@ def _json_value(v):
 class _Progress:
     """Rate-limited machine-readable progress lines on the diagnostic stream."""
 
-    def __init__(self, label: str, interval: float = 1.0):
+    def __init__(self, label: str):
         self.label = label
-        self.interval = interval
         self.t0 = time.monotonic()
         self.last = self.t0
 
     def __call__(self, stage: str, done: int, total: int) -> None:
         now = time.monotonic()
-        if now - self.last < self.interval:
+        if now - self.last < 1.0:
             return
         self.last = now
         print(
@@ -154,8 +151,6 @@ def _metadata(args, config: dict) -> dict:
     md = {
         "subcommand": args.cmd,
         "version": __version__,
-        "kernel_backend": KERNEL_BACKEND,
-        "jobs": args.jobs,
         "format": args.format,
     }
     md.update(config)
@@ -265,9 +260,7 @@ def _cmd_constants(args) -> int:
 
     rows = []
     for i, q in enumerate(qs):
-        params = main_term_params(
-            q, prime_cutoff=args.prime_cutoff, tol=args.tolerance
-        )
+        params = main_term_params(q, tol=args.tolerance)
         case = params.case
         lead = params.leading_coefficient
         bracket = params.bracket_constant
@@ -299,7 +292,6 @@ def _cmd_constants(args) -> int:
         {
             "q": args.q,
             "all_q": args.all_q,
-            "prime_cutoff": args.prime_cutoff,
             "tolerance": args.tolerance,
         },
     )
@@ -332,7 +324,6 @@ def _cmd_trace(args) -> int:
         args.checkpoints,
         args.alphas,
         limit=args.max,
-        prime_cutoff=args.prime_cutoff,
         progress=progress,
     )
     header = ["x", "value", "main", "residual", "normalized"]
@@ -351,7 +342,6 @@ def _cmd_trace(args) -> int:
             "max": args.max,
             "checkpoints": ",".join(str(c) for c in tr.checkpoints),
             "alphas": ",".join(format(a, ".17g") for a in tr.alphas),
-            "prime_cutoff": args.prime_cutoff,
         },
     )
     summary = {
@@ -471,13 +461,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="omit the timestamp so identical configs give identical bytes",
     )
-    common.add_argument(
-        "--jobs",
-        type=int,
-        default=os.cpu_count() or 1,
-        help="parallelism degree recorded in metadata (pipelines run "
-        "single-process)",
-    )
 
     p = argparse.ArgumentParser(
         prog="tauchar",
@@ -502,12 +485,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     pc.add_argument("--q", type=_int_like, default=None)
     pc.add_argument("--all-q", type=_int_like, default=None)
-    pc.add_argument(
-        "--prime-cutoff",
-        type=_int_like,
-        default=None,
-        help="cap on the explicit primes of each Euler product, in [100, 4e8]",
-    )
+    # read by nothing; kept only while the benchmark's commands still pass it
+    pc.add_argument("--prime-cutoff", type=_int_like, help=argparse.SUPPRESS)
     pc.add_argument("--tolerance", type=float, default=1e-4)
     pc.set_defaults(func=_cmd_constants)
 
@@ -530,7 +509,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="comma-separated normalization exponents (default: per branch)",
     )
-    pt.add_argument("--prime-cutoff", type=_int_like, default=None)
+    # read by nothing; kept only while the benchmark's commands still pass it
+    pt.add_argument("--prime-cutoff", type=_int_like, help=argparse.SUPPRESS)
     pt.set_defaults(func=_cmd_trace)
 
     psi = sub.add_parser(

@@ -104,12 +104,9 @@ PRECISION_BITS = 192
 # Euler-Mascheroni constant, 30 decimal digits (standard tabulated value,
 # within 1e-30 of the constant)
 EULER_GAMMA_LITERAL = "0.577215664901532860606512090082"
-EULER_GAMMA = float(EULER_GAMMA_LITERAL)
 
-MAX_PRIME_CUTOFF = 4 * 10**8
-
-# the explicit part of every Euler product runs over p <= min(prime_cutoff,
-# EXPLICIT_PRIME_LIMIT); past it the zeta factors take over
+# the split point P of every Euler product: the primes p <= P are taken
+# explicitly, and past P the zeta factors take over
 EXPLICIT_PRIME_LIMIT = 100
 
 # what the analytic remainders aim for: the Euler-Maclaurin remainder of a
@@ -273,9 +270,6 @@ class Certified:
     def scale(self, k: float) -> "Certified":
         """Multiply by a float treated as exact."""
         return self * Certified.exact(k)
-
-    def within(self, target: float, slack: float) -> bool:
-        return abs(self.value - target) <= slack
 
     def __repr__(self) -> str:
         return f"Certified({self.value!r}, {self.error!r})"
@@ -442,11 +436,15 @@ def _zeta_at(sigma: Fraction):
     return _zeta_sums(sigma, N, M, lambda n: _inv_power(n, sigma))
 
 
+def _check_tolerance(tol: float) -> None:
+    if not tol > 0:
+        raise ArgumentError(f"tolerance must be positive, got {tol}")
+
+
 def _series_argument(s: float, tol: float) -> Fraction:
     if not s > 1.1:
         raise ArgumentError(f"series argument must exceed 1.1, got {s}")
-    if not tol > 0:
-        raise ArgumentError("tolerance must be positive")
+    _check_tolerance(tol)
     return Fraction(float(s))
 
 
@@ -641,18 +639,8 @@ def _euler_product(q: int, s: Fraction, P: int):
         return _fx_iv(log_prod) + tail * unit, _fx_iv(deriv) + dtail * unit
 
 
-def _explicit_cutoff(prime_cutoff: int) -> int:
-    if prime_cutoff < 100 or prime_cutoff > MAX_PRIME_CUTOFF:
-        raise ArgumentError(
-            f"prime cutoff must lie in [100, {MAX_PRIME_CUTOFF}]"
-        )
-    return min(prime_cutoff, EXPLICIT_PRIME_LIMIT)
-
-
 @lru_cache(maxsize=32)
-def log_factor_constants(
-    q: int, prime_cutoff: int = 10**6, tol: float = 1e-4
-) -> tuple[Certified, Certified]:
+def log_factor_constants(q: int, tol: float = 1e-4) -> tuple[Certified, Certified]:
     """Product at 1 and its log-derivative for the log branch.
 
     Returns (product, logderiv) where
@@ -662,12 +650,13 @@ def log_factor_constants(
     t[m] = chi(m+1) - chi(m) supported on m in [start, q).  ``tol`` bounds
     the product's relative and the logderiv's absolute error.
     """
+    _check_tolerance(tol)
     case = classify(q)
     if case.branch is not Branch.PM1_MOD8:
         raise ClassificationError(
             f"q={q} is in branch {case.branch.value}, which has no log-branch product"
         )
-    log_prod, deriv = _euler_product(q, Fraction(1), _explicit_cutoff(prime_cutoff))
+    log_prod, deriv = _euler_product(q, Fraction(1), EXPLICIT_PRIME_LIMIT)
     with _precision():
         product = Certified._of(iv.exp(log_prod))
     logderiv = Certified._of(deriv)
@@ -677,19 +666,18 @@ def log_factor_constants(
 
 
 @lru_cache(maxsize=32)
-def sqrt_factor_at_half(
-    q: int, prime_cutoff: int = 10**8, tol: float = 2e-4
-) -> Certified:
+def sqrt_factor_at_half(q: int, tol: float = 2e-4) -> Certified:
     """The sqrt-branch product at the half-line:
     prod_p (1 + sum_m t[m] p^{-m/2}) with t[m] = chi(m+1) + chi(m), m >= 3,
     to relative error ``tol``.
     """
+    _check_tolerance(tol)
     case = classify(q)
     if case.branch is not Branch.PM11_MOD24:
         raise ClassificationError(
             f"q={q} is in branch {case.branch.value}, which has no sqrt-branch product"
         )
-    log_prod, _ = _euler_product(q, Fraction(1, 2), _explicit_cutoff(prime_cutoff))
+    log_prod, _ = _euler_product(q, Fraction(1, 2), EXPLICIT_PRIME_LIMIT)
     with _precision():
         product = Certified._of(iv.exp(log_prod))
     _gate(product.error / product.value, tol, f"q={q}: the half-line product")
@@ -711,7 +699,6 @@ class MainTermParams:
     logderiv_at_one: Certified | None
     zeta_half_q: Certified | None
     sqrt_product_half: Certified | None
-    euler_gamma: Certified
 
     @property
     def leading_coefficient(self) -> Certified | None:
@@ -734,28 +721,21 @@ class MainTermParams:
 
 
 @lru_cache(maxsize=32)
-def main_term_params(
-    q: int,
-    prime_cutoff: int | None = None,
-    tol: float = 1e-4,
-) -> MainTermParams:
+def main_term_params(q: int, tol: float = 1e-4) -> MainTermParams:
     """Assemble every certified constant the branch main term needs.
 
     The branch product comes first, so an unmet ``tol`` reports the
     product's own achieved error."""
+    _check_tolerance(tol)
     case = classify(q)
     zpq = None
     p1 = ld1 = None
     zhq = rhalf = None
     if case.branch is Branch.PM1_MOD8:
-        p1, ld1 = log_factor_constants(
-            q, prime_cutoff if prime_cutoff else 10**6, tol
-        )
+        p1, ld1 = log_factor_constants(q, tol)
         zpq = zeta_prime_real(float(q), min(tol, 1e-12))
     elif case.branch is Branch.PM11_MOD24:
-        rhalf = sqrt_factor_at_half(
-            q, prime_cutoff if prime_cutoff else 10**8, tol
-        )
+        rhalf = sqrt_factor_at_half(q, tol)
         zhq = zeta_real(q / 2.0, min(tol, 1e-12))
     zq = zeta_real(float(q), min(tol, 1e-12))
     return MainTermParams(
@@ -767,7 +747,6 @@ def main_term_params(
         logderiv_at_one=ld1,
         zeta_half_q=zhq,
         sqrt_product_half=rhalf,
-        euler_gamma=GAMMA,
     )
 
 
@@ -799,7 +778,7 @@ def main_term(q: int, x: int | float, params: MainTermParams | None = None) -> M
         if case.branch is Branch.Q_EQUALS_3:
             total, kind = Certified._of(iv.exp(log_x.interval / 3)), "exact_cuberoot"
         elif case.branch is Branch.PM1_MOD8:
-            bracket = log_x + params.euler_gamma.scale(2.0) + params.bracket_constant
+            bracket = log_x + GAMMA.scale(2.0) + params.bracket_constant
             total, kind = params.leading_coefficient * bracket * X, "log"
         else:
             root = Certified._of(iv.sqrt(X.interval))

@@ -2,7 +2,7 @@
 
 Errors are split by what the caller can do about them: fix the arguments
 (ArgumentError and friends), raise a budget (ResourceLimitError), relax a
-tolerance or cutoff (PrecisionError), or treat the result as a mathematical
+tolerance (PrecisionError), or treat the result as a mathematical
 finding (never an exception -- mismatches are reported in result objects).
 """
 
@@ -32,7 +32,7 @@ class ResourceLimitError(TaucharError):
 
 
 class PrecisionError(TaucharError):
-    """A tolerance cannot be certified at the configured cutoffs.
+    """A tolerance is tighter than the error that could be certified.
 
     Carries ``achievable``: the best certified bound that *was* reachable.
     """

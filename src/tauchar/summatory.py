@@ -31,7 +31,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import exp, isqrt, log
+from math import exp, inf, isqrt, log
 from typing import TYPE_CHECKING
 
 from .arith import _jacobi, check_budget, is_prime
@@ -343,7 +343,6 @@ def trace(
     alphas=None,
     *,
     limit: int = DEFAULT_LIMIT,
-    prime_cutoff: int | None = None,
     progress=None,
 ) -> SummatoryTrace:
     """Exact summatory values against the branch main term along checkpoints.
@@ -363,7 +362,7 @@ def trace(
 
     from .constants import Certified, main_term, main_term_params
 
-    params = main_term_params(q, prime_cutoff=prime_cutoff)
+    params = main_term_params(q)
     values = _checkpoint_sums(q, cps, progress)
     mains = [main_term(q, x, params=params) for x in cps]
     # exact S(x) minus the main-term enclosure, rounded outward once
@@ -462,16 +461,18 @@ def rh_diagnostic(
         )
     if not 0.0 < eps < 0.25:
         raise ArgumentError(f"eps must lie in (0, 1/4), got {eps}")
-    if not c > 0:
-        raise ArgumentError(f"c must be positive, got {c}")
+    if not 0 < c < inf:
+        raise ArgumentError(f"c must be positive and finite, got {c}")
     if checkpoints is None:
         checkpoints = default_checkpoints(limit)
     cps = _validate_checkpoints(checkpoints, limit, X_FLOOR)
+    # only the decaying envelope can reach 0.0; rh_growth is at least 1
+    decay = [float(x) ** 0.5 * subexp_decay(float(x) ** 0.25, c) for x in cps]
+    if 0.0 in decay:
+        x = cps[decay.index(0.0)]
+        raise ArgumentError(f"the envelope with c={c} underflows to 0 at x={x}")
     values = _checkpoint_sums(q, cps, progress)
-    uncond = tuple(
-        abs(v) / (float(x) ** 0.5 * subexp_decay(float(x) ** 0.25, c))
-        for v, x in zip(values, cps)
-    )
+    uncond = tuple(abs(v) / d for v, d in zip(values, decay))
     cond = tuple(
         abs(v) / (float(x) ** 0.25 * rh_growth(float(x) ** 0.5, eps))
         for v, x in zip(values, cps)

@@ -124,7 +124,7 @@ def test_criterion_3_example_constants():
         "example-constants",
         ok,
         f"{len(targets) - len(bad)}/{len(targets)} within +-0.001 at "
-        f"certified error <= 5e-4, default cutoffs, {dt:.1f}s"
+        f"certified error <= 5e-4, default split, {dt:.1f}s"
         + ("" if ok else "; " + "; ".join(bad)),
     )
     assert ok, "; ".join(bad)

@@ -16,7 +16,6 @@ from tauchar import cases, constants
 from tauchar.arith import _jacobi, is_prime
 from tauchar.cases import _step_coeffs
 from tauchar.constants import (
-    EULER_GAMMA,
     EULER_GAMMA_LITERAL,
     GAMMA,
     Branch,
@@ -99,15 +98,13 @@ def test_certified_validation_and_helpers():
         Certified(1.0, -1e-9)
     assert Certified.exact(2.5).error == 0.0
     c = Certified(1.0, 1e-6)
-    assert c.within(1.0005, 1e-3)
-    assert not c.within(1.01, 1e-3)
     s = c.scale(-3.0)
     assert s.value == -3.0
     assert s.error >= 3e-6
 
 
 def test_gamma_literal_consistency():
-    assert EULER_GAMMA == float(EULER_GAMMA_LITERAL)
+    assert GAMMA.value == float(EULER_GAMMA_LITERAL)
     assert abs(GAMMA.value - 0.5772156649015329) < 1e-15
     assert 0 < GAMMA.error < 1e-15
 
@@ -206,11 +203,11 @@ def test_step_coeffs_match_jacobi_below_2000():
 
 
 def test_log_constants_stable_under_doubled_cutoff(monkeypatch):
-    # the explicit product stops at min(prime_cutoff, EXPLICIT_PRIME_LIMIT),
-    # so the limit is raised for the doubled cutoff to move the split
+    # the explicit product stops at the split EXPLICIT_PRIME_LIMIT
+    monkeypatch.setattr(constants, "EXPLICIT_PRIME_LIMIT", 100)
+    a1, b1 = log_factor_constants.__wrapped__(7, tol=1e-3)
     monkeypatch.setattr(constants, "EXPLICIT_PRIME_LIMIT", 200)
-    a1, b1 = log_factor_constants.__wrapped__(7, prime_cutoff=100, tol=1e-3)
-    a2, b2 = log_factor_constants.__wrapped__(7, prime_cutoff=200, tol=1e-3)
+    a2, b2 = log_factor_constants.__wrapped__(7, tol=1e-3)
     assert abs(a1.value - a2.value) <= a1.error + a2.error
     assert abs(b1.value - b2.value) <= b1.error + b2.error
 
@@ -224,15 +221,24 @@ def test_log_constants_wrong_branch_rejected():
 
 def test_log_constants_unreachable_tolerance():
     with pytest.raises(PrecisionError) as info:
-        log_factor_constants(7, prime_cutoff=100, tol=1e-30)
+        log_factor_constants(7, tol=1e-30)
     assert info.value.achievable > 1e-30
 
 
 def test_sqrt_factor_stable_under_doubled_cutoff(monkeypatch):
+    monkeypatch.setattr(constants, "EXPLICIT_PRIME_LIMIT", 100)
+    a = sqrt_factor_at_half.__wrapped__(13, tol=2e-3)
     monkeypatch.setattr(constants, "EXPLICIT_PRIME_LIMIT", 200)
-    a = sqrt_factor_at_half.__wrapped__(13, prime_cutoff=100, tol=2e-3)
-    b = sqrt_factor_at_half.__wrapped__(13, prime_cutoff=200, tol=2e-3)
+    b = sqrt_factor_at_half.__wrapped__(13, tol=2e-3)
     assert abs(a.value - b.value) <= a.error + b.error
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0])
+def test_non_positive_tolerance_rejected(tol):
+    for fn, q in ((main_term_params, 7), (log_factor_constants, 7),
+                  (sqrt_factor_at_half, 13), (main_term_params, 3)):
+        with pytest.raises(ArgumentError, match="tolerance must be positive"):
+            fn(q, tol=tol)
 
 
 def test_sqrt_factor_wrong_branch_rejected():
@@ -242,15 +248,15 @@ def test_sqrt_factor_wrong_branch_rejected():
 
 def test_sqrt_factor_unreachable_tolerance():
     with pytest.raises(PrecisionError):
-        sqrt_factor_at_half(13, prime_cutoff=100, tol=1e-30)
+        sqrt_factor_at_half(13, tol=1e-30)
 
 
 def test_main_term_params_passes_sqrt_tolerance_through():
     # a 1e-30 request cannot be met and must say so, with the half-line
     # product's own achieved error, rather than return a weaker bound
-    got = sqrt_factor_at_half(13, prime_cutoff=10**7, tol=1e-3)
+    got = sqrt_factor_at_half(13, tol=1e-3)
     with pytest.raises(PrecisionError) as exc:
-        main_term_params(13, prime_cutoff=10**7, tol=1e-30)
+        main_term_params(13, tol=1e-30)
     assert exc.value.achievable == got.error / got.value > 1e-30
 
 
@@ -268,7 +274,7 @@ def test_main_term_bound_only_branch():
 
 
 def test_main_term_log_branch_shape():
-    params = main_term_params(7, prime_cutoff=10**5, tol=1e-3)
+    params = main_term_params(7, tol=1e-3)
     lead = params.leading_coefficient
     brk = params.bracket_constant
     x = 10.0**6
@@ -280,7 +286,7 @@ def test_main_term_log_branch_shape():
 
 
 def test_main_term_sqrt_branch_shape():
-    params = main_term_params(13, prime_cutoff=10**6, tol=2e-3)
+    params = main_term_params(13, tol=2e-3)
     x = 10.0**6
     mt = main_term(13, x, params=params)
     assert mt.kind == "sqrt"
@@ -293,7 +299,7 @@ def test_main_term_domain_floor():
 
 
 def test_bracket_constant_only_on_log_branch():
-    p13 = main_term_params(13, prime_cutoff=10**6, tol=2e-3)
+    p13 = main_term_params(13, tol=2e-3)
     assert p13.bracket_constant is None
     p5 = main_term_params(5)
     assert p5.leading_coefficient is None
@@ -411,7 +417,7 @@ def meets(c, value, error):
 
 @pytest.mark.parametrize("q", branch_moduli(Branch.PM1_MOD8, 61))
 def test_log_constants_meet_float_route(q):
-    product, logderiv = log_factor_constants(q, prime_cutoff=10**5, tol=1e-3)
+    product, logderiv = log_factor_constants(q, tol=1e-3)
     old_product, old_logderiv = float_route_log(q, 10**5)
     assert meets(product, *old_product)
     assert meets(logderiv, *old_logderiv)
@@ -419,7 +425,7 @@ def test_log_constants_meet_float_route(q):
 
 @pytest.mark.parametrize("q", branch_moduli(Branch.PM11_MOD24, 61))
 def test_sqrt_factor_meets_float_route(q):
-    product = sqrt_factor_at_half(q, prime_cutoff=10**5, tol=1e-3)
+    product = sqrt_factor_at_half(q, tol=1e-3)
     assert meets(product, *float_route_sqrt(q, 10**5))
 
 

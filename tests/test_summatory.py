@@ -401,6 +401,11 @@ def test_rh_diagnostic_parameter_guards():
         rh_diagnostic(19, (1024,), c=0.0)
     with pytest.raises(ArgumentError):
         rh_diagnostic(19, (1024,), c=float("nan"))
+    with pytest.raises(ArgumentError):
+        rh_diagnostic(19, (1024,), c=float("inf"))
+    # exp(-c ...) underflows to 0.0 at every checkpoint
+    with pytest.raises(ArgumentError, match="x=1024"):
+        rh_diagnostic(19, (1024, 2048), c=1e6)
 
 
 def test_envelope_shapes():
