@@ -1,8 +1,8 @@
 """The numpy kernel: one multiplicative-table block kernel.
 
-Every multiplicative table in the package is fixed by per-exponent values
-``c[e]`` that are the same for all primes, and comes from ``factor_block``
-(one block) or ``full_tables`` (a table from 1, block by block).
+A multiplicative table is fixed by per-exponent values ``c[e]`` that are
+the same for all primes; ``factor_block`` sieves one block of it, and
+``full_tables`` (called by ``sieves.multiplicative_series``) a table from 1.
 Factorization uses per-prime-power stride passes rather than a
 smallest-prime-factor chain: numpy cannot follow the sequential spf
 recurrence efficiently, but strided in-place updates run at C speed.

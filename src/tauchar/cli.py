@@ -41,7 +41,6 @@ from datetime import datetime, timezone
 from fractions import Fraction
 
 from . import __version__
-from .arith import check_budget, is_prime
 from .cases import Branch, classify
 from .errors import (
     ArgumentError,
@@ -184,7 +183,13 @@ def _emit(args, meta: dict, header: list[str], rows: list, summary: dict | None)
             w.writerow([_cell(c) for c in row])
 
     if args.output:
-        with open(args.output, "w", newline="") as f:
+        try:
+            f = open(args.output, "w", newline="")
+        except OSError as e:
+            raise ArgumentError(
+                f"cannot write --output {args.output}: {e.strerror}"
+            ) from None
+        with f:
             write(f)
     else:
         write(sys.stdout)
@@ -197,8 +202,9 @@ def _moduli(args) -> list[int]:
     if args.q is not None:
         qs = [args.q]
     else:
-        check_budget(args.all_q, "prime sieve")
-        qs = [q for q in range(3, args.all_q + 1, 2) if is_prime(q)]
+        from .powerful import prime_list
+
+        qs = prime_list(args.all_q)[1:]
     if not qs:
         raise ArgumentError(f"no odd prime moduli at or below {args.all_q}")
     for q in qs:

@@ -84,7 +84,6 @@ from math import isqrt, lcm, log, pi, ulp
 
 from mpmath import iv, libmp
 
-from .arith import is_prime
 from .cases import (  # all re-exported as constants.<name>
     THETA_UPPER,
     X_FLOOR,
@@ -96,6 +95,7 @@ from .cases import (  # all re-exported as constants.<name>
     local_factor,
 )
 from .errors import ArgumentError, ClassificationError, PrecisionError
+from .powerful import prime_list
 
 # working precision of every interval computation; iv.prec is set to it only
 # inside _precision() and restored on the way out
@@ -470,11 +470,6 @@ def zeta_prime_real(s: float, tol: float = 1e-12) -> Certified:
     return c
 
 
-@lru_cache(maxsize=None)
-def _primes_to(P: int) -> tuple[int, ...]:
-    return tuple(p for p in range(2, P + 1) if is_prime(p))
-
-
 class _ZetaLadder:
     """Zeta data at sigma = k s, k = 1, 2, ..., for one split (s, P).
 
@@ -488,7 +483,7 @@ class _ZetaLadder:
     """
 
     def __init__(self, s: Fraction, P: int):
-        self.s, self.primes = s, _primes_to(P)
+        self.s, self.primes = s, prime_list(P)
         self.plans: list = [None]
         self.rungs: list = [None]
 
@@ -589,7 +584,7 @@ def _explicit_factors(t: list[int], s: Fraction, P: int):
     d, D = s.denominator, len(t) - 1
     e = -(-D // d)
     prod, deriv = (_ONE, _ONE), (0, 0)
-    for p in _primes_to(P):
+    for p in prime_list(P):
         val = slope = (0, 0)  # p^e L(p^-s) and p^e u L'(u)
         for r in range(d):
             ms = range(r, D + 1, d)

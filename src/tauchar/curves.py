@@ -33,7 +33,8 @@ import numpy as np
 from ._kernels import DEFAULT_SEGMENT, factor_block
 from .errors import ArgumentError, TaucharError, UndecidablePointError
 from .roots import floor_rational_root, integer_nth_root
-from .sieves import check_budget, primes_up_to
+from .powerful import prime_list
+from .sieves import check_budget
 from .summatory import divisor_summatory
 
 
@@ -242,7 +243,7 @@ def short_interval_sum(inst: ShortIntervalInstance) -> int:
     n <= (x+y)^(1/5) the block kernel factors the d-window in segments.
     """
     top = _floor_frac(inst.x + inst.y)
-    primes = primes_up_to(isqrt(isqrt(top)))
+    primes = prime_list(isqrt(isqrt(top)))
     mu = [1, -1] + [0] * top.bit_length()
     total = 0
     for n in range(1, integer_nth_root(top, 5) + 1):
@@ -384,6 +385,8 @@ def _tau_window_sum(x: Fraction, y: Fraction) -> int:
 
 def _scan(inst: ShortIntervalInstance, with_shapes: bool) -> RangeScanReport:
     x, y, c3 = inst.x, inst.y, inst.c3
+    # D(x + y) refuses x + y above MAX_EXACT_X: ask before the scan
+    trivial = _tau_window_sum(x, y)
     # scan interval: n > (16 y^2 / x)^(1/5)  and  n <= (2x)^(1/5), exactly
     n_min = _floor_root(16 * y * y / x, 5) + 1
     n_max = _floor_root(2 * x, 5)
@@ -470,7 +473,7 @@ def _scan(inst: ShortIntervalInstance, with_shapes: bool) -> RangeScanReport:
         small_n_double=small_n,
         total_double=total,
         short_sum=short,
-        trivial_bound=_tau_window_sum(x, y),
+        trivial_bound=trivial,
         assembled_bound=assembled,
         ratio_short_to_assembled=ratio_sa,
     )

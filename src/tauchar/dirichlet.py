@@ -22,8 +22,9 @@ and ``local_factor`` returns the factor it selects as an integer rational
 function of u.  ``verify_factorization`` dispatches on the same
 classification and expands each factor by integer long division.  Every
 such factor has no u^1 term, so its expansion lives on the powerful
-numbers and ``expand_euler_product`` lists them by the powerful walk
-(``sieves.powerful_terms``) instead of sieving every n.
+numbers, and ``expand_euler_product`` hands it to
+``sieves.multiplicative_series``, which lists them by the powerful walk
+instead of sieving every n.
 """
 
 from dataclasses import dataclass
@@ -33,7 +34,6 @@ import numpy as np
 
 from .cases import Branch, LocalFactor, SubBranch, classify, local_factor
 from .errors import ArgumentError, NotInvertibleError, OverflowHardError
-from .powerful import prime_list
 from .sieves import (
     CoeffSeries,
     check_budget,
@@ -43,7 +43,6 @@ from .sieves import (
     multiplicative_series,
     ones_series,
     power_indicator_series,
-    powerful_terms,
     tau_char_sieve,
 )
 
@@ -156,27 +155,17 @@ def expand_euler_product(local: LocalFactor, limit: int) -> CoeffSeries:
 
     values[n] = product over p^e || n of the factor's u^e coefficient.  A
     value is a product of at most omega_max(limit) coefficients, so the
-    int64 check is made on that bound before any work.  When the u^1
-    coefficient is 0, as for every factor local_factor returns, the values
-    live on the powerful numbers, and the powerful walk lists them in
-    O(sqrt(limit)) steps; otherwise the multiplicative kernel sieves all of
-    1..limit.
+    int64 check is made on that bound before any work.  Every factor
+    local_factor returns has no u^1 term, so ``multiplicative_series``
+    lists its support by the powerful walk.
     """
-    if limit < 1:
-        raise ArgumentError(f"limit must be >= 1, got {limit}")
     c = local.coeffs(max(1, limit.bit_length() - 1))
     if max(map(abs, c)) ** _omega_max(limit) > _INT64_MAX:
         raise OverflowHardError(
             f"euler product expansion of {local.name} could overflow int64 "
             f"below {limit}"
         )
-    if c[1]:
-        return multiplicative_series(limit, c, "euler product expansion")
-    check_budget(limit, "euler product expansion")
-    n, w = powerful_terms(c, limit, prime_list(isqrt(limit)))
-    values = np.zeros(limit + 1, dtype=np.int64)
-    values[n] = w
-    return CoeffSeries(limit, values)
+    return multiplicative_series(limit, c, "euler product expansion")
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,9 @@ powerful numbers (p | n implies p^2 | n), about 2.2 sqrt(top) of them up to
 top (Golomb, Powerful numbers, Amer. Math. Monthly 77, 1970).
 ``powerful_walk`` visits them depth first over the primes to sqrt(top);
 ``prime_list`` is the package's one prime sieve, which the walk, the
-multiplicative tables and ``sieves.primes_up_to`` all draw from.  Nothing
-here imports numpy or mpmath, so the summatory sums that need only the walk
-load neither.
+multiplicative tables, the near-curve window, the certified Euler products
+and the CLI's --all-q moduli all draw from.  Nothing here imports numpy or
+mpmath, so the summatory sums that need only the walk load neither.
 """
 
 from bisect import bisect_right

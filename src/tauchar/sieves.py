@@ -1,23 +1,22 @@
 """Base arithmetic functions as exact integer tables.
 
 Everything downstream consumes these: the divisor count tau(n), the Mobius
-and Liouville functions, perfect-power indicators, the Legendre symbol, and
-the tau character (the Legendre symbol of the divisor count), all over
-1..limit as exact 64-bit integers.
+and Liouville functions, perfect-power indicators, the tau character (the
+Legendre symbol of the divisor count) and the Euler-factor expansions, all
+over 1..limit as exact 64-bit integers.
 
-Every multiplicative table comes from one numpy block kernel in
-``tauchar._kernels``, fixed by the per-exponent values c[e] = f(p^e) that
-all these functions share across primes (``multiplicative_series``); this
-module owns validation and the public types.  The prime sieve and the
-powerful-number walk live in the numpy-free ``powerful``:
-``primes_up_to`` and ``powerful_terms`` pack their output into int64
-arrays for the table-based routes (the q = +-1 (mod 8) summatory sums and
-the Euler-factor expansions).  Primality, the Jacobi symbol and the table
-budget live in the numpy-free ``arith`` and are re-exported here.
+Each of them is multiplicative and fixed by one row c[e] = f(p^e) shared by
+all primes, and ``multiplicative_series`` is the one builder of such a
+table: when c[1] = 0 the table lives on the powerful numbers, and
+``powerful_terms`` scatters them from the walk in the numpy-free
+``powerful``; otherwise the numpy block kernel in ``tauchar._kernels``
+sieves every n.  This module owns validation and the public types.
+Primality, the Jacobi symbol and the table budget live in the numpy-free
+``arith`` and are re-exported here.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from math import isqrt
 
 import numpy as np
 
@@ -25,7 +24,6 @@ from . import _kernels
 from .arith import MAX_SIEVE_ENTRIES, _jacobi, check_budget, is_prime
 from .errors import ArgumentError, OverflowHardError
 from .powerful import powerful_walk, prime_list
-from .roots import integer_nth_root
 
 _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
@@ -89,36 +87,6 @@ class CoeffSeries:
         return int(diff[0]) if len(diff) else None
 
 
-@dataclass(frozen=True)
-class LegendreChar:
-    """The Legendre symbol (. / q) for an odd prime modulus q."""
-
-    q: int
-
-    def __post_init__(self):
-        if self.q < 3 or self.q % 2 == 0 or not is_prime(self.q):
-            raise ArgumentError(f"modulus must be an odd prime, got {self.q}")
-
-    @cached_property
-    def table(self) -> np.ndarray:
-        """Values (t/q) for t = 0..q-1 as int8, for vectorized lookups.
-
-        Built by marking the nonzero squares mod q (q prime, so the symbol
-        is 1 exactly on them); cross-checked against reciprocity in tests.
-        """
-        q = self.q
-        vals = np.full(q, -1, dtype=np.int8)
-        sq = np.arange(1, (q + 1) // 2, dtype=np.int64)
-        vals[(sq * sq) % q] = 1
-        vals[0] = 0
-        vals[1] = 1
-        vals.setflags(write=False)
-        return vals
-
-    def __call__(self, a: int) -> int:
-        return _jacobi(a % self.q, self.q)
-
-
 def multiplicative_series(limit: int, c, what: str = "sieve") -> CoeffSeries:
     """The multiplicative f with f(p^e) = c[e] for every prime p, n = 1..limit.
 
@@ -127,6 +95,10 @@ def multiplicative_series(limit: int, c, what: str = "sieve") -> CoeffSeries:
     limit.bit_length()); otherwise ArgumentError.  Every entry must fit in
     int64, and so must every product of c-values over the distinct prime
     factors of one n <= limit.
+
+    When c[1] = 0, f lives on the powerful numbers, and the powerful walk
+    scatters them into a zero table in O(sqrt(limit)) steps; otherwise the
+    block kernel sieves all of 1..limit.
     """
     if limit < 1:
         raise ArgumentError(f"limit must be >= 1, got {limit}")
@@ -138,7 +110,12 @@ def multiplicative_series(limit: int, c, what: str = "sieve") -> CoeffSeries:
             f"length {len(c)}"
         )
     check_budget(limit, what)
-    return CoeffSeries(limit, _kernels.full_tables(limit, c))
+    if c[1]:
+        return CoeffSeries(limit, _kernels.full_tables(limit, c))
+    n, w = powerful_terms(c, limit, prime_list(isqrt(limit)))
+    values = np.zeros(limit + 1, dtype=np.int64)
+    values[n] = w
+    return CoeffSeries(limit, values)
 
 
 def divisor_count_sieve(limit: int) -> CoeffSeries:
@@ -162,13 +139,9 @@ def power_indicator_series(r: int, limit: int) -> CoeffSeries:
     """Indicator of perfect r-th powers (Dirichlet series zeta(r*s)), r >= 2."""
     if r < 2:
         raise ArgumentError(f"power order must be >= 2, got {r}")
-    if limit < 1:
-        raise ArgumentError(f"limit must be >= 1, got {limit}")
-    check_budget(limit)
-    values = np.zeros(limit + 1, dtype=np.int64)
-    top = integer_nth_root(limit, r)
-    values[np.arange(1, top + 1, dtype=np.int64) ** r] = 1
-    return CoeffSeries(limit, values)
+    return multiplicative_series(
+        limit, [int(e % r == 0) for e in range(max(2, limit.bit_length()))]
+    )
 
 
 def ones_series(limit: int) -> CoeffSeries:
@@ -181,21 +154,17 @@ def ones_series(limit: int) -> CoeffSeries:
     return CoeffSeries(limit, values)
 
 
-def tau_char_sieve(char: LegendreChar | int, limit: int) -> CoeffSeries:
+def tau_char_sieve(q: int, limit: int) -> CoeffSeries:
     """The tau character: n -> Legendre symbol (tau(n) / q), values in {-1,0,1}.
 
     Multiplicative because tau is multiplicative and the symbol is completely
     multiplicative: its value at p^e is chi(e + 1).
     """
-    if isinstance(char, int):
-        char = LegendreChar(char)
-    c = [int(char.table[(e + 1) % char.q]) for e in range(limit.bit_length() + 1)]
-    return multiplicative_series(limit, c)
-
-
-def primes_up_to(limit: int) -> np.ndarray:
-    """All primes <= limit as an int64 array (``powerful.prime_list``)."""
-    return np.array(prime_list(limit), dtype=np.int64)
+    if q < 3 or q % 2 == 0 or not is_prime(q):
+        raise ArgumentError(f"modulus must be an odd prime, got {q}")
+    return multiplicative_series(
+        limit, [_jacobi(e + 1, q) for e in range(limit.bit_length() + 1)]
+    )
 
 
 def powerful_terms(w, top: int, primes: list[int]):

@@ -399,6 +399,19 @@ def test_output_flag_writes_file(tmp_path, capsys):
     assert text.startswith("# meta subcommand=constants")
 
 
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
+    # a missing directory and a directory as the file: exit 2, no traceback
+    for target in (tmp_path / "missing" / "out.csv", tmp_path):
+        code, out, err = run(
+            ["constants", "--q", "7", "--no-timestamp", "--output", str(target)],
+            capsys,
+        )
+        assert code == 2, err
+        assert out == ""
+        assert err.startswith(f"tauchar: argument error: cannot write --output {target}")
+    assert not (tmp_path / "missing").exists()
+
+
 def test_output_does_not_depend_on_the_host(monkeypatch, capsys):
     argv = ["constants", "--q", "3", "--no-timestamp"]
     outs = []

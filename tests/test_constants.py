@@ -30,7 +30,7 @@ from tauchar.constants import (
     zeta_real,
 )
 from tauchar.errors import ArgumentError, ClassificationError, PrecisionError
-from tauchar.sieves import primes_up_to
+from tauchar.powerful import prime_list
 
 
 def test_zeta_closed_forms():
@@ -366,7 +366,7 @@ def float_route_log(q, P):
     tail_logderiv = 4.2 * (c + 1) * _prime_tail_power_log(P, float(c))
     steps = _step_coeffs(q, -1)[: _EXPONENT_CAP + 1]
     coeffs = [(m, int(steps[m])) for m in np.flatnonzero(steps).tolist()]
-    p = np.asarray(primes_up_to(P), dtype=np.float64)
+    p = np.asarray(prime_list(P), dtype=np.float64)
     factor = np.ones_like(p)
     deriv_num = np.zeros_like(p)
     for m, t in coeffs:
@@ -394,7 +394,7 @@ def float_route_sqrt(q, P):
     tail = 2.29 * _prime_tail_power(P, 1.5)
     steps = _step_coeffs(q, +1)[: _EXPONENT_CAP + 1]
     coeffs = [(m, int(steps[m])) for m in np.flatnonzero(steps).tolist()]
-    p = primes_up_to(P).astype(np.float64)
+    p = np.asarray(prime_list(P), dtype=np.float64)
     rt = p ** (-0.5)
     factor = np.ones_like(p)
     for m, t in coeffs:
@@ -578,7 +578,7 @@ def _log_zeta_rough(sigma: Fraction, P: int):
     with constants._precision():
         z, dz = _zeta_pair(sigma)
         factor, deriv = z, dz / z
-        for p in constants._primes_to(P):
+        for p in prime_list(P):
             w = _inv_power(p, sigma)
             factor *= 1 - w
             deriv += iv.log(p) * w / (1 - w)

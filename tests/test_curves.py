@@ -8,7 +8,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from tauchar import _kernels
+from tauchar import _kernels, curves
 from tauchar.curves import (
     BoundShapes,
     CurveConfig,
@@ -21,9 +21,10 @@ from tauchar.curves import (
     range_scan,
     short_interval_sum,
 )
-from tauchar.errors import ArgumentError, UndecidablePointError
+from tauchar.errors import ArgumentError, OverflowHardError, UndecidablePointError
+from tauchar.powerful import prime_list
 from tauchar.roots import integer_nth_root
-from tauchar.sieves import mobius_sieve, primes_up_to
+from tauchar.sieves import mobius_sieve
 from tauchar.summatory import summatory_convolved
 
 
@@ -249,7 +250,7 @@ def test_tau_window_sum_matches_factor_block(x, y):
     want = 0
     if hi >= lo:
         c = range(1, hi.bit_length() + 2)  # tau(p^e) = e + 1
-        tau = _kernels.factor_block(lo, hi + 1, primes_up_to(isqrt(hi)), c)
+        tau = _kernels.factor_block(lo, hi + 1, prime_list(isqrt(hi)), c)
         want = int(np.sum(tau, dtype=np.int64))
     assert _tau_window_sum(x, y) == want
     if hi <= 10**6:
@@ -357,3 +358,15 @@ def test_scan_rejects_oversized_window():
     # happen by construction; widen y beyond x instead and expect rejection
     with pytest.raises(ArgumentError):
         ShortIntervalInstance(Fraction(100), Fraction(101))
+
+
+@pytest.mark.parametrize("scan", [decompose_short_interval, range_scan])
+def test_scan_refuses_x_above_max_exact_x_before_the_sums(scan, monkeypatch):
+    # D(x + y) for the trivial bound is asked first, so x + y > 2^57 is
+    # refused before the pair counts and the short sum
+    def no_work(inst):
+        raise AssertionError("short_interval_sum ran before the refusal")
+
+    monkeypatch.setattr(curves, "short_interval_sum", no_work)
+    with pytest.raises(OverflowHardError):
+        scan(ShortIntervalInstance(10**26, 10**9))

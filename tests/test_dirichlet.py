@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tauchar import cases, dirichlet
+from tauchar import _kernels, cases, dirichlet
 from tauchar.constants import LocalFactor, local_factor
 from tauchar.dirichlet import (
     dirichlet_convolve,
@@ -24,7 +24,6 @@ from tauchar.sieves import (
     CoeffSeries,
     is_prime,
     mobius_sieve,
-    multiplicative_series,
     ones_series,
     power_indicator_series,
     tau_char_sieve,
@@ -390,7 +389,7 @@ def _local_factors_below_60():
 
 def test_euler_expansion_by_the_walk_equals_the_sieve():
     # every factor local_factor returns has no u^1 term, so the expansion
-    # runs the powerful walk; the multiplicative kernel is the second route
+    # runs the powerful walk; the block kernel is the second route
     rng = np.random.default_rng(12)
     limits = [1, 2, 3, 4, 8, 9, 16, 17, 255, 256, 3000, 10**5]
     limits += [int(n) for n in rng.integers(5, 10**5, size=4)]
@@ -401,7 +400,8 @@ def test_euler_expansion_by_the_walk_equals_the_sieve():
             c = lf.coeffs(max(1, n.bit_length() - 1))
             assert c[1] == 0
             walked = expand_euler_product(lf, n)
-            assert walked == multiplicative_series(n, c), (lf.name, n)
+            sieved = CoeffSeries(n, _kernels.full_tables(n, c))
+            assert walked == sieved, (lf.name, n)
 
 
 def test_euler_expansion_overflow_guard():

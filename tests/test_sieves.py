@@ -1,16 +1,28 @@
 """Sieve tables and the kernels behind them against brute-force oracles."""
 
+import argparse
+from fractions import Fraction
 from math import isqrt
 
 import numpy as np
 import pytest
 
-from tauchar import _kernels, arith, dirichlet, powerful, sieves, summatory
+from tauchar import (
+    _kernels,
+    arith,
+    cli,
+    constants,
+    curves,
+    dirichlet,
+    powerful,
+    sieves,
+    summatory,
+)
 from tauchar.dirichlet import dirichlet_convolve
 from tauchar.errors import ArgumentError, ResourceLimitError
+from tauchar.powerful import prime_list
 from tauchar.sieves import (
     CoeffSeries,
-    LegendreChar,
     MAX_SIEVE_ENTRIES,
     check_budget,
     divisor_count_sieve,
@@ -20,7 +32,6 @@ from tauchar.sieves import (
     multiplicative_series,
     ones_series,
     power_indicator_series,
-    primes_up_to,
     tau_char_sieve,
 )
 from tauchar.sieves import _jacobi
@@ -100,10 +111,13 @@ def test_liouville_sieve_matches_brute_force():
 
 
 def test_power_indicator_series():
-    a3 = power_indicator_series(3, 10**4)
-    cubes = {k**3 for k in range(1, 22)}
-    for n in range(1, 10**4 + 1):
-        assert a3[n] == (1 if n in cubes else 0)
+    for r in range(2, 8):
+        ar = power_indicator_series(r, 10**4)
+        powers = {k**r for k in range(1, 101)}
+        for n in range(1, 10**4 + 1):
+            assert ar[n] == (1 if n in powers else 0), (r, n)
+    with pytest.raises(ArgumentError):
+        power_indicator_series(1, 100)
 
 
 def test_ones_and_identity_series():
@@ -115,40 +129,36 @@ def test_ones_and_identity_series():
 
 @pytest.mark.parametrize("q", [3, 5, 7, 11, 13, 23, 199])
 def test_legendre_table_against_euler_criterion(q):
-    char = LegendreChar(q)
-    t = char.table
-    for a in range(q):
-        assert int(t[a]) == euler_criterion(a, q), (q, a)
+    # _jacobi reduces a mod q itself: negative a and a >= q included
+    for a in range(-2 * q, 3 * q):
+        assert _jacobi(a, q) == euler_criterion(a, q), (q, a)
 
 
 def test_legendre_table_against_jacobi_all_small_q():
-    for q in range(3, 200):
+    for q in range(3, 200, 2):
         if not is_prime(q):
             continue
-        t = LegendreChar(q).table
         for a in range(q):
-            assert int(t[a]) == _jacobi(a, q), (q, a)
+            assert euler_criterion(a, q) == _jacobi(a, q), (q, a)
 
 
-def test_legendre_char_rejects_non_prime_and_even():
+def test_tau_char_sieve_rejects_non_prime_and_even():
     for bad in (1, 2, 4, 9, 15, 91):
-        with pytest.raises(ArgumentError):
-            LegendreChar(bad)
+        with pytest.raises(ArgumentError, match="modulus must be an odd prime"):
+            tau_char_sieve(bad, 100)
 
 
 def test_legendre_symbol_is_multiplicative():
     rng = np.random.default_rng(5)
     for q in (7, 13, 31):
-        char = LegendreChar(q)
         for _ in range(200):
             a, b = map(int, rng.integers(1, 10**6, size=2))
-            assert char(a * b) == char(a) * char(b)
+            assert _jacobi(a * b, q) == _jacobi(a, q) * _jacobi(b, q)
 
 
 def test_tau_char_sieve_matches_pointwise_definition():
     for q in (3, 5, 7, 11, 13):
-        char = LegendreChar(q)
-        series = tau_char_sieve(char, N)
+        series = tau_char_sieve(q, N)
         tau = divisor_count_sieve(N)
         for n in range(1, N + 1):
             assert series[n] == euler_criterion(tau[n], q), (q, n)
@@ -156,7 +166,7 @@ def test_tau_char_sieve_matches_pointwise_definition():
 
 def test_tau_char_is_multiplicative_on_coprime_pairs():
     rng = np.random.default_rng(17)
-    series = tau_char_sieve(LegendreChar(7), 10**6)
+    series = tau_char_sieve(7, 10**6)
     checked = 0
     while checked < 300:
         a, b = map(int, rng.integers(2, 1000, size=2))
@@ -170,11 +180,6 @@ def brute_primes(limit):
     return [n for n in range(2, limit + 1) if all(n % d for d in range(2, isqrt(n) + 1))]
 
 
-def test_primes_up_to_oracle():
-    for limit in (0, 1, 2, 3, 10, 97, 1000, 10**5):
-        assert list(primes_up_to(limit)) == brute_primes(limit), limit
-
-
 def test_prime_list_against_brute_force():
     limits = list(range(301)) + [10**5]
     limits += [p * p + d for p in brute_primes(99) for d in (-1, 0, 1)]
@@ -185,24 +190,32 @@ def test_prime_list_against_brute_force():
 
 
 def test_every_prime_consumer_draws_from_prime_list(monkeypatch):
-    # the walk, the tables and primes_up_to share one sieve; the numpy one
-    # is gone from the kernels
+    # the walk, the tables, the near-curve window, the certified Euler
+    # products and the --all-q moduli share one sieve; no other is left
     assert not hasattr(_kernels, "primes_up_to")
-    for mod in (sieves, summatory, dirichlet, _kernels.pyback):
+    assert not hasattr(sieves, "primes_up_to")
+    assert not hasattr(constants, "_primes_to")
+    owners = (sieves, summatory, constants, curves, _kernels.pyback)
+    for mod in owners:
         assert mod.prime_list is powerful.prime_list, mod.__name__
     asked = []
 
     def spy(limit):
         asked.append(limit)
-        return powerful.prime_list(limit)
+        return prime_list(limit)
 
-    for mod in (sieves, summatory, dirichlet, _kernels.pyback):
+    for mod in owners + (powerful,):  # cli imports it from powerful per call
         monkeypatch.setattr(mod, "prime_list", spy)
-    assert primes_up_to(50).tolist() == brute_primes(50)
     _kernels.full_tables(1000, TAU_C)
     summatory.summatory_convolved(13, 10**4)
     dirichlet.expand_euler_product(dirichlet.local_factor(13), 2000)
-    assert asked == [50, isqrt(1000), isqrt(10**4), isqrt(2000)]
+    curves.short_interval_sum(curves.ShortIntervalInstance(10**8, 4170))
+    constants._ZetaLadder(Fraction(1, 2), 100)
+    moduli = cli._moduli(argparse.Namespace(q=None, all_q=60))
+    assert moduli == brute_primes(60)[1:]
+    assert asked == [
+        isqrt(1000), isqrt(10**4), isqrt(2000), isqrt(isqrt(10**8 + 4170)), 100, 60
+    ]
 
 
 # per-exponent values c[e] = f(p^e) of the three base functions
@@ -214,7 +227,7 @@ BRUTE = ((TAU_C, brute_tau), (MU_C, brute_mu), (LIOU_C, brute_omega_parity))
 
 def test_factor_block_against_brute_force():
     lo, hi = 1, 400
-    primes = primes_up_to(30)
+    primes = prime_list(30)
     for c, brute in BRUTE:
         out = _kernels.factor_block(lo, hi, primes, c)
         for n in range(lo, hi):
@@ -227,7 +240,7 @@ def test_factor_block_random_windows():
     for _ in range(12):
         lo = int(rng.integers(1, 10**6))
         hi = lo + int(rng.integers(1, 3000))
-        primes = primes_up_to(isqrt(hi) + 1)
+        primes = prime_list(isqrt(hi) + 1)
         exps = [brute_exponents(n, small) for n in range(lo, hi)]
         for c, _ in BRUTE:
             out = _kernels.factor_block(lo, hi, primes, c)
@@ -238,15 +251,14 @@ def test_factor_block_random_windows():
 def test_factor_block_tau_character_at_offset_1e12():
     # c[e] = chi(e + 1) gives (tau(n) / q) without a divisor-count table
     lo, hi = 10**12, 10**12 + 64
-    primes = primes_up_to(isqrt(hi))
+    primes = prime_list(isqrt(hi))
     # trial division by the prime list, itself checked against brute force
     taus = [
-        int(np.prod([e + 1 for e in brute_exponents(n, primes.tolist())]))
+        int(np.prod([e + 1 for e in brute_exponents(n, primes)]))
         for n in range(lo, hi)
     ]
     for q in (5, 7, 13):
-        char = LegendreChar(q)
-        c = [char(e + 1) for e in range(hi.bit_length())]
+        c = [_jacobi(e + 1, q) for e in range(hi.bit_length())]
         out = _kernels.factor_block(lo, hi, primes, c)
         assert out.dtype == np.int8
         assert [int(v) for v in out] == [euler_criterion(t, q) for t in taus], q
@@ -254,9 +266,9 @@ def test_factor_block_tau_character_at_offset_1e12():
 
 def test_factor_block_rejects_short_coefficients():
     with pytest.raises(ValueError):
-        _kernels.factor_block(1, 1025, primes_up_to(32), TAU_C[:10])
+        _kernels.factor_block(1, 1025, prime_list(32), TAU_C[:10])
     with pytest.raises(ValueError):
-        _kernels.factor_block(1, 100, primes_up_to(10), [2] + TAU_C[1:])
+        _kernels.factor_block(1, 100, prime_list(10), [2] + TAU_C[1:])
 
 
 @pytest.mark.parametrize("segment", [1024, 777])
@@ -264,7 +276,7 @@ def test_full_tables_across_segment_sizes(segment):
     for c, _ in BRUTE:
         table = _kernels.full_tables(5000, c, segment=segment)
         assert table[0] == 0
-        single = _kernels.factor_block(1, 5001, primes_up_to(70), c)
+        single = _kernels.factor_block(1, 5001, prime_list(70), c)
         assert np.array_equal(table[1:], single)
 
 
@@ -277,11 +289,23 @@ def test_multiplicative_series_rejects_short_or_unnormalised_c():
     assert multiplicative_series(1023, TAU_C[:10]) == divisor_count_sieve(1023)
 
 
+def test_multiplicative_series_equals_full_tables_on_both_routes():
+    # c[1] = 0 scatters the powerful walk, c[1] != 0 runs the block kernel;
+    # either way the table is the kernel's, entry for entry
+    rng = np.random.default_rng(21)
+    for limit in (1, 2, 3, 4, 255, 256, 3000):
+        width = max(2, limit.bit_length())
+        for first in (0, 0, 0, 1, -1, int(rng.integers(2, 5))):
+            c = [1, first] + rng.integers(-4, 5, size=width - 2).tolist()
+            want = CoeffSeries(limit, _kernels.full_tables(limit, c))
+            assert multiplicative_series(limit, c) == want, (limit, c)
+
+
 def test_budget_errors():
     with pytest.raises(ResourceLimitError):
         check_budget(MAX_SIEVE_ENTRIES + 1)
     with pytest.raises(ResourceLimitError):
-        tau_char_sieve(LegendreChar(5), MAX_SIEVE_ENTRIES + 1)
+        tau_char_sieve(5, MAX_SIEVE_ENTRIES + 1)
 
 
 def test_helpers_have_one_definition():
@@ -291,23 +315,36 @@ def test_helpers_have_one_definition():
         assert getattr(sieves, name) is getattr(arith, name)
 
 
-def test_powerful_walk_lists_the_powerful_numbers():
+def test_powerful_walk_lists_the_powerful_numbers(monkeypatch):
     # w = 1 from the square on: the indicator of the powerful numbers
     top = N
-    primes = primes_up_to(isqrt(top)).tolist()
+    primes = prime_list(isqrt(top))
     n, w = sieves.powerful_terms([1, 0] + [1] * top.bit_length(), top, primes)
     factored = [brute_exponents(m, primes) for m in range(1, top + 1)]
     want = [m for m, es in enumerate(factored, 1) if all(e >= 2 for e in es)]
     assert n.tolist() == want
     assert w.tolist() == [1] * len(want)
-    # summatory and the Euler-factor expansion share this one walk
+    # summatory and the one table builder share this one walk, and
+    # powerful_terms packs it for both
     assert summatory.powerful_walk is sieves.powerful_walk is powerful.powerful_walk
-    assert dirichlet.powerful_terms is sieves.powerful_terms
+    assert not hasattr(dirichlet, "powerful_terms")
+    real, tops = sieves.powerful_terms, []
+
+    def spy(w, top, primes):
+        tops.append(top)
+        return real(w, top, primes)
+
+    monkeypatch.setattr(sieves, "powerful_terms", spy)
+    power_indicator_series(2, 100)
+    dirichlet.expand_euler_product(dirichlet.local_factor(7), 200)
+    summatory.summatory_convolved(7, 300)
+    mobius_sieve(400)  # c[1] != 0: the block kernel, no walk
+    assert tops == [100, 200, 300]
 
 
 def test_powerful_walk_refuses_weights_off_the_powerful_numbers():
     # w[1] != 0 would silently drop every n with a prime to the first power
-    primes = primes_up_to(31).tolist()
+    primes = prime_list(31)
     for bad in ([1, 1] + [1] * 9, [2, 0] + [1] * 9, [1, 0, 1]):
         with pytest.raises(ArgumentError):
             sieves.powerful_terms(bad, 1000, primes)

@@ -14,7 +14,7 @@ from tauchar.errors import ArgumentError, ClassificationError, OverflowHardError
 from tauchar.powerful import powerful_walk, prime_list
 from tauchar.roots import floor_root_grid, integer_nth_root
 from tauchar.sieves import (
-    LegendreChar,
+    _jacobi,
     liouville_sieve,
     mobius_sieve,
     powerful_terms,
@@ -43,12 +43,11 @@ def brute_tau(n: int) -> int:
 
 def brute_summatory(q: int, x: int) -> int:
     # per-n divisor walk; shares nothing with the floor-sum kernel
-    char = LegendreChar(q)
     total = 0
     for n in range(1, x + 1):
         for d in range(1, n + 1):
             if n % d == 0:
-                total += char(brute_tau(d))
+                total += _jacobi(brute_tau(d), q)
     return total
 
 
@@ -96,7 +95,7 @@ def test_weighted_floor_sum_wide_values():
 def sieve_route(q: int, cps) -> tuple[int, ...]:
     # S(x) as weighted floor sums over one character table: shares nothing
     # with the powerful-number route
-    table = tau_char_sieve(LegendreChar(q), cps[-1]).values
+    table = tau_char_sieve(q, cps[-1]).values
     return tuple(weighted_floor_sum(table, x) for x in cps)
 
 
@@ -215,7 +214,7 @@ def test_liouville_summatory_known_values():
 
 def test_summatory_accepts_shared_table():
     # one character table serves the sieve route at every x it covers
-    table = tau_char_sieve(LegendreChar(7), 500).values
+    table = tau_char_sieve(7, 500).values
     for x in (1, 63, 500):
         assert weighted_floor_sum(table, x) == summatory_convolved(7, x)
 
