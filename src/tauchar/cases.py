@@ -7,9 +7,9 @@ Euler factor ``local_factor`` returns, dispatches on its ``CaseClass``.  The
 factors are integer rational functions of u = p^(-s) whose denominators
 have constant term 1, so they expand by integer long division.
 
-This module imports neither numpy nor mpmath: ``verify`` and the summatory
-walks classify and expand factors without loading either, and ``constants``
-re-exports its public names for the certified main terms.
+This module imports no numpy and no ``constants``: ``verify`` and the
+summatory walks classify and expand factors without loading either, and
+``constants`` re-exports its public names for the certified main terms.
 """
 
 from dataclasses import dataclass

@@ -20,13 +20,16 @@ byte-identical output.
 Exit codes: 0 all checks pass / report produced; 1 mathematical mismatch;
 2 usage error; 3 resource or precision budget exceeded.
 
-The numpy-backed modules, and ``constants`` with mpmath, are imported
-inside the handlers that use them: --help loads neither numpy nor mpmath,
-constants loads only mpmath, and verify, short-interval and near-curve
-load only numpy.  rh-diagnostic, whose moduli are all +-3 (mod 8), sums
-over the powerful numbers in pure Python and loads neither.  trace loads
-mpmath, and numpy only for q = +-1 (mod 8), where S(x) needs the divisor
+No command loads mpmath: the certified constants are fixed-point integer
+enclosures.  The numpy-backed modules, and ``constants``, are imported
+inside the handlers that use them: --help and constants load no numpy,
+and verify, short-interval and near-curve do.  rh-diagnostic, whose moduli
+are all +-3 (mod 8), sums over the powerful numbers in pure Python, and
+trace loads numpy only for q = +-1 (mod 8), where S(x) needs the divisor
 summatory function.
+
+An --output target that cannot be written is refused before any work
+runs; the file is opened, and so truncated, only once the report is ready.
 
 Heavy subcommands print `# progress ...` lines to stderr at most once per
 second.
@@ -35,6 +38,7 @@ second.
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 from datetime import datetime, timezone
@@ -193,6 +197,19 @@ def _emit(args, meta: dict, header: list[str], rows: list, summary: dict | None)
             write(f)
     else:
         write(sys.stdout)
+
+
+def _check_output(path: str | None) -> None:
+    """Refuse an --output target that cannot be written, without touching it.
+
+    _emit's own OSError handler stays the backstop for a target that
+    changes between this check and the write.
+    """
+    if path is None:
+        return
+    target = path if os.path.exists(path) else os.path.dirname(path) or "."
+    if os.path.isdir(path) or not os.access(target, os.W_OK):
+        raise ArgumentError(f"cannot write --output {path}: not a writable file path")
 
 
 def _moduli(args) -> list[int]:
@@ -556,6 +573,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _check_output(args.output)
         return args.func(args)
     except ArgumentError as e:
         print(f"tauchar: argument error: {e}", file=sys.stderr)

@@ -1,29 +1,50 @@
 """Certified evaluation of main-term constants.
 
-The residue classes and the local Euler factors they select live in the
-mpmath-free ``cases``; this module re-exports them, so
-``constants.classify`` and ``constants.local_factor`` are the same objects.
+The residue classes and the local Euler factors they select live in
+``cases``; this module re-exports them, so ``constants.classify`` and
+``constants.local_factor`` are the same objects.
 
-Every numeric constant leaves this module as a ``Certified`` value, an
-``mpmath.iv`` interval computed at ``PRECISION_BITS`` with outward rounding.
-Interval arithmetic encloses every rounding, so no accuracy of the platform
-libm is assumed.  The per-integer and per-prime loops run on fixed-point
-enclosures instead: a pair of Python ints (lo, hi) stands for the interval
-[lo 2^-F, hi 2^-F], F = _FRAC = PRECISION_BITS + 32, and mpmath.iv is left
-for the leaves (log n, pi, exp and log of a whole sum or product, and
-n^-sigma when 2 sigma is not an integer).  They rest on one rounding fact.
+Every numeric constant leaves this module as a ``Certified`` value, a
+fixed-point enclosure: a pair of Python ints (lo, hi) stands for the
+interval [lo 2^-F, hi 2^-F], F = _FRAC = PRECISION_BITS + 32, lo rounded
+down and hi up.  No floating-point operation enters an enclosure, so no
+accuracy of the platform libm is assumed, and no arbitrary-precision
+library is needed.  The arithmetic rests on one rounding fact.
 
 * Directed rounding.  For an integer z, floor(z 2^-F) = z >> F and
   ceil(z 2^-F) = -((-z) >> F); for integers u and v > 0 the quotient
-  rounds by floor division; and for a real y >= 0, floor(sqrt(y)) =
-  isqrt(floor(y)).  The exact sum, product or quotient (divisor > 0) of two
-  intervals is the hull of the results at their endpoints, so rounding the
-  least of those down and the greatest up gives an interval that contains
-  it.  By induction, every fixed-point result encloses the exact real, and
-  each rounding widens it by at most 2^-F.  When 2 sigma = m is an integer,
-  n^-sigma 2^F = sqrt(2^2F / n^m) is rounded this way from integers alone,
-  to the tightest enclosure.  Conversions to mpmath.iv are exact
-  (from_man_exp), and conversions from it round outward.
+  rounds by floor division; and for a real y >= 0 and k >= 1,
+  floor(y^(1/k)) = floor(floor(y)^(1/k)), so isqrt and
+  roots.integer_nth_root round roots.  The exact sum, product or quotient
+  (divisor > 0) of two intervals is the hull of the results at their
+  endpoints, so rounding the least of those down and the greatest up gives
+  an interval that contains it.  By induction, every fixed-point result
+  encloses the exact real, and each rounding widens it by at most 2^-F.
+  When 2 sigma = m is an integer, n^-sigma 2^F = sqrt(2^2F / n^m) is
+  rounded this way from integers alone, to the tightest enclosure, and
+  x^(1/3) 2^F lies in [r, r + 1] for r = integer_nth_root(x 2^3F, 3).
+
+The leaves are series summed at the wider scale 2^-W, W = F + 32, with
+every term rounded down, then rounded outward to 2^-F.  A term reached
+through i floor steps is at most 2i units of 2^-W short, and a series
+stops when its running term rounds to 0, so the computed sum, the sum of
+those shortfalls and the stated tail bound enclose the value.  Two
+truncation bounds are used, and two tabulated constants.
+
+* Logarithm.  For y > 0 write y = 2^k m with m in [1/sqrt 2, sqrt 2),
+  so log y = k log 2 + 2 atanh(z) with z = (m - 1)/(m + 1),
+  |z| <= 3 - 2 sqrt 2 < 0.172, and log 2 = 2 atanh(1/3).  For |z| < 1,
+  atanh(z) = sum_i z^(2i+1)/(2i+1), and the tail after n terms is at most
+  |z|^(2n+1) / ((2n+1)(1 - z^2)).  The upper end of an enclosure costs
+  no second series: log b - log a <= (b - a)/a for 0 < a <= b.
+* Exponential.  exp(x) = 2^k exp(r) with k = floor(x / log 2), so
+  0 <= r < 1 (k log 2 is taken from the enclosure of log 2, with r
+  rounded outward); by Taylor's theorem with the Lagrange remainder,
+  exp(r) = sum_{i<n} r^i/i! + e^xi r^n/n! for some 0 <= xi <= r, so the
+  tail after n terms is at most e r^n/n!.
+* pi is at least PI_LOWER_LITERAL, its standard tabulated expansion
+  truncated after 30 decimals; the Euler-Mascheroni constant lies within
+  1e-30 of EULER_GAMMA_LITERAL.
 
 The analytic remainders rest on three stated results.
 
@@ -75,14 +96,11 @@ gates: a result whose certified error exceeds the tolerance raises
 PrecisionError carrying the achieved bound instead of returning quietly.
 """
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
-from math import isqrt, lcm, log, pi, ulp
-
-from mpmath import iv, libmp
+from math import inf, isfinite, isqrt, lcm, log, nextafter, pi, ulp
 
 from .cases import (  # all re-exported as constants.<name>
     THETA_UPPER,
@@ -96,14 +114,18 @@ from .cases import (  # all re-exported as constants.<name>
 )
 from .errors import ArgumentError, ClassificationError, PrecisionError
 from .powerful import prime_list
+from .roots import integer_nth_root
 
-# working precision of every interval computation; iv.prec is set to it only
-# inside _precision() and restored on the way out
+# the precision the enclosures are kept to; the fixed-point scale below
+# carries 32 more bits to absorb the roundings of a loop's sums
 PRECISION_BITS = 192
 
 # Euler-Mascheroni constant, 30 decimal digits (standard tabulated value,
 # within 1e-30 of the constant)
 EULER_GAMMA_LITERAL = "0.577215664901532860606512090082"
+
+# pi, its standard tabulated expansion truncated after 30 decimals, so below pi
+PI_LOWER_LITERAL = "3.141592653589793238462643383279"
 
 # the split point P of every Euler product: the primes p <= P are taken
 # explicitly, and past P the zeta factors take over
@@ -116,27 +138,12 @@ _TAIL_TARGET = 2.0**-75
 _EM_LADDER = (8, 12, 16, 24, 32, 48, 64, 96, 128)
 _EM_MAX_TERMS = 40
 
-
-@contextmanager
-def _precision():
-    """Run a block at PRECISION_BITS and restore the caller's iv.prec."""
-    saved = iv.prec
-    iv.prec = PRECISION_BITS
-    try:
-        yield
-    finally:
-        iv.prec = saved
-
-
-def _iv(x: Fraction):
-    """Enclosure of an exact rational."""
-    return iv.mpf(x.numerator) / x.denominator
-
-
-# fraction bits of the fixed-point enclosures (lo, hi) = [lo, hi] 2^-_FRAC;
-# the 32 bits above PRECISION_BITS absorb the roundings of a loop's sums
+# fraction bits of the fixed-point enclosures (lo, hi) = [lo, hi] 2^-_FRAC,
+# and the _GUARD more bits at which the leaf series are summed
 _FRAC = PRECISION_BITS + 32
 _ONE = 1 << _FRAC
+_GUARD = 32
+_WIDE = _FRAC + _GUARD
 
 
 def _fx(num: int, den: int = 1) -> tuple[int, int]:
@@ -176,109 +183,190 @@ def _fx_scale(k: int, x: tuple[int, int]) -> tuple[int, int]:
     return (k * a, k * b) if k >= 0 else (k * b, k * a)
 
 
-def _fx_iv(x: tuple[int, int]):
-    """The mpmath.iv interval of a fixed-point enclosure, exactly."""
-    return iv.make_mpf(
-        (libmp.from_man_exp(x[0], -_FRAC), libmp.from_man_exp(x[1], -_FRAC))
-    )
+def _atanh(z: int) -> tuple[int, int]:
+    """Enclosure at 2^-_WIDE of atanh over [z, z + 1] 2^-_WIDE, for
+    0 <= z <= 2^_WIDE / 2.  Every term rounds down and is under 2 units
+    short; with z^2 <= 1/4 the tail is under 2 units, and the slope of
+    atanh, 1/(1 - z^2) <= 4/3, covers the last 1 unit of z in 2 more."""
+    z2 = z * z >> _WIDE
+    total, t, n = 0, z, 0
+    while t:
+        total += t // (2 * n + 1)
+        t = t * z2 >> _WIDE
+        n += 1
+    return total, total + 2 * n + 4
 
 
-def _fx_of(interval) -> tuple[int, int]:
-    """Fixed-point enclosure of an mpmath.iv interval, rounded outward."""
-    a, b = interval._mpi_
-    return (
-        libmp.to_int(libmp.mpf_shift(a, _FRAC), "f"),
-        libmp.to_int(libmp.mpf_shift(b, _FRAC), "c"),
-    )
+# log 2 = 2 atanh(1/3), at 2^-_WIDE
+_LOG2 = _fx_scale(2, _atanh((1 << _WIDE) // 3))
+
+
+def _fx_log(x: tuple[int, int]) -> tuple[int, int]:
+    """Enclosure of log x for an enclosure x of positive numbers."""
+    a, b = x
+    if not a > 0:
+        raise ArgumentError("fixed-point logarithm needs a positive argument")
+    c = 1 << (a.bit_length() - 1)
+    if a * a >= c * c << 1:  # so that m = a / c lies in [1/sqrt 2, sqrt 2)
+        c <<= 1
+    lo, hi = _atanh((abs(a - c) << _WIDE) // (a + c))
+    if a < c:
+        lo, hi = -hi, -lo
+    l2 = _fx_scale(c.bit_length() - 1 - _FRAC, _LOG2)  # a 2^-F = m 2^k
+    lo, hi = l2[0] + 2 * lo, l2[1] + 2 * hi
+    hi += -(-((b - a) << _WIDE) // a)  # log b - log a <= (b - a)/a
+    return lo >> _GUARD, -(-hi >> _GUARD)
+
+
+def _exp_taylor(r: int) -> tuple[int, int]:
+    """Enclosure at 2^-_WIDE of exp(r 2^-_WIDE) for 0 <= r < 2^_WIDE.
+    The term after i steps is at most 2i units short, so the first n terms
+    lose under n^2 units, and the tail is at most e (2n) < 6n units."""
+    total, t, n = 0, 1 << _WIDE, 0
+    while t:
+        total += t
+        n += 1
+        t = (t * r >> _WIDE) // n
+    return total, total + n * (n + 5)
+
+
+def _fx_exp(x: tuple[int, int]) -> tuple[int, int]:
+    """Enclosure of exp x for an enclosure x."""
+    ends = []
+    for side, a in enumerate(x):
+        a <<= _GUARD
+        k = a // _LOG2[1 if a >= 0 else 0]  # so r = a - k log 2 >= 0
+        l2 = _fx_scale(k, _LOG2)
+        e = _exp_taylor(a - l2[1 - side])[side]
+        shift = k - _GUARD  # exp(a) = 2^k exp(r)
+        if shift >= 0:
+            ends.append(e << shift)
+        else:
+            ends.append(e >> -shift if side == 0 else -(-e >> -shift))
+    return ends[0], ends[1]
+
+
+def _fx_sqrt(x: tuple[int, int]) -> tuple[int, int]:
+    """Enclosure of sqrt x for an enclosure x of non-negative numbers."""
+    a, b = x[0] << _FRAC, x[1] << _FRAC
+    hi = isqrt(b)
+    return isqrt(a), hi + (hi * hi != b)
+
+
+def _fx_cbrt(num: int, den: int) -> tuple[int, int]:
+    """Enclosure of (num/den)^(1/3) for num >= 0, den > 0: [r, r + 1] with
+    r = floor((num/den)^(1/3) 2^F), one unit wide even at a perfect cube."""
+    r = integer_nth_root((num << 3 * _FRAC) // den, 3)
+    return r, r + 1
+
+
+def _ratio(v: int | float) -> tuple[int, int]:
+    """The exact numerator and denominator of an int or a finite float."""
+    if not isinstance(v, int):
+        v = float(v)
+        if not isfinite(v):
+            raise ArgumentError(f"a certified value must be finite, got {v}")
+    return v.as_integer_ratio()
+
+
+def _float_down(num: int, den: int) -> float:
+    """The greatest float <= num/den, den > 0."""
+    f = num / den  # correctly rounded
+    a, b = f.as_integer_ratio()
+    return nextafter(f, -inf) if a * den > num * b else f
+
+
+def _float_up(num: int, den: int) -> float:
+    """The least float >= num/den, den > 0."""
+    f = num / den
+    a, b = f.as_integer_ratio()
+    return nextafter(f, inf) if a * den < num * b else f
 
 
 class Certified:
-    """A real number enclosed in an outward-rounded ``mpmath.iv`` interval.
+    """A real number enclosed in a fixed-point interval [lo, hi] 2^-F.
 
-    ``Certified(value, error)`` holds [value - error, value + error] exactly.
-    ``value`` is the float nearest the midpoint.  ``error`` is 0 when the
-    interval is that float alone.  Otherwise it is the distance from
-    ``value`` to the far end of the interval plus one ulp of their sum, so
+    ``Certified(value, error)`` holds [value - error, value + error], exactly
+    when 2^-F holds both ends and rounded outward otherwise.  ``value`` is
+    the float nearest the midpoint.  ``error`` is 0 when the interval is
+    that float alone.  Otherwise it is the distance from ``value`` to the
+    far end of the interval plus one ulp of their sum, rounded up, so
     value -+ error still brackets the interval when evaluated in double
-    arithmetic.  Arithmetic runs on the intervals at PRECISION_BITS.
+    arithmetic.  Arithmetic runs on the enclosures.
     """
 
-    __slots__ = ("interval",)
+    __slots__ = ("fx",)
 
-    def __init__(self, value: float, error: float = 0.0):
+    def __init__(self, value: int | float, error: float = 0.0):
         if not (error >= 0.0):
             raise ArgumentError(f"error bound must be >= 0, got {error}")
-        v, e = libmp.from_float(float(value)), libmp.from_float(float(error))
-        self.interval = iv.make_mpf((libmp.mpf_sub(v, e), libmp.mpf_add(v, e)))
+        (n, d), (m, e) = _ratio(value), _ratio(error)
+        self.fx = _fx(n * e - m * d, d * e)[0], _fx(n * e + m * d, d * e)[1]
 
     @classmethod
-    def _of(cls, interval) -> "Certified":
+    def _of(cls, fx: tuple[int, int]) -> "Certified":
         c = cls.__new__(cls)
-        c.interval = interval
+        c.fx = fx
         return c
-
-    @staticmethod
-    def exact(v: int | float) -> "Certified":
-        """A float, or an integer of up to PRECISION_BITS bits, held exactly."""
-        with _precision():
-            return Certified._of(iv.mpf(v))
 
     @property
     def value(self) -> float:
-        a, b = self.interval._mpi_
-        return libmp.to_float(libmp.mpf_shift(libmp.mpf_add(a, b), -1), rnd="n")
+        lo, hi = self.fx
+        return (lo + hi) / (_ONE << 1)  # correctly rounded
 
     @property
     def error(self) -> float:
-        a, b = self.interval._mpi_
         value = self.value
-        v = libmp.from_float(value)
-        if a == b == v:
+        n, d = value.as_integer_ratio()
+        # the ends and the value over the common denominator d 2^F
+        lo, hi, v, den = self.fx[0] * d, self.fx[1] * d, n << _FRAC, d << _FRAC
+        if lo == hi == v:
             return 0.0
-        above, below = libmp.mpf_sub(b, v), libmp.mpf_sub(v, a)
-        worst = above if libmp.mpf_cmp(above, below) >= 0 else below
-        margin = ulp(abs(value) + libmp.to_float(worst, rnd="c"))
-        return libmp.to_float(libmp.mpf_add(worst, libmp.from_float(margin)), rnd="c")
+        worst = max(hi - v, v - lo)
+        margin, margin_den = ulp(abs(value) + _float_up(worst, den)).as_integer_ratio()
+        return _float_up(worst * margin_den + margin * den, den * margin_den)
 
     @property
     def bounds(self) -> tuple[float, float]:
         """Float endpoints, rounded outward."""
-        a, b = self.interval._mpi_
-        return libmp.to_float(a, rnd="f"), libmp.to_float(b, rnd="c")
+        lo, hi = self.fx
+        return _float_down(lo, _ONE), _float_up(hi, _ONE)
 
     def __add__(self, o: "Certified") -> "Certified":
-        with _precision():
-            return Certified._of(self.interval + o.interval)
+        return Certified._of(_fx_add(self.fx, o.fx))
 
     def __sub__(self, o: "Certified") -> "Certified":
-        with _precision():
-            return Certified._of(self.interval - o.interval)
+        return Certified._of(_fx_add(self.fx, _fx_scale(-1, o.fx)))
 
     def __mul__(self, o: "Certified") -> "Certified":
-        with _precision():
-            return Certified._of(self.interval * o.interval)
+        return Certified._of(_fx_mul(self.fx, o.fx))
 
     def __truediv__(self, o: "Certified") -> "Certified":
-        if 0 in o.interval:
+        lo, hi = o.fx
+        if lo <= 0 <= hi:
             raise PrecisionError(
                 "division by an interval containing zero",
                 achievable=float("inf"),
             )
-        with _precision():
-            return Certified._of(self.interval / o.interval)
+        if hi < 0:  # x / y = (-x) / (-y)
+            return Certified._of(_fx_div(_fx_scale(-1, self.fx), (-hi, -lo)))
+        return Certified._of(_fx_div(self.fx, o.fx))
 
     def scale(self, k: float) -> "Certified":
         """Multiply by a float treated as exact."""
-        return self * Certified.exact(k)
+        return self * Certified(k)
 
     def __repr__(self) -> str:
         return f"Certified({self.value!r}, {self.error!r})"
 
 
-with _precision():
-    GAMMA = Certified._of(
-        iv.mpf(EULER_GAMMA_LITERAL) + iv.mpf("1e-30") * iv.mpf([-1, 1])
+_GAMMA_LITERAL, _GAMMA_SLACK = Fraction(EULER_GAMMA_LITERAL), Fraction(1, 10**30)
+GAMMA = Certified._of(
+    (
+        _fx(*(_GAMMA_LITERAL - _GAMMA_SLACK).as_integer_ratio())[0],
+        _fx(*(_GAMMA_LITERAL + _GAMMA_SLACK).as_integer_ratio())[1],
     )
+)
 
 
 @lru_cache(maxsize=None)
@@ -310,7 +398,7 @@ def _bernoulli_numerators() -> tuple[int, tuple[int, ...]]:
 def _inv_power(n: int, sigma: Fraction) -> tuple[int, int]:
     """Fixed-point enclosure of n^-sigma.  When m = 2 sigma is an integer it
     is the tightest one, sqrt(2^2F / n^m) rounded by integer division and
-    isqrt; otherwise it is exp(-sigma log n) in mpmath.iv."""
+    isqrt; otherwise it is exp(-sigma log n)."""
     if sigma.denominator <= 2:
         m = sigma.numerator * (2 // sigma.denominator)
         if m % 2 == 0:
@@ -318,15 +406,15 @@ def _inv_power(n: int, sigma: Fraction) -> tuple[int, int]:
         x, y = n**m, _ONE << _FRAC
         lo = isqrt(y // x)
         return lo, lo + (lo * lo * x != y)
-    with _precision():
-        return _fx_of(iv.exp(-_iv(sigma) * _fx_iv(_log_int(n))))
+    minus_sigma = _fx(-sigma.numerator, sigma.denominator)
+    return _fx_exp(_fx_mul(minus_sigma, _log_int(n)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 12)
 def _log_int(n: int) -> tuple[int, int]:
-    """Fixed-point enclosure of log n, taken once per integer."""
-    with _precision():
-        return _fx_of(iv.log(n))
+    """Fixed-point enclosure of log n, taken once per integer; the cache is
+    bounded because a near-curve window may ask for millions of n."""
+    return _fx_log((n << _FRAC, n << _FRAC))
 
 
 @lru_cache(maxsize=None)
@@ -358,6 +446,9 @@ def _em_plan(sigma: float) -> tuple[int, int]:
             if remainder <= log_target:
                 return N, M
     raise ArgumentError(f"no Euler-Maclaurin plan for zeta({sigma})")
+
+
+_PI_LOWER = Fraction(PI_LOWER_LITERAL)
 
 
 def _em_tail(sigma: Fraction, N: int, M: int, f_N, log_N):
@@ -394,11 +485,11 @@ def _em_tail(sigma: Fraction, N: int, M: int, f_N, log_N):
     if not log_N[0] * rise * last > (b * drise * last + b * rise) << _FRAC:
         raise ArgumentError(f"log {N} is below the harmonic sum of zeta({sigma})")
     # |f^(2M)(N)| = (sigma)_2M N^(-sigma-2M), times log N - H_2M for the log
-    # weight; 2 zeta(2M+1) <= 2 (2M+1)/(2M); only upper bounds are needed
-    with _precision():  # (2 pi)^-(2M+1) <= m 2^ex, the upper end of an interval
-        _, m, ex, _ = ((2 * iv.pi) ** -(2 * M + 1))._mpi_[1]
-    num = f_N[1] * (2 * M + 1) * rise * m
-    remainder = -(-num // (M * g ** (2 * M) << -ex))
+    # weight; 2 zeta(2M+1) <= 2 (2M+1)/(2M); only upper bounds are needed,
+    # and (2 pi)^-(2M+1) <= (d / 2c)^(2M+1) for the lower bound c/d of pi
+    c, d = _PI_LOWER.numerator, _PI_LOWER.denominator
+    num = f_N[1] * (2 * M + 1) * rise * d ** (2 * M + 1)
+    remainder = -(-num // (M * g ** (2 * M) * (2 * c) ** (2 * M + 1)))
     harmonic_lo = (b * drise << _FRAC) // rise
     log_remainder = -(-remainder * (log_N[1] - harmonic_lo) >> _FRAC)
     tail = _fx_mul(f_N, A)
@@ -458,14 +549,14 @@ def _gate(achieved: float, tol: float, what: str) -> None:
 
 def zeta_real(s: float, tol: float = 1e-12) -> Certified:
     """zeta(s) for real s > 1.1 with certified absolute error <= tol."""
-    c = Certified._of(_fx_iv(_zeta_at(_series_argument(s, tol))[0]))
+    c = Certified._of(_zeta_at(_series_argument(s, tol))[0])
     _gate(c.error, tol, f"zeta({s})")
     return c
 
 
 def zeta_prime_real(s: float, tol: float = 1e-12) -> Certified:
     """zeta'(s) = -sum log(n) n^{-s} for real s > 1.1, certified as zeta_real."""
-    c = Certified._of(_fx_iv(_zeta_at(_series_argument(s, tol))[1]))
+    c = Certified._of(_zeta_at(_series_argument(s, tol))[1])
     _gate(c.error, tol, f"zeta'({s})")
     return c
 
@@ -507,12 +598,8 @@ class _ZetaLadder:
                 hi += g_hi * -(-(w_hi << _FRAC) // (_ONE - w_hi))
             ratio = _fx_div(dzeta, zeta)
             deriv = ratio[0] + (lo >> _FRAC), ratio[1] - (-hi >> _FRAC)
-            with _precision():
-                log_factor = iv.log(_fx_iv(factor))
             self.plans.append(_em_plan(float(sigma)))
-            self.rungs.append(
-                (_fx_iv(zeta), _fx_iv(dzeta), log_factor, _fx_iv(deriv))
-            )
+            self.rungs.append((zeta, dzeta, _fx_log(factor), deriv))
 
 
 @lru_cache(maxsize=None)
@@ -560,17 +647,27 @@ def _truncation_order(D: int, rho: Fraction, s: Fraction, P: int) -> int:
 
 
 def _tail_bounds(D: int, rho: Fraction, s: Fraction, P: int, K: int):
-    """Bounds on |E| and |dE/ds| for the split at P and K: the bounds of the
-    module docstring at u = n^-s, summed over n > P against the integrals of
-    x^-sigma and x^-sigma log x from P, sigma = s (K+1).  Call inside
-    _precision()."""
-    r, rho_iv, sig = _fx_iv(_inv_power(P, s)), _iv(rho), _iv(s * (K + 1))
-    lead = D / ((1 - rho_iv) * (1 - r / rho_iv)) * _iv(1 / rho) ** (K + 1)
-    lead *= P * _fx_iv(_inv_power(P, s * (K + 1)))
-    tail = lead / (sig - 1)
-    log_P = _fx_iv(_log_int(P))
-    dtail = lead / (1 - r ** (K + 1)) * (log_P / (sig - 1) + 1 / (sig - 1) ** 2)
-    return tail, dtail
+    """Upper bounds, at 2^-F, on |E| and |dE/ds| for the split at P and K:
+    the bounds of the module docstring at u = n^-s, summed over n > P
+    against the integrals of x^-sigma and x^-sigma log x from P,
+    sigma = s (K+1).  With r = P^-s and w = r^(K+1) = P^-sigma,
+      lead = D/(1 - rho) (1/rho)^(K+1) P w / (1 - r/rho),
+      |E| <= lead / (sigma - 1),
+      |dE/ds| <= lead / (1 - w) (log P / (sigma - 1) + 1 / (sigma - 1)^2).
+    """
+    rn, rd = rho.numerator, rho.denominator
+    r, w = _inv_power(P, s), _inv_power(P, s * (K + 1))
+    # D rd/(rd - rn) (rd/rn)^(K+1) P w rn/(rn - rd r), as one quotient
+    num = _fx_scale(D * P * rd ** (K + 2), w)
+    den = _fx_scale((rd - rn) * rn**K, _fx_add(_fx(rn), _fx_scale(-rd, r)))
+    lead = _fx_div(num, den)
+    sig = s * (K + 1) - 1  # sigma - 1 = a/b
+    a, b = sig.numerator, sig.denominator
+    tail = _fx_div(_fx_scale(b, lead), _fx(a))
+    # log P/(sigma - 1) + 1/(sigma - 1)^2 = b (a log P + b) / a^2
+    factor = _fx_div(_fx_scale(b, _fx_add(_fx_scale(a, _log_int(P)), _fx(b))), _fx(a * a))
+    dtail = _fx_div(_fx_mul(lead, factor), (_ONE - w[1], _ONE - w[0]))
+    return tail[1], dtail[1]
 
 
 def _explicit_factors(t: list[int], s: Fraction, P: int):
@@ -602,8 +699,7 @@ def _explicit_factors(t: list[int], s: Fraction, P: int):
         prod = _fx_mul(prod, _fx_div(val, _fx(p**e)))
         term = _fx_mul(_log_int(p), _fx_div(slope, val))
         deriv = deriv[0] - term[1], deriv[1] - term[0]
-    with _precision():
-        return _fx_of(iv.log(_fx_iv(prod))), deriv
+    return _fx_log(prod), deriv
 
 
 def _euler_product(q: int, s: Fraction, P: int):
@@ -626,12 +722,13 @@ def _euler_product(q: int, s: Fraction, P: int):
         if k * s <= 1:
             raise ArgumentError(f"q={q}: exponent b_{k} = {b[k]} at a zeta pole")
         _, _, lz, dlz = ladder.rungs[k]
-        log_prod = _fx_add(log_prod, _fx_scale(b[k], _fx_of(lz)))
-        deriv = _fx_add(deriv, _fx_scale(b[k] * k, _fx_of(dlz)))
-    with _precision():
-        tail, dtail = _tail_bounds(D, rho, s, P, K)
-        unit = iv.mpf([-1, 1])
-        return _fx_iv(log_prod) + tail * unit, _fx_iv(deriv) + dtail * unit
+        log_prod = _fx_add(log_prod, _fx_scale(b[k], lz))
+        deriv = _fx_add(deriv, _fx_scale(b[k] * k, dlz))
+    tail, dtail = _tail_bounds(D, rho, s, P, K)
+    return (
+        (log_prod[0] - tail, log_prod[1] + tail),
+        (deriv[0] - dtail, deriv[1] + dtail),
+    )
 
 
 @lru_cache(maxsize=32)
@@ -652,8 +749,7 @@ def log_factor_constants(q: int, tol: float = 1e-4) -> tuple[Certified, Certifie
             f"q={q} is in branch {case.branch.value}, which has no log-branch product"
         )
     log_prod, deriv = _euler_product(q, Fraction(1), EXPLICIT_PRIME_LIMIT)
-    with _precision():
-        product = Certified._of(iv.exp(log_prod))
+    product = Certified._of(_fx_exp(log_prod))
     logderiv = Certified._of(deriv)
     _gate(product.error / product.value, tol, f"q={q}: the product at 1")
     _gate(logderiv.error, tol, f"q={q}: its log-derivative")
@@ -673,8 +769,7 @@ def sqrt_factor_at_half(q: int, tol: float = 2e-4) -> Certified:
             f"q={q} is in branch {case.branch.value}, which has no sqrt-branch product"
         )
     log_prod, _ = _euler_product(q, Fraction(1, 2), EXPLICIT_PRIME_LIMIT)
-    with _precision():
-        product = Certified._of(iv.exp(log_prod))
+    product = Certified._of(_fx_exp(log_prod))
     _gate(product.error / product.value, tol, f"q={q}: the half-line product")
     return product
 
@@ -712,7 +807,7 @@ class MainTermParams:
         if self.case.branch is not Branch.PM1_MOD8:
             return None
         ratio = self.zeta_prime_q / self.zeta_q
-        return ratio.scale(float(self.q)) + self.logderiv_at_one + Certified.exact(-1.0)
+        return ratio.scale(float(self.q)) + self.logderiv_at_one + Certified(-1.0)
 
 
 @lru_cache(maxsize=32)
@@ -767,15 +862,14 @@ def main_term(q: int, x: int | float, params: MainTermParams | None = None) -> M
     case = params.case
     if case.branch is Branch.PM5_MOD24:
         return MainTerm(0.0, 0.0, "upper_bound_only")
-    X = Certified.exact(x)
-    with _precision():
-        log_x = Certified._of(iv.log(X.interval))
-        if case.branch is Branch.Q_EQUALS_3:
-            total, kind = Certified._of(iv.exp(log_x.interval / 3)), "exact_cuberoot"
-        elif case.branch is Branch.PM1_MOD8:
-            bracket = log_x + GAMMA.scale(2.0) + params.bracket_constant
-            total, kind = params.leading_coefficient * bracket * X, "log"
-        else:
-            root = Certified._of(iv.sqrt(X.interval))
-            total, kind = params.leading_coefficient * root, "sqrt"
+    X = Certified(x)
+    if case.branch is Branch.Q_EQUALS_3:
+        total, kind = Certified._of(_fx_cbrt(*_ratio(x))), "exact_cuberoot"
+    elif case.branch is Branch.PM1_MOD8:
+        log_x = Certified._of(_fx_log(X.fx))
+        bracket = log_x + GAMMA.scale(2.0) + params.bracket_constant
+        total, kind = params.leading_coefficient * bracket * X, "log"
+    else:
+        root = Certified._of(_fx_sqrt(X.fx))
+        total, kind = params.leading_coefficient * root, "sqrt"
     return MainTerm(total.value, total.error, kind)

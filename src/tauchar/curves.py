@@ -9,10 +9,11 @@ Two routes exist:
   rational inequalities — (sqrt(u) - k)^2 < delta^2 iff 2k sqrt(u) >
   u + k^2 - delta^2, squared once more when the right side is positive.
   No floating point, no misclassification.
-* general: an outward-rounded mpmath.iv enclosure of the distance at
-  constants.PRECISION_BITS; a point whose enclosure contains delta raises a
-  hard error listing the offending n rather than guessing.  mpmath is
-  imported inside this route only.
+* general: an outward-rounded fixed-point enclosure of the distance, in
+  the integer arithmetic of ``constants`` (imported inside this route
+  only), compared with delta's exact rational; a point whose enclosure
+  contains delta raises a hard error listing the offending n rather than
+  guessing.
 
 The short-interval machinery specializes to the fifth-power curve
 f(n) = sqrt(x/n^5).  The fifth-power convolution, the Dirichlet product of
@@ -26,7 +27,7 @@ implied constant 1 (never asserted: the true constants are unknown).
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, log
+from math import inf, isqrt, log
 
 import numpy as np
 
@@ -152,31 +153,34 @@ def _count_exact(cfg: CurveConfig, n_lo: int, n_hi: int) -> int:
 def _count_general(cfg: CurveConfig, n_lo: int, n_hi: int) -> int:
     """Count by an interval enclosure of ||X n^-s|| for each n.
 
-    t = X exp(-s log n) is enclosed in mpmath.iv at PRECISION_BITS.  The
-    integer nearest any point of t lies in [floor(inf t), ceil(sup t)], so
-    the least distance to those integers, taken at each end, encloses
-    ||t||.  An n counts when that enclosure lies below delta; an n whose
+    t = X n^-s is enclosed in fixed point, [lo, hi] 2^-F, by
+    constants._inv_power: isqrt when 2s is an integer, exp(-s log n)
+    otherwise.  The integer nearest any point of t lies in
+    [floor(lo 2^-F), ceil(hi 2^-F)], so the least distance to those
+    integers, taken at each end, encloses ||t||.  An n counts when that
+    enclosure lies below delta, compared as exact integers; an n whose
     enclosure contains delta raises UndecidablePointError.
     """
-    from mpmath import iv, libmp
+    from .constants import _FRAC, _fx, _fx_mul, _inv_power
 
-    from .constants import _precision
-
+    X = _fx(*Fraction(cfg.X).as_integer_ratio())
+    delta = Fraction(cfg.delta)
+    # a distance d 2^-F is below delta = p/q when d q < p 2^F
+    num, den = delta.numerator << _FRAC, delta.denominator
     cnt = 0
     undecidable: list[int] = []
-    with _precision():
-        X, delta = iv.mpf(cfg.X), iv.mpf(cfg.delta)
-        minus_s = -iv.mpf(cfg.s.numerator) / cfg.s.denominator
-        for n in range(n_lo, n_hi + 1):
-            t = X * iv.exp(minus_s * iv.log(n))
-            a, b = t._mpi_
-            ks = range(libmp.to_int(a, "f"), libmp.to_int(b, "c") + 1)
-            near = [abs(t - k) for k in ks]
-            dist = iv.mpf([min(d.a for d in near), min(d.b for d in near)])
-            if delta in dist:
-                undecidable.append(n)
-            elif dist < delta:
-                cnt += 1
+    for n in range(n_lo, n_hi + 1):
+        lo, hi = _fx_mul(X, _inv_power(n, cfg.s))
+        near_lo = near_hi = inf  # least of the lower and of the upper ends
+        for k in range(lo >> _FRAC, -(-hi >> _FRAC) + 1):
+            K = k << _FRAC
+            ends = abs(lo - K), abs(hi - K)
+            near_lo = min(near_lo, 0 if lo <= K <= hi else min(ends))
+            near_hi = min(near_hi, max(ends))
+        if near_lo * den <= num <= near_hi * den:
+            undecidable.append(n)
+        elif near_hi * den < num:
+            cnt += 1
     if undecidable:
         raise UndecidablePointError(
             "the distance enclosure contains the threshold at "

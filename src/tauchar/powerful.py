@@ -6,8 +6,8 @@ top (Golomb, Powerful numbers, Amer. Math. Monthly 77, 1970).
 ``powerful_walk`` visits them depth first over the primes to sqrt(top);
 ``prime_list`` is the package's one prime sieve, which the walk, the
 multiplicative tables, the near-curve window, the certified Euler products
-and the CLI's --all-q moduli all draw from.  Nothing here imports numpy or
-mpmath, so the summatory sums that need only the walk load neither.
+and the CLI's --all-q moduli all draw from.  Nothing here imports numpy,
+so the summatory sums that need only the walk load none.
 """
 
 from bisect import bisect_right

@@ -2,7 +2,7 @@
 
 Floating-point roots are wrong near perfect powers, so every floor of a
 fractional power in this package goes through these helpers: a float estimate
-followed by an integer correction loop, verified by multiplication only.
+followed by exact integer steps.
 """
 
 from math import isqrt
@@ -17,10 +17,11 @@ if TYPE_CHECKING:
 def integer_nth_root(x: int, k: int) -> int:
     """Largest r >= 0 with r**k <= x, for integers x >= 0, k >= 1.
 
-    Starts from the float estimate and corrects with integer arithmetic; the
-    loop moves at most a few steps since the estimate is off by at most one
-    ulp-scale error for the magnitudes in scope, but it is allowed to walk
-    any distance, so the result is exact regardless.
+    Newton's integer step from a float estimate of the top bits: one step
+    from any r >= 1 lands at or above the root (the step is an arithmetic
+    mean, so AM-GM), and from there the steps decrease strictly until they
+    reach it.  The estimate only sets how many steps that takes, so the
+    result is exact regardless.
     """
     if k < 1:
         raise ArgumentError(f"root order must be >= 1, got {k}")
@@ -32,13 +33,11 @@ def integer_nth_root(x: int, k: int) -> int:
         return x
     if k == 2:
         return isqrt(x)
-    r = int(round(float(x) ** (1.0 / k)))
-    if r < 1:
-        r = 1
-    while r**k > x:
-        r -= 1
-    while (r + 1) ** k <= x:
-        r += 1
+    shift = max(0, x.bit_length() - 64) // k * k
+    r = max(1, int(round(float(x >> shift) ** (1.0 / k))) << shift // k)
+    r = ((k - 1) * r + x // r ** (k - 1)) // k
+    while (step := ((k - 1) * r + x // r ** (k - 1)) // k) < r:
+        r = step
     return r
 
 

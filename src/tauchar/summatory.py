@@ -23,8 +23,8 @@ derived from exact integers and certified constants, so residuals carry
 honest error intervals.
 
 numpy, ``sieves`` and ``dirichlet`` are imported inside the functions that
-use them (D, the +-1 branch and the identity scans), and the mpmath-backed
-``constants`` inside ``trace``, the one caller of its main terms.
+use them (D, the +-1 branch and the identity scans), and ``constants``
+inside ``trace``, the one caller of its main terms.
 """
 
 from bisect import bisect_left, bisect_right
@@ -367,7 +367,7 @@ def trace(
     mains = [main_term(q, x, params=params) for x in cps]
     # exact S(x) minus the main-term enclosure, rounded outward once
     diffs = [
-        Certified.exact(v) - Certified(m.value, m.error) for v, m in zip(values, mains)
+        Certified(v) - Certified(m.value, m.error) for v, m in zip(values, mains)
     ]
     residuals = tuple(d.value for d in diffs)
     intervals = tuple(d.bounds for d in diffs)

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import tauchar
+from tauchar import cli
 from tauchar.cli import _int_like, _rational, main
 from tauchar.curves import ShortIntervalInstance, decompose_short_interval
 from tauchar.roots import integer_nth_root
@@ -412,6 +413,31 @@ def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
     assert not (tmp_path / "missing").exists()
 
 
+def test_unwritable_output_is_refused_before_any_work(tmp_path, monkeypatch, capsys):
+    def handler(args):
+        raise AssertionError("the handler ran")
+
+    monkeypatch.setattr(cli, "_cmd_verify", handler)
+    for target in (tmp_path / "missing" / "out.csv", tmp_path):
+        code, out, err = run(
+            ["verify", "--all-q", "60", "--limit", "1e6", "--output", str(target)], capsys
+        )
+        assert code == 2, err
+        assert out == ""
+        assert err.startswith(f"tauchar: argument error: cannot write --output {target}")
+
+
+def test_failed_run_leaves_the_output_file_untouched(tmp_path, capsys):
+    # the check opens nothing; a run that fails after it writes nothing
+    target = tmp_path / "report.csv"
+    target.write_text("kept\n")
+    code, out, err = run(
+        ["constants", "--q", "13", "--tolerance", "1e-30", "--output", str(target)], capsys
+    )
+    assert code == 3, err
+    assert target.read_text() == "kept\n"
+
+
 def test_output_does_not_depend_on_the_host(monkeypatch, capsys):
     argv = ["constants", "--q", "3", "--no-timestamp"]
     outs = []
@@ -587,24 +613,35 @@ def test_help_and_constants_never_load_numpy(argv):
         ["near-curve", "--x", "1e8", "--y", "4170"],
         ["short-interval", "--x", "1e8", "--y", "4170"],
         ["rh-diagnostic", "--q", "19", "--max", "1e5"],
+        ["constants", "--all-q", "60"],
+        ["trace", "--q", "13", "--max", "1e5"],
+        ["trace", "--q", "7", "--max", "1e5"],
     ],
-    ids=["help", "verify", "near-curve", "short-interval", "rh-diagnostic"],
+    ids=["help", "verify", "near-curve", "short-interval", "rh-diagnostic",
+         "constants", "trace-13", "trace-7"],
 )
 def test_exact_commands_never_load_mpmath(argv):
-    # mpmath is loaded only where a certified constant is printed
+    # the certified constants are integer enclosures: no command loads mpmath
     code, out, _, mpmath_loaded = fresh(argv)
     assert code == 0 and out
     assert not mpmath_loaded
 
 
-@pytest.mark.parametrize(
-    "argv", [["constants", "--q", "7"], ["trace", "--q", "13", "--max", "1e5"]]
-)
-def test_certified_commands_load_mpmath(argv):
-    # the probe above can see mpmath: the commands that need it load it
-    code, out, _, mpmath_loaded = fresh(argv)
-    assert code == 0 and out
-    assert mpmath_loaded
+def test_no_module_imports_mpmath():
+    # every tauchar module, imported in a fresh process, leaves mpmath out
+    code = (
+        "import importlib, pkgutil, sys, tauchar\n"
+        "for m in pkgutil.walk_packages(tauchar.__path__, 'tauchar.'):\n"
+        "    importlib.import_module(m.name)\n"
+        "print('mpmath' in sys.modules)\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(tauchar.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ against themselves at moved split points."""
 
 import math
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache, partial
 
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 from mpmath import iv
 
-from tauchar import cases, constants
+from tauchar import cases, constants, curves
 from tauchar.arith import _jacobi, is_prime
 from tauchar.cases import _step_coeffs
 from tauchar.constants import (
@@ -31,6 +32,45 @@ from tauchar.constants import (
 )
 from tauchar.errors import ArgumentError, ClassificationError, PrecisionError
 from tauchar.powerful import prime_list
+
+# ------------------------------------------------------------------
+# The bridge between the package's fixed-point enclosures and mpmath.iv,
+# for the oracle routes below: to iv exactly, from iv rounded outward,
+# and the precision the oracle intervals run at.
+
+FRAC = constants._FRAC
+
+
+@contextmanager
+def _precision():
+    """Run a block at PRECISION_BITS and restore the caller's iv.prec."""
+    saved = iv.prec
+    iv.prec = constants.PRECISION_BITS
+    try:
+        yield
+    finally:
+        iv.prec = saved
+
+
+def _iv(x: Fraction):
+    """Enclosure of an exact rational.  Call inside _precision()."""
+    return iv.mpf(x.numerator) / x.denominator
+
+
+def _fx_iv(x):
+    """The mpmath.iv interval of a fixed-point enclosure, exactly."""
+    return iv.make_mpf(
+        (mp.libmp.from_man_exp(x[0], -FRAC), mp.libmp.from_man_exp(x[1], -FRAC))
+    )
+
+
+def _fx_of(interval):
+    """Fixed-point enclosure of an mpmath.iv interval, rounded outward."""
+    a, b = interval._mpi_
+    return (
+        mp.libmp.to_int(mp.libmp.mpf_shift(a, FRAC), "f"),
+        mp.libmp.to_int(mp.libmp.mpf_shift(b, FRAC), "c"),
+    )
 
 
 def test_zeta_closed_forms():
@@ -96,7 +136,7 @@ def test_certified_division_through_zero_rejected():
 def test_certified_validation_and_helpers():
     with pytest.raises(ArgumentError):
         Certified(1.0, -1e-9)
-    assert Certified.exact(2.5).error == 0.0
+    assert Certified(2.5).error == 0.0
     c = Certified(1.0, 1e-6)
     s = c.scale(-3.0)
     assert s.value == -3.0
@@ -323,23 +363,6 @@ def test_certified_bounds_round_outward():
     assert Fraction(1, 3) <= Fraction(c.value) + Fraction(c.error)
 
 
-def test_interval_precision_is_restored():
-    saved = iv.prec
-    try:
-        iv.prec = 77
-        zeta_real(2.5)
-        zeta_prime_real(3.0)
-        log_factor_constants.__wrapped__(7)
-        sqrt_factor_at_half.__wrapped__(11)
-        main_term(7, 10.0**6)
-        Certified(1.0, 1e-3) / Certified(3.0, 0.0)
-        with pytest.raises(PrecisionError):
-            log_factor_constants.__wrapped__(7, tol=1e-30)
-        assert iv.prec == 77
-    finally:
-        iv.prec = saved
-
-
 # ------------------------------------------------------------------
 # The brute-force float route the accelerated products replaced: a sum
 # of float logarithms over every prime to the cutoff, a prime-tail bound
@@ -453,7 +476,7 @@ ZETA_POINTS = [1.2, 1.5, 2, 3.5, 5.5, 7, 23, 29.5]
 
 
 def encloses(c, x, slack):
-    a, b = (mp.make_mpf(e) for e in c.interval._mpi_)
+    a, b = (mp.make_mpf(e) for e in _fx_iv(c.fx)._mpi_)
     return a - slack <= x <= b + slack
 
 
@@ -472,16 +495,16 @@ def test_euler_maclaurin_remainder_is_an_enclosure():
     # enclosure, and it must still hold the true value, on both routes
     with mp.workdps(50):
         for sigma in (Fraction(3, 2), Fraction(6, 5), Fraction(7)):
-            with constants._precision():
+            with _precision():
                 power = partial(constants._inv_power, sigma=sigma)
                 routes = (
-                    tuple(map(constants._fx_iv, constants._zeta_sums(sigma, 8, 2, power))),
+                    tuple(map(_fx_iv, constants._zeta_sums(sigma, 8, 2, power))),
                     _euler_maclaurin(sigma, 8, 2),
                 )
             for z, dz in routes:
                 want = (mp.zeta(sigma), mp.zeta(sigma, derivative=1))
                 for got, x in zip((z, dz), want):
-                    c = Certified._of(got)
+                    c = Certified._of(_fx_of(got))
                     assert encloses(c, x, 0)
                     assert c.error < 1e-2
 
@@ -511,7 +534,7 @@ def _bernoulli_ratios() -> tuple:
 @lru_cache(maxsize=None)
 def _bernoulli_terms() -> tuple:
     """Enclosures of B_2j/(2j)!.  Call inside _precision()."""
-    return tuple(map(constants._iv, _bernoulli_ratios()))
+    return tuple(map(_iv, _bernoulli_ratios()))
 
 
 def _inv_power(n: int, sigma: Fraction):
@@ -524,14 +547,13 @@ def _inv_power(n: int, sigma: Fraction):
         if half:
             x *= iv.sqrt(n)
         return 1 / x
-    return iv.exp(-constants._iv(sigma) * iv.log(n))
+    return iv.exp(-_iv(sigma) * iv.log(n))
 
 
 def _euler_maclaurin(sigma: Fraction, N: int, M: int):
     """Enclosures of (zeta(sigma), zeta'(sigma)) from the terms n < N, M
     Bernoulli corrections at N and the remainder bound.  Call inside
     _precision()."""
-    _iv = constants._iv
     s = _iv(sigma)
     zeta, zeta_log = iv.mpf(1), iv.mpf(0)  # sums of n^-s and of log(n) n^-s
     for n in range(2, N):
@@ -567,7 +589,7 @@ def _euler_maclaurin(sigma: Fraction, N: int, M: int):
 @lru_cache(maxsize=None)
 def _zeta_pair(sigma: Fraction):
     """(zeta(sigma), zeta'(sigma)) enclosures, cached by exact sigma."""
-    with constants._precision():
+    with _precision():
         return _euler_maclaurin(sigma, *constants._em_plan(float(sigma)))
 
 
@@ -575,7 +597,7 @@ def _zeta_pair(sigma: Fraction):
 def _log_zeta_rough(sigma: Fraction, P: int):
     """log zeta_P(sigma) and its sigma-derivative, zeta_P being zeta with
     the Euler factors of p <= P removed."""
-    with constants._precision():
+    with _precision():
         z, dz = _zeta_pair(sigma)
         factor, deriv = z, dz / z
         for p in prime_list(P):
@@ -610,7 +632,7 @@ def test_ladder_meets_per_sigma_route(s, ks):
             sigma = k * s
             assert ladder.plans[k] == constants._em_plan(float(sigma))
             old = _zeta_pair(sigma) + _log_zeta_rough(sigma, P)
-            for new, ref in zip(ladder.rungs[k], old):
+            for new, ref in zip(map(_fx_iv, ladder.rungs[k]), old):
                 assert _meet(new, ref), (sigma, new, ref)
                 assert _width(new) <= _width(ref) + slack, (sigma, new, ref)
     assert all(ladder.rungs[k] is None for k in range(1, min(ks)))
@@ -629,7 +651,7 @@ def test_ladder_does_not_depend_on_extension_order():
         if a is None:
             assert b is None
             continue
-        assert [x._mpi_ for x in a] == [x._mpi_ for x in b]
+        assert a == b
 
 
 def _em_plan_per_n(sigma: float):
@@ -729,14 +751,15 @@ def test_fixed_point_powers_are_tightest():
 
 
 def test_fixed_point_conversions():
+    # the bridge the oracle routes use
     rng = random.Random(22)
     for _ in range(300):
         x = _random_enclosure(rng)
         # to mpmath.iv and back is exact
-        assert constants._fx_of(constants._fx_iv(x)) == x
-    with constants._precision():
+        assert _fx_of(_fx_iv(x)) == x
+    with _precision():
         for v in (iv.pi, -iv.pi / 3, iv.mpf(2) ** -300, -(iv.mpf(2) ** 300) / 7):
-            lo, hi = constants._fx_of(v)
+            lo, hi = _fx_of(v)
             a, b = (Fraction(*mp.libmp.to_rational(e)) for e in v._mpi_)
             assert _encloses_tightly((lo, hi), a, b)
 
@@ -802,3 +825,182 @@ def test_root_radius_is_a_root_bound():
             t = _factor_coeffs(q)
             assert max(abs(c) for c in t[1:]) <= 2
             assert min(abs(np.roots(t[::-1]))) >= constants._root_radius(t), q
+
+
+# ------------------------------------------------------------------
+# The fixed-point leaves against mpmath at 480 bits: every enclosure must
+# contain the value, and be at most a few units of 2^-F wide.
+
+LEAF_BITS = 480
+
+
+def _contains(x, v, units=3):
+    """x encloses the mpf v, and is at most ``units`` units of 2^-F wider
+    than the rounding of v needs."""
+    lo, hi = (mp.ldexp(mp.mpf(e), -FRAC) for e in x)
+    return lo <= v <= hi and x[1] - x[0] <= units
+
+
+def _log_inputs():
+    rng = random.Random(23)
+    ends = [ONE, 2 * ONE, 1 << (FRAC + 57), ONE + (ONE >> 200), ONE - (ONE >> 200),
+            1, 3, (1 << (2 * FRAC)) - 1]
+    ends += [1 << (FRAC + k) for k in range(-FRAC, 300, 37)]
+    ends += [rng.randrange(1, ONE << rng.choice([1, 40, 300])) for _ in range(200)]
+    return ends
+
+
+def test_log_leaf_against_mpmath():
+    with mp.workprec(LEAF_BITS):
+        for a in _log_inputs():
+            want = mp.log(mp.ldexp(mp.mpf(a), -FRAC))
+            assert _contains(constants._fx_log((a, a)), want, 2), a
+        # the upper end of a wide enclosure comes from the slope bound
+        rng = random.Random(24)
+        for _ in range(100):
+            a = rng.randrange(1, ONE << 40)
+            b = a + rng.randrange(0, a >> rng.choice([0, 20, 100, 200]) or 1)
+            lo, hi = constants._fx_log((a, b))
+            lo_want, hi_want = (mp.log(mp.ldexp(mp.mpf(e), -FRAC)) for e in (a, b))
+            assert mp.ldexp(lo, -FRAC) <= lo_want and hi_want <= mp.ldexp(hi, -FRAC)
+            assert hi - lo <= (b - a) * ONE // a + 4
+    with pytest.raises(ArgumentError):
+        constants._fx_log((0, ONE))
+
+
+def test_log_int_against_mpmath():
+    ns = list(range(1, 300)) + prime_list(1000)
+    ns += [2**57, 2**57 - 1, 10**18, 3**40, 2**200 + 1]
+    with mp.workprec(LEAF_BITS):
+        for n in ns:
+            assert _contains(constants._log_int(n), mp.log(n), 2), n
+    assert constants._log_int(2) == constants._fx_log((2 * ONE, 2 * ONE))
+
+
+def test_exp_leaf_against_mpmath():
+    rng = random.Random(25)
+    xs = [0, 1, -1, ONE, -ONE, 2 * ONE, 57 * ONE, -57 * ONE, 1 << 20, -(1 << 20),
+          ONE >> 200, -(ONE >> 200), -150 * ONE, -200 * ONE, 300 * ONE,
+          constants._LOG2[0] >> constants._GUARD]
+    xs += [rng.randrange(-300 * ONE, 300 * ONE) for _ in range(200)]
+    with mp.workprec(LEAF_BITS):
+        for a in xs:
+            want = mp.exp(mp.ldexp(mp.mpf(a), -FRAC))
+            lo, hi = constants._fx_exp((a, a))
+            assert mp.ldexp(lo, -FRAC) <= want <= mp.ldexp(hi, -FRAC), a
+            # a few units, or a relative 2^-200 of a large result
+            assert hi - lo <= 3 + (hi >> 200), a
+        # tiny results keep a true lower end of 0 or more
+        lo, hi = constants._fx_exp((-300 * ONE, -300 * ONE))
+        assert 0 <= lo <= hi <= 2
+        a, b = -ONE, ONE // 3
+        lo, hi = constants._fx_exp((a, b))
+        assert mp.ldexp(lo, -FRAC) <= mp.exp(-1) and mp.exp(mp.mpf(b) / ONE) <= mp.ldexp(hi, -FRAC)
+
+
+def test_inv_power_off_the_half_integers_against_mpmath():
+    rng = random.Random(26)
+    with mp.workprec(LEAF_BITS):
+        for _ in range(100):
+            n = rng.randrange(2, 10**6)
+            sigma = Fraction(rng.randrange(1, 200), rng.choice([3, 5, 7, 12]))
+            if (2 * sigma).denominator == 1:
+                continue
+            want = mp.power(n, -mp.mpf(sigma.numerator) / sigma.denominator)
+            assert _contains(constants._inv_power(n, sigma), want, 4), (n, sigma)
+
+
+def test_sqrt_and_cube_root_leaves():
+    rng = random.Random(27)
+    with mp.workprec(LEAF_BITS):
+        for _ in range(100):
+            a = rng.randrange(0, ONE << rng.choice([1, 60, 300]))
+            lo, hi = constants._fx_sqrt((a, a))
+            assert lo * lo <= a * ONE <= hi * hi and hi - lo <= 1
+        cubes = [r**3 for r in (1, 2, 10, 100, 12345, 2**19)]
+        others = [55, 57, 1000001, 2**57, 2**57 - 1, 10**18 + 3]
+        for x in cubes + others:
+            r, r1 = constants._fx_cbrt(x, 1)
+            assert r1 == r + 1 and r**3 <= x << 3 * FRAC < (r + 1) ** 3, x
+            assert _contains((r, r1), mp.cbrt(x), 1)
+        # floats are taken exactly: 15.625 = 2.5^3, and 1e300 makes a root
+        # argument past the float range
+        for x in (15.625, 1e300, 64.5):
+            n, d = x.as_integer_ratio()
+            r, _ = constants._fx_cbrt(n, d)
+            assert r**3 * d <= n << 3 * FRAC < (r + 1) ** 3 * d, x
+        assert constants._fx_cbrt(*(15.625).as_integer_ratio())[0] == 5 * ONE // 2
+
+
+def test_tabulated_constants_against_mpmath():
+    with mp.workprec(LEAF_BITS):
+        pi_lower = Fraction(constants.PI_LOWER_LITERAL)
+        assert mp.mpf(pi_lower.numerator) / pi_lower.denominator < mp.pi
+        assert mp.pi - mp.mpf(pi_lower.numerator) / pi_lower.denominator < mp.mpf(10) ** -30
+        assert _contains(GAMMA.fx, +mp.euler, 2 * 10**-30 * ONE)
+        assert _contains(constants._LOG2, mp.log(2) * mp.ldexp(1, constants._GUARD), 400)
+
+
+# ------------------------------------------------------------------
+# The general near-curve route decides each n on the fixed-point
+# enclosure; off the half-integers it must count as mpmath does (on dyadic
+# inputs tests/test_curves.py holds it to the exact route).
+
+
+def test_general_count_off_the_half_integers_against_mpmath():
+    rng = random.Random(29)
+    with mp.workdps(80):
+        for _ in range(12):
+            N = rng.randrange(1, 200)
+            X = rng.randrange(1, 10**6) / 16.0
+            s = Fraction(rng.randrange(1, 12), rng.choice([3, 4, 5]))
+            if (2 * s).denominator == 1:
+                continue
+            delta = rng.randrange(1, 2400) / 10**4
+            want = 0
+            for n in range(N, 2 * N + 1):
+                t = mp.mpf(X) * mp.power(n, -mp.mpf(s.numerator) / s.denominator)
+                dist = abs(t - mp.nint(t))
+                assert abs(dist - mp.mpf(delta)) > mp.mpf("1e-40"), "oracle tie; bad config"
+                want += dist < mp.mpf(delta)
+            cfg = curves.CurveConfig(X=X, s=s, N=N, delta=delta)
+            assert curves._count_general(cfg, N, 2 * N) == want, (X, s, N, delta)
+
+
+# ------------------------------------------------------------------
+# Certified's float conversions, pinned to the mpmath roundings they
+# replaced: value to nearest, error the worst end distance plus one ulp,
+# rounded up, and bounds rounded outward.
+
+libmp = mp.libmp
+
+
+def _libmp_floats(x):
+    """(value, error, bounds) of an enclosure, computed by mpmath.libmp."""
+    a, b = (libmp.from_man_exp(e, -FRAC) for e in x)
+    value = libmp.to_float(libmp.mpf_shift(libmp.mpf_add(a, b), -1), rnd="n")
+    v = libmp.from_float(value)
+    if a == b == v:
+        error = 0.0
+    else:
+        above, below = libmp.mpf_sub(b, v), libmp.mpf_sub(v, a)
+        worst = above if libmp.mpf_cmp(above, below) >= 0 else below
+        margin = math.ulp(abs(value) + libmp.to_float(worst, rnd="c"))
+        error = libmp.to_float(libmp.mpf_add(worst, libmp.from_float(margin)), rnd="c")
+    return value, error, (libmp.to_float(a, rnd="f"), libmp.to_float(b, rnd="c"))
+
+
+def test_certified_float_conversions_match_libmp():
+    rng = random.Random(30)
+    samples = [_random_enclosure(rng) for _ in range(1500)]
+    for _ in range(500):
+        v = rng.choice([-1, 1]) * rng.uniform(0, 2.0 ** rng.randrange(-60, 120))
+        a = Fraction(v) * ONE
+        assert a.denominator == 1
+        a = int(a)
+        u = int(Fraction(math.ulp(v)) * ONE)
+        # an exact float, a tie between two floats, and a float plus a few units
+        samples += [(a, a), (a, a + u), (a - rng.randrange(0, 9), a + rng.randrange(0, 9))]
+    for x in samples:
+        c = Certified._of(x)
+        assert (c.value, c.error, c.bounds) == _libmp_floats(x), x

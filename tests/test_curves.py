@@ -8,7 +8,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from tauchar import _kernels, curves
+from tauchar import _kernels, constants, curves
 from tauchar.curves import (
     BoundShapes,
     CurveConfig,
@@ -64,19 +64,22 @@ def test_exact_count_matches_high_precision_oracle():
 
 def test_general_route_agrees_on_dyadic_inputs():
     # dyadic X makes the float field lossless, so the two routes see the
-    # same curve; distances for half-integer s are irrational, never tied
+    # same curve; distances for half-integer s are irrational, never tied.
+    # The larger X and N make t span many integers and widen the
+    # enclosures of the general route
     rng = np.random.default_rng(8)
-    for _ in range(20):
-        N = int(rng.integers(1, 120))
-        X = int(rng.integers(1, 2000)) / 8.0
-        s = Fraction(int(rng.integers(1, 6)), 2)
-        delta_sq = Fraction(int(rng.integers(1, 600)), 10**4)
-        exact = CurveConfig.from_exact(
-            Fraction(X).limit_denominator(64) ** 2, s, N, delta_sq
-        )
-        general = CurveConfig(X=X, s=s, N=N, delta=float(delta_sq) ** 0.5)
-        assert not general.exact_capable
-        assert count_near_curve(general) == count_near_curve(exact)
+    for trials, x_top, n_top in ((20, 2000, 120), (12, 2**40, 400)):
+        for _ in range(trials):
+            N = int(rng.integers(1, n_top))
+            X = int(rng.integers(1, x_top)) / 8.0
+            s = Fraction(int(rng.integers(1, 6)), 2)
+            delta_sq = Fraction(int(rng.integers(1, 600)), 10**4)
+            exact = CurveConfig.from_exact(
+                Fraction(X).limit_denominator(64) ** 2, s, N, delta_sq
+            )
+            general = CurveConfig(X=X, s=s, N=N, delta=float(delta_sq) ** 0.5)
+            assert not general.exact_capable
+            assert count_near_curve(general) == count_near_curve(exact)
 
 
 def test_integer_point_on_curve_is_counted():
@@ -98,6 +101,29 @@ def test_general_route_refuses_threshold_tie():
     with pytest.raises(UndecidablePointError) as info:
         count_near_curve(cfg)
     assert info.value.points == [1]
+
+
+def test_general_route_decides_on_the_whole_enclosure(monkeypatch):
+    # widen every enclosure of n^-s by 1/32 each way, so at n = 1 and s = 1
+    # t = 3.125 becomes [3.02734375, 3.22265625], whose distance to the
+    # integers is [0.02734375, 0.22265625], and t = 3 becomes
+    # [2.90625, 3.09375], at distance [0, 0.09375]
+    exact = constants._inv_power
+    pad = 1 << (constants._FRAC - 5)
+
+    def wide(n, sigma):
+        lo, hi = exact(n, sigma)
+        return lo - pad, hi + pad
+
+    monkeypatch.setattr(constants, "_inv_power", wide)
+    for X, delta, want in ((3.125, 0.125, None), (3.125, 0.24, 1), (3.125, 0.02, 0),
+                           (3.0, 0.05, None), (3.0, 0.1, 1)):
+        cfg = CurveConfig(X=X, s=Fraction(1), N=1, delta=delta)
+        if want is None:
+            with pytest.raises(UndecidablePointError):
+                curves._count_general(cfg, 1, 1)
+        else:
+            assert curves._count_general(cfg, 1, 1) == want, (X, delta)
 
 
 def test_exact_route_decides_the_same_tie():

@@ -9,7 +9,8 @@ from tauchar.roots import floor_rational_root, floor_root_grid, integer_nth_root
 
 def test_exact_at_perfect_powers():
     for k in (2, 3, 5, 7):
-        for r in (1, 2, 3, 10, 99, 1000):
+        # past 2^64 the float estimate sees only the top bits
+        for r in (1, 2, 3, 10, 99, 1000, 2**22 + 1, 3**40, 2**300 - 1):
             v = r**k
             assert integer_nth_root(v, k) == r
             assert integer_nth_root(v - 1, k) == r - 1
@@ -29,6 +30,10 @@ def test_large_values():
     r = integer_nth_root(v, 5)
     assert r**5 <= v < (r + 1) ** 5
     assert integer_nth_root((10**6) ** 3, 3) == 10**6
+    # far past the float range
+    v = 2**2000 + 12345
+    r = integer_nth_root(v, 3)
+    assert r**3 <= v < (r + 1) ** 3
 
 
 def test_rational_root_floor():
