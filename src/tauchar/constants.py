@@ -86,12 +86,11 @@ Summed over primes, the last result splits each Euler product as
 where zeta_P(sigma) = zeta(sigma) prod_{p<=P} (1 - p^-sigma) and |E| is the
 bound above summed over every integer n > P, then compared with an integral.
 The s-derivative splits the same way.  So the primes up to 100 and a few
-dozen zeta values replace any prime sieve.  The zeta values come from one
-ladder per split (s, P), shared by every modulus that uses the split: rung k
-holds log zeta_P(ks) and its sigma-derivative, built on the zeta values of
-_zeta_at, which are cached by sigma: a sigma on both ladders, or asked for
-by zeta_real, is summed once.  log n is taken once per integer, and a
-modulus that needs a larger K extends the ladder in place.  Tolerances stay
+dozen zeta values replace any prime sieve.  Only the k with b_k != 0 are
+computed: _rung(ks, P) holds log zeta_P(ks) and its sigma-derivative and is
+cached by (sigma, P), on the zeta values of _zeta_at, which are cached by
+sigma, so a sigma reached by two moduli or both splits, or asked for by
+zeta_real, is summed once.  log n is taken once per integer.  Tolerances stay
 gates: a result whose certified error exceeds the tolerance raises
 PrecisionError carrying the achieved bound instead of returning quietly.
 """
@@ -417,12 +416,10 @@ def _log_int(n: int) -> tuple[int, int]:
     return _fx_log((n << _FRAC, n << _FRAC))
 
 
-@lru_cache(maxsize=None)
 def _em_plan(sigma: float) -> tuple[int, int]:
     """The first (N, M) on the ladder whose Euler-Maclaurin remainder, as a
     float estimate, meets _EM_TARGET; the remainder actually added to the
-    enclosure is recomputed in exact arithmetic.  Cached: _zeta_at and the
-    ladders both ask for it."""
+    enclosure is recomputed in exact arithmetic."""
     # prefix sums over i < 2M of log(sigma + i) and 1/(sigma + i), added in
     # the order of i, so every float is the one the estimate always used
     log_rising, harmonic, lr, h = [], [], 0.0, 0.0
@@ -528,8 +525,8 @@ def _zeta_at(sigma: Fraction):
 
 
 def _check_tolerance(tol: float) -> None:
-    if not tol > 0:
-        raise ArgumentError(f"tolerance must be positive, got {tol}")
+    if not 0 < tol < inf:
+        raise ArgumentError(f"tolerance must be positive and finite, got {tol}")
 
 
 def _series_argument(s: float, tol: float) -> Fraction:
@@ -561,51 +558,28 @@ def zeta_prime_real(s: float, tol: float = 1e-12) -> Certified:
     return c
 
 
-class _ZetaLadder:
-    """Zeta data at sigma = k s, k = 1, 2, ..., for one split (s, P).
-
-    ``rungs[k]`` encloses (zeta(sigma), zeta'(sigma), log zeta_P(sigma),
-    d/dsigma log zeta_P(sigma)), and ``plans[k]`` is its _em_plan (N, M);
-    both are None where sigma <= 1.  zeta and zeta' are _zeta_at(sigma),
-    and the Euler factors of the primes p <= P come off in fixed point, so
-    a rung depends on sigma and P alone: ``extend`` adds rungs and never
-    touches the earlier ones, and the rungs do not depend on the order in
-    which moduli ask for them.
-    """
-
-    def __init__(self, s: Fraction, P: int):
-        self.s, self.primes = s, prime_list(P)
-        self.plans: list = [None]
-        self.rungs: list = [None]
-
-    def extend(self, K: int) -> None:
-        """Add the rungs up to K."""
-        for k in range(len(self.rungs), K + 1):
-            sigma = k * self.s
-            if sigma <= 1:
-                self.plans.append(None)
-                self.rungs.append(None)
-                continue
-            zeta, dzeta = _zeta_at(sigma)
-            factor = zeta
-            lo = hi = 0  # sum of log(p) w/(1 - w), w = p^-sigma, at scale 2^-2F
-            for p in self.primes:
-                w_lo, w_hi = _inv_power(p, sigma)
-                factor = _fx_mul(factor, (_ONE - w_hi, _ONE - w_lo))
-                g_lo, g_hi = _log_int(p)
-                # w/(1 - w) increases with w
-                lo += g_lo * ((w_lo << _FRAC) // (_ONE - w_lo))
-                hi += g_hi * -(-(w_hi << _FRAC) // (_ONE - w_hi))
-            ratio = _fx_div(dzeta, zeta)
-            deriv = ratio[0] + (lo >> _FRAC), ratio[1] - (-hi >> _FRAC)
-            self.plans.append(_em_plan(float(sigma)))
-            self.rungs.append((zeta, dzeta, _fx_log(factor), deriv))
-
-
 @lru_cache(maxsize=None)
-def _ladder(s: Fraction, P: int) -> _ZetaLadder:
-    """The one zeta ladder of the split (s, P), shared by every modulus."""
-    return _ZetaLadder(s, P)
+def _rung(sigma: Fraction, P: int):
+    """Fixed-point enclosures of log zeta_P(sigma) and its sigma-derivative,
+    zeta_P(sigma) = zeta(sigma) prod_{p<=P} (1 - p^-sigma), for sigma > 1.
+
+    Built on _zeta_at(sigma), with the Euler factors of the primes p <= P
+    taken off in fixed point, so a rung depends on sigma and P alone and
+    is cached by them: every modulus and split that reaches a sigma shares
+    it, whichever asks first.
+    """
+    zeta, dzeta = _zeta_at(sigma)
+    factor = zeta
+    lo = hi = 0  # sum of log(p) w/(1 - w), w = p^-sigma, at scale 2^-2F
+    for p in prime_list(P):
+        w_lo, w_hi = _inv_power(p, sigma)
+        factor = _fx_mul(factor, (_ONE - w_hi, _ONE - w_lo))
+        g_lo, g_hi = _log_int(p)
+        # w/(1 - w) increases with w
+        lo += g_lo * ((w_lo << _FRAC) // (_ONE - w_lo))
+        hi += g_hi * -(-(w_hi << _FRAC) // (_ONE - w_hi))
+    ratio = _fx_div(dzeta, zeta)
+    return _fx_log(factor), (ratio[0] + (lo >> _FRAC), ratio[1] - (-hi >> _FRAC))
 
 
 def _root_radius(t: list[int]) -> Fraction:
@@ -713,15 +687,13 @@ def _euler_product(q: int, s: Fraction, P: int):
         raise ArgumentError(f"split point {P} leaves p^-s above the root bound")
     K = _truncation_order(D, rho, s, P)
     b = _factor_exponents(t, K)
-    ladder = _ladder(s, P)
-    ladder.extend(K)
     log_prod, deriv = _explicit_factors(t, s, P)
     for k in range(1, K + 1):
         if not b[k]:
             continue
         if k * s <= 1:
             raise ArgumentError(f"q={q}: exponent b_{k} = {b[k]} at a zeta pole")
-        _, _, lz, dlz = ladder.rungs[k]
+        lz, dlz = _rung(k * s, P)
         log_prod = _fx_add(log_prod, _fx_scale(b[k], lz))
         deriv = _fx_add(deriv, _fx_scale(b[k] * k, dlz))
     tail, dtail = _tail_bounds(D, rho, s, P, K)

@@ -1,17 +1,14 @@
-"""Exact integer root extraction.
+"""Exact integer root extraction, on Python integers.
 
 Floating-point roots are wrong near perfect powers, so every floor of a
 fractional power in this package goes through these helpers: a float estimate
-followed by exact integer steps.
+followed by exact integer steps.  The identity scans need no grid of roots,
+since they compare the jumps of the floors, so nothing here uses numpy.
 """
 
 from math import isqrt
-from typing import TYPE_CHECKING
 
 from .errors import ArgumentError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 def integer_nth_root(x: int, k: int) -> int:
@@ -51,34 +48,3 @@ def floor_rational_root(num: int, den: int, k: int) -> int:
     if den <= 0:
         raise ArgumentError(f"denominator must be positive, got {den}")
     return integer_nth_root(num // den, k)
-
-
-def floor_root_grid(vals: "np.ndarray", k: int) -> "np.ndarray":
-    """Elementwise floor(v**(1/k)) for an int64 array of nonnegative values.
-
-    Float seed plus a bounded integer correction sweep; every comparison is
-    in exact int64, so the result is exact as long as r**k stays in range
-    (callers keep v below ~9e18 so r**k <= v + small slack fits).  numpy
-    is imported here, so the scalar roots above load none.
-    """
-    import numpy as np
-
-    if k < 1:
-        raise ArgumentError(f"root order must be >= 1, got {k}")
-    vals = np.asarray(vals, dtype=np.int64)
-    if vals.size and int(vals.min()) < 0:
-        raise ArgumentError("integer root of negative value")
-    if k == 1:
-        return vals.copy()
-    r = np.floor(vals.astype(np.float64) ** (1.0 / k)).astype(np.int64)
-    r = np.maximum(r, 0)
-    for _ in range(6):
-        over = r**k > vals
-        if over.any():
-            r = np.where(over, r - 1, r)
-        under = (r + 1) ** k <= vals
-        if under.any():
-            r = np.where(under, r + 1, r)
-        if not (over.any() or under.any()):
-            return r
-    raise ArgumentError("root correction did not settle; values out of range")

@@ -22,11 +22,8 @@ import numpy as np
 
 from . import _kernels
 from .arith import MAX_SIEVE_ENTRIES, _jacobi, check_budget, is_prime
-from .errors import ArgumentError, OverflowHardError
+from .errors import ArgumentError
 from .powerful import powerful_walk, prime_list
-
-_INT64_MIN = -(2**63)
-_INT64_MAX = 2**63 - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,23 +46,6 @@ class CoeffSeries:
                 "values must be a 1-d int64 array of length limit + 1"
             )
         v.setflags(write=False)
-
-    @classmethod
-    def from_values(cls, values) -> "CoeffSeries":
-        """Build from any integer sequence indexed 0..limit (entry 0 ignored)."""
-        arr = np.asarray(values)
-        if arr.dtype == object or not np.issubdtype(arr.dtype, np.integer):
-            lst = [int(t) for t in arr]
-            bad = [t for t in lst if not (_INT64_MIN <= t <= _INT64_MAX)]
-            if bad:
-                raise OverflowHardError(
-                    f"coefficient {bad[0]} does not fit in signed 64 bits"
-                )
-            arr = np.array(lst, dtype=np.int64)
-        else:
-            arr = arr.astype(np.int64, copy=True)
-        arr[0] = 0
-        return cls(limit=len(arr) - 1, values=arr)
 
     def __getitem__(self, n: int) -> int:
         if not 1 <= n <= self.limit:

@@ -173,6 +173,17 @@ def test_constants_non_positive_tolerance_is_usage_error(tol, capsys):
     assert "tolerance must be positive" in err
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_constants_infinite_tolerance_is_usage_error(fmt, capsys):
+    # an infinite tolerance gates nothing, and JSON has no infinity
+    code, out, err = run(
+        ["constants", "--q", "7", "--tolerance", "inf", "--format", fmt], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert "tolerance must be positive and finite" in err
+
+
 def test_trace_exact_branch(capsys):
     code, out, _ = run(
         ["trace", "--q", "3", "--checkpoints", "1024,2048", "--no-timestamp"], capsys

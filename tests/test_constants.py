@@ -281,6 +281,15 @@ def test_non_positive_tolerance_rejected(tol):
             fn(q, tol=tol)
 
 
+def test_infinite_tolerance_rejected():
+    # a tolerance of inf gates nothing, and JSON output cannot carry it
+    for fn, arg in ((main_term_params, 7), (log_factor_constants, 7),
+                    (sqrt_factor_at_half, 13), (zeta_real, 3.0),
+                    (zeta_prime_real, 3.0)):
+        with pytest.raises(ArgumentError, match="positive and finite"):
+            fn(arg, tol=math.inf)
+
+
 def test_sqrt_factor_wrong_branch_rejected():
     with pytest.raises(ClassificationError):
         sqrt_factor_at_half(7)
@@ -621,37 +630,38 @@ def _meet(x, y):
     "s,ks", [(Fraction(1, 2), range(3, 50)), (Fraction(1), range(2, 18))]
 )
 def test_ladder_meets_per_sigma_route(s, ks):
-    # zeta, zeta', log zeta_P and its derivative on every rung must meet the
-    # old route's enclosures and be no wider than them beyond rounding
+    # zeta, zeta', log zeta_P and its derivative at every sigma = k s must
+    # meet the old route's enclosures and be no wider than them beyond rounding
     P = constants.EXPLICIT_PRIME_LIMIT
-    ladder = constants._ZetaLadder(s, P)
-    ladder.extend(max(ks))
     slack = mp.mpf(2) ** -180
     with mp.workdps(80):
         for k in ks:
             sigma = k * s
-            assert ladder.plans[k] == constants._em_plan(float(sigma))
+            got = constants._zeta_at(sigma) + constants._rung(sigma, P)
             old = _zeta_pair(sigma) + _log_zeta_rough(sigma, P)
-            for new, ref in zip(map(_fx_iv, ladder.rungs[k]), old):
+            for new, ref in zip(map(_fx_iv, got), old):
                 assert _meet(new, ref), (sigma, new, ref)
                 assert _width(new) <= _width(ref) + slack, (sigma, new, ref)
-    assert all(ladder.rungs[k] is None for k in range(1, min(ks)))
 
 
-def test_ladder_does_not_depend_on_extension_order():
-    # a ladder grown in two steps holds the very intervals of one grown at once
-    s, P = Fraction(1, 2), constants.EXPLICIT_PRIME_LIMIT
-    grown, fresh = constants._ZetaLadder(s, P), constants._ZetaLadder(s, P)
-    grown.extend(16)
-    grown.extend(49)
-    fresh.extend(49)
-    assert grown.plans == fresh.plans
-    assert len(grown.rungs) == len(fresh.rungs) == 50
-    for a, b in zip(grown.rungs, fresh.rungs):
-        if a is None:
-            assert b is None
-            continue
-        assert a == b
+def test_constants_do_not_depend_on_modulus_order():
+    # a rung depends on sigma and P alone, so every constant is the same
+    # interval whichever modulus reaches a sigma first
+    moduli = prime_list(60)[1:]
+    caches = (main_term_params, log_factor_constants, sqrt_factor_at_half,
+              constants._rung, constants._zeta_at)
+    runs = []
+    for order in (moduli, moduli[::-1]):
+        for cache in caches:
+            cache.cache_clear()
+        params = {q: main_term_params(q) for q in order}
+        runs.append({
+            q: [None if c is None else c.fx for c in (
+                p.zeta_q, p.zeta_prime_q, p.product_at_one, p.logderiv_at_one,
+                p.zeta_half_q, p.sqrt_product_half)]
+            for q, p in params.items()
+        })
+    assert runs[0] == runs[1]
 
 
 def _em_plan_per_n(sigma: float):

@@ -30,6 +30,17 @@ from tauchar.sieves import (
 )
 
 
+def coeff_series(values) -> CoeffSeries:
+    """The series of the integers indexed 0..limit (entry 0 ignored); a
+    value outside int64 raises OverflowHardError rather than wrapping."""
+    vals = [int(v) for v in values]
+    if not all(-(2**63) <= v < 2**63 for v in vals):
+        raise OverflowHardError("a coefficient does not fit in signed 64 bits")
+    arr = np.array(vals, dtype=np.int64)
+    arr[0] = 0
+    return CoeffSeries(len(arr) - 1, arr)
+
+
 def brute_convolve(a: CoeffSeries, b: CoeffSeries) -> list[int]:
     n = a.limit
     out = [0] * (n + 1)
@@ -42,7 +53,7 @@ def brute_convolve(a: CoeffSeries, b: CoeffSeries) -> list[int]:
 def random_series(rng, limit, lo=-5, hi=6) -> CoeffSeries:
     vals = rng.integers(lo, hi, size=limit + 1)
     vals[0] = 0
-    return CoeffSeries.from_values(vals)
+    return coeff_series(vals)
 
 
 def test_convolution_matches_brute_force():
@@ -64,7 +75,7 @@ def test_convolution_ring_laws():
     ba = dirichlet_convolve(b, a)
     assert ab == ba
     assert dirichlet_convolve(ab, c) == dirichlet_convolve(a, dirichlet_convolve(b, c))
-    e = CoeffSeries.from_values([0, 1] + [0] * 149)
+    e = coeff_series([0, 1] + [0] * 149)
     assert dirichlet_convolve(a, e) == a
 
 
@@ -78,7 +89,7 @@ def test_convolution_overflow_guard():
     big = np.zeros(101, dtype=np.int64)
     big[1] = 1
     big[2] = 2**62
-    s = CoeffSeries.from_values(big)
+    s = coeff_series(big)
     with pytest.raises(OverflowHardError):
         dirichlet_convolve(s, s)
 
@@ -86,8 +97,8 @@ def test_convolution_overflow_guard():
 def test_convolution_overflow_guard_sees_int64_min():
     # np.abs(-2**63) is -2**63: a guard built on it passes, and a(2) b(2)
     # wraps at n = 4
-    a = CoeffSeries.from_values([0, 1, -(2**63), 0, 0])
-    b = CoeffSeries.from_values([0, 1, 3, 0, 0])
+    a = coeff_series([0, 1, -(2**63), 0, 0])
+    b = coeff_series([0, 1, 3, 0, 0])
     with pytest.raises(OverflowHardError):
         dirichlet_convolve(a, b)
     with pytest.raises(OverflowHardError):
@@ -121,7 +132,7 @@ def loop_inverse(a: CoeffSeries) -> CoeffSeries:
                 if k > n // m:
                     break
                 acc[k * m] += av[k] * b[m]
-    return CoeffSeries.from_values(b)
+    return coeff_series(b)
 
 
 def series_kinds(rng, n, lead):
@@ -133,7 +144,7 @@ def series_kinds(rng, n, lead):
     for v in (dense, sparse, indicator):
         v = np.array(v, dtype=np.int64)
         v[1] = lead
-        out.append(CoeffSeries.from_values(v))
+        out.append(coeff_series(v))
     return out
 
 
@@ -175,7 +186,7 @@ def test_inverse_overflow_guard():
     # b(2) = 2^63 does not fit; and b(4) = a(2)^2 - a(4) = 2^64 does not fit,
     # which only the second Newton step reaches
     for vals in ([0, 1, -(2**63)], [0, 1, 2**32] + [0] * 14):
-        a = CoeffSeries.from_values(vals)
+        a = coeff_series(vals)
         with pytest.raises(OverflowHardError):
             loop_inverse(a)
         with pytest.raises(OverflowHardError):
@@ -186,7 +197,7 @@ def test_inverse_guard_falls_back_to_the_exact_bound():
     # the a-priori bound of the second Newton step is 2^31 * 2^31 * 5, above
     # int64, but every partial sum stays within 2^62, so the inverse is
     # returned, b(4) = a(2)^2 = 2^62
-    a = CoeffSeries.from_values([0, 1, 2**31, 0, 0])
+    a = coeff_series([0, 1, 2**31, 0, 0])
     b = dirichlet_inverse(a)
     assert b == loop_inverse(a)
     assert int(b[4]) == 2**62
@@ -204,12 +215,12 @@ def test_verify_inverts_without_the_exact_bound(monkeypatch):
 
 def test_inverse_is_two_sided():
     rng = np.random.default_rng(5)
-    e = CoeffSeries.from_values([0, 1] + [0] * 119)
+    e = coeff_series([0, 1] + [0] * 119)
     for sign in (1, -1):
         a = random_series(rng, 120)
         vals = np.array(a.values, copy=True)
         vals[1] = sign
-        a = CoeffSeries.from_values(vals)
+        a = coeff_series(vals)
         inv = dirichlet_inverse(a)
         assert dirichlet_convolve(a, inv) == e
         assert dirichlet_convolve(inv, a) == e
@@ -224,7 +235,7 @@ def test_inverse_rejects_non_unit():
     vals = np.zeros(11, dtype=np.int64)
     vals[1] = 2
     with pytest.raises(NotInvertibleError):
-        dirichlet_inverse(CoeffSeries.from_values(vals))
+        dirichlet_inverse(coeff_series(vals))
 
 
 def truncated_product(a, b, order: int) -> list[int]:
@@ -492,7 +503,7 @@ def test_factorization_detects_poisoned_table():
     direct = tau_char_sieve(q, 400)
     vals = np.array(direct.values, copy=True)
     vals[101] = -vals[101]
-    poisoned = CoeffSeries.from_values(vals)
+    poisoned = coeff_series(vals)
     good = dirichlet_convolve(direct, ones_series(400))
     bad = dirichlet_convolve(poisoned, ones_series(400))
     miss = good.first_mismatch(bad)

@@ -1,10 +1,9 @@
 """Integer root helpers, especially behavior exactly at perfect powers."""
 
-import numpy as np
 import pytest
 
 from tauchar.errors import ArgumentError
-from tauchar.roots import floor_rational_root, floor_root_grid, integer_nth_root
+from tauchar.roots import floor_rational_root, integer_nth_root
 
 
 def test_exact_at_perfect_powers():
@@ -25,7 +24,7 @@ def test_against_float_free_oracle():
 
 
 def test_large_values():
-    # near the top of the int64 range used by grid callers
+    # near the top of the int64 range
     v = 2**62
     r = integer_nth_root(v, 5)
     assert r**5 <= v < (r + 1) ** 5
@@ -47,19 +46,3 @@ def test_rational_root_floor():
         integer_nth_root(-1, 3)
     with pytest.raises(ArgumentError):
         integer_nth_root(4, 0)
-
-
-def test_grid_matches_scalar():
-    vals = np.arange(0, 20000, dtype=np.int64)
-    for k in (1, 2, 3, 5):
-        grid = floor_root_grid(vals, k)
-        # spot-check a stratified sample against the scalar routine
-        for v in list(range(0, 50)) + [31, 32, 33, 242, 243, 244, 19999]:
-            assert grid[v] == integer_nth_root(v, k), (k, v)
-        assert np.all(grid**k <= vals)
-        assert np.all((grid + 1) ** k > vals)
-
-
-def test_grid_rejects_negative():
-    with pytest.raises(ArgumentError):
-        floor_root_grid(np.array([-1], dtype=np.int64), 2)

@@ -7,16 +7,19 @@ from math import isqrt, log
 import numpy as np
 import pytest
 
-from tauchar import constants, summatory
+from tauchar import constants, sieves, summatory
 from tauchar.arith import is_prime
 from tauchar.constants import Branch, classify
+from tauchar.dirichlet import dirichlet_convolve
 from tauchar.errors import ArgumentError, ClassificationError, OverflowHardError
 from tauchar.powerful import powerful_walk, prime_list
-from tauchar.roots import floor_root_grid, integer_nth_root
+from tauchar.roots import integer_nth_root
 from tauchar.sieves import (
+    CoeffSeries,
     _jacobi,
     liouville_sieve,
     mobius_sieve,
+    ones_series,
     powerful_terms,
     tau_char_sieve,
 )
@@ -242,6 +245,51 @@ def test_fifth_power_identity_pointwise():
         assert summatory_convolved(5, x) == expect
 
 
+def floor_root_grid(vals: np.ndarray, k: int) -> np.ndarray:
+    """Elementwise floor(v**(1/k)) for an int64 array of nonnegative values:
+    the prefix-sum oracle of the identity scans.
+
+    Float seed plus a bounded integer correction sweep; every comparison is
+    in exact int64, so the result is exact as long as r**k stays in range
+    (callers keep v below ~9e18 so r**k <= v + small slack fits).
+    """
+    if k < 1:
+        raise ArgumentError(f"root order must be >= 1, got {k}")
+    vals = np.asarray(vals, dtype=np.int64)
+    if vals.size and int(vals.min()) < 0:
+        raise ArgumentError("integer root of negative value")
+    if k == 1:
+        return vals.copy()
+    r = np.floor(vals.astype(np.float64) ** (1.0 / k)).astype(np.int64)
+    r = np.maximum(r, 0)
+    for _ in range(6):
+        over = r**k > vals
+        if over.any():
+            r = np.where(over, r - 1, r)
+        under = (r + 1) ** k <= vals
+        if under.any():
+            r = np.where(under, r + 1, r)
+        if not (over.any() or under.any()):
+            return r
+    raise ArgumentError("root correction did not settle; values out of range")
+
+
+def test_grid_matches_scalar():
+    vals = np.arange(0, 20000, dtype=np.int64)
+    for k in (1, 2, 3, 5):
+        grid = floor_root_grid(vals, k)
+        # spot-check a stratified sample against the scalar routine
+        for v in list(range(0, 50)) + [31, 32, 33, 242, 243, 244, 19999]:
+            assert grid[v] == integer_nth_root(v, k), (k, v)
+        assert np.all(grid**k <= vals)
+        assert np.all((grid + 1) ** k > vals)
+
+
+def test_grid_rejects_negative():
+    with pytest.raises(ArgumentError):
+        floor_root_grid(np.array([-1], dtype=np.int64), 2)
+
+
 def grid_fifth_power_mobius_sums(limit: int) -> np.ndarray:
     """sum_{d <= sqrt(x)} mu(d) floor((x/d^2)^(1/5)) at x = 0..limit, one
     integer-root grid over every x per squarefree d."""
@@ -256,8 +304,11 @@ def grid_fifth_power_mobius_sums(limit: int) -> np.ndarray:
 
 def test_fifth_power_jump_points_match_root_grid():
     for limit in (1, 31, 32, 10**5):
-        got = summatory._fifth_power_mobius_sums(limit)
-        assert np.array_equal(got, grid_fifth_power_mobius_sums(limit)), limit
+        jumps = np.zeros(limit + 1, dtype=np.int64)
+        for n, w in summatory._fifth_power_jumps(limit).items():
+            jumps[n] += w
+        expect = grid_fifth_power_mobius_sums(limit)
+        assert np.array_equal(np.cumsum(jumps), expect), limit
 
 
 def test_identity_scans_hold_to_ten_thousand():
@@ -266,12 +317,37 @@ def test_identity_scans_hold_to_ten_thousand():
     assert fifth_power_identity_scan(10000) is None
 
 
-def test_identity_scan_reports_the_first_mismatch():
-    # entry 0 stands for no x and is never compared
-    expect = np.array([9, 1, 2, 3, 4])
-    assert summatory._first_mismatch(np.array([0, 1, 2, 3, 4]), expect) is None
-    assert summatory._first_mismatch(np.array([0, 0, 2, 0, 4]), expect) == 1
-    assert summatory._first_mismatch(np.array([0, 1, 2, 0, 0]), expect) == 3
+def root_grid_sums(k: int):
+    return lambda limit: floor_root_grid(np.arange(limit + 1, dtype=np.int64), k)
+
+
+# each scan, the table it sieves, and the prefix sums its identity claims
+SCANS = {
+    "square": (square_root_identity_scan, "liouville_sieve",
+               liouville_sieve, root_grid_sums(2)),
+    "cube": (cube_root_identity_scan, "tau_char_sieve",
+             lambda limit: tau_char_sieve(3, limit), root_grid_sums(3)),
+    "fifth": (fifth_power_identity_scan, "tau_char_sieve",
+              lambda limit: tau_char_sieve(5, limit), grid_fifth_power_mobius_sums),
+}
+
+
+@pytest.mark.parametrize("kind", SCANS)
+def test_identity_scan_reports_the_first_corrupted_coefficient(kind, monkeypatch):
+    # one wrong a(n) moves (a * 1)(n) first, so the coefficient comparison
+    # and the prefix-sum oracle must both first fail at x = n
+    scan, name, table, oracle = SCANS[kind]
+    limit = 3000
+    true, expect = table(limit), oracle(limit)
+    rng = np.random.default_rng(17)
+    for n in (1, 2, int(rng.integers(3, limit)), limit):
+        vals = true.values.copy()
+        vals[n] = 1 - vals[n]
+        bad = CoeffSeries(limit, vals)
+        monkeypatch.setattr(sieves, name, lambda *args: bad)
+        assert scan(limit) == n, (kind, n)
+        s = np.cumsum(dirichlet_convolve(bad, ones_series(limit)).values)
+        assert int(np.flatnonzero(s[1:] != expect[1:])[0]) + 1 == n, (kind, n)
 
 
 def test_default_checkpoints_doubling():
