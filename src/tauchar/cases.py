@@ -12,11 +12,12 @@ summatory walks classify and expand factors without loading either, and
 ``constants`` re-exports its public names for the certified main terms.
 """
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import exp
+from typing import NamedTuple
 
+from ._record import Record
 from .arith import _jacobi, is_prime
 from .errors import ArgumentError, ClassificationError
 
@@ -43,8 +44,7 @@ class SubBranch(str, Enum):
     PM43_53_MOD120 = "pm43_53_mod120"
 
 
-@dataclass(frozen=True)
-class CaseClass:
+class CaseClass(NamedTuple):
     """Residue classification of an odd prime modulus and its start exponents.
 
     ``log_factor_start`` is the smallest exponent with nonzero coefficient in
@@ -138,8 +138,7 @@ def classify(q: int) -> CaseClass:
     return CaseClass(q, Branch.PM5_MOD24, sub, None, start)
 
 
-@dataclass(frozen=True)
-class LocalFactor:
+class LocalFactor(Record):
     """Euler factor at a prime p, as a rational function of u = p^(-s).
 
     ``numerator`` / ``denominator`` are integer polynomial coefficients in u,
@@ -147,19 +146,20 @@ class LocalFactor:
     is the same at every prime.
     """
 
-    name: str
-    numerator: tuple[int, ...]
-    denominator: tuple[int, ...]
+    __slots__ = ("name", "numerator", "denominator")
 
-    def __post_init__(self):
-        if not self.denominator or self.denominator[0] != 1:
+    def __init__(
+        self, name: str, numerator: tuple[int, ...], denominator: tuple[int, ...]
+    ):
+        if not denominator or denominator[0] != 1:
             raise ArgumentError(
-                f"local factor {self.name!r} needs a denominator with constant term 1"
+                f"local factor {name!r} needs a denominator with constant term 1"
             )
-        if not self.numerator or self.numerator[0] != 1:
+        if not numerator or numerator[0] != 1:
             raise ArgumentError(
-                f"local factor {self.name!r} needs a numerator with constant term 1"
+                f"local factor {name!r} needs a numerator with constant term 1"
             )
+        self._set(name=name, numerator=numerator, denominator=denominator)
 
     def coeffs(self, max_exp: int) -> tuple[int, ...]:
         """Integer series coefficients of u^0..u^max_exp, by long division:

@@ -20,13 +20,17 @@ byte-identical output.
 Exit codes: 0 all checks pass / report produced; 1 mathematical mismatch;
 2 usage error; 3 resource or precision budget exceeded.
 
-No command loads mpmath: the certified constants are fixed-point integer
-enclosures.  The numpy-backed modules, and ``constants``, are imported
-inside the handlers that use them: --help and constants load no numpy,
-and verify, short-interval and near-curve do.  rh-diagnostic, whose moduli
-are all +-3 (mod 8), sums over the powerful numbers in pure Python, and
-trace loads numpy only for q = +-1 (mod 8), where S(x) needs the divisor
-summatory function.
+A process imports only what its subcommand runs.  At the top level this
+module imports argparse, os, sys, time and the package's ``errors``, so
+--help loads no other package module.  Every other module is imported
+where it is used: csv and json by the writer of that format, datetime
+only for a timestamp, fractions by the rational parsers, and ``cases``
+and the library modules inside the handlers.  No command loads mpmath:
+the certified constants are fixed-point integer enclosures.  constants
+loads no numpy, and verify, short-interval and near-curve do.
+rh-diagnostic, whose moduli are all +-3 (mod 8), sums over the powerful
+numbers in pure Python, and trace loads numpy only for q = +-1 (mod 8),
+where S(x) needs the divisor summatory function.
 
 An --output target that cannot be written is refused before any work
 runs; the file is opened, and so truncated, only once the report is ready.
@@ -36,16 +40,11 @@ second.
 """
 
 import argparse
-import csv
-import json
 import os
 import sys
 import time
-from datetime import datetime, timezone
-from fractions import Fraction
 
 from . import __version__
-from .cases import Branch, classify
 from .errors import (
     ArgumentError,
     OverflowHardError,
@@ -60,15 +59,16 @@ EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
+# keyed by Branch values, so that --help need not import cases
 _KIND_BY_BRANCH = {
-    Branch.PM1_MOD8: "x_log_x",
-    Branch.PM11_MOD24: "sqrt_x",
-    Branch.Q_EQUALS_3: "exact_cuberoot",
-    Branch.PM5_MOD24: "upper_bound_only",
+    "pm1_mod8": "x_log_x",
+    "pm11_mod24": "sqrt_x",
+    "q_equals_3": "exact_cuberoot",
+    "pm5_mod24": "upper_bound_only",
 }
 
 
-def _exact(s: str, what: str) -> Fraction:
+def _exact(s: str, what: str):
     """The exact value of a spelling such as '3/4', '2.5' or '1e6'.
 
     Fraction builds 10^exponent in full, so exponents past four digits are
@@ -76,6 +76,8 @@ def _exact(s: str, what: str) -> Fraction:
     """
     if len(s.lower().partition("e")[2].strip().lstrip("+-")) > 4:
         raise argparse.ArgumentTypeError(f"exponent too large in {s!r}")
+    from fractions import Fraction
+
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError):
@@ -95,7 +97,7 @@ def _int_like(s: str) -> int:
     return int(v)
 
 
-def _rational(s: str) -> Fraction:
+def _rational(s: str):
     """Exact rational argument: '3/4', '100', '2.5', '1e6' all work."""
     return _exact(s, "a rational number")
 
@@ -122,6 +124,8 @@ def _cell(v) -> str:
 
 
 def _json_value(v):
+    from fractions import Fraction
+
     if isinstance(v, Fraction):
         return str(v)
     if isinstance(v, tuple):
@@ -158,6 +162,8 @@ def _metadata(args, config: dict) -> dict:
     }
     md.update(config)
     if not args.no_timestamp:
+        from datetime import datetime, timezone
+
         md["timestamp"] = datetime.now(timezone.utc).isoformat()
     return md
 
@@ -165,6 +171,8 @@ def _metadata(args, config: dict) -> dict:
 def _emit(args, meta: dict, header: list[str], rows: list, summary: dict | None):
     def write(out):
         if args.format == "json":
+            import json
+
             doc = {
                 "metadata": {k: _json_value(v) for k, v in meta.items()},
                 "rows": [
@@ -181,6 +189,8 @@ def _emit(args, meta: dict, header: list[str], rows: list, summary: dict | None)
         if summary is not None:
             for k, v in summary.items():
                 out.write(f"# summary {k}={_cell(v)}\n")
+        import csv
+
         w = csv.writer(out, lineterminator="\n")
         w.writerow(header)
         for row in rows:
@@ -224,6 +234,8 @@ def _moduli(args) -> list[int]:
         qs = prime_list(args.all_q)[1:]
     if not qs:
         raise ArgumentError(f"no odd prime moduli at or below {args.all_q}")
+    from .cases import classify
+
     for q in qs:
         classify(q)
     return qs
@@ -276,6 +288,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_constants(args) -> int:
+    from .cases import Branch
     from .constants import main_term_params
 
     qs = _moduli(args)
@@ -301,7 +314,7 @@ def _cmd_constants(args) -> int:
                 case.log_factor_start
                 if case.log_factor_start is not None
                 else case.sqrt_factor_start,
-                _KIND_BY_BRANCH[case.branch],
+                _KIND_BY_BRANCH[case.branch.value],
                 lead_v,
                 lead_e,
                 bracket.value if bracket else None,
@@ -543,7 +556,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     psi.add_argument("--x", type=_rational, required=True)
     psi.add_argument("--y", type=_rational, required=True)
-    psi.add_argument("--c3", type=_rational, default=Fraction(1, 4))
+    psi.add_argument("--c3", type=_rational, default="1/4")
     psi.set_defaults(func=_cmd_short_interval)
 
     pnc = sub.add_parser(
@@ -553,7 +566,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     pnc.add_argument("--x", type=_rational, required=True)
     pnc.add_argument("--y", type=_rational, required=True)
-    pnc.add_argument("--c3", type=_rational, default=Fraction(1, 4))
+    pnc.add_argument("--c3", type=_rational, default="1/4")
     pnc.set_defaults(func=_cmd_near_curve)
 
     pr = sub.add_parser(

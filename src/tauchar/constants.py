@@ -95,11 +95,11 @@ gates: a result whose certified error exceeds the tolerance raises
 PrecisionError carrying the achieved bound instead of returning quietly.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
 from math import inf, isfinite, isqrt, lcm, log, nextafter, pi, ulp
+from typing import NamedTuple
 
 from .cases import (  # all re-exported as constants.<name>
     THETA_UPPER,
@@ -590,21 +590,27 @@ def _root_radius(t: list[int]) -> Fraction:
 
 def _factor_exponents(t: list[int], K: int) -> list[int]:
     """b_0..b_K (b_0 = 0) with L(u) prod_{k<=K} (1 - u^k)^(b_k) = 1 + O(u^(K+1))
-    for L = sum_m t[m] u^m, t[0] = 1, by integer series division: b_k is the
-    u^k coefficient left once the factors below k are applied."""
-    c = (list(t) + [0] * (K + 1))[: K + 1]
-    b = [0] * (K + 1)
-    for k in range(1, K + 1):
-        b[k] = bk = c[k]
-        if bk == 0:
-            continue
-        # (1 - u^k)^bk = sum_j w_j u^(jk), w_j = (-1)^j binom(bk, j)
-        w = [1]
-        for j in range(1, K // k + 1):
-            w.append(w[-1] * (j - 1 - bk) // j)
-        for n in range(K, k - 1, -1):
-            c[n] += sum(w[j] * c[n - j * k] for j in range(1, n // k + 1))
-    return b
+    for L = sum_m t[m] u^m, t[0] = 1.
+
+    The power sums s_n = n a_n of log L = sum_n a_n u^n come from Newton's
+    identities, u L'(u) = L(u) sum_n s_n u^n, that is
+    s_n = n t[n] - sum_{0<j<n} s_j t[n-j]; then k b_k = sum_{d|k} mu(k/d) s_d,
+    the formula of the module docstring, and the division by k is exact.
+    """
+    D = len(t) - 1
+    t = (list(t) + [0] * (K + 1))[: K + 1]
+    s = [0] * (K + 1)
+    for n in range(1, K + 1):
+        s[n] = n * t[n] - sum(s[j] * t[n - j] for j in range(max(1, n - D), n))
+    mu = [0, 1] + [0] * (K - 1)
+    for d in range(1, K + 1):
+        for k in range(2 * d, K + 1, d):
+            mu[k] -= mu[d]
+    kb = [0] * (K + 1)
+    for d in range(1, K + 1):
+        for k in range(d, K + 1, d):
+            kb[k] += mu[k // d] * s[d]
+    return [0] + [kb[k] // k for k in range(1, K + 1)]
 
 
 def _truncation_order(D: int, rho: Fraction, s: Fraction, P: int) -> int:
@@ -644,6 +650,13 @@ def _tail_bounds(D: int, rho: Fraction, s: Fraction, P: int, K: int):
     return tail[1], dtail[1]
 
 
+@lru_cache(maxsize=None)
+def _root_powers(p: int, d: int) -> tuple[tuple[int, int], ...]:
+    """Enclosures of p^(-r/d) for r < d, which the explicit product of every
+    modulus split at the same s = 1/d asks for again."""
+    return tuple(_inv_power(p, Fraction(r, d)) for r in range(d))
+
+
 def _explicit_factors(t: list[int], s: Fraction, P: int):
     """Fixed-point enclosures of sum_{p<=P} log L(p^-s) and of its
     s-derivative, -sum log p u L'(u)/L(u).
@@ -657,12 +670,11 @@ def _explicit_factors(t: list[int], s: Fraction, P: int):
     prod, deriv = (_ONE, _ONE), (0, 0)
     for p in prime_list(P):
         val = slope = (0, 0)  # p^e L(p^-s) and p^e u L'(u)
-        for r in range(d):
+        for r, w in enumerate(_root_powers(p, d)):
             ms = range(r, D + 1, d)
             a = a1 = 0
             for m in ms:
                 a, a1 = a * p + t[m], a1 * p + m * t[m]
-            w = _inv_power(p, Fraction(r, d))
             c = p ** (e + 1 - len(ms))
             val = _fx_add(val, _fx_scale(a * c, w))
             slope = _fx_add(slope, _fx_scale(a1 * c, w))
@@ -746,8 +758,7 @@ def sqrt_factor_at_half(q: int, tol: float = 2e-4) -> Certified:
     return product
 
 
-@dataclass(frozen=True)
-class MainTermParams:
+class MainTermParams(NamedTuple):
     """Certified constants feeding the branch main term for modulus q.
 
     Fields not applicable to the branch are None.
@@ -812,8 +823,7 @@ def main_term_params(q: int, tol: float = 1e-4) -> MainTermParams:
     )
 
 
-@dataclass(frozen=True)
-class MainTerm:
+class MainTerm(NamedTuple):
     value: float
     error: float
     kind: str  # "log" | "sqrt" | "exact_cuberoot" | "upper_bound_only"

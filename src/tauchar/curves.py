@@ -25,13 +25,14 @@ reports exact counts against three derivative-test bound shapes with
 implied constant 1 (never asserted: the true constants are unknown).
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import inf, isqrt, log
+from typing import NamedTuple
 
 import numpy as np
 
 from ._kernels import DEFAULT_SEGMENT, factor_block
+from ._record import Record
 from .errors import ArgumentError, TaucharError, UndecidablePointError
 from .roots import floor_rational_root, integer_nth_root
 from .powerful import prime_list
@@ -52,8 +53,7 @@ def _to_fraction(v) -> Fraction:
     raise ArgumentError(f"expected int, float or Fraction, got {type(v).__name__}")
 
 
-@dataclass(frozen=True)
-class CurveConfig:
+class CurveConfig(Record):
     """Window and threshold for counting integers near X/n^s.
 
     ``X`` and ``delta`` are the working float values; ``X_sq`` and
@@ -61,36 +61,38 @@ class CurveConfig:
     (requires 2s integral).  The window is the closed range [N, 2N].
     """
 
-    X: float
-    s: Fraction
-    N: int
-    delta: float
-    X_sq: Fraction | None = None
-    delta_sq: Fraction | None = None
+    __slots__ = ("X", "s", "N", "delta", "X_sq", "delta_sq")
 
-    def __post_init__(self):
-        if self.N < 1:
-            raise ArgumentError(f"window base must be >= 1, got {self.N}")
-        if not 0.0 < self.delta < 0.25:
-            raise ArgumentError(f"delta must lie in (0, 1/4), got {self.delta}")
-        if not isinstance(self.s, Fraction):
-            object.__setattr__(self, "s", Fraction(self.s))
-        if self.s <= 0:
-            raise ArgumentError(f"exponent must be positive, got {self.s}")
-        if not self.X > 0:
-            raise ArgumentError(f"X must be positive, got {self.X}")
-        if self.X_sq is not None:
-            if self.X_sq <= 0:
+    def __init__(
+        self,
+        X: float,
+        s: Fraction,
+        N: int,
+        delta: float,
+        X_sq: Fraction | None = None,
+        delta_sq: Fraction | None = None,
+    ):
+        if N < 1:
+            raise ArgumentError(f"window base must be >= 1, got {N}")
+        if not 0.0 < delta < 0.25:
+            raise ArgumentError(f"delta must lie in (0, 1/4), got {delta}")
+        if not isinstance(s, Fraction):
+            s = Fraction(s)
+        if s <= 0:
+            raise ArgumentError(f"exponent must be positive, got {s}")
+        if not X > 0:
+            raise ArgumentError(f"X must be positive, got {X}")
+        if X_sq is not None:
+            if X_sq <= 0:
                 raise ArgumentError("X_sq must be positive")
-            if abs(float(self.X_sq) - self.X * self.X) > 1e-6 * max(
-                1.0, self.X * self.X
-            ):
+            if abs(float(X_sq) - X * X) > 1e-6 * max(1.0, X * X):
                 raise ArgumentError("X and X_sq disagree")
-        if self.delta_sq is not None:
-            if not Fraction(0) < self.delta_sq < Fraction(1, 16):
+        if delta_sq is not None:
+            if not Fraction(0) < delta_sq < Fraction(1, 16):
                 raise ArgumentError("delta_sq must lie in (0, 1/16)")
-            if abs(float(self.delta_sq) - self.delta * self.delta) > 1e-6:
+            if abs(float(delta_sq) - delta * delta) > 1e-6:
                 raise ArgumentError("delta and delta_sq disagree")
+        self._set(X=X, s=s, N=N, delta=delta, X_sq=X_sq, delta_sq=delta_sq)
 
     @classmethod
     def from_exact(cls, X_sq, s, N: int, delta_sq) -> "CurveConfig":
@@ -203,25 +205,21 @@ def count_near_curve(cfg: CurveConfig) -> int:
     return _count_general(cfg, cfg.N, 2 * cfg.N)
 
 
-@dataclass(frozen=True)
-class ShortIntervalInstance:
+class ShortIntervalInstance(Record):
     """The window (x, x+y] for the fifth-power short sum, with the scan
     constant c3 and exact precondition flags."""
 
-    x: Fraction
-    y: Fraction
-    c3: Fraction = Fraction(1, 4)
+    __slots__ = ("x", "y", "c3")
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", _to_fraction(self.x))
-        object.__setattr__(self, "y", _to_fraction(self.y))
-        object.__setattr__(self, "c3", _to_fraction(self.c3))
-        if self.x < 1:
-            raise ArgumentError(f"x must be >= 1, got {self.x}")
-        if not 0 <= self.y <= self.x:
+    def __init__(self, x: Fraction, y: Fraction, c3: Fraction = Fraction(1, 4)):
+        x, y, c3 = _to_fraction(x), _to_fraction(y), _to_fraction(c3)
+        if x < 1:
+            raise ArgumentError(f"x must be >= 1, got {x}")
+        if not 0 <= y <= x:
             raise ArgumentError("need 0 <= y <= x")
-        if not Fraction(0) < self.c3 <= Fraction(1, 4):
-            raise ArgumentError(f"c3 must lie in (0, 1/4], got {self.c3}")
+        if not Fraction(0) < c3 <= Fraction(1, 4):
+            raise ArgumentError(f"c3 must lie in (0, 1/4], got {c3}")
+        self._set(x=x, y=y, c3=c3)
 
     @property
     def y_within_11_20(self) -> bool:
@@ -258,8 +256,7 @@ def short_interval_sum(inst: ShortIntervalInstance) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class BoundShapes:
+class BoundShapes(NamedTuple):
     """The three derivative-test bound shapes at one window, constant 1."""
 
     N: int
@@ -326,8 +323,7 @@ def bound_shapes(
     )
 
 
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(NamedTuple):
     """One dyadic-window piece of the n-scan.
 
     ``n_lo``/``n_hi`` are inclusive; ``delta_sq`` = y^2/(n_lo^5 x) so the
@@ -350,8 +346,7 @@ class ScanRow:
     ratio: float | None
 
 
-@dataclass(frozen=True)
-class RangeScanReport:
+class RangeScanReport(NamedTuple):
     """Exact short-interval accounting plus per-window bound comparisons.
 
     Invariants (enforced): the pieces tile (n_min - 1, n_max] with no gaps

@@ -27,8 +27,8 @@ numbers, and ``expand_euler_product`` hands it to
 instead of sieving every n.
 """
 
-from dataclasses import dataclass
 from math import isqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -168,8 +168,7 @@ def expand_euler_product(local: LocalFactor, limit: int) -> CoeffSeries:
     return multiplicative_series(limit, c, "euler product expansion")
 
 
-@dataclass(frozen=True)
-class RouteCheck:
+class RouteCheck(NamedTuple):
     """One verified identity: the route description and where it first fails."""
 
     name: str
@@ -177,8 +176,7 @@ class RouteCheck:
     first_mismatch: int | None
 
 
-@dataclass(frozen=True)
-class FactorizationReport:
+class FactorizationReport(NamedTuple):
     q: int
     limit: int
     routes: tuple[RouteCheck, ...]

@@ -15,37 +15,35 @@ Primality, the Jacobi symbol and the table budget live in the numpy-free
 ``arith`` and are re-exported here.
 """
 
-from dataclasses import dataclass
 from math import isqrt
 
 import numpy as np
 
 from . import _kernels
+from ._record import Record
 from .arith import MAX_SIEVE_ENTRIES, _jacobi, check_budget, is_prime
 from .errors import ArgumentError
 from .powerful import powerful_walk, prime_list
 
 
-@dataclass(frozen=True, eq=False)
-class CoeffSeries:
+class CoeffSeries(Record):
     """Exact integer values a(1..limit) of an arithmetic function.
 
     ``values`` is an int64 array of length limit + 1 whose entry 0 is unused
     (kept at 0) so that values[n] is a(n).  Immutable after construction.
     """
 
-    limit: int
-    values: np.ndarray
+    __slots__ = ("limit", "values")
 
-    def __post_init__(self):
-        if self.limit < 1:
-            raise ArgumentError(f"series limit must be >= 1, got {self.limit}")
-        v = self.values
-        if v.dtype != np.int64 or v.ndim != 1 or len(v) != self.limit + 1:
+    def __init__(self, limit: int, values: np.ndarray):
+        if limit < 1:
+            raise ArgumentError(f"series limit must be >= 1, got {limit}")
+        if values.dtype != np.int64 or values.ndim != 1 or len(values) != limit + 1:
             raise ArgumentError(
                 "values must be a 1-d int64 array of length limit + 1"
             )
-        v.setflags(write=False)
+        values.setflags(write=False)
+        self._set(limit=limit, values=values)
 
     def __getitem__(self, n: int) -> int:
         if not 1 <= n <= self.limit:

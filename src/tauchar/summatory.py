@@ -30,11 +30,10 @@ and so need no grid of roots.  ``constants`` is imported inside
 """
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import exp, inf, isqrt, log
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .arith import _jacobi, check_budget, is_prime
 from .cases import THETA_UPPER, X_FLOOR, Branch, CaseClass, classify
@@ -297,8 +296,7 @@ def default_alphas(case: CaseClass) -> tuple[float, ...]:
     return (0.5,)
 
 
-@dataclass(frozen=True)
-class SummatoryTrace:
+class SummatoryTrace(NamedTuple):
     """Exact values vs main terms along a checkpoint schedule.
 
     ``residual_intervals`` bracket value - main_term, rounded outward from
@@ -424,8 +422,7 @@ def rh_growth(x: float, eps: float) -> float:
     return exp(lx ** 0.5 * log(lx) ** (2.5 + eps))
 
 
-@dataclass(frozen=True)
-class GrowthDiagnostic:
+class GrowthDiagnostic(NamedTuple):
     """Normalized |S(x)| against the two conjectural growth envelopes.
 
     ``ratio_unconditional`` divides by sqrt(x) * subexp_decay(x^{1/4}, c);

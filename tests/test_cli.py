@@ -3,6 +3,7 @@ determinism, and the documented error mapping."""
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -10,6 +11,7 @@ import os
 import subprocess
 import sys
 import time
+from datetime import datetime
 from fractions import Fraction
 from pathlib import Path
 
@@ -588,32 +590,42 @@ try:
     code = cli.main(sys.argv[1:])
 except SystemExit as e:
     code = e.code
-print("numpy" in sys.modules, "mpmath" in sys.modules, file=sys.stderr)
+print(*sorted(sys.modules), file=sys.stderr)
 sys.exit(code)
 """
 
 
-def fresh(argv):
-    """Run the CLI in a new interpreter:
-    (exit code, stdout, numpy loaded, mpmath loaded)."""
+def _fresh_run(args):
+    """A new interpreter on args, with this checkout's tauchar importable."""
     env = dict(os.environ)
     src = str(Path(tauchar.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", _FRESH_MAIN, *argv],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    numpy_loaded, mpmath_loaded = proc.stderr.splitlines()[-1].split()
-    return proc.returncode, proc.stdout, numpy_loaded == "True", mpmath_loaded == "True"
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+@functools.cache
+def _bare_modules():
+    """The modules a bare interpreter has loaded before running any code."""
+    proc = _fresh_run(["-c", "import sys; print(*sorted(sys.modules))"])
+    return frozenset(proc.stdout.split())
+
+
+def fresh(argv):
+    """Run the CLI in a new interpreter: (exit code, stdout, the modules it
+    loaded beyond those of a bare interpreter)."""
+    proc = _fresh_run(["-c", _FRESH_MAIN, *argv])
+    loaded = frozenset(proc.stderr.splitlines()[-1].split())
+    return proc.returncode, proc.stdout, loaded - _bare_modules()
 
 
 @pytest.mark.parametrize(
     "argv", [["--help"], ["constants", "--all-q", "60", "--no-timestamp"]]
 )
 def test_help_and_constants_never_load_numpy(argv):
-    code, out, numpy_loaded, _ = fresh(argv)
+    code, out, added = fresh(argv)
     assert code == 0 and out
-    assert not numpy_loaded
+    assert "numpy" not in added
 
 
 @pytest.mark.parametrize(
@@ -633,26 +645,70 @@ def test_help_and_constants_never_load_numpy(argv):
 )
 def test_exact_commands_never_load_mpmath(argv):
     # the certified constants are integer enclosures: no command loads mpmath
-    code, out, _, mpmath_loaded = fresh(argv)
+    code, out, added = fresh(argv)
     assert code == 0 and out
-    assert not mpmath_loaded
+    assert "mpmath" not in added
+
+
+@functools.cache
+def _every_module_imported():
+    """The modules a fresh interpreter holds once it has imported every
+    tauchar module."""
+    proc = _fresh_run(["-c", (
+        "import importlib, pkgutil, sys, tauchar\n"
+        "for m in pkgutil.walk_packages(tauchar.__path__, 'tauchar.'):\n"
+        "    importlib.import_module(m.name)\n"
+        "print(*sorted(sys.modules))\n"
+    )])
+    assert proc.returncode == 0, proc.stderr
+    return frozenset(proc.stdout.split())
 
 
 def test_no_module_imports_mpmath():
     # every tauchar module, imported in a fresh process, leaves mpmath out
-    code = (
-        "import importlib, pkgutil, sys, tauchar\n"
-        "for m in pkgutil.walk_packages(tauchar.__path__, 'tauchar.'):\n"
-        "    importlib.import_module(m.name)\n"
-        "print('mpmath' in sys.modules)\n"
-    )
-    env = dict(os.environ)
-    src = str(Path(tauchar.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert "mpmath" not in _every_module_imported()
+
+
+def test_no_module_imports_dataclasses():
+    # the records are NamedTuples or slotted classes: dataclasses, which
+    # pulls in inspect, ast and dis, stays unloaded
+    loaded = _every_module_imported()
+    assert "tauchar.summatory" in loaded and "tauchar.curves" in loaded
+    assert "dataclasses" not in loaded
+
+
+def test_help_imports_only_cli_and_errors():
+    code, out, added = fresh(["--help"])
+    assert code == 0 and out.startswith("usage: tauchar")
+    assert {m for m in added if m.startswith("tauchar")} == {
+        "tauchar", "tauchar.cli", "tauchar.errors"
+    }
+    assert not added & {"dataclasses", "json", "csv", "datetime", "fractions"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["constants", "--all-q", "60"], ["trace", "--q", "13", "--max", "1e6"]],
+    ids=["constants", "trace"],
+)
+def test_reference_commands_import_only_what_they_run(argv):
+    code, out, added = fresh(argv + ["--no-timestamp"])
+    assert code == 0 and out
+    assert not added & {"dataclasses", "json", "datetime", "numpy"}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_writers_and_timestamp_import_what_they_use(fmt):
+    # json, csv and datetime are imported only where they are used, so the
+    # writer and the timestamp must work in a process that loaded none
+    code, out, added = fresh(["constants", "--q", "7", "--format", fmt])
+    assert code == 0
+    if fmt == "json":
+        stamp = json.loads(out)["metadata"]["timestamp"]
+    else:
+        stamp = parse_csv(out)[0]["timestamp"]
+    assert datetime.fromisoformat(stamp).tzinfo is not None
+    assert {fmt, "datetime"} <= added
 
 
 @pytest.mark.parametrize(
@@ -667,15 +723,15 @@ def test_no_module_imports_mpmath():
 )
 def test_pm3_mod8_summatory_never_loads_numpy(argv, loads_numpy):
     # q = +-3 (mod 8) sums only the walk; q = 7 needs D(y) and its tables
-    code, out, numpy_loaded, _ = fresh(argv)
+    code, out, added = fresh(argv)
     assert code == 0 and out
-    assert numpy_loaded is loads_numpy
+    assert ("numpy" in added) is loads_numpy
 
 
 def test_constants_row_does_not_depend_on_the_other_moduli():
     # q = 59 alone grows the half-line ladder in one step; --all-q 60 grows it
     # modulus by modulus, after q = 11, 13 and 37
-    _, alone, _, _ = fresh(["constants", "--q", "59", "--no-timestamp"])
-    _, together, _, _ = fresh(["constants", "--all-q", "60", "--no-timestamp"])
+    _, alone, _ = fresh(["constants", "--q", "59", "--no-timestamp"])
+    _, together, _ = fresh(["constants", "--all-q", "60", "--no-timestamp"])
     rows = parse_csv(together)[3]
     assert parse_csv(alone)[3] == [r for r in rows if r[0] == "59"]

@@ -820,6 +820,36 @@ def test_factor_exponents_identity(branch, s):
         assert left == right, q
 
 
+def _factor_exponents_by_division(t, K):
+    """b_0..b_K by integer series division: b_k is the u^k coefficient left
+    once the factors (1 - u^j)^(b_j), j < k, have multiplied L."""
+    c = (list(t) + [0] * (K + 1))[: K + 1]
+    b = [0] * (K + 1)
+    for k in range(1, K + 1):
+        b[k] = bk = c[k]
+        if bk == 0:
+            continue
+        # (1 - u^k)^bk = sum_j w_j u^(jk), w_j = (-1)^j binom(bk, j)
+        w = [1]
+        for j in range(1, K // k + 1):
+            w.append(w[-1] * (j - 1 - bk) // j)
+        for n in range(K, k - 1, -1):
+            c[n] += sum(w[j] * c[n - j * k] for j in range(1, n // k + 1))
+    return b
+
+
+def test_factor_exponents_equal_series_division():
+    # the power sums and the Moebius inversion against series division, for
+    # equality, on every product factor below 200 and the worst admissible one
+    qs = [q for q in prime_list(200) if q % 8 in (1, 7) or q % 24 in (11, 13)]
+    factors = [_factor_coeffs(q) for q in qs] + [[1] + [-2] * 10]
+    assert len(factors) == 33
+    for t in factors:
+        for K in (10, 45, 60, 90):
+            want = _factor_exponents_by_division(t, K)
+            assert constants._factor_exponents(t, K) == want, (t, K)
+
+
 def test_root_radius_is_a_root_bound():
     # Cauchy's bound must hold for every factor the coefficient bound
     # |t[m]| <= 2 admits; 1 - 2u - ... - 2u^D has a root just above 1/3
