@@ -34,6 +34,7 @@ RUNS = 5
 COMMANDS = [
     ["--help"],
     ["verify", "--all-q", "60", "--limit", "1e4"],
+    ["verify", "--all-q", "60", "--limit", "1e6"],
     ["constants", "--all-q", "60"],
     ["trace", "--q", "13", "--max", "1e8"],
     ["rh-diagnostic", "--q", "19", "--max", "1e7"],

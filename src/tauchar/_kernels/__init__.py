@@ -7,7 +7,7 @@ the rest of the package.
 
 Exported surface:
     DEFAULT_SEGMENT, factor_block(lo, hi, primes, c),
-    full_tables(limit, c, segment)
+    full_tables(limit, c, segment), table_dtype(c)
 """
 
-from .pyback import DEFAULT_SEGMENT, factor_block, full_tables
+from .pyback import DEFAULT_SEGMENT, factor_block, full_tables, table_dtype

@@ -36,7 +36,7 @@ def factor_block(lo: int, hi: int, primes, c) -> np.ndarray:
     c = [int(v) for v in c]
     if len(c) < max(2, (hi - 1).bit_length()) or c[0] != 1:
         raise ValueError("c must start at c[0] = 1 and cover every exponent below hi")
-    dtype = np.int8 if max(map(abs, c)) <= 1 else np.int64
+    dtype = table_dtype(c)
     size = hi - lo
     vals = np.ones(size, dtype=dtype)
     # product of the prime powers found so far (below n < hi, so uint32 holds
@@ -73,11 +73,18 @@ def factor_block(lo: int, hi: int, primes, c) -> np.ndarray:
     return vals
 
 
+def table_dtype(c):
+    """int8 when every |c[e]| <= 1, so that every product of c-values lies
+    in {-1, 0, 1}; else int64."""
+    return np.int8 if max(map(abs, c)) <= 1 else np.int64
+
+
 def full_tables(limit: int, c, segment: int = DEFAULT_SEGMENT) -> np.ndarray:
-    """``factor_block`` values over [0, limit] as int64 (entry 0 set to 0),
-    built block by block; ``c`` must cover every exponent up to log2(limit)."""
+    """``factor_block`` values over [0, limit] (entry 0 set to 0), built
+    block by block, in ``table_dtype(c)``; ``c`` must cover every exponent
+    up to log2(limit)."""
     base = prime_list(isqrt(limit))
-    out = np.zeros(limit + 1, dtype=np.int64)
+    out = np.zeros(limit + 1, dtype=table_dtype(c))
     for lo in range(1, limit + 1, segment):
         hi = min(lo + segment, limit + 1)
         out[lo:hi] = factor_block(lo, hi, base, c)

@@ -242,15 +242,18 @@ def _moduli(args) -> list[int]:
 
 
 def _cmd_verify(args) -> int:
-    from .dirichlet import verify_factorization
-    from .summatory import (
+    from .dirichlet import (
+        Tables,
         cube_root_identity_scan,
         fifth_power_identity_scan,
         square_root_identity_scan,
+        verify_factorization,
     )
 
     qs = _moduli(args)
     progress = _Progress("verify")
+    # one store for the run: the scans and every modulus share its tables
+    tables = Tables(args.limit)
 
     rows = []
     scans = [
@@ -259,11 +262,11 @@ def _cmd_verify(args) -> int:
         ("fifth_power_mobius_floor", 5, fifth_power_identity_scan),
     ]
     for i, (name, q_tag, fn) in enumerate(scans):
-        miss = fn(args.limit)
+        miss = fn(args.limit, tables)
         rows.append([name, q_tag, args.limit, miss is None, miss])
         progress("identity", i + 1, len(scans))
     for i, q in enumerate(qs):
-        rep = verify_factorization(q, args.limit)
+        rep = verify_factorization(q, args.limit, tables)
         for route in rep.routes:
             rows.append([route.name, q, args.limit, route.ok, route.first_mismatch])
         progress("factorization", i + 1, len(qs))

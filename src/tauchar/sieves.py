@@ -3,14 +3,17 @@
 Everything downstream consumes these: the divisor count tau(n), the Mobius
 and Liouville functions, perfect-power indicators, the tau character (the
 Legendre symbol of the divisor count) and the Euler-factor expansions, all
-over 1..limit as exact 64-bit integers.
+over 1..limit as exact integers: int8 when every value lies in {-1, 0, 1},
+else int64.
 
 Each of them is multiplicative and fixed by one row c[e] = f(p^e) shared by
 all primes, and ``multiplicative_series`` is the one builder of such a
 table: when c[1] = 0 the table lives on the powerful numbers, and
 ``powerful_terms`` scatters them from the walk in the numpy-free
 ``powerful``; otherwise the numpy block kernel in ``tauchar._kernels``
-sieves every n.  This module owns validation and the public types.
+sieves every n.  The tau character is the exception: it is read off the
+divisor count, one lookup per n.  This module owns validation and the
+public types.
 Primality, the Jacobi symbol and the table budget live in the numpy-free
 ``arith`` and are re-exported here.
 """
@@ -29,8 +32,10 @@ from .powerful import powerful_walk, prime_list
 class CoeffSeries(Record):
     """Exact integer values a(1..limit) of an arithmetic function.
 
-    ``values`` is an int64 array of length limit + 1 whose entry 0 is unused
-    (kept at 0) so that values[n] is a(n).  Immutable after construction.
+    ``values`` is an int8 or int64 array of length limit + 1 whose entry 0
+    is unused (kept at 0) so that values[n] is a(n).  The builders here
+    return int8 exactly when every value lies in {-1, 0, 1}; arithmetic on
+    the values is done in int64.  Immutable after construction.
     """
 
     __slots__ = ("limit", "values")
@@ -38,9 +43,13 @@ class CoeffSeries(Record):
     def __init__(self, limit: int, values: np.ndarray):
         if limit < 1:
             raise ArgumentError(f"series limit must be >= 1, got {limit}")
-        if values.dtype != np.int64 or values.ndim != 1 or len(values) != limit + 1:
+        if (
+            values.dtype not in (np.int8, np.int64)
+            or values.ndim != 1
+            or len(values) != limit + 1
+        ):
             raise ArgumentError(
-                "values must be a 1-d int64 array of length limit + 1"
+                "values must be a 1-d int8 or int64 array of length limit + 1"
             )
         values.setflags(write=False)
         self._set(limit=limit, values=values)
@@ -76,7 +85,8 @@ def multiplicative_series(limit: int, c, what: str = "sieve") -> CoeffSeries:
 
     When c[1] = 0, f lives on the powerful numbers, and the powerful walk
     scatters them into a zero table in O(sqrt(limit)) steps; otherwise the
-    block kernel sieves all of 1..limit.
+    block kernel sieves all of 1..limit.  The table is int8 when every
+    |c[e]| <= 1, so that every value lies in {-1, 0, 1}, else int64.
     """
     if limit < 1:
         raise ArgumentError(f"limit must be >= 1, got {limit}")
@@ -91,7 +101,7 @@ def multiplicative_series(limit: int, c, what: str = "sieve") -> CoeffSeries:
     if c[1]:
         return CoeffSeries(limit, _kernels.full_tables(limit, c))
     n, w = powerful_terms(c, limit, prime_list(isqrt(limit)))
-    values = np.zeros(limit + 1, dtype=np.int64)
+    values = np.zeros(limit + 1, dtype=_kernels.table_dtype(c))
     values[n] = w
     return CoeffSeries(limit, values)
 
@@ -127,22 +137,31 @@ def ones_series(limit: int) -> CoeffSeries:
     if limit < 1:
         raise ArgumentError(f"limit must be >= 1, got {limit}")
     check_budget(limit)
-    values = np.ones(limit + 1, dtype=np.int64)
+    values = np.ones(limit + 1, dtype=np.int8)
     values[0] = 0
     return CoeffSeries(limit, values)
 
 
-def tau_char_sieve(q: int, limit: int) -> CoeffSeries:
+def tau_char_sieve(q: int, limit: int, tau: CoeffSeries | None = None) -> CoeffSeries:
     """The tau character: n -> Legendre symbol (tau(n) / q), values in {-1,0,1}.
 
-    Multiplicative because tau is multiplicative and the symbol is completely
-    multiplicative: its value at p^e is chi(e + 1).
+    Read off the divisor count, as the character is defined: with
+    chi[t] = (t / q) for t >= 1 and chi[0] = 0, so that entry 0 stays 0,
+    the table is chi[tau(n)].  ``tau``, when given, must be
+    divisor_count_sieve(limit): a verify run passes its one shared table.
+    Because the symbol is completely multiplicative, this is also the
+    multiplicative table with value chi(e + 1) at p^e, the second route
+    the tests compare it with.
     """
     if q < 3 or q % 2 == 0 or not is_prime(q):
         raise ArgumentError(f"modulus must be an odd prime, got {q}")
-    return multiplicative_series(
-        limit, [_jacobi(e + 1, q) for e in range(limit.bit_length() + 1)]
-    )
+    if tau is None:
+        tau = divisor_count_sieve(limit)
+    elif tau.limit != limit:
+        raise ArgumentError(f"divisor count to {tau.limit} given for limit {limit}")
+    top = int(tau.values.max())
+    chi = np.array([0] + [_jacobi(t, q) for t in range(1, top + 1)], dtype=np.int8)
+    return CoeffSeries(limit, chi[tau.values])
 
 
 def powerful_terms(w, top: int, primes: list[int]):

@@ -22,27 +22,24 @@ intermediate is guarded by MAX_EXACT_X.  Everything float-valued here is
 derived from exact integers and certified constants, so residuals carry
 honest error intervals.
 
-numpy, ``sieves`` and ``dirichlet`` are imported inside the functions that
-use them: D, the +-1 branch, and the identity scans, which compare a * 1
-with the jumps of the identity's right side coefficient by coefficient
-and so need no grid of roots.  ``constants`` is imported inside
-``trace``, the one caller of its main terms.
+numpy and ``sieves`` are imported inside the functions that use them: D
+and the +-1 branch.  ``constants`` is imported inside ``trace``, the one
+caller of its main terms.  The identity scans, which compare a * 1 with
+the jumps of an identity's right side coefficient by coefficient, live in
+``dirichlet`` with the routes they share tables with.
 """
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import accumulate
 from math import exp, inf, isqrt, log
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
-from .arith import _jacobi, check_budget, is_prime
+from .arith import _jacobi, is_prime
 from .cases import THETA_UPPER, X_FLOOR, Branch, CaseClass, classify
 from .errors import ArgumentError, ClassificationError, OverflowHardError
 from .powerful import powerful_walk, prime_list
 from .roots import integer_nth_root
-
-if TYPE_CHECKING:
-    from .sieves import CoeffSeries
 
 DEFAULT_LIMIT = 10**8
 
@@ -187,89 +184,6 @@ def summatory_convolved(q: int, x: int, *, limit: int = DEFAULT_LIMIT) -> int:
     """Exact S(x) = sum_{d <= x} tauchar_q(d) * floor(x / d), by the
     powerful-number route in O(sqrt x) memory."""
     return _checkpoint_sums(q, (_validate_x(x, limit),))[0]
-
-
-def _identity_scan(a: "CoeffSeries", jumps: dict[int, int]) -> int | None:
-    """First x <= a.limit where sum_{n <= x} (a * 1)(n) differs from
-    sum_{n <= x} jumps.get(n, 0); None when none does.
-
-    Two sequences' prefix sums first differ exactly where the sequences
-    do, so comparing a * 1 with the jumps coefficient by coefficient, with
-    the comparator verify_factorization uses, decides every x <= limit.
-    """
-    import numpy as np
-
-    from .dirichlet import dirichlet_convolve
-    from .sieves import CoeffSeries, ones_series
-
-    values = np.zeros(a.limit + 1, dtype=np.int64)
-    values[list(jumps)] = list(jumps.values())
-    lhs = dirichlet_convolve(a, ones_series(a.limit))
-    return lhs.first_mismatch(CoeffSeries(a.limit, values))
-
-
-def _powers(limit: int, k: int) -> dict[int, int]:
-    """The jumps of floor(x^(1/k)): 1 at every m^k <= limit."""
-    return dict.fromkeys((m**k for m in range(1, integer_nth_root(limit, k) + 1)), 1)
-
-
-def square_root_identity_scan(limit: int) -> int | None:
-    """First x <= limit where the Liouville convolution sum differs from
-    floor(sqrt(x)); None when the identity holds everywhere.
-
-    The partial sums agree up to x exactly when their terms do, so this
-    checks (lambda * 1)(n) = [n is a square] for every n <= limit.
-    """
-    from .sieves import liouville_sieve
-
-    check_budget(limit, "identity scan")
-    return _identity_scan(liouville_sieve(limit), _powers(limit, 2))
-
-
-def cube_root_identity_scan(limit: int) -> int | None:
-    """First x <= limit where the q=3 convolution sum differs from
-    floor(x^(1/3)); None when the identity holds everywhere.
-
-    The partial sums agree up to x exactly when their terms do, so this
-    checks (tauchar_3 * 1)(n) = [n is a cube] for every n <= limit.
-    """
-    from .sieves import tau_char_sieve
-
-    check_budget(limit, "identity scan")
-    return _identity_scan(tau_char_sieve(3, limit), _powers(limit, 3))
-
-
-def _fifth_power_jumps(limit: int) -> dict[int, int]:
-    """The jumps of sum_{d <= sqrt(x)} mu(d) floor((x/d^2)^(1/5)) up to
-    limit.  The sum counts the pairs d^2 m^5 <= x weighted by mu(d), and
-    for squarefree d each n is d^2 m^5 at most once, so it jumps by mu(d)
-    at n = d^2 m^5."""
-    from .sieves import mobius_sieve
-
-    mu = mobius_sieve(isqrt(limit)).values.tolist()
-    return {
-        d * d * m**5: mu[d]
-        for m in range(1, integer_nth_root(limit, 5) + 1)
-        for d in range(1, isqrt(limit // m**5) + 1)
-        if mu[d]
-    }
-
-
-def fifth_power_identity_scan(limit: int) -> int | None:
-    """First x <= limit where the q=5 convolution sum differs from
-    sum_{d <= sqrt(x)} mu(d) floor((x/d^2)^(1/5)); None when none differs.
-
-    The partial sums agree up to x exactly when their terms do, so this
-    checks (tauchar_5 * 1)(n) = sum_{d^2 m^5 = n} mu(d) for every
-    n <= limit.  The left side is the character sieve, the right the
-    Mobius sieve, so the two share no table.  Tests check the summed
-    jumps against the integer-root form, one floor((x/d^2)^(1/5)) grid per
-    squarefree d.
-    """
-    from .sieves import tau_char_sieve
-
-    check_budget(limit, "identity scan")
-    return _identity_scan(tau_char_sieve(5, limit), _fifth_power_jumps(limit))
 
 
 def default_checkpoints(limit: int = DEFAULT_LIMIT) -> tuple[int, ...]:

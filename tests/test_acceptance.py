@@ -22,15 +22,15 @@ from tauchar.curves import (
     decompose_short_interval,
     range_scan,
 )
-from tauchar.dirichlet import verify_factorization
-from tauchar.roots import integer_nth_root
-from tauchar.sieves import is_prime
-from tauchar.summatory import (
+from tauchar.dirichlet import (
     cube_root_identity_scan,
     fifth_power_identity_scan,
     square_root_identity_scan,
-    trace,
+    verify_factorization,
 )
+from tauchar.roots import integer_nth_root
+from tauchar.sieves import is_prime
+from tauchar.summatory import trace
 
 
 def verdict(k: int, name: str, ok: bool, detail: str) -> None:

@@ -2,6 +2,7 @@
 determinism, and the documented error mapping."""
 
 import argparse
+import collections
 import csv
 import functools
 import hashlib
@@ -15,10 +16,11 @@ from datetime import datetime
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import tauchar
-from tauchar import cli
+from tauchar import cli, dirichlet, sieves
 from tauchar.cli import _int_like, _rational, main
 from tauchar.curves import ShortIntervalInstance, decompose_short_interval
 from tauchar.roots import integer_nth_root
@@ -558,6 +560,10 @@ PINNED_OUTPUTS = [
         "01d40a7ad679b19bebd17bcdc302f784c2d55c9ba523789e11d4993feb158ad2",
     ),
     (
+        ["verify", "--all-q", "60", "--limit", "1e5"],
+        "c5c6302a4752e575138d1a28fde56575193dc6a35365d7c368507d1a35b8eecd",
+    ),
+    (
         ["near-curve", "--x", "1e13", "--y", "3e6"],
         "8adcbb3c6a253b115d7cfdcec4eb29b3f38024c07f31cc167e37210d87c538b7",
     ),
@@ -565,7 +571,9 @@ PINNED_OUTPUTS = [
 
 
 @pytest.mark.parametrize(
-    "argv,digest", PINNED_OUTPUTS, ids=["constants", "trace", "verify", "near-curve"]
+    "argv,digest",
+    PINNED_OUTPUTS,
+    ids=["constants", "trace", "verify", "verify-1e5", "near-curve"],
 )
 def test_benchmark_outputs_are_pinned(argv, digest, capsys):
     code, out, _ = run(argv + ["--no-timestamp"], capsys)
@@ -581,6 +589,36 @@ def test_trace_data_rows_are_pinned(capsys):
     assert len(kept) == len(out.splitlines()) - 1
     digest = "13a7e336b3ef953ef7a78ebc70e735cbe811551f144e0ecc4f21b4e0ac1ed99b"
     assert hashlib.sha256("".join(kept).encode()).hexdigest() == digest
+
+
+def test_verify_builds_each_shared_table_once(monkeypatch, capsys):
+    # one store serves the three scans and the 16 moduli: tau, each power
+    # indicator, each character and the two inverses are built once a run
+    built = collections.Counter()
+
+    def spy(module, name, key):
+        real = getattr(module, name)
+
+        def counted(*args):
+            built[name, key(*args)] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module in (sieves, dirichlet):
+        spy(module, "divisor_count_sieve", lambda limit: limit)
+    spy(dirichlet, "power_indicator_series", lambda r, limit: r)
+    spy(dirichlet, "tau_char_sieve", lambda q, limit, tau=None: q)
+    # an inverse is told apart by its argument's first square or fourth power
+    spy(dirichlet, "dirichlet_inverse", lambda a: int(np.flatnonzero(a.values)[1]))
+    code, _, _ = run(["verify", "--all-q", "60", "--limit", "2e4"], capsys)
+    assert code == 0
+    qs = [q for q in range(3, 61, 2) if all(q % p for p in range(3, q, 2))]
+    want = {("divisor_count_sieve", 20000): 1,
+            ("dirichlet_inverse", 4): 1, ("dirichlet_inverse", 16): 1}
+    want.update({("power_indicator_series", r): 1 for r in [2, 4] + qs})
+    want.update({("tau_char_sieve", q): 1 for q in qs})
+    assert dict(built) == want
 
 
 _FRESH_MAIN = """
@@ -687,14 +725,21 @@ def test_help_imports_only_cli_and_errors():
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [["constants", "--all-q", "60"], ["trace", "--q", "13", "--max", "1e6"]],
-    ids=["constants", "trace"],
+    "argv,unused",
+    [
+        (["constants", "--all-q", "60"], {"dataclasses", "json", "datetime", "numpy"}),
+        (["trace", "--q", "13", "--max", "1e6"],
+         {"dataclasses", "json", "datetime", "numpy"}),
+        # numpy loads datetime; the identity scans live in dirichlet
+        (["verify", "--all-q", "60", "--limit", "1e4"],
+         {"dataclasses", "json", "tauchar.summatory"}),
+    ],
+    ids=["constants", "trace", "verify"],
 )
-def test_reference_commands_import_only_what_they_run(argv):
+def test_reference_commands_import_only_what_they_run(argv, unused):
     code, out, added = fresh(argv + ["--no-timestamp"])
     assert code == 0 and out
-    assert not added & {"dataclasses", "json", "datetime", "numpy"}
+    assert not added & unused
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -1,17 +1,23 @@
-"""Coefficient algebra against brute-force oracles, and the factorization
-routes for every structural branch."""
+"""Coefficient algebra against brute-force oracles, the factorization
+routes for every structural branch, and the three root-floor identity
+scans."""
 
 from fractions import Fraction
+from math import isqrt
 
 import numpy as np
 import pytest
+from test_summatory import floor_root_grid
 
 from tauchar import _kernels, cases, dirichlet
 from tauchar.constants import LocalFactor, local_factor
 from tauchar.dirichlet import (
+    cube_root_identity_scan,
     dirichlet_convolve,
     dirichlet_inverse,
     expand_euler_product,
+    fifth_power_identity_scan,
+    square_root_identity_scan,
     verify_factorization,
 )
 from tauchar.errors import (
@@ -22,7 +28,9 @@ from tauchar.errors import (
 )
 from tauchar.sieves import (
     CoeffSeries,
+    divisor_count_sieve,
     is_prime,
+    liouville_sieve,
     mobius_sieve,
     ones_series,
     power_indicator_series,
@@ -169,6 +177,50 @@ def test_split_convolution_matches_loop_at_random_limits():
         for a in kinds:
             for b in kinds:
                 assert dirichlet_convolve(a, b) == loop_convolve(a, b), n
+
+
+def sparse_kinds(n):
+    """The sides a loop over the support serves: q-th power indicators,
+    Euler expansions, mu(sqrt n) at the squares, and the identity e."""
+    out = [power_indicator_series(q, n) for q in (2, 3, 5)]
+    out += [expand_euler_product(local_factor(q), n) for q in (7, 11, 19)]
+    out.append(expand_euler_product(local_factor(43, combined=True), n))
+    m = np.arange(1, isqrt(n) + 1)
+    mu_sq = np.zeros(n + 1, dtype=np.int64)
+    mu_sq[m * m] = mobius_sieve(isqrt(n)).values[1:]
+    out.append(coeff_series(mu_sq))
+    out.append(coeff_series([0, 1] + [0] * (n - 1)))
+    return out
+
+
+def dense_kinds(rng, n):
+    """tau, 1, a tau character and a random series on 1..n."""
+    return [divisor_count_sieve(n), ones_series(n), tau_char_sieve(7, n),
+            random_series(rng, n)]
+
+
+def test_support_loop_matches_loop_both_ways(monkeypatch):
+    # a sparse side against a dense one, in both argument orders, at the
+    # split edges and on seeded random limits; the per-d loop is the oracle
+    rng = np.random.default_rng(11)
+    limits = SPLIT_EDGES + rng.integers(1, 5 * 10**4, size=4).tolist()
+    real, looped = dirichlet._add_multiple, []
+
+    def spy(out, sl, v, x):
+        # a strided update over every k at some d > isqrt(n) is the loop
+        if sl.step == sl.start and sl.stop is None and sl.start ** 2 > len(out) - 1:
+            looped.append(len(out) - 1)
+        real(out, sl, v, x)
+
+    monkeypatch.setattr(dirichlet, "_add_multiple", spy)
+    for n in limits:
+        dense = dense_kinds(rng, n)
+        for a in sparse_kinds(n):
+            for b in dense:
+                want = loop_convolve(a, b)
+                assert dirichlet_convolve(a, b) == want, n
+                assert dirichlet_convolve(b, a) == want, n
+    assert set(looped) >= {10000, 10100}
 
 
 @pytest.mark.parametrize("lead", [1, -1])
@@ -476,6 +528,13 @@ def test_route_names_are_pinned():
     assert got == ROUTE_NAMES
 
 
+def test_tables_must_match_the_limit():
+    with pytest.raises(ArgumentError):
+        verify_factorization(7, 100, dirichlet.Tables(99))
+    with pytest.raises(ArgumentError):
+        cube_root_identity_scan(100, dirichlet.Tables(101))
+
+
 def test_q3_has_two_routes():
     rep = verify_factorization(3, 1000)
     assert len(rep.routes) == 2
@@ -508,3 +567,63 @@ def test_factorization_detects_poisoned_table():
     bad = dirichlet_convolve(poisoned, ones_series(400))
     miss = good.first_mismatch(bad)
     assert miss == 101
+
+
+def grid_fifth_power_mobius_sums(limit: int) -> np.ndarray:
+    """sum_{d <= sqrt(x)} mu(d) floor((x/d^2)^(1/5)) at x = 0..limit, one
+    integer-root grid over every x per squarefree d."""
+    x = np.arange(0, limit + 1, dtype=np.int64)
+    out = np.zeros(limit + 1, dtype=np.int64)
+    mu = mobius_sieve(isqrt(limit)).values
+    for d in range(1, isqrt(limit) + 1):
+        if mu[d]:
+            out[d * d :] += mu[d] * floor_root_grid(x[d * d :] // (d * d), 5)
+    return out
+
+
+def test_fifth_power_jump_points_match_root_grid():
+    for limit in (1, 31, 32, 10**5):
+        jumps = np.zeros(limit + 1, dtype=np.int64)
+        for n, w in dirichlet._fifth_power_jumps(limit).items():
+            jumps[n] += w
+        expect = grid_fifth_power_mobius_sums(limit)
+        assert np.array_equal(np.cumsum(jumps), expect), limit
+
+
+def test_identity_scans_hold_to_ten_thousand():
+    assert square_root_identity_scan(10000) is None
+    assert cube_root_identity_scan(10000) is None
+    assert fifth_power_identity_scan(10000) is None
+
+
+def root_grid_sums(k: int):
+    return lambda limit: floor_root_grid(np.arange(limit + 1, dtype=np.int64), k)
+
+
+# each scan, the table it sieves, and the prefix sums its identity claims
+SCANS = {
+    "square": (square_root_identity_scan, "liouville_sieve",
+               liouville_sieve, root_grid_sums(2)),
+    "cube": (cube_root_identity_scan, "tau_char_sieve",
+             lambda limit: tau_char_sieve(3, limit), root_grid_sums(3)),
+    "fifth": (fifth_power_identity_scan, "tau_char_sieve",
+              lambda limit: tau_char_sieve(5, limit), grid_fifth_power_mobius_sums),
+}
+
+
+@pytest.mark.parametrize("kind", SCANS)
+def test_identity_scan_reports_the_first_corrupted_coefficient(kind, monkeypatch):
+    # one wrong a(n) moves (a * 1)(n) first, so the coefficient comparison
+    # and the prefix-sum oracle must both first fail at x = n
+    scan, name, table, oracle = SCANS[kind]
+    limit = 3000
+    true, expect = table(limit), oracle(limit)
+    rng = np.random.default_rng(17)
+    for n in (1, 2, int(rng.integers(3, limit)), limit):
+        vals = true.values.copy()
+        vals[n] = 1 - vals[n]
+        bad = CoeffSeries(limit, vals)
+        monkeypatch.setattr(dirichlet, name, lambda *args: bad)
+        assert scan(limit) == n, (kind, n)
+        s = np.cumsum(dirichlet_convolve(bad, ones_series(limit)).values)
+        assert int(np.flatnonzero(s[1:] != expect[1:])[0]) + 1 == n, (kind, n)

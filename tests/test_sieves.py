@@ -164,6 +164,27 @@ def test_tau_char_sieve_matches_pointwise_definition():
             assert series[n] == euler_criterion(tau[n], q), (q, n)
 
 
+def test_tau_char_lookup_equals_the_kernel_route():
+    # tau_char_sieve reads (t / q) at t = tau(n); the block kernel builds the
+    # multiplicative table with chi(e + 1) at p^e.  Limits 1, 2, r^2 - 1,
+    # r^2 and r^2 + r at r = 100, and three seeded random limits
+    rng = np.random.default_rng(23)
+    limits = [1, 2, 9999, 10000, 10100] + rng.integers(3, 10**5, size=3).tolist()
+    qs = [q for q in range(3, 100, 2) if is_prime(q)]
+    for limit in limits:
+        tau = divisor_count_sieve(limit)
+        for q in qs:
+            c = [_jacobi(e + 1, q) for e in range(max(2, limit.bit_length()))]
+            kernel = multiplicative_series(limit, c)
+            assert tau_char_sieve(q, limit) == kernel, (q, limit)
+            assert tau_char_sieve(q, limit, tau) == kernel, (q, limit)
+
+
+def test_tau_char_rejects_a_divisor_count_of_another_limit():
+    with pytest.raises(ArgumentError):
+        tau_char_sieve(7, 100, divisor_count_sieve(99))
+
+
 def test_tau_char_is_multiplicative_on_coprime_pairs():
     rng = np.random.default_rng(17)
     series = tau_char_sieve(7, 10**6)

@@ -26,14 +26,11 @@ from tauchar.sieves import (
 from tauchar.summatory import (
     MAX_EXACT_X,
     _checkpoint_sums,
-    cube_root_identity_scan,
     default_alphas,
     default_checkpoints,
     divisor_summatory,
-    fifth_power_identity_scan,
     rh_diagnostic,
     rh_growth,
-    square_root_identity_scan,
     subexp_decay,
     summatory_convolved,
     trace,
@@ -288,66 +285,6 @@ def test_grid_matches_scalar():
 def test_grid_rejects_negative():
     with pytest.raises(ArgumentError):
         floor_root_grid(np.array([-1], dtype=np.int64), 2)
-
-
-def grid_fifth_power_mobius_sums(limit: int) -> np.ndarray:
-    """sum_{d <= sqrt(x)} mu(d) floor((x/d^2)^(1/5)) at x = 0..limit, one
-    integer-root grid over every x per squarefree d."""
-    x = np.arange(0, limit + 1, dtype=np.int64)
-    out = np.zeros(limit + 1, dtype=np.int64)
-    mu = mobius_sieve(isqrt(limit)).values
-    for d in range(1, isqrt(limit) + 1):
-        if mu[d]:
-            out[d * d :] += mu[d] * floor_root_grid(x[d * d :] // (d * d), 5)
-    return out
-
-
-def test_fifth_power_jump_points_match_root_grid():
-    for limit in (1, 31, 32, 10**5):
-        jumps = np.zeros(limit + 1, dtype=np.int64)
-        for n, w in summatory._fifth_power_jumps(limit).items():
-            jumps[n] += w
-        expect = grid_fifth_power_mobius_sums(limit)
-        assert np.array_equal(np.cumsum(jumps), expect), limit
-
-
-def test_identity_scans_hold_to_ten_thousand():
-    assert square_root_identity_scan(10000) is None
-    assert cube_root_identity_scan(10000) is None
-    assert fifth_power_identity_scan(10000) is None
-
-
-def root_grid_sums(k: int):
-    return lambda limit: floor_root_grid(np.arange(limit + 1, dtype=np.int64), k)
-
-
-# each scan, the table it sieves, and the prefix sums its identity claims
-SCANS = {
-    "square": (square_root_identity_scan, "liouville_sieve",
-               liouville_sieve, root_grid_sums(2)),
-    "cube": (cube_root_identity_scan, "tau_char_sieve",
-             lambda limit: tau_char_sieve(3, limit), root_grid_sums(3)),
-    "fifth": (fifth_power_identity_scan, "tau_char_sieve",
-              lambda limit: tau_char_sieve(5, limit), grid_fifth_power_mobius_sums),
-}
-
-
-@pytest.mark.parametrize("kind", SCANS)
-def test_identity_scan_reports_the_first_corrupted_coefficient(kind, monkeypatch):
-    # one wrong a(n) moves (a * 1)(n) first, so the coefficient comparison
-    # and the prefix-sum oracle must both first fail at x = n
-    scan, name, table, oracle = SCANS[kind]
-    limit = 3000
-    true, expect = table(limit), oracle(limit)
-    rng = np.random.default_rng(17)
-    for n in (1, 2, int(rng.integers(3, limit)), limit):
-        vals = true.values.copy()
-        vals[n] = 1 - vals[n]
-        bad = CoeffSeries(limit, vals)
-        monkeypatch.setattr(sieves, name, lambda *args: bad)
-        assert scan(limit) == n, (kind, n)
-        s = np.cumsum(dirichlet_convolve(bad, ones_series(limit)).values)
-        assert int(np.flatnonzero(s[1:] != expect[1:])[0]) + 1 == n, (kind, n)
 
 
 def test_default_checkpoints_doubling():
