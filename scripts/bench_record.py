@@ -39,6 +39,9 @@ COMMANDS = [
     ["trace", "--q", "13", "--max", "1e8"],
     ["rh-diagnostic", "--q", "19", "--max", "1e7"],
     ["near-curve", "--x", "1e8", "--y", "4170"],
+    ["near-curve", "--x", "1e13", "--y", "3e6"],
+    # x + y above 2^53: the trivial bound divides in int64
+    ["near-curve", "--x", "1e16", "--y", "1e9"],
 ]
 
 

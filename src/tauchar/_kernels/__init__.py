@@ -1,4 +1,4 @@
-"""The numpy kernels behind ``tauchar.sieves``.
+"""The numpy kernels behind ``tauchar.sieves``, and D(b) - D(a).
 
 The loops live in the submodule ``pyback`` and are re-exported here:
 calls from one kernel to another stay inside that submodule, so a tracer
@@ -6,8 +6,8 @@ that wraps this package's names from outside sees only the calls made by
 the rest of the package.
 
 Exported surface:
-    DEFAULT_SEGMENT, factor_block(lo, hi, primes, c),
+    DEFAULT_SEGMENT, divisor_window(a, b), factor_block(lo, hi, primes, c),
     full_tables(limit, c, segment), table_dtype(c)
 """
 
-from .pyback import DEFAULT_SEGMENT, factor_block, full_tables, table_dtype
+from .pyback import DEFAULT_SEGMENT, divisor_window, factor_block, full_tables, table_dtype

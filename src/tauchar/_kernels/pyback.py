@@ -1,4 +1,4 @@
-"""The numpy kernel: one multiplicative-table block kernel.
+"""The numpy kernels: a multiplicative-table block kernel, and D(b) - D(a).
 
 A multiplicative table is fixed by per-exponent values ``c[e]`` that are
 the same for all primes; ``factor_block`` sieves one block of it, and
@@ -6,18 +6,26 @@ the same for all primes; ``factor_block`` sieves one block of it, and
 Factorization uses per-prime-power stride passes rather than a
 smallest-prime-factor chain: numpy cannot follow the sequential spf
 recurrence efficiently, but strided in-place updates run at C speed.
+
+``divisor_window`` serves D(y) = sum_{n <= y} tau(n) to ``summatory`` and
+the near-curve trivial bound: float64 while b + isqrt(b) < 2^53, where
+floor(b/i) is exact in floats, and int64 above that.
 """
 
 from math import isqrt
 
 import numpy as np
 
+from ..arith import MAX_EXACT_X
+from ..errors import OverflowHardError
 from ..powerful import prime_list
 
 # Block size for internal segmentation of the tables: peak memory stays
 # bounded, and a block's working arrays stay small enough that the
 # per-prime strided passes run faster than over larger ones.
 DEFAULT_SEGMENT = 1 << 20
+
+_D_CHUNK = 1 << 15  # the hyperbola pass: two buffers of 256 KiB
 
 
 def factor_block(lo: int, hi: int, primes, c) -> np.ndarray:
@@ -90,3 +98,45 @@ def full_tables(limit: int, c, segment: int = DEFAULT_SEGMENT) -> np.ndarray:
         out[lo:hi] = factor_block(lo, hi, base, c)
     return out
 
+
+def divisor_window(a: int, b: int) -> int:
+    """D(b) - D(a), the sum of tau(n) over a < n <= b, for 0 <= a <= b <=
+    MAX_EXACT_X, by the hyperbola method D(y) = 2 sum_{i <= sqrt y}
+    floor(y/i) - floor(sqrt y)^2 at both ends in one pass over i <= isqrt(b).
+    """
+    if not 0 <= a <= b:
+        raise ValueError("divisor_window requires 0 <= a <= b")
+    if b > MAX_EXACT_X:
+        raise OverflowHardError(f"D({b}) exceeds MAX_EXACT_X = 2^57")
+    ra, rb = isqrt(a), isqrt(b)
+    return 2 * _quotient_sum(a, b, _floats_exact(b)) - rb * rb + ra * ra
+
+
+def _floats_exact(b: int) -> bool:
+    """Whether floor(fl(c/i)) = floor(c/i) for all c <= b and i <= isqrt(b).
+
+    It holds when b + isqrt(b) < 2^53: k = floor(c/i) is a float, so
+    fl(c/i) >= k; and i (k + 1) <= c + i < 2^53, so c/i lies at least
+    1/i > (k + 1) 2^-53 below k + 1, more than half a unit in the last place
+    of k + 1, which correctly rounded division cannot cross.
+    """
+    return b + isqrt(b) < 2**53
+
+
+def _quotient_sum(a: int, b: int, floats: bool) -> int:
+    """The sum of floor(b/i) over i <= isqrt(b) less that of floor(a/i) over
+    i <= isqrt(a), in chunks of i, float64 if ``floats`` else int64, that
+    reuse two buffers.  Each chunk sums in int64, below 12 b < 2^61, and
+    the cast truncates a float quotient c/i >= 0 to its floor."""
+    ra, rb = isqrt(a), isqrt(b)
+    step = max(1, min(_D_CHUNK, rb))
+    i = np.arange(1, step + 1, dtype=np.float64 if floats else np.int64)
+    q = np.empty_like(i)
+    div = np.divide if floats else np.floor_divide
+    total = 0
+    for start in range(1, rb + 1, step):
+        n, m = min(step, rb + 1 - start), min(step, max(ra + 1 - start, 0))
+        total += int(div(b, i[:n], out=q[:n]).sum(dtype=np.int64))
+        total -= int(div(a, i[:m], out=q[:m]).sum(dtype=np.int64))
+        i += step
+    return total

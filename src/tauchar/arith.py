@@ -1,5 +1,5 @@
-"""Integer arithmetic that needs no tables: primality, the Jacobi symbol, and
-the table budget every sieve checks.
+"""Integer arithmetic that needs no tables: primality, the Jacobi symbol, the
+table budget every sieve checks, and the int64 ceiling of D and S(x).
 
 This module imports nothing beyond the package's errors, so the paths that
 only classify moduli and evaluate constants never load numpy.
@@ -10,6 +10,12 @@ from .errors import ResourceLimitError
 # Hard cap on table sizes (entries). 1e8 int64 entries = 800 MB, the largest
 # allocation this package will make by default.
 MAX_SIEVE_ENTRIES = 10**8
+
+# Largest argument of the powerful-number route and of D.  Below it every
+# int64 intermediate stays under 2^63: D(y) <= y (1 + log y) < 41 y, a
+# chunk of the hyperbola sum is at most y H_chunk < 12 y, and partial sums
+# of f are bounded by D because |f(p^e)| <= e + 1.
+MAX_EXACT_X = 2**57
 
 # Miller-Rabin witnesses proven sufficient for every n < 3.3e24, far beyond
 # any modulus this package accepts.

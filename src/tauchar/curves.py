@@ -6,9 +6,11 @@ Two routes exist:
 
 * exact: when X^2 and delta^2 are rational and 2s is an integer, the
   predicate ||sqrt(u) - k|| < delta (u = X^2/n^{2s}) reduces to sign-safe
-  rational inequalities — (sqrt(u) - k)^2 < delta^2 iff 2k sqrt(u) >
-  u + k^2 - delta^2, squared once more when the right side is positive.
-  No floating point, no misclassification.
+  inequalities — (sqrt(u) - k)^2 < delta^2 iff 2k sqrt(u) >
+  u + k^2 - delta^2, squared once more when the right side is positive —
+  cross-multiplied into Python integers: with u = A/M and delta^2 = P/Q,
+  ``_near_integer_sq(A, M, P, Q)``.  No floating point, no rationals, no
+  misclassification.
 * general: an outward-rounded fixed-point enclosure of the distance, in
   the integer arithmetic of ``constants`` (imported inside this route
   only), compared with delta's exact rational; a point whose enclosure
@@ -20,24 +22,28 @@ f(n) = sqrt(x/n^5).  The fifth-power convolution, the Dirichlet product of
 mu(sqrt(m)) on squares m with the fifth-power indicator, has c(m) = sum of
 mu(d) over the pairs (d, n) with d^2 n^5 = m.  So its window sum over
 (x, x+y] is the sum of mu(d) over the pairs with x < d^2 n^5 <= x+y, and
-the number of those pairs (the double count) bounds it.  The scan splits the n-range into dyadic windows and
-reports exact counts against three derivative-test bound shapes with
-implied constant 1 (never asserted: the true constants are unknown).
+the number of those pairs (the double count) bounds it.  The scan splits
+the n-range into dyadic windows and reports exact counts against three
+derivative-test bound shapes with implied constant 1 (never asserted: the
+true constants are unknown).  It runs on integers: with x = A/L and
+x + y = B/L, floor(x/m^5) = A // (L m^5), and each n takes the integer
+predicate above with M = L n^5.  The trivial bound, the sum of tau over
+(x, x+y], is D(x+y) - D(x) in one pass of ``_kernels.divisor_window``.
+So a scan loads neither ``summatory`` nor ``sieves``.
 """
 
 from fractions import Fraction
-from math import inf, isqrt, log
+from math import inf, isqrt, lcm, log
 from typing import NamedTuple
 
 import numpy as np
 
-from ._kernels import DEFAULT_SEGMENT, factor_block
+from ._kernels import DEFAULT_SEGMENT, divisor_window, factor_block
 from ._record import Record
+from .arith import check_budget
 from .errors import ArgumentError, TaucharError, UndecidablePointError
 from .roots import floor_rational_root, integer_nth_root
 from .powerful import prime_list
-from .sieves import check_budget
-from .summatory import divisor_summatory
 
 
 def _to_fraction(v) -> Fraction:
@@ -117,39 +123,27 @@ class CurveConfig(Record):
         )
 
 
-def _floor_frac(u: Fraction) -> int:
-    return u.numerator // u.denominator
-
-
-def _floor_root(u: Fraction, k: int) -> int:
-    return floor_rational_root(u.numerator, u.denominator, k)
-
-
-def _near_integer_sq(u: Fraction, delta_sq: Fraction) -> bool:
-    """Exact predicate: distance from sqrt(u) to nearest integer < sqrt(delta_sq).
+def _near_integer_sq(A: int, M: int, P: int, Q: int) -> bool:
+    """Exact predicate: sqrt(u), u = A/M, lies strictly within
+    sqrt(delta^2), delta^2 = P/Q, of an integer (A, P >= 0; M, Q > 0).
 
     For k in {floor(sqrt(u)), floor(sqrt(u)) + 1} (one of which is nearest):
-    (sqrt(u) - k)^2 < dsq  iff  2k sqrt(u) > u + k^2 - dsq, and when the
-    right side is nonnegative both sides square to 4k^2 u > (u + k^2 - dsq)^2.
+    (sqrt(u) - k)^2 < delta^2  iff  2k sqrt(u) > u + k^2 - delta^2.  Times
+    MQ > 0 the right side is r = AQ + (k^2 Q - P) M; when r < 0 the test
+    holds, else both sides square to 4 k^2 A M Q^2 > r^2.
     """
-    k0 = isqrt(_floor_frac(u))
+    k0 = isqrt(A // M)
     for k in (k0, k0 + 1):
-        rhs = u + k * k - delta_sq
-        if rhs < 0:
-            return True
-        if k and 4 * k * k * u > rhs * rhs:
+        r = A * Q + (k * k * Q - P) * M
+        if r < 0 or k and 4 * k * k * A * M * Q * Q > r * r:
             return True
     return False
 
 
 def _count_exact(cfg: CurveConfig, n_lo: int, n_hi: int) -> int:
-    two_s = int(2 * cfg.s)
-    cnt = 0
-    for n in range(n_lo, n_hi + 1):
-        u = cfg.X_sq / Fraction(n**two_s)
-        if _near_integer_sq(u, cfg.delta_sq):
-            cnt += 1
-    return cnt
+    A, L, two_s = cfg.X_sq.numerator, cfg.X_sq.denominator, int(2 * cfg.s)
+    P, Q = cfg.delta_sq.numerator, cfg.delta_sq.denominator
+    return sum(_near_integer_sq(A, L * n**two_s, P, Q) for n in range(n_lo, n_hi + 1))
 
 
 def _count_general(cfg: CurveConfig, n_lo: int, n_hi: int) -> int:
@@ -232,10 +226,17 @@ class ShortIntervalInstance(Record):
         return (self.y / self.c3) ** 36 <= self.x**19
 
 
-def _pair_window(x: Fraction, y: Fraction, n: int) -> tuple[int, int]:
-    """(lo, hi) with x < d^2 n^5 <= x+y exactly when lo < d <= hi."""
-    n5 = Fraction(n) ** 5
-    return isqrt(_floor_frac(x / n5)), isqrt(_floor_frac((x + y) / n5))
+def _window_ints(x: Fraction, y: Fraction) -> tuple[int, int, int]:
+    """(A, B, L) with x = A/L and x + y = B/L."""
+    L = lcm(x.denominator, y.denominator)
+    A = x.numerator * (L // x.denominator)
+    return A, A + y.numerator * (L // y.denominator), L
+
+
+def _pair_window(A: int, B: int, M: int) -> tuple[int, int]:
+    """(lo, hi) with A < d^2 M <= B exactly when lo < d <= hi; for x = A/L,
+    x + y = B/L and M = L n^5 that is x < d^2 n^5 <= x+y."""
+    return isqrt(A // M), isqrt(B // M)
 
 
 def short_interval_sum(inst: ShortIntervalInstance) -> int:
@@ -244,12 +245,13 @@ def short_interval_sum(inst: ShortIntervalInstance) -> int:
     The sum of mu(d) over the pairs (d, n) with x < d^2 n^5 <= x+y; for each
     n <= (x+y)^(1/5) the block kernel factors the d-window in segments.
     """
-    top = _floor_frac(inst.x + inst.y)
+    A, B, L = _window_ints(inst.x, inst.y)
+    top = B // L
     primes = prime_list(isqrt(isqrt(top)))
     mu = [1, -1] + [0] * top.bit_length()
     total = 0
     for n in range(1, integer_nth_root(top, 5) + 1):
-        lo, hi = _pair_window(inst.x, inst.y, n)
+        lo, hi = _pair_window(A, B, L * n**5)
         for a in range(lo + 1, hi + 1, DEFAULT_SEGMENT):
             block = factor_block(a, min(a + DEFAULT_SEGMENT, hi + 1), primes, mu)
             total += int(np.sum(block, dtype=np.int64))
@@ -371,28 +373,22 @@ class RangeScanReport(NamedTuple):
     ratio_short_to_assembled: float | None
 
 
-def _pair_count(x: Fraction, y: Fraction, n: int) -> int:
-    """#{d >= 1 : x < d^2 n^5 <= x+y}, exactly."""
-    lo, hi = _pair_window(x, y, n)
-    return hi - lo
-
-
-def _tau_window_sum(x: Fraction, y: Fraction) -> int:
-    """sum of the divisor count over integers in (x, x+y], as D(x+y) - D(x)."""
-    return divisor_summatory(_floor_frac(x + y)) - divisor_summatory(_floor_frac(x))
-
-
 def _scan(inst: ShortIntervalInstance, with_shapes: bool) -> RangeScanReport:
     x, y, c3 = inst.x, inst.y, inst.c3
-    # D(x + y) refuses x + y above MAX_EXACT_X: ask before the scan
-    trivial = _tau_window_sum(x, y)
+    A, B, L = _window_ints(x, y)
+    # the sum of tau over (x, x+y]; D(x + y) refuses x + y above
+    # MAX_EXACT_X, so ask before the scan
+    trivial = divisor_window(A // L, B // L)
     # scan interval: n > (16 y^2 / x)^(1/5)  and  n <= (2x)^(1/5), exactly
-    n_min = _floor_root(16 * y * y / x, 5) + 1
-    n_max = _floor_root(2 * x, 5)
-    b1 = _floor_root(1024 * x, 10)  # n <= 2 x^(1/10)
-    b2 = _floor_root(64 * x, 6)  # n <= 2 x^(1/6)
+    n_min = floor_rational_root(16 * (B - A) ** 2, A * L, 5) + 1
+    n_max = floor_rational_root(2 * A, L, 5)
+    b1 = floor_rational_root(1024 * A, L, 10)  # n <= 2 x^(1/10)
+    b2 = floor_rational_root(64 * A, L, 6)  # n <= 2 x^(1/6)
 
-    small_n = sum(_pair_count(x, y, n) for n in range(1, min(n_min, n_max + 1)))
+    small_n = 0
+    for n in range(1, min(n_min, n_max + 1)):
+        lo, hi = _pair_window(A, B, L * n**5)
+        small_n += hi - lo
     rows: list[ScanRow] = []
     total = small_n
     n = n_min
@@ -403,19 +399,23 @@ def _scan(inst: ShortIntervalInstance, with_shapes: bool) -> RangeScanReport:
         for b in (b1, b2):
             if n <= b < hi:
                 hi = b
-        if 16 * y * y >= Fraction(n) ** 5 * x:
+        # 16 y^2 < n^5 x, times L^2
+        if 16 * (B - A) ** 2 >= n**5 * A * L:
             raise TaucharError(
                 f"threshold guard failed at n={n}; scan bounds inconsistent"
             )
-        dsq = y * y / (Fraction(n) ** 5 * x)
+        dsq = Fraction((B - A) ** 2, L * n**5 * A)  # y^2 / (n^5 x)
+        P, Q = dsq.numerator, dsq.denominator
         window_double = 0
         r_count = 0
         for m in range(n, hi + 1):
-            c = _pair_count(x, y, m)
+            M = L * m**5
+            d_lo, d_hi = _pair_window(A, B, M)
+            c = d_hi - d_lo
             if c > 1:
                 # the d^2-interval has length y/m^5 < 1 here, so one d at most
                 raise TaucharError(f"{c} pairs at n={m}; scan bounds inconsistent")
-            near = dsq > 0 and _near_integer_sq(x / Fraction(m) ** 5, dsq)
+            near = P > 0 and _near_integer_sq(A, M, P, Q)
             if c > near:
                 # a pair means the curve point sits within the gap, and the
                 # gap is strictly below the threshold for every m >= n

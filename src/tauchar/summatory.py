@@ -17,16 +17,17 @@ integers: each node and each block of leaves is added to the checkpoints
 it falls below, so memory is O(pi(sqrt x)), the primes the walk needs, and
 numpy is never loaded.  On the +-1 branch the walk is packed into sorted
 int64 arrays (``sieves.powerful_terms``) and D(y) costs O(sqrt y) by the
-hyperbola method in numpy.  Nothing of size x is built, and every int64
+hyperbola method in numpy: ``_kernels.divisor_window``, float64 below
+2^53 and int64 above.  Nothing of size x is built, and every int64
 intermediate is guarded by MAX_EXACT_X.  Everything float-valued here is
 derived from exact integers and certified constants, so residuals carry
 honest error intervals.
 
-numpy and ``sieves`` are imported inside the functions that use them: D
-and the +-1 branch.  ``constants`` is imported inside ``trace``, the one
-caller of its main terms.  The identity scans, which compare a * 1 with
-the jumps of an identity's right side coefficient by coefficient, live in
-``dirichlet`` with the routes they share tables with.
+numpy, ``_kernels`` and ``sieves`` are imported inside the functions that
+use them: D and the +-1 branch.  ``constants`` is imported inside
+``trace``, the one caller of its main terms.  The identity scans, which
+compare a * 1 with the jumps of an identity's right side coefficient by
+coefficient, live in ``dirichlet`` with the routes they share tables with.
 """
 
 from bisect import bisect_left, bisect_right
@@ -35,21 +36,13 @@ from itertools import accumulate
 from math import exp, inf, isqrt, log
 from typing import NamedTuple
 
-from .arith import _jacobi, is_prime
+from .arith import MAX_EXACT_X, _jacobi, is_prime
 from .cases import THETA_UPPER, X_FLOOR, Branch, CaseClass, classify
 from .errors import ArgumentError, ClassificationError, OverflowHardError
 from .powerful import powerful_walk, prime_list
 from .roots import integer_nth_root
 
 DEFAULT_LIMIT = 10**8
-
-# Largest argument of the powerful-number route and of D.  Below it every
-# int64 intermediate stays under 2^63: D(y) <= y (1 + log y) < 41 y, a
-# chunk of the hyperbola sum is at most y H_chunk < 13 y, and partial sums
-# of f are bounded by D because |f(p^e)| <= e + 1.
-MAX_EXACT_X = 2**57
-
-_D_CHUNK = 1 << 16
 
 
 def _validate_x(x: int, limit: int) -> int:
@@ -70,25 +63,14 @@ def _validate_x(x: int, limit: int) -> int:
 
 
 def divisor_summatory(y: int) -> int:
-    """D(y) = sum_{n <= y} tau(n), exactly, for 0 <= y <= MAX_EXACT_X.
-
-    Dirichlet's hyperbola method, D(y) = 2 sum_{i <= sqrt y} floor(y/i) -
-    floor(sqrt y)^2, summed in int64 chunks of fixed size: O(sqrt y) time,
-    O(1) memory.
-    """
-    import numpy as np
-
+    """D(y) = sum_{n <= y} tau(n), exactly, for 0 <= y <= MAX_EXACT_X, by
+    ``_kernels.divisor_window(0, y)``: O(sqrt y) time, O(1) memory."""
     y = int(y)
     if y < 0:
         raise ArgumentError(f"D(y) needs y >= 0, got {y}")
-    if y > MAX_EXACT_X:
-        raise OverflowHardError(f"D({y}) exceeds MAX_EXACT_X = 2^57")
-    r = isqrt(y)
-    total = 0
-    for lo in range(1, r + 1, _D_CHUNK):
-        i = np.arange(lo, min(lo + _D_CHUNK, r + 1), dtype=np.int64)
-        total += int(np.sum(y // i))
-    return 2 * total - r * r
+    from ._kernels import divisor_window
+
+    return divisor_window(0, y)
 
 
 def _local_weights(q: int, emax: int) -> tuple[list[int], bool]:
@@ -139,13 +121,14 @@ def _convolved_sums(w: list[int], cps: tuple[int, ...], primes: list[int]):
     from int64 arrays of the walk."""
     import numpy as np
 
+    from ._kernels import divisor_window
     from .sieves import divisor_count_sieve, powerful_terms
 
     top = cps[-1]
     n, wn = powerful_terms(w, top, primes)
     ends = np.searchsorted(n, cps, side="right")
     # D(y) for y <= top^(1/3) by table lookup; only the few n with
-    # x/n above that call divisor_summatory
+    # x/n above that call divisor_window
     y_small = integer_nth_root(top, 3)
     d_small = np.cumsum(divisor_count_sieve(y_small).values)
     if int(np.max(np.abs(wn))) >= 2**63 // int(d_small[-1]):
@@ -155,7 +138,7 @@ def _convolved_sums(w: list[int], cps: tuple[int, ...], primes: list[int]):
         near = y <= y_small
         value = sum((wy[near] * d_small[y[near]]).tolist())
         for yd, wd in zip(y[~near].tolist(), wy[~near].tolist()):
-            value += wd * divisor_summatory(yd)
+            value += wd * divisor_window(0, yd)
         yield value
 
 

@@ -733,8 +733,12 @@ def test_help_imports_only_cli_and_errors():
         # numpy loads datetime; the identity scans live in dirichlet
         (["verify", "--all-q", "60", "--limit", "1e4"],
          {"dataclasses", "json", "tauchar.summatory"}),
+        # D(x + y) - D(x) is a _kernels pass and the budget check is arith's
+        (["near-curve", "--x", "1e8", "--y", "4170"],
+         {"tauchar.summatory", "tauchar.cases", "tauchar.sieves",
+          "tauchar.constants", "dataclasses", "json"}),
     ],
-    ids=["constants", "trace", "verify"],
+    ids=["constants", "trace", "verify", "near-curve"],
 )
 def test_reference_commands_import_only_what_they_run(argv, unused):
     code, out, added = fresh(argv + ["--no-timestamp"])

@@ -1,6 +1,7 @@
 """Near-curve counting against a high-precision oracle, the short-interval
 endpoint identity against the convolution route, and the scan invariants."""
 
+import random
 from fractions import Fraction
 from math import isqrt
 
@@ -9,12 +10,12 @@ import numpy as np
 import pytest
 
 from tauchar import _kernels, constants, curves
+from tauchar._kernels import divisor_window
 from tauchar.curves import (
     BoundShapes,
     CurveConfig,
     ShortIntervalInstance,
     _near_integer_sq,
-    _tau_window_sum,
     bound_shapes,
     count_near_curve,
     decompose_short_interval,
@@ -41,6 +42,37 @@ def oracle_count(X_sq: Fraction, s: Fraction, N: int, delta_sq: Fraction) -> int
             if dist < delta:
                 cnt += 1
     return cnt
+
+
+def fraction_near_integer_sq(u: Fraction, delta_sq: Fraction) -> bool:
+    """The near-integer predicate in Fraction arithmetic: sqrt(u) lies
+    strictly within sqrt(delta_sq) of an integer.
+
+    For k in {floor(sqrt(u)), floor(sqrt(u)) + 1} (one of which is nearest):
+    (sqrt(u) - k)^2 < dsq  iff  2k sqrt(u) > u + k^2 - dsq, and when the
+    right side is nonnegative both sides square to 4k^2 u > (u + k^2 - dsq)^2.
+    """
+    k0 = isqrt(u.numerator // u.denominator)
+    for k in (k0, k0 + 1):
+        rhs = u + k * k - delta_sq
+        if rhs < 0:
+            return True
+        if k and 4 * k * k * u > rhs * rhs:
+            return True
+    return False
+
+
+def near(u: Fraction, delta_sq: Fraction) -> bool:
+    """The integer predicate on u = A/M and delta^2 = P/Q."""
+    return _near_integer_sq(
+        u.numerator, u.denominator, delta_sq.numerator, delta_sq.denominator
+    )
+
+
+def hyperbola_sum(y: int) -> int:
+    """D(y) = sum_{n <= y} tau(n) by the hyperbola method in Python ints."""
+    r = isqrt(y)
+    return 2 * sum(y // i for i in range(1, r + 1)) - r * r
 
 
 def random_exact_config(rng) -> CurveConfig:
@@ -135,12 +167,36 @@ def test_exact_route_decides_the_same_tie():
 
 
 def test_near_predicate_spot_values():
-    assert _near_integer_sq(Fraction(4), Fraction(1, 10**6))
+    assert near(Fraction(4), Fraction(1, 10**6))
     # sqrt(2) is 0.4142... from its nearest integer
-    assert not _near_integer_sq(Fraction(2), Fraction(81, 10000))
-    assert _near_integer_sq(Fraction(2), Fraction(18, 100))
+    assert not near(Fraction(2), Fraction(81, 10000))
+    assert near(Fraction(2), Fraction(18, 100))
     # values below 1/4 are within 1/2 of zero, threshold permitting
-    assert _near_integer_sq(Fraction(1, 100), Fraction(1, 50))
+    assert near(Fraction(1, 100), Fraction(1, 50))
+
+
+def test_integer_predicate_matches_fraction_oracle():
+    rng = random.Random(20)
+    for _ in range(3000):
+        u = Fraction(rng.randrange(10**9), rng.randrange(1, 10**4))
+        dsq = Fraction(rng.randrange(1, 10**4), rng.randrange(16 * 10**4 + 1, 10**6))
+        # unreduced, as the scan passes them: M = L m^5 shares factors with A
+        c, e = rng.randrange(1, 60), rng.randrange(1, 60)
+        got = _near_integer_sq(
+            c * u.numerator, c * u.denominator, e * dsq.numerator, e * dsq.denominator
+        )
+        assert got == fraction_near_integer_sq(u, dsq), (u, dsq)
+    # ties: sqrt(u) = k +- delta sits exactly delta from k, which is not near;
+    # at k = 0 the right side u + k^2 - delta^2 is 0
+    for _ in range(300):
+        delta = Fraction(rng.randrange(1, 10**3), rng.randrange(4 * 10**3 + 1, 10**5))
+        for k in (0, 1, rng.randrange(2, 10**6)):
+            for t in (k + delta, k - delta):
+                if t < 0:
+                    continue
+                u, dsq = t * t, delta * delta
+                assert not near(u, dsq) and not fraction_near_integer_sq(u, dsq)
+                assert near(u, dsq + Fraction(1, 10**40))
 
 
 def test_config_validation():
@@ -278,14 +334,17 @@ def test_tau_window_sum_matches_factor_block(x, y):
         c = range(1, hi.bit_length() + 2)  # tau(p^e) = e + 1
         tau = _kernels.factor_block(lo, hi + 1, prime_list(isqrt(hi)), c)
         want = int(np.sum(tau, dtype=np.int64))
-    assert _tau_window_sum(x, y) == want
+    assert divisor_window(lo - 1, hi) == want
+    # the scan's trivial bound floors x and x + y itself: x = A/L with L > 1
+    # at (1999/2, 101/2)
+    assert decompose_short_interval(ShortIntervalInstance(x, y)).trivial_bound == want
     if hi <= 10**6:
         walk = sum(
             2 * sum(1 for d in range(1, isqrt(n) + 1) if n % d == 0)
             - (isqrt(n) ** 2 == n)
             for n in range(lo, hi + 1)
         )
-        assert _tau_window_sum(x, y) == walk
+        assert divisor_window(lo - 1, hi) == walk
 
 
 def test_scan_double_count_matches_enumeration():
@@ -329,6 +388,33 @@ def test_scan_near_counts_match_oracle():
                 if abs(t - mp.nint(t)) < delta:
                     cnt += 1
             assert cnt == row.near_curve_count
+
+
+def test_scan_matches_fraction_oracle_at_fractional_endpoints():
+    # x = A/L and x + y = B/L with L > 1: pairs and near counts, row by row,
+    # against the scan's predicate and floors in Fraction arithmetic
+    rng = random.Random(21)
+    for _ in range(8):
+        q, r = rng.randrange(2, 1000), rng.randrange(2, 100)
+        x = rng.randrange(10**4, 10**9) + Fraction(rng.randrange(1, q), q)
+        y = rng.randrange(10**3) + Fraction(rng.randrange(1, r), r)
+        rep = decompose_short_interval(ShortIntervalInstance(x, y))
+        lo, hi = int(x), int(x + y)
+        assert rep.trivial_bound == hyperbola_sum(hi) - hyperbola_sum(lo)
+
+        def pairs(m):
+            m5 = Fraction(m) ** 5
+            return isqrt(int((x + y) / m5)) - isqrt(int(x / m5))
+
+        assert rep.small_n_double == sum(pairs(m) for m in range(1, rep.n_min))
+        for row in rep.rows:
+            assert row.delta_sq == y**2 / (Fraction(row.n_lo) ** 5 * x)
+            ms = range(row.n_lo, row.n_hi + 1)
+            assert row.window_double == sum(pairs(m) for m in ms)
+            assert row.near_curve_count == sum(
+                fraction_near_integer_sq(x / Fraction(m) ** 5, row.delta_sq)
+                for m in ms
+            )
 
 
 def test_scan_zero_window():

@@ -1,6 +1,7 @@
 """Exact summatory evaluation against brute-force double sums, the three
 root-floor identities, and the trace/diagnostic report structure."""
 
+import random
 from fractions import Fraction
 from math import isqrt, log
 
@@ -8,6 +9,8 @@ import numpy as np
 import pytest
 
 from tauchar import constants, sieves, summatory
+from tauchar._kernels import divisor_window
+from tauchar._kernels.pyback import _D_CHUNK, _floats_exact, _quotient_sum
 from tauchar.arith import is_prime
 from tauchar.constants import Branch, classify
 from tauchar.dirichlet import dirichlet_convolve
@@ -183,6 +186,66 @@ def test_divisor_summatory_matches_divisor_walk():
         assert divisor_summatory(y) == 2 * sum(y // i for i in range(1, r + 1)) - r * r
     with pytest.raises(ArgumentError):
         divisor_summatory(-1)
+
+
+def hyperbola_sum(y: int) -> int:
+    """D(y) by the hyperbola method in Python ints."""
+    r = isqrt(y)
+    return 2 * sum(y // i for i in range(1, r + 1)) - r * r
+
+
+def test_divisor_window_routes_agree_with_python_ints():
+    # the float64 pass, the int64 pass and Python ints on seeded (a, b):
+    # a = 0, wide and narrow windows, and ends across a chunk of i
+    rng = random.Random(53)
+    c = _D_CHUNK
+    cases = [(0, 0), (0, 1), (3, 3), (0, c * c - 1), (c * c - 1, (c + 1) ** 2)]
+    for _ in range(40):
+        b = rng.randrange(10 ** rng.randint(1, 10))
+        a = rng.choice((0, rng.randrange(b + 1), max(0, b - rng.randrange(10**4))))
+        cases.append((a, b))
+    for a, b in cases:
+        ra, rb = isqrt(a), isqrt(b)
+        want = hyperbola_sum(b) - hyperbola_sum(a)
+        assert divisor_window(a, b) == want, (a, b)
+        for floats in (True, False):
+            got = 2 * _quotient_sum(a, b, floats) - rb * rb + ra * ra
+            assert got == want, (a, b, floats)
+    with pytest.raises(ValueError):
+        divisor_window(5, 4)
+
+
+def tau_by_trial(n: int, bound: int) -> int:
+    """tau(n) for n whose cofactor after trial division up to bound is 1 or
+    a prime."""
+    t = 1
+    for p in prime_list(bound):
+        e = 0
+        while n % p == 0:
+            n, e = n // p, e + 1
+        t *= e + 1
+    assert n == 1 or is_prime(n)
+    return t * (2 if n > 1 else 1)
+
+
+def test_divisor_window_float_route_ends_at_2_53():
+    def below(t):
+        # the largest b with b + isqrt(b) <= t
+        b = t
+        while b + isqrt(b) > t:
+            b = t - isqrt(b)
+        return b
+
+    ends = [below(2**53 + k) for k in (-1, 0, 1)]
+    assert [b + isqrt(b) - 2**53 for b in ends] == [-1, 0, 1]
+    assert [_floats_exact(b) for b in ends] == [True, False, False]
+    # the largest b the float pass takes: a = 0, whose first chunk sums to
+    # ~12 b, against the int64 pass; then D(b) - D(b - 1) = tau(b) there
+    # (b = 2 * 13217 * 340742950739) and above 2^53 (3 * 107 * 28059810762433)
+    b = ends[0]
+    assert _quotient_sum(0, b, True) == _quotient_sum(0, b, False)
+    for b in (ends[0], 2**53 + 1):
+        assert divisor_window(b - 1, b) == tau_by_trial(b, 2 * 10**4), b
 
 
 def test_int64_guard_rejects_before_any_work(monkeypatch):
