@@ -18,9 +18,13 @@ strings.  With --no-timestamp, identical configurations produce
 byte-identical output.
 
 Exit codes: 0 all checks pass / report produced; 1 mathematical mismatch;
-2 usage error; 3 resource or precision budget exceeded.
+2 usage error; 3 resource or precision budget exceeded, or standard output
+closed by its reader before the report was written (a broken pipe, as
+under `| head`), which exits without a traceback.
 
-A process imports only what its subcommand runs.  At the top level this
+A process imports only what its subcommand runs, and builds only that
+subcommand's argument parser (all six for --help, no arguments or an
+unknown command).  At the top level this
 module imports argparse, os, sys, time and the package's ``errors``, so
 --help loads no other package module.  Every other module is imported
 where it is used: csv and json by the writer of that format, datetime
@@ -489,7 +493,75 @@ def _cmd_rh_diagnostic(args) -> int:
     return EXIT_PASS
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _verify_args(p) -> None:
+    p.add_argument("--q", type=_int_like, default=None, help="one odd prime modulus")
+    p.add_argument(
+        "--all-q", type=_int_like, default=None, help="every odd prime up to this"
+    )
+    p.add_argument(
+        "--limit", type=_int_like, default=10**4, help="coefficient range checked"
+    )
+
+
+def _constants_args(p) -> None:
+    p.add_argument("--q", type=_int_like, default=None)
+    p.add_argument("--all-q", type=_int_like, default=None)
+    # read by nothing; kept only while the benchmark's commands still pass it
+    p.add_argument("--prime-cutoff", type=_int_like, help=argparse.SUPPRESS)
+    p.add_argument("--tolerance", type=float, default=1e-4)
+
+
+def _trace_args(p) -> None:
+    p.add_argument("--q", type=_int_like, required=True)
+    p.add_argument("--max", type=_int_like, default=10**8, help="largest checkpoint")
+    p.add_argument(
+        "--checkpoints",
+        type=_int_list,
+        default=None,
+        help="comma-separated explicit checkpoints (default: powers of two)",
+    )
+    p.add_argument(
+        "--alphas",
+        type=_float_list,
+        default=None,
+        help="comma-separated normalization exponents (default: per branch)",
+    )
+    # read by nothing; kept only while the benchmark's commands still pass it
+    p.add_argument("--prime-cutoff", type=_int_like, help=argparse.SUPPRESS)
+
+
+def _window_args(p) -> None:
+    p.add_argument("--x", type=_rational, required=True)
+    p.add_argument("--y", type=_rational, required=True)
+    p.add_argument("--c3", type=_rational, default="1/4")
+
+
+def _rh_diagnostic_args(p) -> None:
+    p.add_argument("--q", type=_int_like, required=True)
+    p.add_argument("--max", type=_int_like, default=10**8)
+    p.add_argument("--checkpoints", type=_int_list, default=None)
+    p.add_argument("--eps", type=float, default=0.01)
+    p.add_argument("--c", type=float, default=0.2)
+
+
+# name -> (help line, adder of its arguments, handler), in --help's order
+_SUBCOMMANDS = {
+    "verify": ("identity suite + factorization routes", _verify_args, _cmd_verify),
+    "constants": ("certified main-term constants", _constants_args, _cmd_constants),
+    "trace": ("summatory values along checkpoints", _trace_args, _cmd_trace),
+    "short-interval": ("exact short-window sum + double-count decomposition",
+                       _window_args, _cmd_short_interval),
+    "near-curve": ("range scan with derivative-test bound shapes",
+                   _window_args, _cmd_near_curve),
+    "rh-diagnostic": ("growth-envelope ratios (no-main-term branch only)",
+                      _rh_diagnostic_args, _cmd_rh_diagnostic),
+}
+
+
+def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser for argv: when argv names a subcommand first, only that
+    subcommand's parser is built; otherwise (--help, no arguments, an
+    unknown command) all six, for the listing or the error."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format", choices=("csv", "json"), default="csv", help="output format"
@@ -505,92 +577,39 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="tauchar",
         description="verification workbench for divisor-count character sums",
     )
-    sub = p.add_subparsers(dest="cmd", required=True)
-
-    pv = sub.add_parser(
-        "verify", parents=[common], help="identity suite + factorization routes"
-    )
-    pv.add_argument("--q", type=_int_like, default=None, help="one odd prime modulus")
-    pv.add_argument(
-        "--all-q", type=_int_like, default=None, help="every odd prime up to this"
-    )
-    pv.add_argument(
-        "--limit", type=_int_like, default=10**4, help="coefficient range checked"
-    )
-    pv.set_defaults(func=_cmd_verify)
-
-    pc = sub.add_parser(
-        "constants", parents=[common], help="certified main-term constants"
-    )
-    pc.add_argument("--q", type=_int_like, default=None)
-    pc.add_argument("--all-q", type=_int_like, default=None)
-    # read by nothing; kept only while the benchmark's commands still pass it
-    pc.add_argument("--prime-cutoff", type=_int_like, help=argparse.SUPPRESS)
-    pc.add_argument("--tolerance", type=float, default=1e-4)
-    pc.set_defaults(func=_cmd_constants)
-
-    pt = sub.add_parser(
-        "trace", parents=[common], help="summatory values along checkpoints"
-    )
-    pt.add_argument("--q", type=_int_like, required=True)
-    pt.add_argument(
-        "--max", type=_int_like, default=10**8, help="largest checkpoint"
-    )
-    pt.add_argument(
-        "--checkpoints",
-        type=_int_list,
-        default=None,
-        help="comma-separated explicit checkpoints (default: powers of two)",
-    )
-    pt.add_argument(
-        "--alphas",
-        type=_float_list,
-        default=None,
-        help="comma-separated normalization exponents (default: per branch)",
-    )
-    # read by nothing; kept only while the benchmark's commands still pass it
-    pt.add_argument("--prime-cutoff", type=_int_like, help=argparse.SUPPRESS)
-    pt.set_defaults(func=_cmd_trace)
-
-    psi = sub.add_parser(
-        "short-interval",
-        parents=[common],
-        help="exact short-window sum + double-count decomposition",
-    )
-    psi.add_argument("--x", type=_rational, required=True)
-    psi.add_argument("--y", type=_rational, required=True)
-    psi.add_argument("--c3", type=_rational, default="1/4")
-    psi.set_defaults(func=_cmd_short_interval)
-
-    pnc = sub.add_parser(
-        "near-curve",
-        parents=[common],
-        help="range scan with derivative-test bound shapes",
-    )
-    pnc.add_argument("--x", type=_rational, required=True)
-    pnc.add_argument("--y", type=_rational, required=True)
-    pnc.add_argument("--c3", type=_rational, default="1/4")
-    pnc.set_defaults(func=_cmd_near_curve)
-
-    pr = sub.add_parser(
-        "rh-diagnostic",
-        parents=[common],
-        help="growth-envelope ratios (no-main-term branch only)",
-    )
-    pr.add_argument("--q", type=_int_like, required=True)
-    pr.add_argument("--max", type=_int_like, default=10**8)
-    pr.add_argument("--checkpoints", type=_int_list, default=None)
-    pr.add_argument("--eps", type=float, default=0.01)
-    pr.add_argument("--c", type=float, default=0.2)
-    pr.set_defaults(func=_cmd_rh_diagnostic)
+    names, metavar = list(_SUBCOMMANDS), None
+    if argv and argv[0] in _SUBCOMMANDS:
+        # an error past the subcommand prints the top-level usage of all six
+        names, metavar = argv[:1], "{" + ",".join(_SUBCOMMANDS) + "}"
+    sub = p.add_subparsers(dest="cmd", required=True, metavar=metavar)
+    for name in names:
+        help_line, add_args, handler = _SUBCOMMANDS[name]
+        ps = sub.add_parser(name, parents=[common], help=help_line)
+        add_args(ps)
+        ps.set_defaults(func=handler)
     return p
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
     try:
+        args = _build_parser(argv).parse_args(argv)
         _check_output(args.output)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early: point it at devnull, so that the
+        # interpreter's final flush stays quiet
+        try:
+            fd = sys.stdout.fileno()
+        except (OSError, ValueError):
+            return EXIT_RESOURCE  # no descriptor, so no final flush to quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+        return EXIT_RESOURCE
     except ArgumentError as e:
         print(f"tauchar: argument error: {e}", file=sys.stderr)
         return EXIT_USAGE

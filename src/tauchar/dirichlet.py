@@ -24,7 +24,10 @@ classification and expands each factor by integer long division.  Every
 such factor has no u^1 term, so its expansion lives on the powerful
 numbers, and ``expand_euler_product`` hands it to
 ``sieves.multiplicative_series``, which lists them by the powerful walk
-instead of sieving every n.
+instead of sieving every n.  The routes that divide by zeta(2s) or
+zeta(4s) convolve with the inverse of a power indicator, 1/zeta(rs),
+whose local factor 1 - u^r is a polynomial too, so the same builder
+lists it.
 
 The three root-floor identity scans live here too: each compares a * 1
 with the jumps of an identity's right side, coefficient by coefficient,
@@ -41,7 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .cases import Branch, LocalFactor, SubBranch, classify, local_factor
-from .errors import ArgumentError, NotInvertibleError, OverflowHardError
+from .errors import ArgumentError, OverflowHardError
 from .roots import integer_nth_root
 from .sieves import (
     CoeffSeries,
@@ -159,36 +162,6 @@ def dirichlet_convolve(a: CoeffSeries, b: CoeffSeries) -> CoeffSeries:
     return CoeffSeries(n, _split_convolve(a.values, b.values, n, np.int64))
 
 
-def dirichlet_inverse(a: CoeffSeries) -> CoeffSeries:
-    """The convolution inverse of a, requiring a(1) in {+1, -1}.
-
-    Newton iteration b <- b - b * (a * b - e).  If b is right up to N, the
-    error E = a * b - e vanishes on [1, N], so a * (b - b * E) = e - E * E
-    is right below (N + 1)^2.  From b = a(1) e, right up to 1, the steps
-    reach 3, 15, 255, 65535, ..., so O(log log n) steps of two truncated
-    convolutions reach the limit.  Every value comes out of a convolution
-    with the int64 guard of dirichlet_convolve, so a result that does not
-    fit raises OverflowHardError instead of wrapping.
-    """
-    n = a.limit
-    a1 = a[1]
-    if a1 not in (-1, 1):
-        raise NotInvertibleError(
-            f"series with leading value {a1} has no integer convolution inverse"
-        )
-    b = np.zeros(n + 1, dtype=np.int64)
-    b[1] = a1
-    good = 1
-    while good < n:
-        good = min(n, (good + 1) ** 2 - 1)
-        a_good = CoeffSeries(good, a.values[: good + 1])
-        b_good = CoeffSeries(good, b[: good + 1])
-        err = dirichlet_convolve(a_good, b_good).values.copy()
-        err[1] -= 1  # a * b - e
-        b[: good + 1] -= dirichlet_convolve(CoeffSeries(good, err), b_good).values
-    return CoeffSeries(n, b)
-
-
 def _omega_max(limit: int) -> int:
     """Largest k with p_1 p_2 ... p_k <= limit: the most distinct prime
     factors any n <= limit has."""
@@ -220,19 +193,12 @@ def expand_euler_product(local: LocalFactor, limit: int) -> CoeffSeries:
     return multiplicative_series(limit, c, "euler product expansion")
 
 
-def _narrow(series: CoeffSeries) -> CoeffSeries:
-    """The series as int8 when every value lies in {-1, 0, 1}."""
-    v = series.values
-    if v.dtype == np.int8 or _abs_max(v) > 1:
-        return series
-    return CoeffSeries(series.limit, v.astype(np.int8))
-
-
 class Tables:
     """The series of one verify run at one limit, each built on first use.
 
     tau, 1, the power indicators, their inverses, and each tau character
-    and its convolution with 1.  Every character is read off the one tau.
+    and its convolution with 1.  Every character is read off the one tau;
+    tau, the indicators and the inverses are ``multiplicative_series`` tables.
     The identity scans and every modulus's routes draw on one store, so a
     run builds each of these once, and the store goes when the run drops
     it.  ``release(q)`` drops the series of modulus q (its character, that
@@ -261,10 +227,14 @@ class Tables:
         return self._get(("power", r), lambda: power_indicator_series(r, self.limit))
 
     def inverse_power(self, r: int) -> CoeffSeries:
-        """The convolution inverse of the r-th power indicator, mu(n^(1/r))
-        at the r-th powers, kept as int8: the run holds it to the end."""
+        """The convolution inverse of the r-th power indicator: mu(n^(1/r))
+        at the r-th powers and 0 elsewhere, the coefficients of
+        1/zeta(rs).  Its local factor is 1 - u^r, so it is the
+        multiplicative table with c[r] = -1 and every other c[e >= 1] = 0,
+        which the powerful walk lists as int8."""
+        c = [(e == 0) - (e == r) for e in range(max(2, self.limit.bit_length()))]
         return self._get(
-            ("inverse_power", r), lambda: _narrow(dirichlet_inverse(self.power(r)))
+            ("inverse_power", r), lambda: multiplicative_series(self.limit, c)
         )
 
     def char(self, q: int) -> CoeffSeries:

@@ -19,10 +19,6 @@ class ClassificationError(ArgumentError):
     """A modulus was passed to a branch it does not belong to."""
 
 
-class NotInvertibleError(ArgumentError):
-    """Dirichlet inverse requested for a series with leading value not in {-1, +1}."""
-
-
 class ResourceLimitError(TaucharError):
     """A requested computation exceeds the configured budget.
 

@@ -14,11 +14,13 @@ from .errors import ArgumentError
 def integer_nth_root(x: int, k: int) -> int:
     """Largest r >= 0 with r**k <= x, for integers x >= 0, k >= 1.
 
+    Below 2^64 the float root of x is off by at most one or two, and
+    integer steps of one correct it until r**k <= x < (r+1)**k.  Above,
     Newton's integer step from a float estimate of the top bits: one step
     from any r >= 1 lands at or above the root (the step is an arithmetic
     mean, so AM-GM), and from there the steps decrease strictly until they
-    reach it.  The estimate only sets how many steps that takes, so the
-    result is exact regardless.
+    reach it.  Either way the estimate only sets how many steps that
+    takes, so the result is exact regardless.
     """
     if k < 1:
         raise ArgumentError(f"root order must be >= 1, got {k}")
@@ -30,7 +32,14 @@ def integer_nth_root(x: int, k: int) -> int:
         return x
     if k == 2:
         return isqrt(x)
-    shift = max(0, x.bit_length() - 64) // k * k
+    if x < 2**64:
+        r = int(float(x) ** (1.0 / k))
+        while r**k > x:
+            r -= 1
+        while (r + 1) ** k <= x:
+            r += 1
+        return r
+    shift = (x.bit_length() - 64) // k * k
     r = max(1, int(round(float(x >> shift) ** (1.0 / k))) << shift // k)
     r = ((k - 1) * r + x // r ** (k - 1)) // k
     while (step := ((k - 1) * r + x // r ** (k - 1)) // k) < r:

@@ -16,7 +16,6 @@ from datetime import datetime
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import tauchar
@@ -474,6 +473,75 @@ def test_help_lists_only_what_changes_the_result(cmd, capsys):
     assert "--jobs" not in out
 
 
+def outcome(call, capsys):
+    """(exit code or return value, stdout, stderr) of call()."""
+    try:
+        code = call()
+    except SystemExit as e:
+        code = e.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+# sha256 of f"{code}\n{stdout}\0{stderr}" when every subparser was built on
+# every run, with COLUMNS=80, on Python 3.11's argparse
+PARSER_DIGESTS = {
+    (): "d04308dc71f96c2d4182b23b8bb6574abe5d93edb9c035071b99471fdd80a3dd",
+    ("--help",): "94f82a3152df69b240662a2bbc0fd99687779fe68bb0c30a3eacff772098acd6",
+    ("bogus",): "dc04f1766b7da05a3534031e0cd9d1a6e3ea4cfa28508618bce7cc8c6b3b95c1",
+    ("trace", "--help"): "3c3e8dd0a74aec3487d9b209181d999c3caa07aaa39d5d36d559065972389ddb",
+}
+
+
+def test_one_subparser_parses_as_all_six(monkeypatch, capsys):
+    # a named subcommand builds only its own parser; the listing, the
+    # missing command and an unknown one build all six
+    monkeypatch.setenv("COLUMNS", "80")
+    built = []
+
+    def counted(name, add):
+        return lambda p: built.append(name) or add(p)
+
+    monkeypatch.setattr(cli, "_SUBCOMMANDS", {
+        name: (help_line, counted(name, add), handler)
+        for name, (help_line, add, handler) in cli._SUBCOMMANDS.items()
+    })
+    for argv, digest in PARSER_DIGESTS.items():
+        argv = list(argv)
+        code, out, err = outcome(lambda: main(argv), capsys)
+        if sys.version_info[:2] == (3, 11):
+            text = f"{code}\n{out}\0{err}"
+            assert hashlib.sha256(text.encode()).hexdigest() == digest, argv
+        assert built == (argv[:1] if argv[:1] == ["trace"] else list(cli._SUBCOMMANDS))
+        built.clear()
+    # errors past the subcommand still print the top-level usage of all six
+    for argv in (["trace", "--help"], ["verify", "--bogus"], ["trace"],
+                 ["near-curve", "--x", "1e8"], ["verify", "trace"]):
+        assert outcome(lambda: main(argv), capsys) == outcome(
+            lambda: cli._build_parser([]).parse_args(argv), capsys), argv
+
+
+def test_broken_pipe_is_a_quiet_resource_exit(monkeypatch, capsys):
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    argv = ["trace", "--q", "13", "--max", "1e5", "--no-timestamp"]
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(argv) == cli.EXIT_RESOURCE
+    assert capsys.readouterr().err == ""
+    # a pipe whose reader is gone: its descriptor is pointed at devnull, so
+    # a later flush, as the interpreter's at exit, raises nothing
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(argv) == cli.EXIT_RESOURCE
+        stdout.write("after the reader left\n")
+        stdout.flush()
+    assert capsys.readouterr().err == ""
+
+
 def test_prime_cutoff_is_accepted_and_ignored(capsys):
     argv = ["constants", "--q", "7", "--no-timestamp"]
     outs = [run(argv + extra, capsys) for extra in
@@ -591,6 +659,13 @@ def test_trace_data_rows_are_pinned(capsys):
     assert hashlib.sha256("".join(kept).encode()).hexdigest() == digest
 
 
+def inverse_order(limit, c, what="sieve"):
+    """r when c is the row of the inverse r-th power indicator, c[r] = -1
+    and every other c[e >= 1] = 0; None for any other table."""
+    nonzero = [e for e in range(1, len(c)) if c[e]]
+    return nonzero[0] if len(nonzero) == 1 and c[nonzero[0]] == -1 else None
+
+
 def test_verify_builds_each_shared_table_once(monkeypatch, capsys):
     # one store serves the three scans and the 16 moduli: tau, each power
     # indicator, each character and the two inverses are built once a run
@@ -600,7 +675,9 @@ def test_verify_builds_each_shared_table_once(monkeypatch, capsys):
         real = getattr(module, name)
 
         def counted(*args):
-            built[name, key(*args)] += 1
+            k = key(*args)
+            if k is not None:
+                built[name, k] += 1
             return real(*args)
 
         monkeypatch.setattr(module, name, counted)
@@ -609,13 +686,12 @@ def test_verify_builds_each_shared_table_once(monkeypatch, capsys):
         spy(module, "divisor_count_sieve", lambda limit: limit)
     spy(dirichlet, "power_indicator_series", lambda r, limit: r)
     spy(dirichlet, "tau_char_sieve", lambda q, limit, tau=None: q)
-    # an inverse is told apart by its argument's first square or fourth power
-    spy(dirichlet, "dirichlet_inverse", lambda a: int(np.flatnonzero(a.values)[1]))
+    spy(dirichlet, "multiplicative_series", inverse_order)
     code, _, _ = run(["verify", "--all-q", "60", "--limit", "2e4"], capsys)
     assert code == 0
     qs = [q for q in range(3, 61, 2) if all(q % p for p in range(3, q, 2))]
     want = {("divisor_count_sieve", 20000): 1,
-            ("dirichlet_inverse", 4): 1, ("dirichlet_inverse", 16): 1}
+            ("multiplicative_series", 2): 1, ("multiplicative_series", 4): 1}
     want.update({("power_indicator_series", r): 1 for r in [2, 4] + qs})
     want.update({("tau_char_sieve", q): 1 for q in qs})
     assert dict(built) == want

@@ -13,19 +13,14 @@ from tauchar import _kernels, cases, dirichlet
 from tauchar.constants import LocalFactor, local_factor
 from tauchar.dirichlet import (
     cube_root_identity_scan,
+    Tables,
     dirichlet_convolve,
-    dirichlet_inverse,
     expand_euler_product,
     fifth_power_identity_scan,
     square_root_identity_scan,
     verify_factorization,
 )
-from tauchar.errors import (
-    ArgumentError,
-    ClassificationError,
-    NotInvertibleError,
-    OverflowHardError,
-)
+from tauchar.errors import ArgumentError, ClassificationError, OverflowHardError
 from tauchar.sieves import (
     CoeffSeries,
     divisor_count_sieve,
@@ -223,71 +218,63 @@ def test_support_loop_matches_loop_both_ways(monkeypatch):
     assert set(looped) >= {10000, 10100}
 
 
-@pytest.mark.parametrize("lead", [1, -1])
-def test_newton_inverse_matches_loop(lead):
-    rng = np.random.default_rng(9 + lead)
-    # n = (N + 1)^2 - 1 and (N + 1)^2 around the Newton steps from N = 1, 3, 15
-    steps = [3, 4, 15, 16, 255, 256]
-    limits = SPLIT_EDGES + steps + rng.integers(1, 2 * 10**4, size=4).tolist()
-    for n in limits:
-        for a in series_kinds(rng, n, lead):
-            assert dirichlet_inverse(a) == loop_inverse(a), n
+def inverse_power_limits():
+    """SPLIT_EDGES, r^k - 1, r^k and r^k + 1 for r = 2..5 and seeded random n."""
+    rng = np.random.default_rng(9)
+    edges = {r**k + d for r in (2, 3, 4, 5) for k in (2, 3) for d in (-1, 0, 1)}
+    return SPLIT_EDGES + sorted(edges) + rng.integers(1, 2 * 10**4, size=4).tolist()
 
 
-def test_inverse_overflow_guard():
-    # b(2) = 2^63 does not fit; and b(4) = a(2)^2 - a(4) = 2^64 does not fit,
-    # which only the second Newton step reaches
-    for vals in ([0, 1, -(2**63)], [0, 1, 2**32] + [0] * 14):
-        a = coeff_series(vals)
-        with pytest.raises(OverflowHardError):
-            loop_inverse(a)
-        with pytest.raises(OverflowHardError):
-            dirichlet_inverse(a)
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_inverse_power_matches_loop(r):
+    # the closed-form table, mu(n^(1/r)) at the r-th powers, against the
+    # recursion that inverts the indicator term by term
+    for n in inverse_power_limits():
+        inv = Tables(n).inverse_power(r)
+        assert inv.values.dtype == np.int8, n
+        assert inv == loop_inverse(power_indicator_series(r, n)), n
 
 
-def test_inverse_guard_falls_back_to_the_exact_bound():
-    # the a-priori bound of the second Newton step is 2^31 * 2^31 * 5, above
-    # int64, but every partial sum stays within 2^62, so the inverse is
-    # returned, b(4) = a(2)^2 = 2^62
+@pytest.mark.parametrize("r", [2, 3, 4, 5])
+def test_inverse_power_is_two_sided(r):
+    for n in inverse_power_limits():
+        tables = Tables(n)
+        inv, ind = tables.inverse_power(r), tables.power(r)
+        e = coeff_series([0, 1] + [0] * (n - 1))
+        assert dirichlet_convolve(inv, ind) == e, n
+        assert dirichlet_convolve(ind, inv) == e, n
+
+
+def test_convolution_guard_falls_back_to_the_exact_bound(monkeypatch):
+    # the a-priori bound 2^31 * 2^31 * 5 is above int64, so the exact bound
+    # is computed; it is (a * a)(4) = 2^62, which fits, and the convolution
+    # is returned.  With b(2) = 2^32 the exact bound is 2^63, which does not.
+    bounds, real = [], dirichlet._exact_bound
+
+    def spy(a, b):
+        bounds.append(real(a, b))
+        return bounds[-1]
+
+    monkeypatch.setattr(dirichlet, "_exact_bound", spy)
     a = coeff_series([0, 1, 2**31, 0, 0])
-    b = dirichlet_inverse(a)
-    assert b == loop_inverse(a)
-    assert int(b[4]) == 2**62
+    aa = dirichlet_convolve(a, a)
+    assert aa == coeff_series(brute_convolve(a, a))
+    assert aa[4] == 2**62
+    b = coeff_series([0, 1, 2**32, 0, 0])
+    with pytest.raises(OverflowHardError):
+        dirichlet_convolve(a, b)
+    assert bounds == [2**62, 2**63]
 
 
 def test_verify_inverts_without_the_exact_bound(monkeypatch):
-    # verify inverts 0/1 indicators only, which the a-priori bound admits
+    # verify divides by zeta(2s) and zeta(4s) through 0/+-1 tables, whose
+    # convolutions the a-priori bound admits
     def refuse(a, b):
         raise AssertionError("exact overflow bound computed")
 
     monkeypatch.setattr(dirichlet, "_exact_bound", refuse)
     for q in (5, 19, 43):
         assert verify_factorization(q, 10**4).ok, q
-
-
-def test_inverse_is_two_sided():
-    rng = np.random.default_rng(5)
-    e = coeff_series([0, 1] + [0] * 119)
-    for sign in (1, -1):
-        a = random_series(rng, 120)
-        vals = np.array(a.values, copy=True)
-        vals[1] = sign
-        a = coeff_series(vals)
-        inv = dirichlet_inverse(a)
-        assert dirichlet_convolve(a, inv) == e
-        assert dirichlet_convolve(inv, a) == e
-
-
-def test_inverse_of_ones_is_mobius():
-    n = 2000
-    assert dirichlet_inverse(ones_series(n)) == mobius_sieve(n)
-
-
-def test_inverse_rejects_non_unit():
-    vals = np.zeros(11, dtype=np.int64)
-    vals[1] = 2
-    with pytest.raises(NotInvertibleError):
-        dirichlet_inverse(coeff_series(vals))
 
 
 def truncated_product(a, b, order: int) -> list[int]:

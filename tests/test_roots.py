@@ -1,5 +1,7 @@
 """Integer root helpers, especially behavior exactly at perfect powers."""
 
+import random
+
 import pytest
 
 from tauchar.errors import ArgumentError
@@ -14,6 +16,36 @@ def test_exact_at_perfect_powers():
             assert integer_nth_root(v, k) == r
             assert integer_nth_root(v - 1, k) == r - 1
             assert integer_nth_root(v + 1, k) == r
+
+
+def newton_root(x: int, k: int) -> int:
+    """floor(x^(1/k)) by Newton's integer step alone, from 2^ceil(bits/k),
+    which is at or above the root; no float is involved."""
+    r = 1 << -(-x.bit_length() // k)
+    while (step := ((k - 1) * r + x // r ** (k - 1)) // k) < r:
+        r = step
+    return r
+
+
+def test_float_route_matches_newton_on_random_values():
+    rng = random.Random(21)
+    for k in (3, 4, 5, 7):
+        for _ in range(20000):
+            x = rng.randrange(1, 10**15)
+            assert integer_nth_root(x, k) == newton_root(x, k), (x, k)
+
+
+def test_both_routes_at_powers_around_2_64():
+    # x < 2^64 takes the float estimate, x >= 2^64 Newton's step; the r^k
+    # nearest 2^64 on each side, and a few beyond, with their neighbours
+    for k in (3, 4, 5, 7):
+        r0 = newton_root(2**64, k)
+        for r in range(r0 - 3, r0 + 4):
+            for x in (r**k - 1, r**k, r**k + 1):
+                assert integer_nth_root(x, k) == newton_root(x, k), (x, k)
+    for x in (2**64 - 1, 2**64, 2**64 + 1):
+        for k in (3, 4, 5, 7, 64, 65):
+            assert integer_nth_root(x, k) == newton_root(x, k), (x, k)
 
 
 def test_against_float_free_oracle():
