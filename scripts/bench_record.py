@@ -1,4 +1,5 @@
-"""Record the wall time and peak resident set of the reference CLI commands.
+"""Record the wall time, peak resident set and standard output of the
+reference CLI commands.
 
     python3 scripts/bench_record.py BENCH_<n>.json [PARENT_TREE]
 
@@ -11,8 +12,12 @@ command, the best (least) wall time and the least peak resident set of the
 RUNS, the latter read by ``os.wait4``.  This script imports only the
 standard library: Linux carries a parent's high-water mark into the
 ``ru_maxrss`` of a forked child, so a parent that had imported numpy would
-set a floor under every reading.  The record also holds ``src_lines``,
-counted as ``perfbench/run.py`` counts it.
+set a floor under every reading; so does ``hashlib`` (OpenSSL adds some
+4 MB), which is imported only after the last run.  Each run's standard
+output goes to a temporary file and is kept, and the record holds its
+SHA-256 per command as ``stdout_sha256``, or the sorted list of the
+distinct digests when the runs of a command disagree.  The record also holds ``src_lines``, counted
+as ``perfbench/run.py`` counts it.
 
 With PARENT_TREE, the root of a second checkout (say ``git archive`` of
 the parent commit, unpacked), every run of a command on this checkout is
@@ -22,7 +27,10 @@ alike.  The record then holds the tree's own rows and ``src_lines`` under
 ``parent``.
 
 The output is one JSON object.  A command that exits non-zero is recorded
-with its exit code, and the script then exits 1.
+with its exit code, and the script then exits 1.  It also exits 1, naming
+the command on standard error, when the runs of one tree print different
+bytes, or when the two trees do: under ``--no-timestamp`` a refactor must
+leave every reference output byte-identical.
 """
 
 import json
@@ -30,6 +38,7 @@ import os
 import platform
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -48,6 +57,8 @@ COMMANDS = [
     ["near-curve", "--x", "1e13", "--y", "3e6"],
     # x + y above 2^53: the trivial bound divides in int64
     ["near-curve", "--x", "1e16", "--y", "1e9"],
+    ["short-interval", "--x", "1e8", "--y", "4170"],
+    ["constants", "--q", "3"],
 ]
 
 
@@ -60,17 +71,22 @@ def tree_env(root: Path) -> dict:
 
 
 def run_once(args: list, root: Path, env: dict) -> tuple:
-    """(exit code, wall seconds, peak RSS in MB) of one fresh CLI process."""
+    """(exit code, wall seconds, peak RSS in MB, stdout) of one fresh CLI
+    process."""
     argv = [sys.executable, "-m", "tauchar.cli", *args]
     if args != ["--help"]:
         argv.append("--no-timestamp")
-    t0 = time.perf_counter()
-    proc = subprocess.Popen(argv, cwd=root, env=env, stdout=subprocess.DEVNULL,
-                            stderr=subprocess.DEVNULL)
-    _, status, usage = os.wait4(proc.pid, 0)
-    wall = time.perf_counter() - t0
+    # a file, not a pipe: a pipe nobody reads during wait4 would block the child
+    with tempfile.TemporaryFile() as out:
+        t0 = time.perf_counter()
+        proc = subprocess.Popen(argv, cwd=root, env=env, stdout=out,
+                                stderr=subprocess.DEVNULL)
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - t0
+        out.seek(0)
+        stdout = out.read()
     proc.returncode = os.waitstatus_to_exitcode(status)
-    return proc.returncode, wall, usage.ru_maxrss / 1024.0
+    return proc.returncode, wall, usage.ru_maxrss / 1024.0, stdout
 
 
 def src_lines(root: Path) -> int:
@@ -83,15 +99,20 @@ def src_lines(root: Path) -> int:
 
 
 def rows_of(samples: list) -> list:
-    """One row per command: its exit code, least wall time and least peak RSS."""
+    """One row per command: its exit code, least wall time, least peak RSS
+    and stdout digest."""
+    import hashlib
+
     rows = []
     for args, runs in zip(COMMANDS, samples):
-        codes = {code for code, _, _ in runs}
+        codes = {code for code, _, _, _ in runs}
+        digests = sorted({hashlib.sha256(out).hexdigest() for _, _, _, out in runs})
         rows.append({
             "command": " ".join(args),
             "exit": max(codes, key=abs),
-            "wall_s": round(min(w for _, w, _ in runs), 4),
-            "peak_rss_mb": round(min(r for _, _, r in runs), 1),
+            "wall_s": round(min(w for _, w, _, _ in runs), 4),
+            "peak_rss_mb": round(min(r for _, _, r, _ in runs), 1),
+            "stdout_sha256": digests[0] if len(digests) == 1 else digests,
         })
     return rows
 
@@ -126,6 +147,14 @@ def main(argv: list) -> int:
         json.dump(record, f, indent=2)
         f.write("\n")
     failed = any(row["exit"] for tree_rows in rows for row in tree_rows)
+    for i, row in enumerate(rows[0]):
+        digests = [tree_rows[i]["stdout_sha256"] for tree_rows in rows]
+        if any(not isinstance(d, str) for d in digests):
+            print(f"runs print different bytes: {row['command']}", file=sys.stderr)
+            failed = True
+        elif len(set(digests)) > 1:
+            print(f"the trees print different bytes: {row['command']}", file=sys.stderr)
+            failed = True
     return 1 if failed else 0
 
 

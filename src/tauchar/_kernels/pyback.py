@@ -87,14 +87,14 @@ def table_dtype(c):
     return np.int8 if max(map(abs, c)) <= 1 else np.int64
 
 
-def full_tables(limit: int, c, segment: int = DEFAULT_SEGMENT) -> np.ndarray:
+def full_tables(limit: int, c) -> np.ndarray:
     """``factor_block`` values over [0, limit] (entry 0 set to 0), built
-    block by block, in ``table_dtype(c)``; ``c`` must cover every exponent
-    up to log2(limit)."""
+    block by block of ``DEFAULT_SEGMENT``, in ``table_dtype(c)``; ``c`` must
+    cover every exponent up to log2(limit)."""
     base = prime_list(isqrt(limit))
     out = np.zeros(limit + 1, dtype=table_dtype(c))
-    for lo in range(1, limit + 1, segment):
-        hi = min(lo + segment, limit + 1)
+    for lo in range(1, limit + 1, DEFAULT_SEGMENT):
+        hi = min(lo + DEFAULT_SEGMENT, limit + 1)
         out[lo:hi] = factor_block(lo, hi, base, c)
     return out
 

@@ -6,8 +6,12 @@ Subcommands map one-to-one onto library workflows:
   constants       certified main-term constants for a modulus
   trace           summatory values against main terms along checkpoints
   short-interval  exact short-window sum and double-count decomposition
-  near-curve      full range scan with derivative-test bound shapes
+  near-curve      the same scan's report plus its derivative-test bound shapes
   rh-diagnostic   growth-envelope ratios for the no-main-term branch
+
+short-interval and near-curve run the one scan, curves.range_scan, and
+differ only in the columns and summary keys they print: each is the name
+of a ScanRow or RangeScanReport field.
 
 Output is CSV by default: '#'-prefixed metadata and summary lines, then a
 mandatory header row, then data rows.  --format json nests the same content
@@ -295,7 +299,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_constants(args) -> int:
-    from .cases import Branch
     from .constants import main_term_params
 
     qs = _moduli(args)
@@ -307,12 +310,6 @@ def _cmd_constants(args) -> int:
         case = params.case
         lead = params.leading_coefficient
         bracket = params.bracket_constant
-        if case.branch is Branch.Q_EQUALS_3:
-            lead_v, lead_e = 1.0, 0.0
-        elif lead is not None:
-            lead_v, lead_e = lead.value, lead.error
-        else:
-            lead_v = lead_e = None
         rows.append(
             [
                 q,
@@ -322,8 +319,8 @@ def _cmd_constants(args) -> int:
                 if case.log_factor_start is not None
                 else case.sqrt_factor_start,
                 _KIND_BY_BRANCH[case.branch.value],
-                lead_v,
-                lead_e,
+                lead.value if lead else None,
+                lead.error if lead else None,
                 bracket.value if bracket else None,
                 bracket.error if bracket else None,
             ]
@@ -395,66 +392,33 @@ def _cmd_trace(args) -> int:
     return EXIT_PASS
 
 
-def _interval_instance(args):
-    from .curves import ShortIntervalInstance
-
-    return ShortIntervalInstance(args.x, args.y, args.c3)
-
-
-def _scan_rows(rep, with_shapes: bool):
-    rows = []
-    for r in rep.rows:
-        row = [
-            r.window_base,
-            r.n_lo,
-            r.n_hi,
-            r.delta,
-            r.window_double,
-            r.near_curve_count,
-        ]
-        if with_shapes:
-            row += [r.shape, r.shape_value, r.ratio, r.ft_condition_ok]
-        rows.append(row)
-    return rows
+_COUNT_COLUMNS = ["window_base", "n_lo", "n_hi", "delta", "window_double", "near_curve_count"]
+_COUNT_KEYS = ["short_sum", "total_double", "small_n_double", "trivial_bound",
+               "n_min", "n_max", "y_within_11_20", "y_within_19_36"]
 
 
-def _scan_summary(rep, with_shapes: bool) -> dict:
-    summary = {
-        "short_sum": rep.short_sum,
-        "total_double": rep.total_double,
-        "small_n_double": rep.small_n_double,
-        "trivial_bound": rep.trivial_bound,
-        "n_min": rep.n_min,
-        "n_max": rep.n_max,
-        "y_within_11_20": rep.y_within_11_20,
-        "y_within_19_36": rep.y_within_19_36,
-    }
-    if with_shapes:
-        summary["assembled_bound"] = rep.assembled_bound
-        summary["ratio_short_to_assembled"] = rep.ratio_short_to_assembled
-    return summary
+def _scan_report(args, columns: list[str], summary: list[str]) -> int:
+    """The range scan of (x, x+y], reported as the named ScanRow columns
+    and RangeScanReport summary keys."""
+    from .curves import ShortIntervalInstance, range_scan
 
-
-_SCAN_HEADER = ["window_base", "n_lo", "n_hi", "delta", "window_double", "near_curve_count"]
+    rep = range_scan(ShortIntervalInstance(args.x, args.y, args.c3))
+    meta = _metadata(args, {"x": args.x, "y": args.y, "c3": args.c3})
+    rows = [[getattr(r, c) for c in columns] for r in rep.rows]
+    _emit(args, meta, columns, rows, {k: getattr(rep, k) for k in summary})
+    return EXIT_PASS
 
 
 def _cmd_short_interval(args) -> int:
-    from .curves import decompose_short_interval
-
-    rep = decompose_short_interval(_interval_instance(args))
-    meta = _metadata(args, {"x": args.x, "y": args.y, "c3": args.c3})
-    _emit(args, meta, list(_SCAN_HEADER), _scan_rows(rep, False), _scan_summary(rep, False))
-    return EXIT_PASS
+    return _scan_report(args, _COUNT_COLUMNS, _COUNT_KEYS)
 
 
 def _cmd_near_curve(args) -> int:
-    from .curves import range_scan
-
-    rep = range_scan(_interval_instance(args))
-    meta = _metadata(args, {"x": args.x, "y": args.y, "c3": args.c3})
-    header = _SCAN_HEADER + ["shape", "shape_value", "ratio", "ft_condition_ok"]
-    _emit(args, meta, header, _scan_rows(rep, True), _scan_summary(rep, True))
-    return EXIT_PASS
+    return _scan_report(
+        args,
+        _COUNT_COLUMNS + ["shape", "shape_value", "ratio", "ft_condition_ok"],
+        _COUNT_KEYS + ["assembled_bound", "ratio_short_to_assembled"],
+    )
 
 
 def _cmd_rh_diagnostic(args) -> int:

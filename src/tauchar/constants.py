@@ -741,7 +741,7 @@ def log_factor_constants(q: int, tol: float = 1e-4) -> tuple[Certified, Certifie
 
 
 @lru_cache(maxsize=32)
-def sqrt_factor_at_half(q: int, tol: float = 2e-4) -> Certified:
+def sqrt_factor_at_half(q: int, tol: float = 1e-4) -> Certified:
     """The sqrt-branch product at the half-line:
     prod_p (1 + sum_m t[m] p^{-m/2}) with t[m] = chi(m+1) + chi(m), m >= 3,
     to relative error ``tol``.
@@ -776,7 +776,10 @@ class MainTermParams(NamedTuple):
     @property
     def leading_coefficient(self) -> Certified | None:
         """zeta(q) * product(1) on the log branch; zeta(q/2) * sqrt-product
-        on the sqrt branch; None otherwise."""
+        on the sqrt branch; exactly 1 at q = 3, whose main term is x^(1/3);
+        None otherwise."""
+        if self.case.branch is Branch.Q_EQUALS_3:
+            return Certified(1)
         if self.case.branch is Branch.PM1_MOD8:
             return self.zeta_q * self.product_at_one
         if self.case.branch is Branch.PM11_MOD24:

@@ -22,8 +22,9 @@ f(n) = sqrt(x/n^5).  The fifth-power convolution, the Dirichlet product of
 mu(sqrt(m)) on squares m with the fifth-power indicator, has c(m) = sum of
 mu(d) over the pairs (d, n) with d^2 n^5 = m.  So its window sum over
 (x, x+y] is the sum of mu(d) over the pairs with x < d^2 n^5 <= x+y, and
-the number of those pairs (the double count) bounds it.  The scan splits
-the n-range into dyadic windows and reports exact counts against three
+the number of those pairs (the double count) bounds it.  The one scan,
+``range_scan`` (also named ``decompose_short_interval``), splits the
+n-range into dyadic windows and reports exact counts against three
 derivative-test bound shapes with implied constant 1 (never asserted: the
 true constants are unknown).  It runs on integers: with x = A/L and
 x + y = B/L, floor(x/m^5) = A // (L m^5), and each n takes the integer
@@ -331,8 +332,10 @@ class ScanRow(NamedTuple):
     ``n_lo``/``n_hi`` are inclusive; ``delta_sq`` = y^2/(n_lo^5 x) so the
     threshold is valid for every n >= n_lo in the piece.  ``window_double``
     counts pairs (d, n) with x < d^2 n^5 <= x+y and n in the piece;
-    ``near_curve_count`` is the exact R over the piece.  Shape fields are
-    None in a counts-only decomposition.
+    ``near_curve_count`` is the exact R over the piece.  ``shape`` is the
+    derivative test whose range holds n_lo, ``shape_value`` its bound with
+    constant 1 and ``ratio`` the count over it; ``ft_condition_ok`` is set
+    only on a filaseta_trifonov piece.
     """
 
     window_base: int
@@ -342,10 +345,10 @@ class ScanRow(NamedTuple):
     delta: float
     window_double: int
     near_curve_count: int
-    shape: str | None
-    shape_value: float | None
+    shape: str
+    shape_value: float
     ft_condition_ok: bool | None
-    ratio: float | None
+    ratio: float
 
 
 class RangeScanReport(NamedTuple):
@@ -369,11 +372,15 @@ class RangeScanReport(NamedTuple):
     total_double: int
     short_sum: int
     trivial_bound: int
-    assembled_bound: float | None
+    assembled_bound: float
     ratio_short_to_assembled: float | None
 
 
-def _scan(inst: ShortIntervalInstance, with_shapes: bool) -> RangeScanReport:
+def range_scan(inst: ShortIntervalInstance) -> RangeScanReport:
+    """The scan: exact double count, per-window pieces with exact near-curve
+    counts and threshold guards, each against its bound shape, and the
+    assembled right-hand side (x^(1/12) + y x^(-4/9)) log x with the ratio
+    of |short sum| to it."""
     x, y, c3 = inst.x, inst.y, inst.c3
     A, B, L = _window_ints(x, y)
     # the sum of tau over (x, x+y]; D(x + y) refuses x + y above
@@ -425,13 +432,10 @@ def _scan(inst: ShortIntervalInstance, with_shapes: bool) -> RangeScanReport:
             window_double += c
             r_count += near
         total += window_double
-        shape = shape_value = ft_ok = ratio = None
-        if with_shapes:
-            shapes = bound_shapes(n, x, y, c3, delta_sq=dsq if dsq > 0 else None)
-            shape = shapes.applicable
-            shape_value = getattr(shapes, shape)
-            ft_ok = shapes.ft_condition_ok if shape == "filaseta_trifonov" else None
-            ratio = r_count / shape_value
+        shapes = bound_shapes(n, x, y, c3, delta_sq=dsq if dsq > 0 else None)
+        shape = shapes.applicable
+        shape_value = getattr(shapes, shape)
+        ft_ok = shapes.ft_condition_ok if shape == "filaseta_trifonov" else None
         rows.append(
             ScanRow(
                 window_base=base,
@@ -444,7 +448,7 @@ def _scan(inst: ShortIntervalInstance, with_shapes: bool) -> RangeScanReport:
                 shape=shape,
                 shape_value=shape_value,
                 ft_condition_ok=ft_ok,
-                ratio=ratio,
+                ratio=r_count / shape_value,
             )
         )
         n = hi + 1
@@ -455,11 +459,8 @@ def _scan(inst: ShortIntervalInstance, with_shapes: bool) -> RangeScanReport:
             f"|short sum| = {abs(short)} exceeds the double count {total}; "
             "the short sum or the pair count is wrong"
         )
-    assembled = ratio_sa = None
-    if with_shapes:
-        xf = float(x)
-        assembled = (xf ** (1 / 12) + float(y) * xf ** (-4 / 9)) * log(xf)
-        ratio_sa = abs(short) / assembled if assembled else None
+    xf = float(x)
+    assembled = (xf ** (1 / 12) + float(y) * xf ** (-4 / 9)) * log(xf)
     return RangeScanReport(
         x=x,
         y=y,
@@ -474,17 +475,9 @@ def _scan(inst: ShortIntervalInstance, with_shapes: bool) -> RangeScanReport:
         short_sum=short,
         trivial_bound=trivial,
         assembled_bound=assembled,
-        ratio_short_to_assembled=ratio_sa,
+        ratio_short_to_assembled=abs(short) / assembled if assembled else None,
     )
 
 
-def decompose_short_interval(inst: ShortIntervalInstance) -> RangeScanReport:
-    """Counts-only decomposition: exact double count, per-window pieces with
-    exact near-curve counts and threshold guards; no bound shapes."""
-    return _scan(inst, with_shapes=False)
-
-
-def range_scan(inst: ShortIntervalInstance) -> RangeScanReport:
-    """Full scan: decomposition plus bound shapes, the assembled right-hand
-    side (x^(1/12) + y x^(-4/9)) log x, and exact-to-bound ratios."""
-    return _scan(inst, with_shapes=True)
+# a second name for the one scan, kept for the callers that import it
+decompose_short_interval = range_scan

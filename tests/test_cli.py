@@ -295,6 +295,19 @@ def test_near_curve_adds_shape_columns(capsys):
     assert shapes <= {"fifth_derivative", "filaseta_trifonov", "first_derivative"}
 
 
+def test_short_interval_is_near_curve_count_columns(capsys):
+    def report(cmd):
+        argv = [cmd, "--x", "1e8", "--y", "4170", "--no-timestamp"]
+        return parse_csv(run(argv, capsys)[1])
+
+    _, short, short_header, short_rows = report("short-interval")
+    _, near, near_header, near_rows = report("near-curve")
+    width = len(short_header)
+    assert near_header[:width] == short_header
+    assert [r[:width] for r in near_rows] == short_rows
+    assert list(near.items())[: len(short)] == list(short.items())
+    assert list(near)[len(short) :] == ["assembled_bound", "ratio_short_to_assembled"]
+
 
 def test_near_curve_beyond_the_sieve_budget(capsys):
     # the short sum factors only the few d of the enumerated pairs, so no
@@ -312,6 +325,16 @@ def test_near_curve_beyond_exact_divisor_sum_is_resource_exit(capsys):
     code, _, err = run(["near-curve", "--x", "2e17", "--y", "1e9"], capsys)
     assert code == 3
     assert "MAX_EXACT_X" in err
+
+
+@pytest.mark.parametrize("argv", [["trace", "--q", "13"], ["rh-diagnostic", "--q", "19"]])
+def test_prime_sieve_ceiling_is_resource_exit(argv, capsys):
+    # the walk lists the primes up to sqrt(2^54) = 134 217 728, past
+    # MAX_SIEVE_ENTRIES = 1e8, so it is refused before it starts
+    code, out, err = run([*argv, "--max", "2e16", "--no-timestamp"], capsys)
+    assert (code, out) == (3, "")
+    assert "prime sieve" in err and "MAX_SIEVE_ENTRIES" in err
+
 
 def test_rh_diagnostic_rows(capsys):
     code, out, _ = run(

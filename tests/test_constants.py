@@ -355,6 +355,11 @@ def test_bracket_constant_only_on_log_branch():
     assert p5.bracket_constant is None
 
 
+def test_q3_leading_coefficient_is_exactly_one():
+    lead = main_term_params(3).leading_coefficient
+    assert (lead.value, lead.error) == (1.0, 0.0)
+
+
 def test_certified_bounds_round_outward():
     # the float endpoints must contain the exact interval [v - e, v + e]
     cases = [(1.0, 1e-17), (1.0, 0.0), (-3.5, 2.0**-80), (0.1, 1e-300), (1e300, 1.0)]

@@ -367,13 +367,12 @@ def test_scan_tiling_and_invariants():
         assert row.window_base <= row.n_lo <= row.n_hi < 2 * row.window_base
         assert row.delta_sq == inst.y**2 / (Fraction(row.n_lo) ** 5 * inst.x)
         assert row.window_double <= row.near_curve_count
-        assert row.shape is None and row.shape_value is None
     assert rep.small_n_double + sum(r.window_double for r in rep.rows) == (
         rep.total_double
     )
     assert abs(rep.short_sum) <= rep.total_double
     assert abs(rep.short_sum) <= rep.trivial_bound
-    assert rep.assembled_bound is None
+    assert rep == range_scan(inst)
 
 
 def test_scan_near_counts_match_oracle():
@@ -472,8 +471,8 @@ def test_scan_rejects_oversized_window():
         ShortIntervalInstance(Fraction(100), Fraction(101))
 
 
-@pytest.mark.parametrize("scan", [decompose_short_interval, range_scan])
-def test_scan_refuses_x_above_max_exact_x_before_the_sums(scan, monkeypatch):
+@pytest.mark.parametrize("name", ["decompose_short_interval", "range_scan"])
+def test_scan_refuses_x_above_max_exact_x_before_the_sums(name, monkeypatch):
     # D(x + y) for the trivial bound is asked first, so x + y > 2^57 is
     # refused before the pair counts and the short sum
     def no_work(inst):
@@ -481,4 +480,4 @@ def test_scan_refuses_x_above_max_exact_x_before_the_sums(scan, monkeypatch):
 
     monkeypatch.setattr(curves, "short_interval_sum", no_work)
     with pytest.raises(OverflowHardError):
-        scan(ShortIntervalInstance(10**26, 10**9))
+        getattr(curves, name)(ShortIntervalInstance(10**26, 10**9))

@@ -293,12 +293,14 @@ def test_factor_block_rejects_short_coefficients():
         _kernels.factor_block(1, 100, prime_list(10), [2] + TAU_C[1:])
 
 
-@pytest.mark.parametrize("segment", [1024, 777])
-def test_full_tables_across_segment_sizes(segment):
+def test_full_tables_past_one_block():
+    # a full block and a 777-entry tail against one block over the range
+    limit = _kernels.DEFAULT_SEGMENT + 777
+    primes = prime_list(isqrt(limit))
     for c, _ in BRUTE:
-        table = _kernels.full_tables(5000, c, segment=segment)
+        table = _kernels.full_tables(limit, c)
         assert table[0] == 0
-        single = _kernels.factor_block(1, 5001, prime_list(70), c)
+        single = _kernels.factor_block(1, limit + 1, primes, c)
         assert np.array_equal(table[1:], single)
 
 
