@@ -67,7 +67,7 @@ EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
-# keyed by Branch values, so that --help need not import cases
+# keyed by the branch names, so that --help need not import cases
 _KIND_BY_BRANCH = {
     "pm1_mod8": "x_log_x",
     "pm11_mod24": "sqrt_x",
