@@ -293,9 +293,10 @@ def test_factor_block_rejects_short_coefficients():
         _kernels.factor_block(1, 100, prime_list(10), [2] + TAU_C[1:])
 
 
-def test_full_tables_past_one_block():
-    # a full block and a 777-entry tail against one block over the range
-    limit = _kernels.DEFAULT_SEGMENT + 777
+@pytest.mark.parametrize("tail", [1024, 777])
+def test_full_tables_across_segment_sizes(tail):
+    # a full block and a short tail against one block over the range
+    limit = _kernels.DEFAULT_SEGMENT + tail
     primes = prime_list(isqrt(limit))
     for c, _ in BRUTE:
         table = _kernels.full_tables(limit, c)
