@@ -59,6 +59,10 @@ COMMANDS = [
     ["near-curve", "--x", "1e16", "--y", "1e9"],
     ["short-interval", "--x", "1e8", "--y", "4170"],
     ["constants", "--q", "3"],
+    # q = 23 walks the 4-full numbers over the primes to top^(1/4)
+    ["trace", "--q", "23", "--max", "1e14"],
+    # q = 7 walks every powerful number, with leaf blocks, to sqrt(top)
+    ["trace", "--q", "7", "--max", "1e12"],
 ]
 
 

@@ -50,7 +50,6 @@ from .sieves import (
     CoeffSeries,
     check_budget,
     divisor_count_sieve,
-    is_prime,
     liouville_sieve,
     mobius_sieve,
     multiplicative_series,
@@ -162,34 +161,14 @@ def dirichlet_convolve(a: CoeffSeries, b: CoeffSeries) -> CoeffSeries:
     return CoeffSeries(n, _split_convolve(a.values, b.values, n, np.int64))
 
 
-def _omega_max(limit: int) -> int:
-    """Largest k with p_1 p_2 ... p_k <= limit: the most distinct prime
-    factors any n <= limit has."""
-    k, primorial, p = 0, 1, 2
-    while primorial * p <= limit:
-        primorial *= p
-        k += 1
-        p += 1
-        while not is_prime(p):
-            p += 1
-    return k
-
-
 def expand_euler_product(local: LocalFactor, limit: int) -> CoeffSeries:
     """Multiplicative extension of a local Euler factor to n = 1..limit.
 
-    values[n] = product over p^e || n of the factor's u^e coefficient.  A
-    value is a product of at most omega_max(limit) coefficients, so the
-    int64 check is made on that bound before any work.  Every factor
-    local_factor returns has no u^1 term, so ``multiplicative_series``
-    lists its support by the powerful walk.
+    values[n] = product over p^e || n of the factor's u^e coefficient, by
+    ``multiplicative_series``, which refuses rows that could pass int64.
+    Every local_factor has no u^1 term, so that is the powerful walk.
     """
     c = local.coeffs(max(1, limit.bit_length() - 1))
-    if max(map(abs, c)) ** _omega_max(limit) > _INT64_MAX:
-        raise OverflowHardError(
-            f"euler product expansion of {local.name} could overflow int64 "
-            f"below {limit}"
-        )
     return multiplicative_series(limit, c, "euler product expansion")
 
 

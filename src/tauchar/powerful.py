@@ -2,8 +2,9 @@
 
 A multiplicative function w with w(p) = 0 at every prime lives on the
 powerful numbers (p | n implies p^2 | n), about 2.2 sqrt(top) of them up to
-top (Golomb, Powerful numbers, Amer. Math. Monthly 77, 1970).
-``powerful_walk`` visits them depth first over the primes to sqrt(top);
+top (Golomb, Powerful numbers, Amer. Math. Monthly 77, 1970), and on the
+e-full ones when w also vanishes at p^2, ..., p^(e-1).  ``powerful_walk``
+visits them depth first over the primes it lists itself, to top^(1/e);
 ``prime_list`` is the package's one prime sieve, which the walk, the
 multiplicative tables, the near-curve window, the certified Euler products
 and the CLI's --all-q moduli all draw from.  Nothing here imports numpy,
@@ -40,40 +41,45 @@ def prime_list(limit: int) -> list[int]:
     return [2, *compress(range(1, limit + 1, 2), odd)]
 
 
-def powerful_walk(w, top: int, primes: list[int]):
+def powerful_walk(w, top: int):
     """Depth-first walk over every powerful n <= top with w(n) != 0, where
     w(n) = prod w[e_p] over the prime powers p^e_p exactly dividing n.
 
-    ``w`` holds the per-exponent values, with w[0] = 1 and w[1] = 0 (so the
-    function lives on powerful numbers), reaching every exponent e with
-    2^e <= top; ``primes`` lists the primes up to isqrt(top) in ascending
-    order.  Yields one tuple (n, w(n), c, k) per node, n = 1 first.  Below
-    a node n, a prime p > (top/n)^(1/3) can only enter squared and leaves
-    no room for a larger prime, so those children are leaves, not nodes:
-    the n p^2 for p in primes[c:k], every one of weight w(n) w[2] (the
-    slice is empty when w[2] = 0).  Every powerful n <= top with w(n) != 0
-    is exactly one node or one leaf.
+    ``w`` holds the per-exponent values, with w[0] = 1 and w[1] = 0,
+    reaching every exponent e with 2^e <= top.  Returns (primes, nodes):
+    the primes to top^(1/e), ascending, for the least e >= 2 with
+    w[e] != 0, and a generator of one tuple (n, w(n), c, k) per node,
+    n = 1 first.  When w[2] != 0, below a node n a prime p > (top/n)^(1/3)
+    can only enter squared and leaves no room for a larger prime, so those
+    children are leaves, not nodes: the n p^2 for p in primes[c:k], every
+    one of weight w(n) w[2]; otherwise c = k.  Every powerful n <= top with
+    w(n) != 0 is exactly one node or one leaf.
     """
     if len(w) < max(2, top.bit_length()) or w[0] != 1 or w[1] != 0:
         raise ArgumentError(
             "the powerful walk needs w[0] = 1, w[1] = 0 and a value for every "
             f"exponent up to log2({top}), got {list(w[:2])} of length {len(w)}"
         )
-    return _walk(list(w), top, primes)
+    # 2^len(w) > top, so with no nonzero w[e] the root is 1 and nothing is listed
+    depth = next((e for e in range(2, len(w)) if w[e]), len(w))
+    primes = prime_list(integer_nth_root(top, depth))
+    return primes, _walk(list(w), top, primes, depth)
 
 
-def _walk(w: list[int], top: int, primes: list[int]):
-    squares = len(w) > 2 and w[2] != 0  # w has no w[2] when top < 4
+def _walk(w: list[int], top: int, primes: list[int], depth: int):
     stack = [(1, 1, 0)]
     while stack:
         n, wn, j = stack.pop()
         m = top // n
-        k = bisect_right(primes, isqrt(m), j)
-        c = bisect_right(primes, integer_nth_root(m, 3), j, k)
-        yield n, wn, c, k if squares else c
+        if depth == 2:
+            k = bisect_right(primes, isqrt(m), j)
+            c = bisect_right(primes, integer_nth_root(m, 3), j, k)
+        else:
+            c = k = bisect_right(primes, integer_nth_root(m, depth), j)
+        yield n, wn, c, k
         for i in range(j, c):
             p = primes[i]
-            pe, e = p * p, 2
+            pe, e = p**depth, depth
             while pe <= m:
                 if w[e]:
                     stack.append((n * pe, wn * w[e], i + 1))

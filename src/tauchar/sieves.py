@@ -9,24 +9,25 @@ else int64.
 Each of them is multiplicative and fixed by one row c[e] = f(p^e) shared by
 all primes, and ``multiplicative_series`` is the one builder of such a
 table: when c[1] = 0 the table lives on the powerful numbers, and
-``powerful_terms`` scatters them from the walk in the numpy-free
+``powerful_terms`` packs them, unsorted, from the walk in the numpy-free
 ``powerful``; otherwise the numpy block kernel in ``tauchar._kernels``
-sieves every n.  The tau character is the exception: it is read off the
+sieves every n.  Either way a row whose products could pass int64 is
+refused first.  The tau character is the exception: it is read off the
 divisor count, one lookup per n.  This module owns validation and the
 public types.
 Primality, the Jacobi symbol and the table budget live in the numpy-free
 ``arith`` and are re-exported here.
 """
 
-from math import isqrt
+from itertools import count
 
 import numpy as np
 
 from . import _kernels
 from ._record import Record
 from .arith import MAX_SIEVE_ENTRIES, _jacobi, check_budget, is_prime
-from .errors import ArgumentError
-from .powerful import powerful_walk, prime_list
+from .errors import ArgumentError, OverflowHardError
+from .powerful import powerful_walk
 
 
 class CoeffSeries(Record):
@@ -79,9 +80,9 @@ def multiplicative_series(limit: int, c, what: str = "sieve") -> CoeffSeries:
 
     ``c[0]`` must be 1, and ``c`` must reach the exponent 1 and every
     exponent e with 2^e <= limit, that is len(c) >= max(2,
-    limit.bit_length()); otherwise ArgumentError.  Every entry must fit in
-    int64, and so must every product of c-values over the distinct prime
-    factors of one n <= limit.
+    limit.bit_length()); otherwise ArgumentError.  A value is a product of
+    at most omega_max(limit) of those c[e], so when max |c[e]| to that
+    power passes int64, OverflowHardError is raised before any work.
 
     When c[1] = 0, f lives on the powerful numbers, and the powerful walk
     scatters them into a zero table in O(sqrt(limit)) steps; otherwise the
@@ -98,12 +99,25 @@ def multiplicative_series(limit: int, c, what: str = "sieve") -> CoeffSeries:
             f"length {len(c)}"
         )
     check_budget(limit, what)
+    if max(map(abs, c[: max(2, limit.bit_length())])) ** _omega_max(limit) >= 2**63:
+        raise OverflowHardError(f"{what} could overflow int64 below {limit}")
     if c[1]:
         return CoeffSeries(limit, _kernels.full_tables(limit, c))
-    n, w = powerful_terms(c, limit, prime_list(isqrt(limit)))
+    n, w = powerful_terms(c, powerful_walk(c, limit))
     values = np.zeros(limit + 1, dtype=_kernels.table_dtype(c))
     values[n] = w
     return CoeffSeries(limit, values)
+
+
+def _omega_max(limit: int) -> int:
+    """The most distinct prime factors any n <= limit has: the largest k
+    with p_1 p_2 ... p_k <= limit."""
+    k, primorial = 0, 1
+    for p in filter(is_prime, count(2)):
+        primorial *= p
+        if primorial > limit:
+            return k
+        k += 1
 
 
 def divisor_count_sieve(limit: int) -> CoeffSeries:
@@ -164,17 +178,14 @@ def tau_char_sieve(q: int, limit: int, tau: CoeffSeries | None = None) -> CoeffS
     return CoeffSeries(limit, chi[tau.values])
 
 
-def powerful_terms(w, top: int, primes: list[int]):
-    """Every powerful n <= top with w(n) = prod w[e_p] nonzero, as int64
-    arrays (n, w(n)) sorted by n.
-
-    The nodes and leaves of ``powerful.powerful_walk(w, top, primes)``,
-    which states what ``w`` and ``primes`` must hold; each block of leaves
-    becomes one vectorized slice.
-    """
+def powerful_terms(w, walk):
+    """Every n that ``walk = powerful.powerful_walk(w, top)`` lists, as
+    int64 arrays (n, w(n)) in the order the walk visits them, not sorted;
+    each block of leaves becomes one vectorized slice."""
+    primes, nodes = walk
     nodes_n, nodes_w = [], []
     blocks_n, blocks_w = [], []
-    for n, wn, c, k in powerful_walk(w, top, primes):
+    for n, wn, c, k in nodes:
         nodes_n.append(n)
         nodes_w.append(wn)
         if c < k:
@@ -183,5 +194,4 @@ def powerful_terms(w, top: int, primes: list[int]):
             blocks_w.append(np.full(k - c, wn * w[2], dtype=np.int64))
     n_all = np.concatenate([np.array(nodes_n, dtype=np.int64)] + blocks_n)
     w_all = np.concatenate([np.array(nodes_w, dtype=np.int64)] + blocks_w)
-    order = np.argsort(n_all)
-    return n_all[order], w_all[order]
+    return n_all, w_all

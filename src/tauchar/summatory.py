@@ -10,18 +10,19 @@ f(p^e) = sum_{k <= e+1} (k/q), independent of p, so f(p) = 1 + (2/q):
   F(u)(1-u)^2) lives on powerful numbers and
   S(x) = sum_{n powerful} h(n) D(x/n), D the divisor summatory function.
 
-Either way one depth-first walk over the roughly 2.2 sqrt(x) powerful
-numbers up to the top checkpoint (``powerful.powerful_walk``) gives every
-checkpoint.  On the +-3 branch the walk is consumed as it runs, in Python
-integers: each node and each block of leaves is added to the checkpoints
-it falls below, so memory is O(pi(sqrt x)), the primes the walk needs, and
-numpy is never loaded.  On the +-1 branch the walk is packed into sorted
-int64 arrays (``sieves.powerful_terms``) and D(y) costs O(sqrt y) by the
-hyperbola method in numpy: ``_kernels.divisor_window``, float64 below
-2^53 and int64 above.  Nothing of size x is built, and every int64
-intermediate is guarded by MAX_EXACT_X.  Everything float-valued here is
-derived from exact integers and certified constants, so residuals carry
-honest error intervals.
+Either way one depth-first walk over the powerful numbers up to the top
+checkpoint (``powerful.powerful_walk``) gives every checkpoint.  On the +-3
+branch the walk is consumed as it runs, in Python integers: each node and
+each block of leaves is added to the checkpoints it falls below, so memory
+is O(pi(sqrt x)), the primes the walk lists, and numpy is never loaded.
+On the +-1 branch the walk is packed into int64 arrays, then sorted
+(``sieves.powerful_terms``), and D(y) costs O(sqrt y) by the hyperbola
+method in numpy: ``_kernels.divisor_window``, float64 below 2^53 and int64
+above.  For q = +-1 (mod 24) h vanishes at p^2 and p^3, so the walk visits
+only the 4-full numbers, over the primes to x^(1/4) that it lists.
+Nothing of size x is built, and every int64 intermediate is guarded by
+MAX_EXACT_X.  Everything float-valued here is derived from exact integers
+and certified constants, so residuals carry honest error intervals.
 
 numpy, ``_kernels`` and ``sieves`` are imported inside the functions that
 use them: D and the +-1 branch.  ``constants`` is imported inside
@@ -39,7 +40,7 @@ from typing import NamedTuple
 from .arith import MAX_EXACT_X, _jacobi, is_prime
 from .cases import THETA_UPPER, X_FLOOR, Branch, CaseClass, classify
 from .errors import ArgumentError, ClassificationError, OverflowHardError
-from .powerful import powerful_walk, prime_list
+from .powerful import powerful_walk
 from .roots import integer_nth_root
 
 DEFAULT_LIMIT = 10**8
@@ -89,9 +90,10 @@ def _local_weights(q: int, emax: int) -> tuple[list[int], bool]:
     return [g[e + 2] - 2 * g[e + 1] + g[e] for e in range(emax + 1)], True
 
 
-def _powerful_sums(w: list[int], cps: tuple[int, ...], primes: list[int]) -> list[int]:
-    """The sum of w over the powerful n <= x at each checkpoint x, as the
-    walk runs: O(len(cps) + pi(sqrt x)) memory, Python integers throughout.
+def _powerful_sums(w: list[int], cps: tuple[int, ...], walk) -> list[int]:
+    """The sum of w over the powerful n <= x at each checkpoint x, as
+    ``walk = powerful_walk(w, cps[-1])`` runs: O(len(cps) + pi(sqrt x))
+    memory, Python integers throughout.
 
     Each node's weight goes to the first checkpoint at or above it.  A
     block of leaves n p^2, p in primes[c:k], takes one bisection of the
@@ -99,8 +101,9 @@ def _powerful_sums(w: list[int], cps: tuple[int, ...], primes: list[int]) -> lis
     remaining leaves go to the first checkpoint at or above its last leaf.
     Prefix sums over the checkpoints finish the job.
     """
+    primes, nodes = walk
     part = [0] * len(cps)
-    for n, wn, c, k in powerful_walk(w, cps[-1], primes):
+    for n, wn, c, k in nodes:
         part[bisect_left(cps, n)] += wn
         if c == k:
             continue
@@ -116,16 +119,18 @@ def _powerful_sums(w: list[int], cps: tuple[int, ...], primes: list[int]) -> lis
     return list(accumulate(part))
 
 
-def _convolved_sums(w: list[int], cps: tuple[int, ...], primes: list[int]):
+def _convolved_sums(w: list[int], cps: tuple[int, ...], walk):
     """sum_{n powerful} h(n) D(x/n) at each checkpoint x in turn, h = w,
-    from int64 arrays of the walk."""
+    from ``walk = powerful_walk(w, cps[-1])`` as int64 arrays sorted by n."""
     import numpy as np
 
     from ._kernels import divisor_window
     from .sieves import divisor_count_sieve, powerful_terms
 
     top = cps[-1]
-    n, wn = powerful_terms(w, top, primes)
+    n, wn = powerful_terms(w, walk)
+    wn = wn[np.argsort(n)]  # the n are distinct, so this is their sorted order
+    n.sort()
     ends = np.searchsorted(n, cps, side="right")
     # D(y) for y <= top^(1/3) by table lookup; only the few n with
     # x/n above that call divisor_window
@@ -147,16 +152,16 @@ def _checkpoint_sums(q: int, cps: tuple[int, ...], progress=None) -> tuple[int, 
     powerful-number route.
 
     ``progress``, when given, is called as progress(stage, done, total)
-    after the prime sieve and after each checkpoint.
+    after the walk's prime sieve and after each checkpoint.
     """
     top = cps[-1]
     w, convolve_d = _local_weights(q, top.bit_length() + 1)
-    primes = prime_list(isqrt(top))
+    walk = powerful_walk(w, top)
     if progress is not None:
         progress("sieve", 1, 1)
     sums = _convolved_sums if convolve_d else _powerful_sums
     values = []
-    for i, value in enumerate(sums(w, cps, primes)):
+    for i, value in enumerate(sums(w, cps, walk)):
         values.append(value)
         if progress is not None:
             progress("checkpoint", i + 1, len(cps))

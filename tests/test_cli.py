@@ -336,6 +336,17 @@ def test_prime_sieve_ceiling_is_resource_exit(argv, capsys):
     assert "prime sieve" in err and "MAX_SIEVE_ENTRIES" in err
 
 
+def test_trace_q3_past_the_square_root_prime_sieve(capsys):
+    # q = 3 weighs only the cubes, so the walk lists the primes to the cube
+    # root, 464 158 at 1e17, where the square root would pass
+    # MAX_SIEVE_ENTRIES; every value is the number of cubes up to x
+    code, out, _ = run(["trace", "--q", "3", "--max", "1e17", "--no-timestamp"], capsys)
+    assert code == 0
+    _, _, _, rows = parse_csv(out)
+    assert [int(r[0]) for r in rows] == [2**k for k in range(10, 57)]
+    assert all(int(r[1]) == integer_nth_root(int(r[0]), 3) for r in rows)
+
+
 def test_rh_diagnostic_rows(capsys):
     code, out, _ = run(
         ["rh-diagnostic", "--q", "19", "--checkpoints", "1024,2048", "--no-timestamp"],

@@ -19,7 +19,7 @@ from tauchar import (
     summatory,
 )
 from tauchar.dirichlet import dirichlet_convolve
-from tauchar.errors import ArgumentError, ResourceLimitError
+from tauchar.errors import ArgumentError, OverflowHardError, ResourceLimitError
 from tauchar.powerful import prime_list
 from tauchar.sieves import (
     CoeffSeries,
@@ -212,11 +212,14 @@ def test_prime_list_against_brute_force():
 
 def test_every_prime_consumer_draws_from_prime_list(monkeypatch):
     # the walk, the tables, the near-curve window, the certified Euler
-    # products and the --all-q moduli share one sieve; no other is left
+    # products and the --all-q moduli share one sieve; no other is left,
+    # and the walk alone decides how far its primes go
     assert not hasattr(_kernels, "primes_up_to")
     assert not hasattr(sieves, "primes_up_to")
     assert not hasattr(constants, "_primes_to")
-    owners = (sieves, summatory, constants, curves, _kernels.pyback)
+    assert not hasattr(sieves, "prime_list")
+    assert not hasattr(summatory, "prime_list")
+    owners = (constants, curves, _kernels.pyback)
     for mod in owners:
         assert mod.prime_list is powerful.prime_list, mod.__name__
     asked = []
@@ -225,10 +228,13 @@ def test_every_prime_consumer_draws_from_prime_list(monkeypatch):
         asked.append(limit)
         return prime_list(limit)
 
-    for mod in owners + (powerful,):  # cli imports it from powerful per call
+    # the walk and cli look it up in powerful
+    for mod in owners + (powerful,):
         monkeypatch.setattr(mod, "prime_list", spy)
     _kernels.full_tables(1000, TAU_C)
     summatory.summatory_convolved(13, 10**4)
+    # local_factor(13) vanishes at u^2 and not at u^3: the walk needs the
+    # primes to the cube root of 2000 only
     dirichlet.expand_euler_product(dirichlet.local_factor(13), 2000)
     curves.short_interval_sum(curves.ShortIntervalInstance(10**8, 4170))
     constants._rung.cache_clear()
@@ -236,7 +242,7 @@ def test_every_prime_consumer_draws_from_prime_list(monkeypatch):
     moduli = cli._moduli(argparse.Namespace(q=None, all_q=60))
     assert moduli == brute_primes(60)[1:]
     assert asked == [
-        isqrt(1000), isqrt(10**4), isqrt(2000), isqrt(isqrt(10**8 + 4170)), 100, 60
+        isqrt(1000), isqrt(10**4), 12, isqrt(isqrt(10**8 + 4170)), 100, 60
     ]
 
 
@@ -343,23 +349,25 @@ def test_helpers_have_one_definition():
 def test_powerful_walk_lists_the_powerful_numbers(monkeypatch):
     # w = 1 from the square on: the indicator of the powerful numbers
     top = N
+    w = [1, 0] + [1] * top.bit_length()
+    n, wn = sieves.powerful_terms(w, powerful.powerful_walk(w, top))
     primes = prime_list(isqrt(top))
-    n, w = sieves.powerful_terms([1, 0] + [1] * top.bit_length(), top, primes)
     factored = [brute_exponents(m, primes) for m in range(1, top + 1)]
     want = [m for m, es in enumerate(factored, 1) if all(e >= 2 for e in es)]
-    assert n.tolist() == want
-    assert w.tolist() == [1] * len(want)
+    assert sorted(n.tolist()) == want
+    assert wn.tolist() == [1] * len(want)
     # summatory and the one table builder share this one walk, and
     # powerful_terms packs it for both
     assert summatory.powerful_walk is sieves.powerful_walk is powerful.powerful_walk
     assert not hasattr(dirichlet, "powerful_terms")
-    real, tops = sieves.powerful_terms, []
+    real, tops = powerful.powerful_walk, []
 
-    def spy(w, top, primes):
+    def spy(w, top):
         tops.append(top)
-        return real(w, top, primes)
+        return real(w, top)
 
-    monkeypatch.setattr(sieves, "powerful_terms", spy)
+    monkeypatch.setattr(sieves, "powerful_walk", spy)
+    monkeypatch.setattr(summatory, "powerful_walk", spy)
     power_indicator_series(2, 100)
     dirichlet.expand_euler_product(dirichlet.local_factor(7), 200)
     summatory.summatory_convolved(7, 300)
@@ -367,12 +375,49 @@ def test_powerful_walk_lists_the_powerful_numbers(monkeypatch):
     assert tops == [100, 200, 300]
 
 
+def test_powerful_walk_depth_follows_the_first_nonzero_weight():
+    # the primes go to top^(1/e) for the least e >= 2 with w[e] != 0, and
+    # the walk still lists every n with w(n) != 0
+    top = 5000
+    primes = prime_list(top)
+    factored = [brute_exponents(m, primes) for m in range(1, top + 1)]
+    for depth, root in ((2, 70), (3, 17), (4, 8), (5, 5), (13, 1)):
+        w = [1, 0] + [0] * (depth - 2) + [1] * (top.bit_length() - depth + 1)
+        got, nodes = powerful.powerful_walk(w, top)
+        assert got == prime_list(root), depth
+        n, wn = sieves.powerful_terms(w, (got, nodes))
+        want = [m for m, es in enumerate(factored, 1) if all(e >= depth for e in es)]
+        assert sorted(n.tolist()) == want, depth
+    assert powerful.powerful_walk([1, 0], 3)[0] == []
+
+
 def test_powerful_walk_refuses_weights_off_the_powerful_numbers():
     # w[1] != 0 would silently drop every n with a prime to the first power
-    primes = prime_list(31)
     for bad in ([1, 1] + [1] * 9, [2, 0] + [1] * 9, [1, 0, 1]):
         with pytest.raises(ArgumentError):
-            sieves.powerful_terms(bad, 1000, primes)
+            powerful.powerful_walk(bad, 1000)
+
+
+def test_multiplicative_series_refuses_int64_overflow_before_any_work(monkeypatch):
+    # 6 = 2 * 3 and 10 = 2 * 5 would take (2^32)^2 = 2^64, which wraps to 0
+    # in the block kernel; on the walk a wide row would reach numpy's bare
+    # OverflowError.  Either way the bound max |c|^omega_max(limit) refuses
+    # the row first
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the int64 guard")
+
+    monkeypatch.setattr(_kernels, "full_tables", no_work)
+    monkeypatch.setattr(sieves, "powerful_walk", no_work)
+    for c in ([1, 2**32, 1, 1], [1, 0, 2**32, 1], [1, 0, 1, -(2**63)]):
+        with pytest.raises(OverflowHardError):
+            multiplicative_series(10, c)
+    monkeypatch.undo()
+    # one prime's value 2^40 still fits: below 6 no n has two primes
+    assert multiplicative_series(5, [1, 2**40, 1])[5] == 2**40
+    assert multiplicative_series(10, [1, 0, 2**31, 1])[4] == 2**31
+    assert [sieves._omega_max(n) for n in (1, 2, 5, 6, 29, 30, 209, 210)] == [
+        0, 1, 1, 2, 2, 3, 3, 4
+    ]
 
 
 def test_coeff_series_prefix_and_mismatch():

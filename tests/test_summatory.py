@@ -8,7 +8,7 @@ from math import isqrt, log
 import numpy as np
 import pytest
 
-from tauchar import constants, sieves, summatory
+from tauchar import constants, powerful, sieves, summatory
 from tauchar._kernels import divisor_window
 from tauchar._kernels.pyback import _D_CHUNK, _floats_exact, _quotient_sum
 from tauchar.arith import is_prime
@@ -120,7 +120,9 @@ def materialised_route(q: int, cps) -> tuple[int, ...]:
     top = cps[-1]
     w, convolve_d = summatory._local_weights(q, top.bit_length() + 1)
     assert not convolve_d
-    n, wn = powerful_terms(w, top, prime_list(isqrt(top)))
+    n, wn = powerful_terms(w, powerful_walk(w, top))
+    order = np.argsort(n)
+    n, wn = n[order], wn[order]
     prefix = np.cumsum(wn)
     return tuple(int(prefix[e - 1]) for e in np.searchsorted(n, cps, side="right"))
 
@@ -138,9 +140,9 @@ def test_streamed_route_matches_materialised_route(q):
 def _block_edges(q: int, top: int) -> list[int]:
     """First and last leaf n p^2 of every block of the walk to top."""
     w, _ = summatory._local_weights(q, top.bit_length() + 1)
-    primes = prime_list(isqrt(top))
+    primes, nodes = powerful_walk(w, top)
     edges = []
-    for n, _, c, k in powerful_walk(w, top, primes):
+    for n, _, c, k in nodes:
         if c < k:
             edges += [n * primes[c] ** 2, n * primes[k - 1] ** 2]
     return edges
@@ -161,6 +163,40 @@ def test_streamed_route_on_random_checkpoints(q):
         size = 1 if trial < 3 else int(rng.integers(2, len(pool) + 1))
         cps = tuple(sorted(rng.choice(pool, size=size, replace=False).tolist()))
         assert _checkpoint_sums(q, cps) == materialised_route(q, cps), cps
+
+
+def test_walk_lists_primes_only_as_deep_as_the_weights_reach(monkeypatch):
+    # f(p^2) != 0 for q = 13: the square root; h vanishes at p^2 and p^3
+    # for q = 23: the fourth root; f(p^e) = 0 unless 3 | e for q = 3: the
+    # cube root
+    asked, real = [], powerful.prime_list
+
+    def spy(limit):
+        asked.append(limit)
+        return real(limit)
+
+    monkeypatch.setattr(powerful, "prime_list", spy)
+    top = 10**10
+    for q in (13, 23, 3):
+        _checkpoint_sums(q, (top,))
+    assert asked == [isqrt(top), integer_nth_root(top, 4), integer_nth_root(top, 3)]
+
+
+@pytest.mark.parametrize("q", [23, 47])
+def test_fourth_root_walk_on_random_checkpoints(q):
+    # q = +-1 (mod 24) walks the 4-full numbers over the primes to
+    # top^(1/4); the sieve route sums one character table, here the int8
+    # block-kernel table with chi(e + 1) at p^e, at seeded checkpoints up
+    # to ~2^26, on every prefix of them
+    rng = np.random.default_rng(q)
+    top = int(rng.integers(2**25, 2**26))
+    row = [_jacobi(e + 1, q) for e in range(top.bit_length())]
+    table = sieves.multiplicative_series(top, row).values
+    picks = {int(2 ** rng.uniform(10, 25)) for _ in range(6)}
+    cps = tuple(sorted(picks | {top}))
+    want = tuple(weighted_floor_sum(table, x) for x in cps)
+    for end in range(1, len(cps) + 1):
+        assert _checkpoint_sums(q, cps[:end]) == want[:end], cps[:end]
 
 
 def test_powerful_route_above_the_table_budget():
@@ -252,7 +288,7 @@ def test_int64_guard_rejects_before_any_work(monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the int64 guard")
 
-    monkeypatch.setattr(summatory, "prime_list", no_work)
+    monkeypatch.setattr(summatory, "powerful_walk", no_work)
     monkeypatch.setattr(constants, "main_term_params", no_work)
     big = MAX_EXACT_X + 1
     with pytest.raises(OverflowHardError):
