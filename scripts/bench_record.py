@@ -63,6 +63,10 @@ COMMANDS = [
     ["trace", "--q", "23", "--max", "1e14"],
     # q = 7 walks every powerful number, with leaf blocks, to sqrt(top)
     ["trace", "--q", "7", "--max", "1e12"],
+    # q = +-3 (mod 8) sums over the cube-full numbers: A(y) = isqrt(y) for
+    # q = 13, M(isqrt(y)) with M the Mertens function for q = 19
+    ["trace", "--q", "13", "--max", "1e15"],
+    ["rh-diagnostic", "--q", "19", "--max", "1e15"],
 ]
 
 

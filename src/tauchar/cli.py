@@ -36,7 +36,7 @@ only for a timestamp, fractions by the rational parsers, and ``cases``
 and the library modules inside the handlers.  No command loads mpmath:
 the certified constants are fixed-point integer enclosures.  constants
 loads no numpy, and verify, short-interval and near-curve do.
-rh-diagnostic, whose moduli are all +-3 (mod 8), sums over the powerful
+rh-diagnostic, whose moduli are all +-3 (mod 8), sums over the cube-full
 numbers in pure Python, and trace loads numpy only for q = +-1 (mod 8),
 where S(x) needs the divisor summatory function.
 

@@ -23,13 +23,13 @@ mu(sqrt(m)) on squares m with the fifth-power indicator, has c(m) = sum of
 mu(d) over the pairs (d, n) with d^2 n^5 = m.  So its window sum over
 (x, x+y] is the sum of mu(d) over the pairs with x < d^2 n^5 <= x+y, and
 the number of those pairs (the double count) bounds it.  The one scan,
-``range_scan`` (also named ``decompose_short_interval``), splits the
-n-range into dyadic windows and reports exact counts against three
-derivative-test bound shapes with implied constant 1 (never asserted: the
-true constants are unknown).  It runs on integers: with x = A/L and
-x + y = B/L, floor(x/m^5) = A // (L m^5), and each n takes the integer
-predicate above with M = L n^5.  The trivial bound, the sum of tau over
-(x, x+y], is D(x+y) - D(x) in one pass of ``_kernels.divisor_window``.
+``range_scan``, splits the n-range into dyadic windows and reports exact
+counts against three derivative-test bound shapes with implied constant 1
+(never asserted: the true constants are unknown).  It runs on integers:
+with x = A/L and x + y = B/L, floor(x/m^5) = A // (L m^5), and each n
+takes the integer predicate above with M = L n^5.  The trivial bound, the
+sum of tau over (x, x+y], is D(x+y) - D(x) in one pass of
+``_kernels.divisor_window``.
 So a scan loads neither ``summatory`` nor ``sieves``.
 """
 
@@ -477,7 +477,3 @@ def range_scan(inst: ShortIntervalInstance) -> RangeScanReport:
         assembled_bound=assembled,
         ratio_short_to_assembled=abs(short) / assembled if assembled else None,
     )
-
-
-# a second name for the one scan, kept for the callers that import it
-decompose_short_interval = range_scan

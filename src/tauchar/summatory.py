@@ -4,25 +4,26 @@ The central quantity is S(x) = sum over d <= x of tauchar(d) * floor(x/d),
 the partial sum of f = tauchar * 1.  f is multiplicative with
 f(p^e) = sum_{k <= e+1} (k/q), independent of p, so f(p) = 1 + (2/q):
 
-* q = +-3 (mod 8): f(p) = 0, f lives on powerful numbers, and S(x) is the
-  sum of f over the powerful n <= x;
+* q = +-3 (mod 8): f(p) = 0 and f(p^2) = (3/q) =: s, so F(u) =
+  (1-u^2)^(-s) H(u), H(u) = 1 + O(u^3), and S(x) = sum_{m cube-full}
+  H(m) A(x/m), with A(y) = isqrt(y) for s = 1, 1 for s = 0 (q = 3) and
+  M(isqrt(y)), M the Mertens function, for s = -1 (q = +-5 mod 24);
 * q = +-1 (mod 8): f(p) = 2 = tau(p), so h = f * tau^{-1} (local series
   F(u)(1-u)^2) lives on powerful numbers and
   S(x) = sum_{n powerful} h(n) D(x/n), D the divisor summatory function.
 
-Either way one depth-first walk over the powerful numbers up to the top
-checkpoint (``powerful.powerful_walk``) gives every checkpoint.  On the +-3
-branch the walk is consumed as it runs, in Python integers: each node and
-each block of leaves is added to the checkpoints it falls below, so memory
-is O(pi(sqrt x)), the primes the walk lists, and numpy is never loaded.
-On the +-1 branch the walk is packed into int64 arrays, then sorted
+One depth-first walk up to the top checkpoint (``powerful.powerful_walk``)
+gives every checkpoint.  On the +-3 branch it visits the ~4.6 x^(1/3)
+cube-full m (Bateman and Grosswald 1958), summed as it runs in Python
+integers: memory is O(pi(x^(1/3))) plus the memo of M, and no numpy.  On
+the +-1 branch the walk is packed into int64 arrays, sorted
 (``sieves.powerful_terms``), and D(y) costs O(sqrt y) by the hyperbola
 method in numpy: ``_kernels.divisor_window``, float64 below 2^53 and int64
 above.  For q = +-1 (mod 24) h vanishes at p^2 and p^3, so the walk visits
-only the 4-full numbers, over the primes to x^(1/4) that it lists.
-Nothing of size x is built, and every int64 intermediate is guarded by
-MAX_EXACT_X.  Everything float-valued here is derived from exact integers
-and certified constants, so residuals carry honest error intervals.
+only the 4-full numbers, over the primes to x^(1/4).  Nothing of size x
+is built, and every int64 intermediate is guarded by MAX_EXACT_X.
+Everything float-valued here is derived from exact integers and certified
+constants, so residuals carry honest error intervals.
 
 numpy, ``_kernels`` and ``sieves`` are imported inside the functions that
 use them: D and the +-1 branch.  ``constants`` is imported inside
@@ -31,7 +32,7 @@ compare a * 1 with the jumps of an identity's right side coefficient by
 coefficient, live in ``dirichlet`` with the routes they share tables with.
 """
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import accumulate
 from math import exp, inf, isqrt, log
@@ -74,49 +75,52 @@ def divisor_summatory(y: int) -> int:
     return divisor_window(0, y)
 
 
-def _local_weights(q: int, emax: int) -> tuple[list[int], bool]:
-    """Powerful-supported local weights w[0..emax] and whether they are h.
+def _local_weights(q: int, emax: int) -> tuple[list[int], int | None]:
+    """Local weights w[0..emax], w[0] = 1 and w[1] = 0, and s.
 
-    w = f(p^e) when f(p) = 0 (q = +-3 mod 8); otherwise
-    w = h(p^e) = f(p^e) - 2 f(p^(e-1)) + f(p^(e-2)), the coefficients of
-    F(u)(1-u)^2.  Either way w[0] = 1 and w[1] = 0.
+    On q = +-3 (mod 8), w = H, the coefficients of F(u)(1-u^2)^s with
+    s = f(p^2) = (3/q); else w = h, those of F(u)(1-u)^2, and s is None.
     """
     if q < 3 or q % 2 == 0 or not is_prime(q):
         raise ArgumentError(f"modulus must be an odd prime, got {q}")
     f = list(accumulate(_jacobi(k, q) for k in range(1, emax + 2)))
-    if f[1] == 0:
-        return f, False
-    g = [0, 0] + f
-    return [g[e + 2] - 2 * g[e + 1] + g[e] for e in range(emax + 1)], True
+    s = f[2] if f[1] == 0 else None
+    # F(u) times (1-u)^2, or times (1-u^2)^s: 1 - u^2, 1 or 1 + u^2 + u^4 + ...
+    c = {None: [1, -2, 1], 1: [1, 0, -1], 0: [1], -1: [1, 0] * emax}[s]
+    w = [sum(a * f[e - j] for j, a in enumerate(c[: e + 1])) for e in range(emax + 1)]
+    return w, s
 
 
-def _powerful_sums(w: list[int], cps: tuple[int, ...], walk) -> list[int]:
-    """The sum of w over the powerful n <= x at each checkpoint x, as
-    ``walk = powerful_walk(w, cps[-1])`` runs: O(len(cps) + pi(sqrt x))
-    memory, Python integers throughout.
+def _mertens(z: int, memo: dict[int, int]) -> int:
+    """M(z) by M(z) = 1 - sum_{2 <= k <= z} M(z // k), the k of one quotient
+    taken together (Deleglise and Rivat 1996); ``memo`` keeps every M found."""
+    if z not in memo:
+        value, k = min(z, 1), 2  # M(0) = 0
+        while k <= z:
+            k_next = z // (z // k) + 1
+            value -= (k_next - k) * _mertens(z // k, memo)
+            k = k_next
+        memo[z] = value
+    return memo[z]
 
-    Each node's weight goes to the first checkpoint at or above it.  A
-    block of leaves n p^2, p in primes[c:k], takes one bisection of the
-    primes, p <= isqrt(x // n), per checkpoint x that it straddles, and its
-    remaining leaves go to the first checkpoint at or above its last leaf.
-    Prefix sums over the checkpoints finish the job.
-    """
-    primes, nodes = walk
-    part = [0] * len(cps)
-    for n, wn, c, k in nodes:
-        part[bisect_left(cps, n)] += wn
-        if c == k:
-            continue
-        wl, done = wn * w[2], c
-        i = bisect_left(cps, n * primes[c] * primes[c])
-        last = n * primes[k - 1] * primes[k - 1]
-        while cps[i] < last:
-            end = bisect_right(primes, isqrt(cps[i] // n), done, k)
-            part[i] += wl * (end - done)
-            done = end
-            i += 1
-        part[i] += wl * (k - done)
-    return list(accumulate(part))
+
+def _cube_full_sums(s: int, cps: tuple[int, ...], walk) -> list[int]:
+    """sum_m H(m) A(x // m) at each checkpoint x over the cube-full m of
+    ``walk = powerful_walk(H, cps[-1])``; for s = 0 (A = 1) each H(m) goes
+    to the first checkpoint at or above m, then prefix sums."""
+    _, nodes = walk
+    if s == 0:
+        part = [0] * len(cps)
+        for m, hm, _, _ in nodes:
+            part[bisect_left(cps, m)] += hm
+        return list(accumulate(part))
+    memo = {}  # Mertens values for this call only
+    A = isqrt if s > 0 else lambda y: _mertens(isqrt(y), memo)
+    sums = [0] * len(cps)
+    for m, hm, _, _ in nodes:
+        for i in range(bisect_left(cps, m), len(cps)):
+            sums[i] += hm * A(cps[i] // m)
+    return sums
 
 
 def _convolved_sums(w: list[int], cps: tuple[int, ...], walk):
@@ -155,13 +159,13 @@ def _checkpoint_sums(q: int, cps: tuple[int, ...], progress=None) -> tuple[int, 
     after the walk's prime sieve and after each checkpoint.
     """
     top = cps[-1]
-    w, convolve_d = _local_weights(q, top.bit_length() + 1)
+    w, s = _local_weights(q, top.bit_length() + 1)
     walk = powerful_walk(w, top)
     if progress is not None:
         progress("sieve", 1, 1)
-    sums = _convolved_sums if convolve_d else _powerful_sums
+    sums = _convolved_sums(w, cps, walk) if s is None else _cube_full_sums(s, cps, walk)
     values = []
-    for i, value in enumerate(sums(w, cps, walk)):
+    for i, value in enumerate(sums):
         values.append(value)
         if progress is not None:
             progress("checkpoint", i + 1, len(cps))
@@ -170,7 +174,7 @@ def _checkpoint_sums(q: int, cps: tuple[int, ...], progress=None) -> tuple[int, 
 
 def summatory_convolved(q: int, x: int, *, limit: int = DEFAULT_LIMIT) -> int:
     """Exact S(x) = sum_{d <= x} tauchar_q(d) * floor(x / d), by the
-    powerful-number route in O(sqrt x) memory."""
+    powerful-number route, with nothing of size x built."""
     return _checkpoint_sums(q, (_validate_x(x, limit),))[0]
 
 

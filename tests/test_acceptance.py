@@ -19,7 +19,6 @@ from tauchar.curves import (
     CurveConfig,
     ShortIntervalInstance,
     count_near_curve,
-    decompose_short_interval,
     range_scan,
 )
 from tauchar.dirichlet import (
@@ -226,7 +225,7 @@ def test_criterion_5_near_curve_counts():
     for _ in range(20):
         x = int(rng.integers(10**4, 10**7 + 1))
         y = int(rng.integers(0, int(x**0.53)))
-        rep = decompose_short_interval(ShortIntervalInstance(Fraction(x), Fraction(y)))
+        rep = range_scan(ShortIntervalInstance(Fraction(x), Fraction(y)))
         pieces = rep.small_n_double + sum(r.window_double for r in rep.rows)
         brute = _brute_double_count(x, y)
         if not (rep.total_double == brute and pieces == brute):

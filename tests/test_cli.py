@@ -21,7 +21,7 @@ import pytest
 import tauchar
 from tauchar import cli, dirichlet, sieves
 from tauchar.cli import _int_like, _rational, main
-from tauchar.curves import ShortIntervalInstance, decompose_short_interval
+from tauchar.curves import ShortIntervalInstance, range_scan
 from tauchar.roots import integer_nth_root
 
 
@@ -259,9 +259,7 @@ def test_short_interval_summary_matches_library(capsys):
         "window_double",
         "near_curve_count",
     ]
-    rep = decompose_short_interval(
-        ShortIntervalInstance(Fraction(100000), Fraction(300))
-    )
+    rep = range_scan(ShortIntervalInstance(Fraction(100000), Fraction(300)))
     assert int(summary["short_sum"]) == rep.short_sum
     assert int(summary["total_double"]) == rep.total_double
     assert int(summary["n_max"]) == rep.n_max
@@ -327,13 +325,26 @@ def test_near_curve_beyond_exact_divisor_sum_is_resource_exit(capsys):
     assert "MAX_EXACT_X" in err
 
 
-@pytest.mark.parametrize("argv", [["trace", "--q", "13"], ["rh-diagnostic", "--q", "19"]])
+@pytest.mark.parametrize("argv", [["trace", "--q", "7"], ["trace", "--q", "17"]])
 def test_prime_sieve_ceiling_is_resource_exit(argv, capsys):
-    # the walk lists the primes up to sqrt(2^54) = 134 217 728, past
-    # MAX_SIEVE_ENTRIES = 1e8, so it is refused before it starts
+    # q = +-7 (mod 24): h(p^2) != 0, so the walk lists the primes up to
+    # sqrt(2^54) = 134 217 728, past MAX_SIEVE_ENTRIES = 1e8, and is
+    # refused before it starts
     code, out, err = run([*argv, "--max", "2e16", "--no-timestamp"], capsys)
     assert (code, out) == (3, "")
     assert "prime sieve" in err and "MAX_SIEVE_ENTRIES" in err
+
+
+def test_trace_q13_past_the_square_root_prime_sieve(capsys):
+    # q = +-3 (mod 8) sums over the cube-full numbers, over the primes to
+    # the cube root; S(2^53) = 187 089 752 is also the sum of f over every
+    # powerful n <= 2^53, a walk over the primes to the square root
+    argv = ["trace", "--q", "13", "--max", "2e16", "--no-timestamp"]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    _, _, _, rows = parse_csv(out)
+    assert [int(r[0]) for r in rows] == [2**k for k in range(10, 55)]
+    assert int(rows[43][1]) == 187089752
 
 
 def test_trace_q3_past_the_square_root_prime_sieve(capsys):

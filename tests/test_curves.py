@@ -18,7 +18,6 @@ from tauchar.curves import (
     _near_integer_sq,
     bound_shapes,
     count_near_curve,
-    decompose_short_interval,
     range_scan,
     short_interval_sum,
 )
@@ -337,7 +336,7 @@ def test_tau_window_sum_matches_factor_block(x, y):
     assert divisor_window(lo - 1, hi) == want
     # the scan's trivial bound floors x and x + y itself: x = A/L with L > 1
     # at (1999/2, 101/2)
-    assert decompose_short_interval(ShortIntervalInstance(x, y)).trivial_bound == want
+    assert range_scan(ShortIntervalInstance(x, y)).trivial_bound == want
     if hi <= 10**6:
         walk = sum(
             2 * sum(1 for d in range(1, isqrt(n) + 1) if n % d == 0)
@@ -349,15 +348,13 @@ def test_tau_window_sum_matches_factor_block(x, y):
 
 def test_scan_double_count_matches_enumeration():
     for x, y in ((10**5, 300), (10**4, 150), (2048, 100)):
-        rep = decompose_short_interval(
-            ShortIntervalInstance(Fraction(x), Fraction(y))
-        )
+        rep = range_scan(ShortIntervalInstance(Fraction(x), Fraction(y)))
         assert rep.total_double == brute_pair_total(x, y)
 
 
 def test_scan_tiling_and_invariants():
     inst = ShortIntervalInstance(Fraction(10**7), Fraction(3000))
-    rep = decompose_short_interval(inst)
+    rep = range_scan(inst)
     assert rep.rows[0].n_lo == rep.n_min
     assert rep.rows[-1].n_hi == rep.n_max
     for a, b in zip(rep.rows, rep.rows[1:]):
@@ -377,7 +374,7 @@ def test_scan_tiling_and_invariants():
 
 def test_scan_near_counts_match_oracle():
     x, y = 10**5, 300
-    rep = decompose_short_interval(ShortIntervalInstance(Fraction(x), Fraction(y)))
+    rep = range_scan(ShortIntervalInstance(Fraction(x), Fraction(y)))
     with mp.workdps(60):
         for row in rep.rows:
             delta = mp.sqrt(mp.mpf(row.delta_sq.numerator) / row.delta_sq.denominator)
@@ -397,7 +394,7 @@ def test_scan_matches_fraction_oracle_at_fractional_endpoints():
         q, r = rng.randrange(2, 1000), rng.randrange(2, 100)
         x = rng.randrange(10**4, 10**9) + Fraction(rng.randrange(1, q), q)
         y = rng.randrange(10**3) + Fraction(rng.randrange(1, r), r)
-        rep = decompose_short_interval(ShortIntervalInstance(x, y))
+        rep = range_scan(ShortIntervalInstance(x, y))
         lo, hi = int(x), int(x + y)
         assert rep.trivial_bound == hyperbola_sum(hi) - hyperbola_sum(lo)
 
@@ -417,7 +414,7 @@ def test_scan_matches_fraction_oracle_at_fractional_endpoints():
 
 
 def test_scan_zero_window():
-    rep = decompose_short_interval(ShortIntervalInstance(Fraction(10**6), Fraction(0)))
+    rep = range_scan(ShortIntervalInstance(Fraction(10**6), Fraction(0)))
     assert rep.short_sum == 0
     assert rep.total_double == 0
     assert all(r.near_curve_count == 0 for r in rep.rows)
@@ -471,8 +468,7 @@ def test_scan_rejects_oversized_window():
         ShortIntervalInstance(Fraction(100), Fraction(101))
 
 
-@pytest.mark.parametrize("name", ["decompose_short_interval", "range_scan"])
-def test_scan_refuses_x_above_max_exact_x_before_the_sums(name, monkeypatch):
+def test_scan_refuses_x_above_max_exact_x_before_the_sums(monkeypatch):
     # D(x + y) for the trivial bound is asked first, so x + y > 2^57 is
     # refused before the pair counts and the short sum
     def no_work(inst):
@@ -480,4 +476,4 @@ def test_scan_refuses_x_above_max_exact_x_before_the_sums(name, monkeypatch):
 
     monkeypatch.setattr(curves, "short_interval_sum", no_work)
     with pytest.raises(OverflowHardError):
-        getattr(curves, name)(ShortIntervalInstance(10**26, 10**9))
+        curves.range_scan(ShortIntervalInstance(10**26, 10**9))

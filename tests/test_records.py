@@ -13,7 +13,7 @@ from tauchar.curves import (
     CurveConfig,
     ShortIntervalInstance,
     bound_shapes,
-    decompose_short_interval,
+    range_scan,
 )
 from tauchar.dirichlet import verify_factorization
 from tauchar.sieves import CoeffSeries
@@ -22,7 +22,7 @@ from tauchar.summatory import rh_diagnostic, trace
 
 def _records():
     """One instance of every record, with a field of it to assign."""
-    scan = decompose_short_interval(ShortIntervalInstance(Fraction(10**6), Fraction(300)))
+    scan = range_scan(ShortIntervalInstance(Fraction(10**6), Fraction(300)))
     report = verify_factorization(7, 200)
     return [
         (classify(7), "q"),

@@ -232,6 +232,8 @@ def test_every_prime_consumer_draws_from_prime_list(monkeypatch):
     for mod in owners + (powerful,):
         monkeypatch.setattr(mod, "prime_list", spy)
     _kernels.full_tables(1000, TAU_C)
+    # on q = +-3 (mod 8) the walk visits the cube-full numbers: the primes
+    # to the cube root of 10^4
     summatory.summatory_convolved(13, 10**4)
     # local_factor(13) vanishes at u^2 and not at u^3: the walk needs the
     # primes to the cube root of 2000 only
@@ -242,7 +244,7 @@ def test_every_prime_consumer_draws_from_prime_list(monkeypatch):
     moduli = cli._moduli(argparse.Namespace(q=None, all_q=60))
     assert moduli == brute_primes(60)[1:]
     assert asked == [
-        isqrt(1000), isqrt(10**4), 12, isqrt(isqrt(10**8 + 4170)), 100, 60
+        isqrt(1000), 21, 12, isqrt(isqrt(10**8 + 4170)), 100, 60
     ]
 
 

@@ -3,6 +3,7 @@ root-floor identities, and the trace/diagnostic report structure."""
 
 import random
 from fractions import Fraction
+from itertools import accumulate
 from math import isqrt, log
 
 import numpy as np
@@ -114,13 +115,19 @@ def test_powerful_route_matches_sieve_route_at_2_23(q):
     assert _checkpoint_sums(q, cps) == sieve_route(q, cps)
 
 
+def f_weights(q: int, top: int) -> list[int]:
+    # f(p^e) = sum_{k <= e+1} (k/q) from Jacobi symbols alone
+    return list(accumulate(_jacobi(k, q) for k in range(1, top.bit_length() + 2)))
+
+
 def materialised_route(q: int, cps) -> tuple[int, ...]:
-    # the +-3 (mod 8) sums from sorted int64 arrays of every powerful n <= top:
-    # one cumsum, then one searchsorted per checkpoint
+    # the +-3 (mod 8) sums of f itself over the powerful n <= top, from
+    # sorted int64 arrays of the walk of f: one cumsum, then one
+    # searchsorted per checkpoint
     top = cps[-1]
-    w, convolve_d = summatory._local_weights(q, top.bit_length() + 1)
-    assert not convolve_d
-    n, wn = powerful_terms(w, powerful_walk(w, top))
+    f = f_weights(q, top)
+    assert f[1] == 0
+    n, wn = powerful_terms(f, powerful_walk(f, top))
     order = np.argsort(n)
     n, wn = n[order], wn[order]
     prefix = np.cumsum(wn)
@@ -132,15 +139,16 @@ PM3_MOD8_BELOW_120 = [q for q in range(3, 120) if is_prime(q) and q % 8 in (3, 5
 
 @pytest.mark.parametrize("q", PM3_MOD8_BELOW_120)
 def test_streamed_route_matches_materialised_route(q):
+    # s = f(p^2) = (3/q) is 0 for q = 3, -1 for q = 5, 19, ... and 1 for
+    # q = 11, 13, ...: every A of the cube-full sum
     for k in (23, 30):
         cps = tuple(2**e for e in range(10, k + 1))
         assert _checkpoint_sums(q, cps) == materialised_route(q, cps), k
 
 
 def _block_edges(q: int, top: int) -> list[int]:
-    """First and last leaf n p^2 of every block of the walk to top."""
-    w, _ = summatory._local_weights(q, top.bit_length() + 1)
-    primes, nodes = powerful_walk(w, top)
+    """First and last leaf n p^2 of every block of the walk of f to top."""
+    primes, nodes = powerful_walk(f_weights(q, top), top)
     edges = []
     for n, _, c, k in nodes:
         if c < k:
@@ -150,8 +158,8 @@ def _block_edges(q: int, top: int) -> list[int]:
 
 @pytest.mark.parametrize("q", [11, 13, 19])
 def test_streamed_route_on_random_checkpoints(q):
-    # checkpoints on, just below and just above the ends of the leaf blocks,
-    # where the streamed route splits a block between two checkpoints
+    # checkpoints on, just below and just above the ends of the leaf blocks
+    # of the walk of f, where the materialised route's sums step
     rng = np.random.default_rng(q)
     for trial in range(12):
         top = int(rng.integers(2**12, 2**24))
@@ -165,10 +173,22 @@ def test_streamed_route_on_random_checkpoints(q):
         assert _checkpoint_sums(q, cps) == materialised_route(q, cps), cps
 
 
+@pytest.mark.parametrize("q", [13, 19])
+def test_cube_full_route_on_random_checkpoints_to_2_40(q):
+    # A(y) = isqrt(y) for q = 13 and M(isqrt(y)) for q = 19, against some
+    # 2.3 million powerful n, at seeded checkpoints up to 2^40: leaf-block
+    # ends of the walk of f and their neighbours, and uniform ones
+    rng = random.Random(q)
+    top = 2**40
+    pool = {top} | {rng.randrange(2**20, top) for _ in range(6)}
+    pool |= {e + d for e in rng.sample(_block_edges(q, top), 4) for d in (-1, 0, 1)}
+    cps = tuple(sorted(pool))
+    assert _checkpoint_sums(q, cps) == materialised_route(q, cps), cps
+
+
 def test_walk_lists_primes_only_as_deep_as_the_weights_reach(monkeypatch):
-    # f(p^2) != 0 for q = 13: the square root; h vanishes at p^2 and p^3
-    # for q = 23: the fourth root; f(p^e) = 0 unless 3 | e for q = 3: the
-    # cube root
+    # H vanishes at p and p^2 on q = +-3 (mod 8): the cube root for q = 13
+    # and q = 3; h vanishes at p^2 and p^3 for q = 23: the fourth root
     asked, real = [], powerful.prime_list
 
     def spy(limit):
@@ -179,7 +199,7 @@ def test_walk_lists_primes_only_as_deep_as_the_weights_reach(monkeypatch):
     top = 10**10
     for q in (13, 23, 3):
         _checkpoint_sums(q, (top,))
-    assert asked == [isqrt(top), integer_nth_root(top, 4), integer_nth_root(top, 3)]
+    assert asked == [integer_nth_root(top, e) for e in (3, 4, 3)]
 
 
 @pytest.mark.parametrize("q", [23, 47])
@@ -304,6 +324,19 @@ def test_int64_guard_rejects_before_any_work(monkeypatch):
 def test_mertens_known_values():
     m = np.cumsum(mobius_sieve(10**4).values)
     assert [int(m[x]) for x in (1, 10, 100, 1000, 10000)] == [1, -1, 1, 2, -23]
+
+
+def test_mertens_recursion_matches_the_mobius_cumsum():
+    # z = 0 included: M(0) = 0
+    m = np.cumsum(mobius_sieve(10**6).values).tolist()
+    assert [summatory._mertens(z, {}) for z in range(2001)] == m[:2001]
+    assert summatory._mertens(10**6, {}) == m[10**6]
+
+
+def test_mertens_recursion_at_powers_of_ten():
+    memo = {}
+    got = [summatory._mertens(10**k, memo) for k in range(9)]
+    assert got == [1, -1, 1, 2, -23, -48, 212, 1037, 1928]
 
 
 def test_liouville_summatory_known_values():
