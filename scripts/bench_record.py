@@ -63,6 +63,9 @@ COMMANDS = [
     ["trace", "--q", "23", "--max", "1e14"],
     # q = 7 walks every powerful number, with leaf blocks, to sqrt(top)
     ["trace", "--q", "7", "--max", "1e12"],
+    # the memory row: the walk streams, so the peak is its primes, the D
+    # table and one chunk of leaves, not every powerful n up to top
+    ["trace", "--q", "7", "--max", "1e13"],
     # q = +-3 (mod 8) sums over the cube-full numbers: A(y) = isqrt(y) for
     # q = 13, M(isqrt(y)) with M the Mertens function for q = 19
     ["trace", "--q", "13", "--max", "1e15"],

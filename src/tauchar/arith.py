@@ -11,10 +11,9 @@ from .errors import ResourceLimitError
 # allocation this package will make by default.
 MAX_SIEVE_ENTRIES = 10**8
 
-# Largest argument of the powerful-number route and of D.  Below it every
-# int64 intermediate stays under 2^63: D(y) <= y (1 + log y) < 41 y, a
-# chunk of the hyperbola sum is at most y H_chunk < 12 y, and partial sums
-# of f are bounded by D because |f(p^e)| <= e + 1.
+# Largest argument of S(x) and of D.  Below it every int64 intermediate of D
+# stays under 2^63: D(y) <= y (1 + log y) < 41 y, and a chunk of the
+# hyperbola sum is at most y H_chunk < 12 y.
 MAX_EXACT_X = 2**57
 
 # Miller-Rabin witnesses proven sufficient for every n < 3.3e24, far beyond

@@ -179,19 +179,20 @@ def tau_char_sieve(q: int, limit: int, tau: CoeffSeries | None = None) -> CoeffS
 
 
 def powerful_terms(w, walk):
-    """Every n that ``walk = powerful.powerful_walk(w, top)`` lists, as
-    int64 arrays (n, w(n)) in the order the walk visits them, not sorted;
-    each block of leaves becomes one vectorized slice."""
+    """multiplicative_series' packing of ``walk = powerful_walk(w, top)``:
+    every n it lists, as int64 arrays (n, w(n)), the nodes in walk order and
+    then the leaves of each block in turn, not sorted."""
     primes, nodes = walk
-    nodes_n, nodes_w = [], []
-    blocks_n, blocks_w = [], []
-    for n, wn, c, k in nodes:
-        nodes_n.append(n)
-        nodes_w.append(wn)
-        if c < k:
-            block = np.asarray(primes[c:k], dtype=np.int64)
-            blocks_n.append(n * block * block)
-            blocks_w.append(np.full(k - c, wn * w[2], dtype=np.int64))
-    n_all = np.concatenate([np.array(nodes_n, dtype=np.int64)] + blocks_n)
-    w_all = np.concatenate([np.array(nodes_w, dtype=np.int64)] + blocks_w)
-    return n_all, w_all
+    n, wn, c, k = (np.array(v, dtype=np.int64) for v in zip(*nodes))
+    leaf, wl = block_leaves(np.array(primes, dtype=np.int64) ** 2, n, wn, c, k)
+    w2 = w[2] if len(w) > 2 else 0  # a walk with leaves has w[2] != 0
+    return np.concatenate([n, leaf]), np.concatenate([wn, wl * w2])
+
+
+def block_leaves(squares, n, wn, c, k):
+    """The leaves n p^2, p in primes[c:k], of walk nodes (n, w(n), c, k), as
+    int64 arrays (n p^2, w(n)); ``squares`` holds the primes squared."""
+    n, wn, c, k = (np.asarray(v, dtype=np.int64) for v in (n, wn, c, k))
+    size = k - c
+    at = np.repeat(c - np.cumsum(size) + size, size) + np.arange(size.sum())
+    return np.repeat(n, size) * squares[at], np.repeat(wn, size)

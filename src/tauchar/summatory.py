@@ -12,24 +12,21 @@ f(p^e) = sum_{k <= e+1} (k/q), independent of p, so f(p) = 1 + (2/q):
   F(u)(1-u)^2) lives on powerful numbers and
   S(x) = sum_{n powerful} h(n) D(x/n), D the divisor summatory function.
 
-One depth-first walk up to the top checkpoint (``powerful.powerful_walk``)
-gives every checkpoint.  On the +-3 branch it visits the ~4.6 x^(1/3)
-cube-full m (Bateman and Grosswald 1958), summed as it runs in Python
-integers: memory is O(pi(x^(1/3))) plus the memo of M, and no numpy.  On
-the +-1 branch the walk is packed into int64 arrays, sorted
-(``sieves.powerful_terms``), and D(y) costs O(sqrt y) by the hyperbola
-method in numpy: ``_kernels.divisor_window``, float64 below 2^53 and int64
-above.  For q = +-1 (mod 24) h vanishes at p^2 and p^3, so the walk visits
-only the 4-full numbers, over the primes to x^(1/4).  Nothing of size x
-is built, and every int64 intermediate is guarded by MAX_EXACT_X.
+Both are S(x) = sum_n w(n) A(x // n), w = H or h, over one depth-first walk
+to the top checkpoint (``powerful.powerful_walk``); ``_streamed_sums`` adds
+each node to every checkpoint in Python integers as the walk runs.  The walk
+visits the ~4.6 x^(1/3) cube-full m (Bateman and Grosswald 1958), with no
+numpy, or the powerful n (4-full for q = +-1 mod 24).  Memory is its primes,
+the memo of M or D, a table of D and one chunk of leaves: only q = +-7 (mod
+24) has leaves n p^2, and as x // (n p^2) < top^(1/3) they read only that
+table, ``_LEAF_CHUNK`` at a time in int64.
 Everything float-valued here is derived from exact integers and certified
 constants, so residuals carry honest error intervals.
 
-numpy, ``_kernels`` and ``sieves`` are imported inside the functions that
-use them: D and the +-1 branch.  ``constants`` is imported inside
-``trace``, the one caller of its main terms.  The identity scans, which
-compare a * 1 with the jumps of an identity's right side coefficient by
-coefficient, live in ``dirichlet`` with the routes they share tables with.
+numpy, ``_kernels`` and ``sieves`` are imported inside ``_divisor_parts``
+and D, ``constants`` inside ``trace``, the one caller of its main terms.
+The identity scans, a * 1 against the jumps of an identity's right side
+term by term, live in ``dirichlet`` with the routes they share tables with.
 """
 
 from bisect import bisect_left
@@ -45,9 +42,11 @@ from .powerful import powerful_walk
 from .roots import integer_nth_root
 
 DEFAULT_LIMIT = 10**8
+_LEAF_CHUNK = 1 << 20  # leaves per int64 flush of the +-7 (mod 24) walk
+_PROGRESS_NODES = 1 << 14  # walk nodes between progress calls
 
 
-def _validate_x(x: int, limit: int) -> int:
+def _validate_x(x: int, limit: int, q: int) -> int:
     x = int(x)
     if x < 1:
         raise ArgumentError(f"x must be >= 1, got {x}")
@@ -57,10 +56,9 @@ def _validate_x(x: int, limit: int) -> int:
             "explicitly to accept the cost"
         )
     if x > MAX_EXACT_X:
-        raise OverflowHardError(
-            f"x = {x} exceeds MAX_EXACT_X = 2^57, beyond which int64 "
-            "intermediates could overflow"
-        )
+        why = ("S(x) of q = +-3 (mod 8) holds no int64 but is checked no further"
+               if q % 8 in (3, 5) else "beyond which D(x/n) could overflow int64")
+        raise OverflowHardError(f"x = {x} exceeds MAX_EXACT_X = 2^57: {why}")
     return x
 
 
@@ -76,11 +74,9 @@ def divisor_summatory(y: int) -> int:
 
 
 def _local_weights(q: int, emax: int) -> tuple[list[int], int | None]:
-    """Local weights w[0..emax], w[0] = 1 and w[1] = 0, and s.
-
-    On q = +-3 (mod 8), w = H, the coefficients of F(u)(1-u^2)^s with
-    s = f(p^2) = (3/q); else w = h, those of F(u)(1-u)^2, and s is None.
-    """
+    """Local weights w[0..emax], w[0] = 1 and w[1] = 0, and s: on q = +-3
+    (mod 8) w = H, the coefficients of F(u)(1-u^2)^s with s = f(p^2) = (3/q);
+    else w = h, those of F(u)(1-u)^2, and s is None."""
     if q < 3 or q % 2 == 0 or not is_prime(q):
         raise ArgumentError(f"modulus must be an odd prime, got {q}")
     f = list(accumulate(_jacobi(k, q) for k in range(1, emax + 2)))
@@ -104,90 +100,94 @@ def _mertens(z: int, memo: dict[int, int]) -> int:
     return memo[z]
 
 
-def _cube_full_sums(s: int, cps: tuple[int, ...], walk) -> list[int]:
-    """sum_m H(m) A(x // m) at each checkpoint x over the cube-full m of
-    ``walk = powerful_walk(H, cps[-1])``; for s = 0 (A = 1) each H(m) goes
-    to the first checkpoint at or above m, then prefix sums."""
-    _, nodes = walk
-    if s == 0:
-        part = [0] * len(cps)
-        for m, hm, _, _ in nodes:
-            part[bisect_left(cps, m)] += hm
-        return list(accumulate(part))
-    memo = {}  # Mertens values for this call only
-    A = isqrt if s > 0 else lambda y: _mertens(isqrt(y), memo)
-    sums = [0] * len(cps)
-    for m, hm, _, _ in nodes:
-        for i in range(bisect_left(cps, m), len(cps)):
-            sums[i] += hm * A(cps[i] // m)
-    return sums
-
-
-def _convolved_sums(w: list[int], cps: tuple[int, ...], walk):
-    """sum_{n powerful} h(n) D(x/n) at each checkpoint x in turn, h = w,
-    from ``walk = powerful_walk(w, cps[-1])`` as int64 arrays sorted by n."""
+def _divisor_parts(w: list[int], cps: tuple[int, ...], primes: list[int]):
+    """A = D and the flush of leaf pieces for q = +-1 (mod 8), h = w.  The D
+    table reaches top^(2/5) if w[2] != 0, so fewer nodes call divisor_window,
+    else top^(1/3); D above it is memoised for this call."""
     import numpy as np
 
-    from ._kernels import divisor_window
-    from .sieves import divisor_count_sieve, powerful_terms
+    from .sieves import block_leaves, divisor_count_sieve
 
     top = cps[-1]
-    n, wn = powerful_terms(w, walk)
-    wn = wn[np.argsort(n)]  # the n are distinct, so this is their sorted order
-    n.sort()
-    ends = np.searchsorted(n, cps, side="right")
-    # D(y) for y <= top^(1/3) by table lookup; only the few n with
-    # x/n above that call divisor_window
-    y_small = integer_nth_root(top, 3)
-    d_small = np.cumsum(divisor_count_sieve(y_small).values)
-    if int(np.max(np.abs(wn))) >= 2**63 // int(d_small[-1]):
-        raise OverflowHardError(f"h(n) * D(y) could overflow int64 below {top}")
-    for x, end in zip(cps, ends):
-        y, wy = x // n[:end], wn[:end]
-        near = y <= y_small
-        value = sum((wy[near] * d_small[y[near]]).tolist())
-        for yd, wd in zip(y[~near].tolist(), wy[~near].tolist()):
-            value += wd * divisor_window(0, yd)
-        yield value
+    reach = integer_nth_root(top**2, 5) if w[2] else integer_nth_root(top, 3)
+    d = np.cumsum(divisor_count_sieve(reach).values)
+    d_ints, memo = memoryview(d), {}  # D(y) as Python ints; x // n recurs
+    squares = np.array(primes, dtype=np.int64) ** 2
+
+    def A(y):
+        if y > reach and y not in memo:
+            memo[y] = divisor_summatory(y)
+        return d_ints[y] if y <= reach else memo[y]
+
+    def flush(pieces, sums):
+        leaf, wl = block_leaves(squares, *zip(*pieces))
+        # p > (top/n)^(1/3), so x // (n p^2) < top^(1/3): every D read is below
+        if int(np.abs(wl).max()) * int(d[integer_nth_root(top, 3)]) * len(wl) >= 2**63:
+            raise OverflowHardError(f"h(n) * D(y) could overflow int64 below {top}")
+        for i in reversed(range(len(cps))):  # each x keeps the leaves <= x
+            keep = leaf <= cps[i]
+            leaf, wl = leaf[keep], wl[keep]
+            sums[i] += w[2] * int(np.dot(wl, d[cps[i] // leaf]))
+
+    return A, flush
+
+
+def _streamed_sums(A, cps: tuple[int, ...], nodes, flush, progress):
+    """sum_n w(n) A(x // n) over the walk's nodes and leaves n <= x at each x
+    in ``cps``, in Python ints as the walk runs (A = None: A = 1, by prefix
+    sums); leaves go _LEAF_CHUNK at a time to flush([(n, w(n), c, k)], sums)."""
+    sums = [0] * len(cps)
+    pieces, pending = [], 0
+    for count, (n, wn, c, k) in enumerate(nodes, 1):
+        if A is None:
+            sums[bisect_left(cps, n)] += wn
+        else:
+            for i in range(bisect_left(cps, n), len(cps)):
+                sums[i] += wn * A(cps[i] // n)
+        while c < k:
+            take = min(k - c, _LEAF_CHUNK - pending)
+            pieces.append((n, wn, c, c + take))
+            c, pending = c + take, pending + take
+            if pending == _LEAF_CHUNK:
+                flush(pieces, sums)
+                pieces, pending = [], 0
+        if count % _PROGRESS_NODES == 0:
+            progress("walk", count, None)
+    if pieces:
+        flush(pieces, sums)
+    return list(accumulate(sums)) if A is None else sums
 
 
 def _checkpoint_sums(q: int, cps: tuple[int, ...], progress=None) -> tuple[int, ...]:
-    """Exact S(x) at every checkpoint in ascending ``cps`` by the
-    powerful-number route.
-
-    ``progress``, when given, is called as progress(stage, done, total)
-    after the walk's prime sieve and after each checkpoint.
-    """
-    top = cps[-1]
-    w, s = _local_weights(q, top.bit_length() + 1)
-    walk = powerful_walk(w, top)
-    if progress is not None:
-        progress("sieve", 1, 1)
-    sums = _convolved_sums(w, cps, walk) if s is None else _cube_full_sums(s, cps, walk)
-    values = []
-    for i, value in enumerate(sums):
-        values.append(value)
-        if progress is not None:
-            progress("checkpoint", i + 1, len(cps))
-    return tuple(values)
+    """Exact S(x) at every x in ascending ``cps`` by the powerful walk;
+    ``progress``, if given, is called as progress(stage, done, total) after
+    its primes, every _PROGRESS_NODES nodes (total None) and per checkpoint."""
+    progress = progress or (lambda stage, done, total: None)
+    w, s = _local_weights(q, cps[-1].bit_length() + 1)
+    primes, nodes = powerful_walk(w, cps[-1])
+    progress("sieve", 1, 1)
+    flush, memo = None, {}  # Mertens values for this call only
+    if s is None:
+        A, flush = _divisor_parts(w, cps, primes)
+    else:
+        A = {1: isqrt, 0: None, -1: lambda y: _mertens(isqrt(y), memo)}[s]
+    values = tuple(_streamed_sums(A, cps, nodes, flush, progress))
+    for i in range(len(cps)):
+        progress("checkpoint", i + 1, len(cps))
+    return values
 
 
 def summatory_convolved(q: int, x: int, *, limit: int = DEFAULT_LIMIT) -> int:
     """Exact S(x) = sum_{d <= x} tauchar_q(d) * floor(x / d), by the
     powerful-number route, with nothing of size x built."""
-    return _checkpoint_sums(q, (_validate_x(x, limit),))[0]
+    return _checkpoint_sums(q, (_validate_x(x, limit, q),))[0]
 
 
 def default_checkpoints(limit: int = DEFAULT_LIMIT) -> tuple[int, ...]:
     """Powers of two from 2^10 up to the limit."""
     if limit < 1024:
         raise ArgumentError(f"limit {limit} leaves no default checkpoints")
-    out = []
-    x = 1024
-    while x <= limit:
-        out.append(x)
-        x *= 2
-    return tuple(out)
+    return tuple(1 << k for k in range(10, limit.bit_length()))
 
 
 def default_alphas(case: CaseClass) -> tuple[float, ...]:
@@ -225,18 +225,18 @@ class SummatoryTrace(NamedTuple):
     fitted_exponent: float | None
 
 
-def _validate_checkpoints(checkpoints, limit: int, floor: float) -> tuple[int, ...]:
+def _validate_checkpoints(checkpoints, limit: int, q: int) -> tuple[int, ...]:
     cps = tuple(int(c) for c in checkpoints)
     if not cps:
         raise ArgumentError("checkpoint list is empty")
     if any(b <= a for a, b in zip(cps, cps[1:])):
         raise ArgumentError("checkpoints must be strictly ascending")
-    if cps[0] < floor:
+    if cps[0] < X_FLOOR:
         raise ArgumentError(
             f"smallest checkpoint {cps[0]} is below the asymptotic floor "
-            f"{floor:.1f}"
+            f"{X_FLOOR:.1f}"
         )
-    _validate_x(cps[-1], limit)
+    _validate_x(cps[-1], limit, q)
     return cps
 
 
@@ -251,12 +251,12 @@ def trace(
     """Exact summatory values against the branch main term along checkpoints.
 
     ``progress``, when given, is called as progress(stage, done, total) after
-    the sieve and after each checkpoint; rate limiting is the caller's job.
+    the sieve, during the walk and per checkpoint; the caller rate-limits.
     """
     case = classify(q)
     if checkpoints is None:
         checkpoints = default_checkpoints(limit)
-    cps = _validate_checkpoints(checkpoints, limit, X_FLOOR)
+    cps = _validate_checkpoints(checkpoints, limit, q)
     if alphas is None:
         alphas = default_alphas(case)
     alphas = tuple(float(a) for a in alphas)
@@ -367,7 +367,7 @@ def rh_diagnostic(
         raise ArgumentError(f"c must be positive and finite, got {c}")
     if checkpoints is None:
         checkpoints = default_checkpoints(limit)
-    cps = _validate_checkpoints(checkpoints, limit, X_FLOOR)
+    cps = _validate_checkpoints(checkpoints, limit, q)
     # only the decaying envelope can reach 0.0; rh_growth is at least 1
     decay = [float(x) ** 0.5 * subexp_decay(float(x) ** 0.25, c) for x in cps]
     if 0.0 in decay:

@@ -359,7 +359,7 @@ def test_powerful_walk_lists_the_powerful_numbers(monkeypatch):
     assert sorted(n.tolist()) == want
     assert wn.tolist() == [1] * len(want)
     # summatory and the one table builder share this one walk, and
-    # powerful_terms packs it for both
+    # powerful_terms packs it for the table builder
     assert summatory.powerful_walk is sieves.powerful_walk is powerful.powerful_walk
     assert not hasattr(dirichlet, "powerful_terms")
     real, tops = powerful.powerful_walk, []

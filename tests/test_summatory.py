@@ -146,9 +146,10 @@ def test_streamed_route_matches_materialised_route(q):
         assert _checkpoint_sums(q, cps) == materialised_route(q, cps), k
 
 
-def _block_edges(q: int, top: int) -> list[int]:
-    """First and last leaf n p^2 of every block of the walk of f to top."""
-    primes, nodes = powerful_walk(f_weights(q, top), top)
+def _block_edges(q: int, top: int, w=None) -> list[int]:
+    """First and last leaf n p^2 of every block of the walk of w (by
+    default f) to top."""
+    primes, nodes = powerful_walk(f_weights(q, top) if w is None else w, top)
     edges = []
     for n, _, c, k in nodes:
         if c < k:
@@ -217,6 +218,120 @@ def test_fourth_root_walk_on_random_checkpoints(q):
     want = tuple(weighted_floor_sum(table, x) for x in cps)
     for end in range(1, len(cps) + 1):
         assert _checkpoint_sums(q, cps[:end]) == want[:end], cps[:end]
+
+
+def h_weights(q: int, top: int) -> list[int]:
+    # h = f * tau^{-1} on q = +-1 (mod 8): the local series F(u)(1-u)^2
+    f = [0, 0] + f_weights(q, top)
+    return [f[e] - 2 * f[e - 1] + f[e - 2] for e in range(2, len(f))]
+
+
+def materialised_pm1_route(q: int, cps) -> tuple[int, ...]:
+    # the +-1 (mod 8) sums of h(n) D(x/n) over the powerful n <= top from
+    # sorted int64 arrays of the walk of h, its leaves listed one by one,
+    # one masked pass per checkpoint: D from a table to sqrt(top), and from
+    # divisor_window above it
+    top = cps[-1]
+    h = h_weights(q, top)
+    primes, nodes = powerful_walk(h, top)
+    terms = []
+    for n, wn, c, k in nodes:
+        terms += [(n, wn)] + [(n * p * p, wn * h[2]) for p in primes[c:k]]
+    n, wn = (np.array(v, dtype=np.int64) for v in zip(*sorted(terms)))
+    y_small = isqrt(top)
+    d_small = np.cumsum(sieves.divisor_count_sieve(y_small).values)
+    values = []
+    for x, end in zip(cps, np.searchsorted(n, cps, side="right")):
+        y, wy = x // n[:end], wn[:end]
+        near = y <= y_small
+        value = sum((wy[near] * d_small[y[near]]).tolist())
+        for yd, wd in zip(y[~near].tolist(), wy[~near].tolist()):
+            value += wd * divisor_window(0, yd)
+        values.append(value)
+    return tuple(values)
+
+
+@pytest.mark.parametrize(
+    "q,chunk,bits", [(7, 3, 22), (7, 4099, 36), (17, 1000, 36), (23, 7, 36), (47, 7, 36)]
+)
+def test_streamed_pm1_route_matches_materialised_route(q, chunk, bits, monkeypatch):
+    # h(p^2) = -2 for q = 7 and 17, whose walks have leaf blocks, and h
+    # vanishes at p^2 and p^3 for q = 23 and 47, whose walks have none; at
+    # seeded checkpoints up to ~2^36 on, just below and just above the ends
+    # of leaf blocks (or of nodes), with leaf chunks so small that flushes
+    # split blocks
+    monkeypatch.setattr(summatory, "_LEAF_CHUNK", chunk)
+    rng = random.Random(q * chunk)
+    top = rng.randrange(2 ** (bits - 1), 2**bits)
+    h = h_weights(q, top)
+    edges = _block_edges(q, top, h)
+    if not edges:
+        edges = [n for n, _, _, _ in powerful_walk(h, top)[1] if n > 2**10]
+    pool = {top} | {e + d for e in rng.sample(edges, 4) for d in (-1, 0, 1)}
+    pool |= {rng.randrange(2**10, top) for _ in range(4)}
+    cps = tuple(sorted(pool))
+    assert _checkpoint_sums(q, cps) == materialised_pm1_route(q, cps), cps
+
+
+def test_leaves_read_only_the_cube_root_table():
+    # a leaf n p^2 of a block has p > (top/n)^(1/3), so top // (n p^2) <
+    # top^(1/3): the leaves of the q = 7 walk, at seeded tops, read D only
+    # below the table's cube-root floor; every leaf of every block is
+    # checked
+    rng = random.Random(7)
+    for _ in range(12):
+        top = rng.randrange(2**10, 2**34)
+        h = h_weights(7, top)
+        primes, nodes = powerful_walk(h, top)
+        cube, leaves = integer_nth_root(top, 3), 0
+        for n, _, c, k in nodes:
+            for p in primes[c:k]:
+                assert top // (n * p * p) <= cube, (top, n, p)
+            leaves += k - c
+        assert leaves > 0, top
+
+
+def test_leaf_flush_refuses_products_past_int64():
+    # a chunk sums w(n) D(y) in int64, so it is refused once max|w(n)| times
+    # D(top^(1/3)), the largest D a leaf reads, times the chunk length
+    # reaches 2^63, and summed exactly just below that
+    top = 2**30
+    h = h_weights(7, top)
+    primes, _ = powerful_walk(h, top)
+    _, flush = summatory._divisor_parts(h, (top,), primes)
+    wn = 2**63 // divisor_summatory(integer_nth_root(top, 3))
+    # the one leaf p^2, p the largest prime <= 2^15, has top // p^2 = 1
+    sums = [0]
+    flush([(1, wn, len(primes) - 1, len(primes))], sums)
+    assert sums == [h[2] * wn]
+    with pytest.raises(OverflowHardError):
+        flush([(1, wn + 1, len(primes) - 1, len(primes))], [0])
+
+
+def test_walk_reports_progress_before_the_checkpoints():
+    # the cube-full walk of q = 13 to 2^40 has 18773 nodes, more than
+    # _PROGRESS_NODES: it reports as it runs, before any checkpoint
+    calls = []
+    _checkpoint_sums(13, (2**20, 2**40), lambda *a: calls.append(a))
+    stages = [stage for stage, _, _ in calls]
+    assert stages[0] == "sieve" and stages[-2:] == ["checkpoint"] * 2
+    walk = [(done, total) for stage, done, total in calls if stage == "walk"]
+    assert walk and stages.index("walk") < stages.index("checkpoint")
+    step = summatory._PROGRESS_NODES
+    assert walk == [(step * (i + 1), None) for i in range(len(walk))]
+
+
+def test_max_exact_x_refusal_names_the_route():
+    # q = +-3 (mod 8) sums in Python ints and holds no int64; only the +-1
+    # branch, through D, could overflow past MAX_EXACT_X
+    big = MAX_EXACT_X + 1
+    messages = {}
+    for q in (13, 7):
+        with pytest.raises(OverflowHardError, match="MAX_EXACT_X = 2\\^57") as info:
+            summatory_convolved(q, big, limit=2**60)
+        messages[q] = str(info.value)
+    assert "overflow" not in messages[13] and "+-3 (mod 8)" in messages[13]
+    assert "could overflow int64" in messages[7]
 
 
 def test_powerful_route_above_the_table_budget():
