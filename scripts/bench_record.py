@@ -61,11 +61,13 @@ COMMANDS = [
     ["constants", "--q", "3"],
     # q = 23 walks the 4-full numbers over the primes to top^(1/4)
     ["trace", "--q", "23", "--max", "1e14"],
-    # q = 7 walks every powerful number, with leaf blocks, to sqrt(top)
+    # q = 7 walks the cube-full numbers over the primes to top^(1/3), and
+    # A = E sums g(j) D(y // j^2) over j <= sqrt(y), g = mu * mu
     ["trace", "--q", "7", "--max", "1e12"],
-    # the memory row: the walk streams, so the peak is its primes, the D
-    # table and one chunk of leaves, not every powerful n up to top
+    # the memory rows: the walk streams, so the peak is its primes, the D
+    # and E tables to top^(2/5) and the int16 g list to sqrt(top)
     ["trace", "--q", "7", "--max", "1e13"],
+    ["trace", "--q", "7", "--max", "1e14"],
     # q = +-3 (mod 8) sums over the cube-full numbers: A(y) = isqrt(y) for
     # q = 13, M(isqrt(y)) with M the Mertens function for q = 19
     ["trace", "--q", "13", "--max", "1e15"],

@@ -138,7 +138,7 @@ _EM_LADDER = (8, 12, 16, 24, 32, 48, 64, 96, 128)
 _EM_MAX_TERMS = 40
 
 # fraction bits of the fixed-point enclosures (lo, hi) = [lo, hi] 2^-_FRAC,
-# and the _GUARD more bits at which the leaf series are summed
+# and the _GUARD more bits at which the atanh and exp series are summed
 _FRAC = PRECISION_BITS + 32
 _ONE = 1 << _FRAC
 _GUARD = 32

@@ -4,14 +4,15 @@ A multiplicative function w with w(p) = 0 at every prime lives on the
 powerful numbers (p | n implies p^2 | n), about 2.2 sqrt(top) of them up to
 top (Golomb, Powerful numbers, Amer. Math. Monthly 77, 1970), and on the
 e-full ones when w also vanishes at p^2, ..., p^(e-1).  ``powerful_walk``
-visits them depth first over the primes it lists itself, to top^(1/e);
+lists the primes to top^(1/e) and yields every (n, w(n)) with w(n) != 0,
+depth first, to ``summatory``, whose every S(x) is a sum of H(m) A(x // m)
+over the cube-full m, and to ``sieves.multiplicative_series``.
 ``prime_list`` is the package's one prime sieve, which the walk, the
 multiplicative tables, the near-curve window, the certified Euler products
 and the CLI's --all-q moduli all draw from.  Nothing here imports numpy,
 so the summatory sums that need only the walk load none.
 """
 
-from bisect import bisect_right
 from itertools import compress
 from math import isqrt
 
@@ -48,12 +49,9 @@ def powerful_walk(w, top: int):
     ``w`` holds the per-exponent values, with w[0] = 1 and w[1] = 0,
     reaching every exponent e with 2^e <= top.  Returns (primes, nodes):
     the primes to top^(1/e), ascending, for the least e >= 2 with
-    w[e] != 0, and a generator of one tuple (n, w(n), c, k) per node,
-    n = 1 first.  When w[2] != 0, below a node n a prime p > (top/n)^(1/3)
-    can only enter squared and leaves no room for a larger prime, so those
-    children are leaves, not nodes: the n p^2 for p in primes[c:k], every
-    one of weight w(n) w[2]; otherwise c = k.  Every powerful n <= top with
-    w(n) != 0 is exactly one node or one leaf.
+    w[e] != 0, and a generator of one pair (n, w(n)) per n, n = 1 first.
+    The children of n are the n p^k with p above the primes of n, k >= e
+    and p^k <= top / n.
     """
     if len(w) < max(2, top.bit_length()) or w[0] != 1 or w[1] != 0:
         raise ArgumentError(
@@ -70,16 +68,13 @@ def _walk(w: list[int], top: int, primes: list[int], depth: int):
     stack = [(1, 1, 0)]
     while stack:
         n, wn, j = stack.pop()
+        yield n, wn
         m = top // n
-        if depth == 2:
-            k = bisect_right(primes, isqrt(m), j)
-            c = bisect_right(primes, integer_nth_root(m, 3), j, k)
-        else:
-            c = k = bisect_right(primes, integer_nth_root(m, depth), j)
-        yield n, wn, c, k
-        for i in range(j, c):
+        for i in range(j, len(primes)):
             p = primes[i]
             pe, e = p**depth, depth
+            if pe > m:
+                break
             while pe <= m:
                 if w[e]:
                     stack.append((n * pe, wn * w[e], i + 1))

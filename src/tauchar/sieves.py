@@ -8,13 +8,15 @@ else int64.
 
 Each of them is multiplicative and fixed by one row c[e] = f(p^e) shared by
 all primes, and ``multiplicative_series`` is the one builder of such a
-table: when c[1] = 0 the table lives on the powerful numbers, and
-``powerful_terms`` packs them, unsorted, from the walk in the numpy-free
-``powerful``; otherwise the numpy block kernel in ``tauchar._kernels``
-sieves every n.  Either way a row whose products could pass int64 is
-refused first.  The tau character is the exception: it is read off the
-divisor count, one lookup per n.  This module owns validation and the
-public types.
+table: when c[1] = 0 the table lives on the powerful numbers, and the
+numpy-free ``powerful.powerful_walk`` lists every (n, f(n)) with f(n) != 0
+to be scattered into a zero table; otherwise the numpy block kernel in
+``tauchar._kernels`` sieves every n.  Either way a row whose products
+could pass int64 is refused first.  ``summatory`` reads its tables of D and
+E here, the sums of tau and of e = mu^2 * mu^2 (c = 1, 2, 1, 0, ...) that
+are the A(y) of S(x) = sum_{m cube-full} H(m) A(x // m) on q = +-1 (mod 8).
+The tau character is the exception: it is read off the divisor count, one
+lookup per n.  This module owns validation and the public types.
 Primality, the Jacobi symbol and the table budget live in the numpy-free
 ``arith`` and are re-exported here.
 """
@@ -103,7 +105,7 @@ def multiplicative_series(limit: int, c, what: str = "sieve") -> CoeffSeries:
         raise OverflowHardError(f"{what} could overflow int64 below {limit}")
     if c[1]:
         return CoeffSeries(limit, _kernels.full_tables(limit, c))
-    n, w = powerful_terms(c, powerful_walk(c, limit))
+    n, w = map(np.array, zip(*powerful_walk(c, limit)[1]))
     values = np.zeros(limit + 1, dtype=_kernels.table_dtype(c))
     values[n] = w
     return CoeffSeries(limit, values)
@@ -177,22 +179,3 @@ def tau_char_sieve(q: int, limit: int, tau: CoeffSeries | None = None) -> CoeffS
     chi = np.array([0] + [_jacobi(t, q) for t in range(1, top + 1)], dtype=np.int8)
     return CoeffSeries(limit, chi[tau.values])
 
-
-def powerful_terms(w, walk):
-    """multiplicative_series' packing of ``walk = powerful_walk(w, top)``:
-    every n it lists, as int64 arrays (n, w(n)), the nodes in walk order and
-    then the leaves of each block in turn, not sorted."""
-    primes, nodes = walk
-    n, wn, c, k = (np.array(v, dtype=np.int64) for v in zip(*nodes))
-    leaf, wl = block_leaves(np.array(primes, dtype=np.int64) ** 2, n, wn, c, k)
-    w2 = w[2] if len(w) > 2 else 0  # a walk with leaves has w[2] != 0
-    return np.concatenate([n, leaf]), np.concatenate([wn, wl * w2])
-
-
-def block_leaves(squares, n, wn, c, k):
-    """The leaves n p^2, p in primes[c:k], of walk nodes (n, w(n), c, k), as
-    int64 arrays (n p^2, w(n)); ``squares`` holds the primes squared."""
-    n, wn, c, k = (np.asarray(v, dtype=np.int64) for v in (n, wn, c, k))
-    size = k - c
-    at = np.repeat(c - np.cumsum(size) + size, size) + np.arange(size.sum())
-    return np.repeat(n, size) * squares[at], np.repeat(wn, size)

@@ -2,26 +2,27 @@
 
 The central quantity is S(x) = sum over d <= x of tauchar(d) * floor(x/d),
 the partial sum of f = tauchar * 1.  f is multiplicative with
-f(p^e) = sum_{k <= e+1} (k/q), independent of p, so f(p) = 1 + (2/q):
+f(p^e) = sum_{k <= e+1} (k/q), independent of p, and its local series is
+F(u) = (1-u)^(-a) (1-u^2)^(-b) H(u), H(u) = 1 + O(u^3), with a = f(p) in
+{0, 2} and b = f(p^2) - 3a/2.  So S(x) = sum_{m cube-full} H(m) A(x // m),
+A the summatory function of zeta(s)^a zeta(2s)^b:
 
-* q = +-3 (mod 8): f(p) = 0 and f(p^2) = (3/q) =: s, so F(u) =
-  (1-u^2)^(-s) H(u), H(u) = 1 + O(u^3), and S(x) = sum_{m cube-full}
-  H(m) A(x/m), with A(y) = isqrt(y) for s = 1, 1 for s = 0 (q = 3) and
-  M(isqrt(y)), M the Mertens function, for s = -1 (q = +-5 mod 24);
-* q = +-1 (mod 8): f(p) = 2 = tau(p), so h = f * tau^{-1} (local series
-  F(u)(1-u)^2) lives on powerful numbers and
-  S(x) = sum_{n powerful} h(n) D(x/n), D the divisor summatory function.
+    q                  (a, b)   A(y)
+    +-11 mod 24        (0, 1)   isqrt(y)
+    3                  (0, 0)   1
+    +-5 mod 24         (0, -1)  M(isqrt(y)), M the Mertens function
+    +-1 mod 24         (2, 0)   D(y), the divisor summatory function
+    +-7 mod 24         (2, -2)  E(y), the sum of e = mu^2 * mu^2
 
-Both are S(x) = sum_n w(n) A(x // n), w = H or h, over one depth-first walk
-to the top checkpoint (``powerful.powerful_walk``); ``_streamed_sums`` adds
-each node to every checkpoint in Python integers as the walk runs.  The walk
-visits the ~4.6 x^(1/3) cube-full m (Bateman and Grosswald 1958), with no
-numpy, or the powerful n (4-full for q = +-1 mod 24).  Memory is its primes,
-the memo of M or D, a table of D and one chunk of leaves: only q = +-7 (mod
-24) has leaves n p^2, and as x // (n p^2) < top^(1/3) they read only that
-table, ``_LEAF_CHUNK`` at a time in int64.
-Everything float-valued here is derived from exact integers and certified
-constants, so residuals carry honest error intervals.
+One depth-first walk to the top checkpoint (``powerful.powerful_walk``)
+visits the ~4.6 x^(1/3) cube-full m (Bateman and Grosswald 1958), and
+``_streamed_sums`` adds each to every checkpoint in Python integers as it
+runs.  M, D and E are memoised per call.  D and E are read from cumsum
+tables to top^(1/3), or to top^(2/5) on +-7 (mod 24); above them D(y) is
+the hyperbola sum and E(y) = sum_{j <= sqrt y} g(j) D(y // j^2), with
+g = mu * mu listed to sqrt(top).  Everything float-valued here is derived
+from exact integers and certified constants, so residuals carry honest
+error intervals.
 
 numpy, ``_kernels`` and ``sieves`` are imported inside ``_divisor_parts``
 and D, ``constants`` inside ``trace``, the one caller of its main terms.
@@ -35,14 +36,14 @@ from itertools import accumulate
 from math import exp, inf, isqrt, log
 from typing import NamedTuple
 
-from .arith import MAX_EXACT_X, _jacobi, is_prime
+from .arith import MAX_EXACT_X, _jacobi, check_budget, is_prime
 from .cases import THETA_UPPER, X_FLOOR, Branch, CaseClass, classify
 from .errors import ArgumentError, ClassificationError, OverflowHardError
 from .powerful import powerful_walk
 from .roots import integer_nth_root
 
 DEFAULT_LIMIT = 10**8
-_LEAF_CHUNK = 1 << 20  # leaves per int64 flush of the +-7 (mod 24) walk
+_E_CHUNK = 1 << 16  # j per int64 dot of g(j) D(y // j^2) in E(y)
 _PROGRESS_NODES = 1 << 14  # walk nodes between progress calls
 
 
@@ -55,10 +56,13 @@ def _validate_x(x: int, limit: int, q: int) -> int:
             f"x = {x} exceeds the configured limit {limit}; raise the limit "
             "explicitly to accept the cost"
         )
+    _, (a, b) = _local_weights(q, 2)
     if x > MAX_EXACT_X:
-        why = ("S(x) of q = +-3 (mod 8) holds no int64 but is checked no further"
-               if q % 8 in (3, 5) else "beyond which D(x/n) could overflow int64")
+        why = ("beyond which D(x/n) could overflow int64" if a else
+               "S(x) of q = +-3 (mod 8) holds no int64 but is checked no further")
         raise OverflowHardError(f"x = {x} exceeds MAX_EXACT_X = 2^57: {why}")
+    if b == -2:  # E lists g = mu * mu to sqrt(x)
+        check_budget(isqrt(x), "mu * mu list")
     return x
 
 
@@ -73,18 +77,23 @@ def divisor_summatory(y: int) -> int:
     return divisor_window(0, y)
 
 
-def _local_weights(q: int, emax: int) -> tuple[list[int], int | None]:
-    """Local weights w[0..emax], w[0] = 1 and w[1] = 0, and s: on q = +-3
-    (mod 8) w = H, the coefficients of F(u)(1-u^2)^s with s = f(p^2) = (3/q);
-    else w = h, those of F(u)(1-u)^2, and s is None."""
+def _local_weights(q: int, emax: int) -> tuple[list[int], tuple[int, int]]:
+    """H[0..emax], the coefficients of H(u) = F(u) (1-u)^a (1-u^2)^b, with
+    H[0] = 1 and H[1] = H[2] = 0, and (a, b) = (f(p), f(p^2) - 3 f(p) / 2)."""
     if q < 3 or q % 2 == 0 or not is_prime(q):
         raise ArgumentError(f"modulus must be an odd prime, got {q}")
     f = list(accumulate(_jacobi(k, q) for k in range(1, emax + 2)))
-    s = f[2] if f[1] == 0 else None
-    # F(u) times (1-u)^2, or times (1-u^2)^s: 1 - u^2, 1 or 1 + u^2 + u^4 + ...
-    c = {None: [1, -2, 1], 1: [1, 0, -1], 0: [1], -1: [1, 0] * emax}[s]
-    w = [sum(a * f[e - j] for j, a in enumerate(c[: e + 1])) for e in range(emax + 1)]
-    return w, s
+    a, b = f[1], f[2] - 3 * f[1] // 2
+    # (1-u)^a (1-u^2)^b: 1 - u^2, 1, 1 + u^2 + u^4 + ..., (1-u)^2 or (1+u)^-2
+    c = {
+        (0, 1): [1, 0, -1],
+        (0, 0): [1],
+        (0, -1): [1, 0] * emax,
+        (2, 0): [1, -2, 1],
+        (2, -2): [(-1) ** k * (k + 1) for k in range(emax + 1)],
+    }[a, b]
+    w = [sum(v * f[e - j] for j, v in enumerate(c[: e + 1])) for e in range(emax + 1)]
+    return w, (a, b)
 
 
 def _mertens(z: int, memo: dict[int, int]) -> int:
@@ -100,81 +109,92 @@ def _mertens(z: int, memo: dict[int, int]) -> int:
     return memo[z]
 
 
-def _divisor_parts(w: list[int], cps: tuple[int, ...], primes: list[int]):
-    """A = D and the flush of leaf pieces for q = +-1 (mod 8), h = w.  The D
-    table reaches top^(2/5) if w[2] != 0, so fewer nodes call divisor_window,
-    else top^(1/3); D above it is memoised for this call."""
+def _divisor_parts(b: int, reach: int, top: int, primes: list[int]):
+    """A(y) for a = 2: D for b = 0, E for b = -2, read from cumsum tables
+    to ``reach`` and memoised above them for this call.  ``primes`` must
+    reach top^(1/4), for g."""
     import numpy as np
 
-    from .sieves import block_leaves, divisor_count_sieve
+    from ._kernels import DEFAULT_SEGMENT, factor_block
+    from .sieves import divisor_count_sieve, multiplicative_series
 
-    top = cps[-1]
-    reach = integer_nth_root(top**2, 5) if w[2] else integer_nth_root(top, 3)
     d = np.cumsum(divisor_count_sieve(reach).values)
     d_ints, memo = memoryview(d), {}  # D(y) as Python ints; x // n recurs
-    squares = np.array(primes, dtype=np.int64) ** 2
 
-    def A(y):
+    def D(y):
         if y > reach and y not in memo:
             memo[y] = divisor_summatory(y)
         return d_ints[y] if y <= reach else memo[y]
 
-    def flush(pieces, sums):
-        leaf, wl = block_leaves(squares, *zip(*pieces))
-        # p > (top/n)^(1/3), so x // (n p^2) < top^(1/3): every D read is below
-        if int(np.abs(wl).max()) * int(d[integer_nth_root(top, 3)]) * len(wl) >= 2**63:
-            raise OverflowHardError(f"h(n) * D(y) could overflow int64 below {top}")
-        for i in reversed(range(len(cps))):  # each x keeps the leaves <= x
-            keep = leaf <= cps[i]
-            leaf, wl = leaf[keep], wl[keep]
-            sums[i] += w[2] * int(np.dot(wl, d[cps[i] // leaf]))
+    if not b:
+        return D
+    row = [1, 2, 1] + [0] * reach.bit_length()
+    e_ints = memoryview(np.cumsum(multiplicative_series(reach, row).values))
+    # g(p) = -2, g(p^2) = 1: |g(j)| <= 2^omega(j) <= 2^8 for j <= 1e8
+    r = isqrt(top)
+    g = np.zeros(r + 1, dtype=np.int16)
+    for lo in range(1, r + 1, DEFAULT_SEGMENT):
+        hi = min(lo + DEFAULT_SEGMENT, r + 1)
+        g[lo:hi] = factor_block(lo, hi, primes, [1, -2, 1] + [0] * hi.bit_length())
+    g_ints, e_memo = memoryview(g), {}
+    # each chunk sums at most _E_CHUNK terms |g(j)| D(y // j^2) <= max|g| D(reach)
+    if max(int(g.max()), -int(g.min())) * int(d[reach]) * _E_CHUNK >= 2**63:
+        raise OverflowHardError(f"g(j) D(y // j^2) could overflow int64 below {top}")
 
-    return A, flush
+    def E(y):
+        if y <= reach:
+            return e_ints[y]
+        if y not in e_memo:
+            near = isqrt(y // (reach + 1))  # y // j^2 > reach exactly for j <= near
+            value = sum(
+                gj * D(y // (j * j))
+                for j, gj in enumerate(g_ints[1 : near + 1], 1)
+                if gj
+            )
+            end = isqrt(y) + 1
+            for lo in range(near + 1, end, _E_CHUNK):
+                j = np.arange(lo, min(lo + _E_CHUNK, end), dtype=np.int64)
+                value += int(np.dot(g[lo : lo + len(j)], d[y // (j * j)]))
+            e_memo[y] = value
+        return e_memo[y]
+
+    return E
 
 
-def _streamed_sums(A, cps: tuple[int, ...], nodes, flush, progress):
-    """sum_n w(n) A(x // n) over the walk's nodes and leaves n <= x at each x
-    in ``cps``, in Python ints as the walk runs (A = None: A = 1, by prefix
-    sums); leaves go _LEAF_CHUNK at a time to flush([(n, w(n), c, k)], sums)."""
+def _streamed_sums(A, cps: tuple[int, ...], nodes, progress):
+    """sum_m H(m) A(x // m) over the walk's nodes (m, H(m)), m <= x, at each
+    x in ``cps``, in Python ints as the walk runs (A = None: A = 1, by
+    prefix sums)."""
     sums = [0] * len(cps)
-    pieces, pending = [], 0
-    for count, (n, wn, c, k) in enumerate(nodes, 1):
+    for count, (n, wn) in enumerate(nodes, 1):
         if A is None:
             sums[bisect_left(cps, n)] += wn
         else:
             for i in range(bisect_left(cps, n), len(cps)):
                 sums[i] += wn * A(cps[i] // n)
-        while c < k:
-            take = min(k - c, _LEAF_CHUNK - pending)
-            pieces.append((n, wn, c, c + take))
-            c, pending = c + take, pending + take
-            if pending == _LEAF_CHUNK:
-                flush(pieces, sums)
-                pieces, pending = [], 0
         if count % _PROGRESS_NODES == 0:
             progress("walk", count, None)
-    if pieces:
-        flush(pieces, sums)
+    progress("walk", count, count)
     return list(accumulate(sums)) if A is None else sums
 
 
 def _checkpoint_sums(q: int, cps: tuple[int, ...], progress=None) -> tuple[int, ...]:
-    """Exact S(x) at every x in ascending ``cps`` by the powerful walk;
+    """Exact S(x) at every x in ascending ``cps`` by the cube-full walk;
     ``progress``, if given, is called as progress(stage, done, total) after
-    its primes, every _PROGRESS_NODES nodes (total None) and per checkpoint."""
+    its primes, every _PROGRESS_NODES nodes (total None) and once with
+    every node done."""
     progress = progress or (lambda stage, done, total: None)
-    w, s = _local_weights(q, cps[-1].bit_length() + 1)
-    primes, nodes = powerful_walk(w, cps[-1])
+    top = cps[-1]
+    w, (a, b) = _local_weights(q, top.bit_length() + 1)
+    primes, nodes = powerful_walk(w, top)
     progress("sieve", 1, 1)
-    flush, memo = None, {}  # Mertens values for this call only
-    if s is None:
-        A, flush = _divisor_parts(w, cps, primes)
+    memo = {}  # Mertens values for this call only
+    if a:  # a larger E table spares more E(y) and D(y) summed above it
+        reach = integer_nth_root(top**2, 5) if b else integer_nth_root(top, 3)
+        A = _divisor_parts(b, reach, top, primes)
     else:
-        A = {1: isqrt, 0: None, -1: lambda y: _mertens(isqrt(y), memo)}[s]
-    values = tuple(_streamed_sums(A, cps, nodes, flush, progress))
-    for i in range(len(cps)):
-        progress("checkpoint", i + 1, len(cps))
-    return values
+        A = {1: isqrt, 0: None, -1: lambda y: _mertens(isqrt(y), memo)}[b]
+    return tuple(_streamed_sums(A, cps, nodes, progress))
 
 
 def summatory_convolved(q: int, x: int, *, limit: int = DEFAULT_LIMIT) -> int:
@@ -251,7 +271,7 @@ def trace(
     """Exact summatory values against the branch main term along checkpoints.
 
     ``progress``, when given, is called as progress(stage, done, total) after
-    the sieve, during the walk and per checkpoint; the caller rate-limits.
+    the sieve, during the walk and as it ends; the caller rate-limits.
     """
     case = classify(q)
     if checkpoints is None:

@@ -327,12 +327,12 @@ def test_near_curve_beyond_exact_divisor_sum_is_resource_exit(capsys):
 
 @pytest.mark.parametrize("argv", [["trace", "--q", "7"], ["trace", "--q", "17"]])
 def test_prime_sieve_ceiling_is_resource_exit(argv, capsys):
-    # q = +-7 (mod 24): h(p^2) != 0, so the walk lists the primes up to
-    # sqrt(2^54) = 134 217 728, past MAX_SIEVE_ENTRIES = 1e8, and is
+    # q = +-7 (mod 24): E(y) sums g(j) D(y // j^2) with g = mu * mu, listed
+    # to sqrt(2^54) = 134 217 728, past MAX_SIEVE_ENTRIES = 1e8, and is
     # refused before it starts
     code, out, err = run([*argv, "--max", "2e16", "--no-timestamp"], capsys)
     assert (code, out) == (3, "")
-    assert "prime sieve" in err and "MAX_SIEVE_ENTRIES" in err
+    assert "mu * mu list" in err and "MAX_SIEVE_ENTRIES" in err
 
 
 def test_trace_q13_past_the_square_root_prime_sieve(capsys):

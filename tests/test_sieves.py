@@ -352,16 +352,14 @@ def test_powerful_walk_lists_the_powerful_numbers(monkeypatch):
     # w = 1 from the square on: the indicator of the powerful numbers
     top = N
     w = [1, 0] + [1] * top.bit_length()
-    n, wn = sieves.powerful_terms(w, powerful.powerful_walk(w, top))
+    n, wn = zip(*powerful.powerful_walk(w, top)[1])
     primes = prime_list(isqrt(top))
     factored = [brute_exponents(m, primes) for m in range(1, top + 1)]
     want = [m for m, es in enumerate(factored, 1) if all(e >= 2 for e in es)]
-    assert sorted(n.tolist()) == want
-    assert wn.tolist() == [1] * len(want)
-    # summatory and the one table builder share this one walk, and
-    # powerful_terms packs it for the table builder
+    assert sorted(n) == want
+    assert list(wn) == [1] * len(want)
+    # summatory and the one table builder share this one walk
     assert summatory.powerful_walk is sieves.powerful_walk is powerful.powerful_walk
-    assert not hasattr(dirichlet, "powerful_terms")
     real, tops = powerful.powerful_walk, []
 
     def spy(w, top):
@@ -387,9 +385,8 @@ def test_powerful_walk_depth_follows_the_first_nonzero_weight():
         w = [1, 0] + [0] * (depth - 2) + [1] * (top.bit_length() - depth + 1)
         got, nodes = powerful.powerful_walk(w, top)
         assert got == prime_list(root), depth
-        n, wn = sieves.powerful_terms(w, (got, nodes))
         want = [m for m, es in enumerate(factored, 1) if all(e >= depth for e in es)]
-        assert sorted(n.tolist()) == want, depth
+        assert sorted(n for n, _ in nodes) == want, depth
     assert powerful.powerful_walk([1, 0], 3)[0] == []
 
 

@@ -2,8 +2,9 @@
 root-floor identities, and the trace/diagnostic report structure."""
 
 import random
+from functools import lru_cache
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import isqrt, log
 
 import numpy as np
@@ -15,7 +16,12 @@ from tauchar._kernels.pyback import _D_CHUNK, _floats_exact, _quotient_sum
 from tauchar.arith import is_prime
 from tauchar.constants import Branch, classify
 from tauchar.dirichlet import dirichlet_convolve
-from tauchar.errors import ArgumentError, ClassificationError, OverflowHardError
+from tauchar.errors import (
+    ArgumentError,
+    ClassificationError,
+    OverflowHardError,
+    ResourceLimitError,
+)
 from tauchar.powerful import powerful_walk, prime_list
 from tauchar.roots import integer_nth_root
 from tauchar.sieves import (
@@ -24,7 +30,6 @@ from tauchar.sieves import (
     liouville_sieve,
     mobius_sieve,
     ones_series,
-    powerful_terms,
     tau_char_sieve,
 )
 from tauchar.summatory import (
@@ -120,6 +125,17 @@ def f_weights(q: int, top: int) -> list[int]:
     return list(accumulate(_jacobi(k, q) for k in range(1, top.bit_length() + 2)))
 
 
+@lru_cache(maxsize=1)
+def walk_terms(w: tuple, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """The walk of w to top as int64 arrays (n, w(n)) sorted by n: the
+    materialised routes' terms, whose n are where their sums step; kept
+    for the one call after, which samples checkpoints from them."""
+    terms = chain.from_iterable(powerful_walk(w, top)[1])
+    n, wn = np.fromiter(terms, dtype=np.int64).reshape(-1, 2).T
+    order = np.argsort(n)
+    return n[order], wn[order]
+
+
 def materialised_route(q: int, cps) -> tuple[int, ...]:
     # the +-3 (mod 8) sums of f itself over the powerful n <= top, from
     # sorted int64 arrays of the walk of f: one cumsum, then one
@@ -127,9 +143,7 @@ def materialised_route(q: int, cps) -> tuple[int, ...]:
     top = cps[-1]
     f = f_weights(q, top)
     assert f[1] == 0
-    n, wn = powerful_terms(f, powerful_walk(f, top))
-    order = np.argsort(n)
-    n, wn = n[order], wn[order]
+    n, wn = walk_terms(tuple(f), top)
     prefix = np.cumsum(wn)
     return tuple(int(prefix[e - 1]) for e in np.searchsorted(n, cps, side="right"))
 
@@ -146,25 +160,14 @@ def test_streamed_route_matches_materialised_route(q):
         assert _checkpoint_sums(q, cps) == materialised_route(q, cps), k
 
 
-def _block_edges(q: int, top: int, w=None) -> list[int]:
-    """First and last leaf n p^2 of every block of the walk of w (by
-    default f) to top."""
-    primes, nodes = powerful_walk(f_weights(q, top) if w is None else w, top)
-    edges = []
-    for n, _, c, k in nodes:
-        if c < k:
-            edges += [n * primes[c] ** 2, n * primes[k - 1] ** 2]
-    return edges
-
-
 @pytest.mark.parametrize("q", [11, 13, 19])
 def test_streamed_route_on_random_checkpoints(q):
-    # checkpoints on, just below and just above the ends of the leaf blocks
-    # of the walk of f, where the materialised route's sums step
+    # checkpoints on, just below and just above the powerful n of the walk
+    # of f, where the materialised route's sums step
     rng = np.random.default_rng(q)
     for trial in range(12):
         top = int(rng.integers(2**12, 2**24))
-        edges = _block_edges(q, top)
+        edges = walk_terms(tuple(f_weights(q, top)), top)[0]
         picks = rng.choice(edges, size=min(len(edges), 8), replace=False)
         pool = {top} | {int(e) + d for e in picks for d in (-1, 0, 1)}
         pool |= {int(v) for v in rng.integers(1, top, size=8)}
@@ -177,19 +180,20 @@ def test_streamed_route_on_random_checkpoints(q):
 @pytest.mark.parametrize("q", [13, 19])
 def test_cube_full_route_on_random_checkpoints_to_2_40(q):
     # A(y) = isqrt(y) for q = 13 and M(isqrt(y)) for q = 19, against some
-    # 2.3 million powerful n, at seeded checkpoints up to 2^40: leaf-block
-    # ends of the walk of f and their neighbours, and uniform ones
+    # 2.3 million powerful n, at seeded checkpoints up to 2^40: powerful n
+    # of the walk of f and their neighbours, and uniform ones
     rng = random.Random(q)
     top = 2**40
     pool = {top} | {rng.randrange(2**20, top) for _ in range(6)}
-    pool |= {e + d for e in rng.sample(_block_edges(q, top), 4) for d in (-1, 0, 1)}
+    steps = walk_terms(tuple(f_weights(q, top)), top)[0].tolist()
+    pool |= {e + d for e in rng.sample(steps, 4) for d in (-1, 0, 1)}
     cps = tuple(sorted(pool))
     assert _checkpoint_sums(q, cps) == materialised_route(q, cps), cps
 
 
 def test_walk_lists_primes_only_as_deep_as_the_weights_reach(monkeypatch):
-    # H vanishes at p and p^2 on q = +-3 (mod 8): the cube root for q = 13
-    # and q = 3; h vanishes at p^2 and p^3 for q = 23: the fourth root
+    # H vanishes at p and p^2: the cube root for q = 13, q = 3 and q = 7,
+    # and the fourth root for q = 23, where H vanishes at p^3 too
     asked, real = [], powerful.prime_list
 
     def spy(limit):
@@ -198,9 +202,9 @@ def test_walk_lists_primes_only_as_deep_as_the_weights_reach(monkeypatch):
 
     monkeypatch.setattr(powerful, "prime_list", spy)
     top = 10**10
-    for q in (13, 23, 3):
+    for q in (13, 23, 3, 7):
         _checkpoint_sums(q, (top,))
-    assert asked == [integer_nth_root(top, e) for e in (3, 4, 3)]
+    assert asked == [integer_nth_root(top, e) for e in (3, 4, 3, 3)]
 
 
 @pytest.mark.parametrize("q", [23, 47])
@@ -228,16 +232,10 @@ def h_weights(q: int, top: int) -> list[int]:
 
 def materialised_pm1_route(q: int, cps) -> tuple[int, ...]:
     # the +-1 (mod 8) sums of h(n) D(x/n) over the powerful n <= top from
-    # sorted int64 arrays of the walk of h, its leaves listed one by one,
-    # one masked pass per checkpoint: D from a table to sqrt(top), and from
-    # divisor_window above it
+    # sorted int64 arrays of the walk of h, one masked pass per checkpoint:
+    # D from a table to sqrt(top), and from divisor_window above it
     top = cps[-1]
-    h = h_weights(q, top)
-    primes, nodes = powerful_walk(h, top)
-    terms = []
-    for n, wn, c, k in nodes:
-        terms += [(n, wn)] + [(n * p * p, wn * h[2]) for p in primes[c:k]]
-    n, wn = (np.array(v, dtype=np.int64) for v in zip(*sorted(terms)))
+    n, wn = walk_terms(tuple(h_weights(q, top)), top)
     y_small = isqrt(top)
     d_small = np.cumsum(sieves.divisor_count_sieve(y_small).values)
     values = []
@@ -255,70 +253,89 @@ def materialised_pm1_route(q: int, cps) -> tuple[int, ...]:
     "q,chunk,bits", [(7, 3, 22), (7, 4099, 36), (17, 1000, 36), (23, 7, 36), (47, 7, 36)]
 )
 def test_streamed_pm1_route_matches_materialised_route(q, chunk, bits, monkeypatch):
-    # h(p^2) = -2 for q = 7 and 17, whose walks have leaf blocks, and h
-    # vanishes at p^2 and p^3 for q = 23 and 47, whose walks have none; at
-    # seeded checkpoints up to ~2^36 on, just below and just above the ends
-    # of leaf blocks (or of nodes), with leaf chunks so small that flushes
-    # split blocks
-    monkeypatch.setattr(summatory, "_LEAF_CHUNK", chunk)
+    # A = E for q = 7 and 17, where h(p^2) = -2, and A = D for q = 23 and
+    # 47, where h vanishes at p^2 and p^3, against h D over every powerful
+    # n; at seeded checkpoints up to ~2^36 on, just below and just above
+    # the n where the materialised sums step, with E's chunks of j so small
+    # that they split its sums
+    monkeypatch.setattr(summatory, "_E_CHUNK", chunk)
     rng = random.Random(q * chunk)
     top = rng.randrange(2 ** (bits - 1), 2**bits)
-    h = h_weights(q, top)
-    edges = _block_edges(q, top, h)
-    if not edges:
-        edges = [n for n, _, _, _ in powerful_walk(h, top)[1] if n > 2**10]
+    n = walk_terms(tuple(h_weights(q, top)), top)[0]
+    edges = n[n > 2**10].tolist()
     pool = {top} | {e + d for e in rng.sample(edges, 4) for d in (-1, 0, 1)}
     pool |= {rng.randrange(2**10, top) for _ in range(4)}
     cps = tuple(sorted(pool))
     assert _checkpoint_sums(q, cps) == materialised_pm1_route(q, cps), cps
 
 
-def test_leaves_read_only_the_cube_root_table():
-    # a leaf n p^2 of a block has p > (top/n)^(1/3), so top // (n p^2) <
-    # top^(1/3): the leaves of the q = 7 walk, at seeded tops, read D only
-    # below the table's cube-root floor; every leaf of every block is
-    # checked
-    rng = random.Random(7)
-    for _ in range(12):
-        top = rng.randrange(2**10, 2**34)
-        h = h_weights(7, top)
-        primes, nodes = powerful_walk(h, top)
-        cube, leaves = integer_nth_root(top, 3), 0
-        for n, _, c, k in nodes:
-            for p in primes[c:k]:
-                assert top // (n * p * p) <= cube, (top, n, p)
-            leaves += k - c
-        assert leaves > 0, top
+def e_prefix(top: int) -> list[int]:
+    # E(y) for y = 0..top: the cumsum of e = mu^2 * mu^2 by one Dirichlet
+    # convolution of the squared Mobius table
+    mu2 = CoeffSeries(top, np.abs(mobius_sieve(top).values).astype(np.int64))
+    return [0] + np.cumsum(dirichlet_convolve(mu2, mu2).values[1:]).tolist()
 
 
-def test_leaf_flush_refuses_products_past_int64():
-    # a chunk sums w(n) D(y) in int64, so it is refused once max|w(n)| times
-    # D(top^(1/3)), the largest D a leaf reads, times the chunk length
-    # reaches 2^63, and summed exactly just below that
-    top = 2**30
-    h = h_weights(7, top)
-    primes, _ = powerful_walk(h, top)
-    _, flush = summatory._divisor_parts(h, (top,), primes)
-    wn = 2**63 // divisor_summatory(integer_nth_root(top, 3))
-    # the one leaf p^2, p the largest prime <= 2^15, has top // p^2 = 1
-    sums = [0]
-    flush([(1, wn, len(primes) - 1, len(primes))], sums)
-    assert sums == [h[2] * wn]
+def test_e_matches_the_cumsum_of_mu2_mu2(monkeypatch):
+    # E(y) above its table is sum_{j <= sqrt y} g(j) D(y // j^2): with the
+    # tables cut at 50 and 16 j per chunk, the Python j-sum with D memoised
+    # above the table and the split int64 chunks all run.  Every y to 2^13,
+    # and seeded y to 2^20 with the top itself
+    top = 2**20
+    want = e_prefix(top)
+    monkeypatch.setattr(summatory, "_E_CHUNK", 16)
+    E = summatory._divisor_parts(-2, 50, top, prime_list(integer_nth_root(top, 3)))
+    rng = random.Random(20)
+    ys = [*range(2**13 + 1), *(rng.randrange(2**13, top) for _ in range(2000)), top]
+    assert [E(y) for y in ys] == [want[y] for y in ys]
+
+
+def test_e_guard_refuses_products_past_int64(monkeypatch):
+    # a chunk sums g(j) D(y // j^2) in int64, so it is refused once max|g|
+    # = 2^omega_max(sqrt top) times D(reach), the largest D it reads, times
+    # _E_CHUNK reaches 2^63, and summed exactly just below that
+    top = 2**24
+    reach = integer_nth_root(top**2, 5)
+    big = 2 ** sieves._omega_max(isqrt(top)) * divisor_summatory(reach)
+    primes = prime_list(integer_nth_root(top, 3))
+    monkeypatch.setattr(summatory, "_E_CHUNK", (2**63 - 1) // big)
+    E = summatory._divisor_parts(-2, reach, top, primes)
+    want = e_prefix(2**20)
+    ys = [reach + 1, 2**16 + 1, 2**20]
+    assert [E(y) for y in ys] == [want[y] for y in ys]
+    monkeypatch.setattr(summatory, "_E_CHUNK", (2**63 - 1) // big + 1)
     with pytest.raises(OverflowHardError):
-        flush([(1, wn + 1, len(primes) - 1, len(primes))], [0])
+        summatory._divisor_parts(-2, reach, top, primes)
+
+
+def test_mu_mu_budget_refuses_before_any_work(monkeypatch):
+    # on q = +-7 (mod 24) g is listed to sqrt(x), so x past (1e8 + 1)^2 - 1
+    # is refused by the table budget before any prime, walk or constant
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the budget check")
+
+    monkeypatch.setattr(summatory, "powerful_walk", no_work)
+    monkeypatch.setattr(powerful, "prime_list", no_work)
+    monkeypatch.setattr(constants, "main_term_params", no_work)
+    edge = (sieves.MAX_SIEVE_ENTRIES + 1) ** 2
+    assert summatory._validate_x(edge - 1, edge, 7) == edge - 1
+    with pytest.raises(ResourceLimitError, match="mu \\* mu list"):
+        summatory._validate_x(edge, edge, 17)
+    with pytest.raises(ResourceLimitError, match="MAX_SIEVE_ENTRIES"):
+        summatory_convolved(7, 2 * 10**16, limit=10**17)
+    with pytest.raises(ResourceLimitError, match="mu \\* mu list"):
+        trace(31, (1024, 2 * 10**16), limit=10**17)
 
 
 def test_walk_reports_progress_before_the_checkpoints():
     # the cube-full walk of q = 13 to 2^40 has 18773 nodes, more than
-    # _PROGRESS_NODES: it reports as it runs, before any checkpoint
+    # _PROGRESS_NODES: it reports as it runs, and once as it ends, when
+    # every checkpoint is done
     calls = []
     _checkpoint_sums(13, (2**20, 2**40), lambda *a: calls.append(a))
-    stages = [stage for stage, _, _ in calls]
-    assert stages[0] == "sieve" and stages[-2:] == ["checkpoint"] * 2
-    walk = [(done, total) for stage, done, total in calls if stage == "walk"]
-    assert walk and stages.index("walk") < stages.index("checkpoint")
-    step = summatory._PROGRESS_NODES
-    assert walk == [(step * (i + 1), None) for i in range(len(walk))]
+    step, nodes = summatory._PROGRESS_NODES, 18773
+    walk = [("walk", step * (i + 1), None) for i in range(nodes // step)]
+    assert walk and calls == [("sieve", 1, 1), *walk, ("walk", nodes, nodes)]
 
 
 def test_max_exact_x_refusal_names_the_route():
@@ -615,8 +632,8 @@ def test_fitted_exponent_is_the_exact_least_squares_slope():
 def test_trace_progress_callback():
     calls = []
     trace(3, (1024, 2048), progress=lambda s, d, t: calls.append((s, d, t)))
-    assert calls[0] == ("sieve", 1, 1)
-    assert calls[1:] == [("checkpoint", 1, 2), ("checkpoint", 2, 2)]
+    # q = 3 walks the 12 cubes up to 2048
+    assert calls == [("sieve", 1, 1), ("walk", 12, 12)]
 
 
 def test_trace_checkpoint_validation():
