@@ -72,6 +72,10 @@ COMMANDS = [
     # q = 13, M(isqrt(y)) with M the Mertens function for q = 19
     ["trace", "--q", "13", "--max", "1e15"],
     ["rh-diagnostic", "--q", "19", "--max", "1e15"],
+    # the seed-0 commands of perfbench's trace-q13 and constants-q60
+    # workloads, verbatim
+    ["trace", "--q", "13", "--max", "10000000", "--prime-cutoff", "30000000"],
+    ["constants", "--all-q", "60", "--prime-cutoff", "10000000", "--tolerance", "2e-4"],
 ]
 
 

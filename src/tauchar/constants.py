@@ -87,18 +87,25 @@ where zeta_P(sigma) = zeta(sigma) prod_{p<=P} (1 - p^-sigma) and |E| is the
 bound above summed over every integer n > P, then compared with an integral.
 The s-derivative splits the same way.  So the primes up to 100 and a few
 dozen zeta values replace any prime sieve.  Only the k with b_k != 0 are
-computed: _rung(ks, P) holds log zeta_P(ks) and its sigma-derivative and is
-cached by (sigma, P), on the zeta values of _zeta_at, which are cached by
-sigma, so a sigma reached by two moduli or both splits, or asked for by
-zeta_real, is summed once.  log n is taken once per integer.  Tolerances stay
-gates: a result whose certified error exceeds the tolerance raises
-PrecisionError carrying the achieved bound instead of returning quietly.
+computed, each as a value and a sigma-derivative cached apart: _zeta_at and
+_dzeta_at hold zeta(sigma) and zeta'(sigma), cached by sigma; _rung holds
+log zeta_P(sigma), built on _zeta_at, and _rung_slope its derivative, built
+on both, cached by (sigma, P).  So a sigma reached by two moduli or both
+splits, or asked for by zeta_real, is summed once, each half by its own
+sequence of operations whichever caller asks first, and no derivative is
+summed for a caller that reads values alone: only log_factor_constants
+(the log branch, q = +-1 mod 8) and zeta_prime_real read them, while
+sqrt_factor_at_half, zeta_real and the half-line rungs take values.  log n
+is taken once per integer.  Tolerances stay gates: a result whose certified
+error exceeds the tolerance raises PrecisionError carrying the achieved bound
+instead of returning quietly.
 """
 
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
-from math import inf, isfinite, isqrt, lcm, log, nextafter, pi, ulp
+from math import ceil, inf, isfinite, isqrt, lcm, log, nextafter, pi, sqrt, ulp
 from typing import NamedTuple
 
 from .cases import (  # all re-exported as constants.<name>
@@ -394,19 +401,32 @@ def _bernoulli_numerators() -> tuple[int, tuple[int, ...]]:
     return D, tuple(r.numerator * (D // r.denominator) for r in ratios)
 
 
-def _inv_power(n: int, sigma: Fraction) -> tuple[int, int]:
-    """Fixed-point enclosure of n^-sigma.  When m = 2 sigma is an integer it
-    is the tightest one, sqrt(2^2F / n^m) rounded by integer division and
-    isqrt; otherwise it is exp(-sigma log n)."""
-    if sigma.denominator <= 2:
-        m = sigma.numerator * (2 // sigma.denominator)
-        if m % 2 == 0:
-            return _fx(1, n ** (m // 2))
-        x, y = n**m, _ONE << _FRAC
+def _power(sigma: Fraction):
+    """The function n -> fixed-point enclosure of n^-sigma, with sigma's
+    numerator and denominator read once.  When m = 2 sigma is an integer
+    the enclosure is the tightest one, sqrt(2^2F / n^m) rounded by integer
+    division and isqrt; otherwise it is exp(-sigma log n)."""
+    a, b = sigma.numerator, sigma.denominator
+    if b > 2:
+        minus_sigma = _fx(-a, b)
+        return lambda n: _fx_exp(_fx_mul(minus_sigma, _log_int(n)))
+    m = a * (2 // b)
+    if m % 2 == 0:
+        k = m // 2
+        return lambda n: _fx(1, n**k)
+    y = _ONE << _FRAC
+
+    def half(n: int) -> tuple[int, int]:
+        x = n**m
         lo = isqrt(y // x)
         return lo, lo + (lo * lo * x != y)
-    minus_sigma = _fx(-sigma.numerator, sigma.denominator)
-    return _fx_exp(_fx_mul(minus_sigma, _log_int(n)))
+
+    return half
+
+
+def _inv_power(n: int, sigma: Fraction) -> tuple[int, int]:
+    """Fixed-point enclosure of n^-sigma, by _power."""
+    return _power(sigma)(n)
 
 
 @lru_cache(maxsize=1 << 12)
@@ -417,50 +437,75 @@ def _log_int(n: int) -> tuple[int, int]:
 
 
 def _em_plan(sigma: float) -> tuple[int, int]:
-    """The first (N, M) on the ladder whose Euler-Maclaurin remainder, as a
-    float estimate, meets _EM_TARGET; the remainder actually added to the
-    enclosure is recomputed in exact arithmetic."""
-    # prefix sums over i < 2M of log(sigma + i) and 1/(sigma + i), added in
-    # the order of i, so every float is the one the estimate always used
+    """The first (N, M) on the ladder, N before M, whose Euler-Maclaurin
+    remainder, as a float estimate, meets _EM_TARGET, with M taken only
+    while the harmonic test of the log weight holds; the remainder actually
+    added to the enclosure is recomputed in exact arithmetic.
+
+    The estimate is rem(M) = log 4 - (2M+1) log 2pi + sum_{i<2M} log(sigma+i)
+    - (sigma+2M) log N + log log N, so rem(M+1) - rem(M) =
+    log((sigma+2M)(sigma+2M+1)) - 2 log(2 pi N) rises with M: rem is convex,
+    least at the first M with (sigma+2M)(sigma+2M+1) >= (2 pi N)^2, and one
+    estimate there decides whether N can meet the target.  The first M that
+    does lies where rem falls, and is bisected; so is the last M the
+    harmonic test admits, a running sum of positive terms, which rises in
+    floats too.  Every comparison is one a scan over M makes, on the same
+    float; the two could part only where rounding swapped two adjacent
+    estimates that both lie within rounding of the target.
+    """
+    # prefix sums over i < 2M of log(sigma + i), and the running sum of
+    # 1/(sigma + i) through i = 2M, added in the order of i as the scan did
     log_rising, harmonic, lr, h = [], [], 0.0, 0.0
     for i in range(2 * _EM_MAX_TERMS):
         lr += log(sigma + i)
         h += 1.0 / (sigma + i)
         if i % 2:
             log_rising.append(lr)
-            harmonic.append(h)
+            harmonic.append(h + 1.0 / (sigma + (i + 1)))
     log_4, log_2pi, log_target = log(4.0), log(2 * pi), log(_EM_TARGET)
+
+    def meets(M: int) -> bool:
+        return (
+            log_4 - (2 * M + 1) * log_2pi + log_rising[M - 1]
+            - (sigma + 2 * M) * log_N + log_log_N
+        ) <= log_target
+
     for N in _EM_LADDER:
         log_N = log(N)
         log_log_N = log(log_N)
-        for M in range(1, _EM_MAX_TERMS + 1):
-            if harmonic[M - 1] + 1.0 / (sigma + 2 * M) >= log_N:
-                break
-            remainder = (
-                log_4 - (2 * M + 1) * log_2pi + log_rising[M - 1]
-                - (sigma + 2 * M) * log_N + log_log_N
-            )
-            if remainder <= log_target:
-                return N, M
+        c = 2 * pi * N  # x (x + 1) >= c^2 for x >= (sqrt(1 + 4c^2) - 1)/2
+        least = max(1, ceil(((sqrt(1 + 4 * c * c) - 1) / 2 - sigma) / 2))
+        hi = min(least, bisect_left(harmonic, log_N))
+        if hi >= 1 and meets(hi):
+            return N, 1 + bisect_left(range(1, hi), True, key=meets)
     raise ArgumentError(f"no Euler-Maclaurin plan for zeta({sigma})")
 
 
 _PI_LOWER = Fraction(PI_LOWER_LITERAL)
 
 
-def _em_tail(sigma: Fraction, N: int, M: int, f_N, log_N):
-    """Fixed-point enclosures of sum_{n>=N} n^-sigma and
-    sum_{n>=N} log(n) n^-sigma from the enclosures f_N of N^-sigma and
-    log_N of log N, by the Euler-Maclaurin identity of the module docstring
-    with M Bernoulli corrections.
+@lru_cache(maxsize=None)
+def _pi_powers(k: int) -> tuple[int, int]:
+    """(d^k, (2c)^k), so (2 pi)^-k <= d^k / (2c)^k for the lower bound c/d
+    of pi; a few thousand bits each, cached by k = 2M + 1."""
+    return _PI_LOWER.denominator**k, (2 * _PI_LOWER.numerator) ** k
+
+
+def _em_tail(sigma: Fraction, N: int, M: int, f_N, log_N=None):
+    """Fixed-point enclosure of sum_{n>=N} n^-sigma from the enclosure f_N
+    of N^-sigma, or, given the enclosure log_N of log N, of
+    sum_{n>=N} log(n) n^-sigma, by the Euler-Maclaurin identity of the
+    module docstring with M Bernoulli corrections.
 
     Every part is an exact rational times N^-sigma.  With sigma = a/b and
     g = bN, (sigma)_i N^-i = r_i / g^i where r_i = prod_{i'<i} (a + i'b),
     and (sigma)_i H_i(sigma) N^-i = b r'_i / g^i where r'_i is the
     a-derivative of r_i.  So P_M and P_M' are integers over D g^(2M-1),
     summed by Horner's rule in g^2, and only the final quotients round.
+    The derivatives r'_i and P_M' are carried for the log weight alone.
     """
     a, b = sigma.numerator, sigma.denominator
+    slope = log_N is not None
     D, e = _bernoulli_numerators()
     g = b * N
     rise, drise = a, 1  # r_1, r'_1
@@ -468,60 +513,76 @@ def _em_tail(sigma: Fraction, N: int, M: int, f_N, log_N):
     for i in range(1, 2 * M):
         if i % 2:  # i = 2j - 1
             p_num = p_num * g * g + e[i // 2] * rise
-            dp_num = dp_num * g * g + e[i // 2] * drise
+            if slope:
+                dp_num = dp_num * g * g + e[i // 2] * drise
         f = a + i * b
-        rise, drise = rise * f, drise * f + rise
+        if slope:
+            drise = drise * f + rise
+        rise *= f
     # now r_2M and r'_2M: H_2M(sigma) = b r'_2M / r_2M
     den = D * g ** (2 * M - 1)
     a1 = a - b  # b (sigma - 1) > 0
-    # A = N/(sigma - 1) + 1/2 + P_M and B = N/(sigma - 1)^2 - P_M'
+    # A = N/(sigma - 1) + 1/2 + P_M
     A = _fx(2 * N * b * den + a1 * den + 2 * a1 * p_num, 2 * a1 * den)
+    # |f^(2M)(N)| = (sigma)_2M N^(-sigma-2M), times log N - H_2M for the log
+    # weight; 2 zeta(2M+1) <= 2 (2M+1)/(2M); only upper bounds are needed,
+    # and (2 pi)^-(2M+1) <= (d / 2c)^(2M+1) for the lower bound c/d of pi
+    d_k, c_k = _pi_powers(2 * M + 1)
+    num = f_N[1] * (2 * M + 1) * rise * d_k
+    remainder = -(-num // (M * g ** (2 * M) * c_k))
+    if not slope:
+        tail = _fx_mul(f_N, A)
+        return tail[0] - remainder, tail[1] + remainder
+    # B = N/(sigma - 1)^2 - P_M'
     B = _fx(N * b * b * den - b * a1 * a1 * dp_num, a1 * a1 * den)
     last = a + 2 * M * b
     # log N > H_(2M+1)(sigma) = (b r'_2M last + b r_2M) / (r_2M last)
     if not log_N[0] * rise * last > (b * drise * last + b * rise) << _FRAC:
         raise ArgumentError(f"log {N} is below the harmonic sum of zeta({sigma})")
-    # |f^(2M)(N)| = (sigma)_2M N^(-sigma-2M), times log N - H_2M for the log
-    # weight; 2 zeta(2M+1) <= 2 (2M+1)/(2M); only upper bounds are needed,
-    # and (2 pi)^-(2M+1) <= (d / 2c)^(2M+1) for the lower bound c/d of pi
-    c, d = _PI_LOWER.numerator, _PI_LOWER.denominator
-    num = f_N[1] * (2 * M + 1) * rise * d ** (2 * M + 1)
-    remainder = -(-num // (M * g ** (2 * M) * (2 * c) ** (2 * M + 1)))
     harmonic_lo = (b * drise << _FRAC) // rise
     log_remainder = -(-remainder * (log_N[1] - harmonic_lo) >> _FRAC)
-    tail = _fx_mul(f_N, A)
     log_tail = _fx_mul(f_N, _fx_add(_fx_mul(A, log_N), B))
-    return (
-        (tail[0] - remainder, tail[1] + remainder),
-        (log_tail[0] - log_remainder, log_tail[1] + log_remainder),
-    )
+    return log_tail[0] - log_remainder, log_tail[1] + log_remainder
 
 
 def _zeta_sums(sigma: Fraction, N: int, M: int, power):
-    """Fixed-point enclosures of (zeta(sigma), zeta'(sigma)) from the terms
-    n < N and the tail at N, where power(n) encloses n^-sigma.  The products
-    log(n) n^-sigma are summed exactly at scale 2^-2F and rounded once."""
-    lo = hi = _ONE  # sum of n^-sigma
-    log_lo = log_hi = 0  # sum of log(n) n^-sigma, at scale 2^-2F
+    """Fixed-point enclosure of zeta(sigma) from the terms n < N and the
+    tail at N, where power(n) encloses n^-sigma."""
+    lo = hi = _ONE
+    for n in range(2, N):
+        t_lo, t_hi = power(n)
+        lo += t_lo
+        hi += t_hi
+    tail = _em_tail(sigma, N, M, power(N))
+    return lo + tail[0], hi + tail[1]
+
+
+def _dzeta_sums(sigma: Fraction, N: int, M: int, power):
+    """Fixed-point enclosure of zeta'(sigma) = -sum log(n) n^-sigma, as
+    _zeta_sums; the products log(n) n^-sigma are summed exactly at scale
+    2^-2F and rounded once."""
+    lo = hi = 0
     for n in range(2, N):
         t_lo, t_hi = power(n)
         g_lo, g_hi = _log_int(n)
-        lo += t_lo
-        hi += t_hi
-        log_lo += t_lo * g_lo
-        log_hi += t_hi * g_hi
-    tail, log_tail = _em_tail(sigma, N, M, power(N), _log_int(N))
-    zeta = lo + tail[0], hi + tail[1]
-    dzeta = (-log_hi >> _FRAC) - log_tail[1], -(log_lo >> _FRAC) - log_tail[0]
-    return zeta, dzeta
+        lo += t_lo * g_lo
+        hi += t_hi * g_hi
+    tail = _em_tail(sigma, N, M, power(N), _log_int(N))
+    return (-hi >> _FRAC) - tail[1], -(lo >> _FRAC) - tail[0]
 
 
 @lru_cache(maxsize=None)
-def _zeta_at(sigma: Fraction):
-    """Fixed-point (zeta(sigma), zeta'(sigma)) enclosures, cached by exact
-    sigma; every zeta value of the module is summed here."""
-    N, M = _em_plan(float(sigma))
-    return _zeta_sums(sigma, N, M, lambda n: _inv_power(n, sigma))
+def _zeta_at(sigma: Fraction) -> tuple[int, int]:
+    """Fixed-point zeta(sigma), cached by exact sigma; every zeta value of
+    the module is summed here."""
+    return _zeta_sums(sigma, *_em_plan(float(sigma)), _power(sigma))
+
+
+@lru_cache(maxsize=None)
+def _dzeta_at(sigma: Fraction) -> tuple[int, int]:
+    """Fixed-point zeta'(sigma), cached by exact sigma, on the plan of
+    _zeta_at."""
+    return _dzeta_sums(sigma, *_em_plan(float(sigma)), _power(sigma))
 
 
 def _check_tolerance(tol: float) -> None:
@@ -546,21 +607,21 @@ def _gate(achieved: float, tol: float, what: str) -> None:
 
 def zeta_real(s: float, tol: float = 1e-12) -> Certified:
     """zeta(s) for real s > 1.1 with certified absolute error <= tol."""
-    c = Certified._of(_zeta_at(_series_argument(s, tol))[0])
+    c = Certified._of(_zeta_at(_series_argument(s, tol)))
     _gate(c.error, tol, f"zeta({s})")
     return c
 
 
 def zeta_prime_real(s: float, tol: float = 1e-12) -> Certified:
     """zeta'(s) = -sum log(n) n^{-s} for real s > 1.1, certified as zeta_real."""
-    c = Certified._of(_zeta_at(_series_argument(s, tol))[1])
+    c = Certified._of(_dzeta_at(_series_argument(s, tol)))
     _gate(c.error, tol, f"zeta'({s})")
     return c
 
 
 @lru_cache(maxsize=None)
-def _rung(sigma: Fraction, P: int):
-    """Fixed-point enclosures of log zeta_P(sigma) and its sigma-derivative,
+def _rung(sigma: Fraction, P: int) -> tuple[int, int]:
+    """Fixed-point enclosure of log zeta_P(sigma),
     zeta_P(sigma) = zeta(sigma) prod_{p<=P} (1 - p^-sigma), for sigma > 1.
 
     Built on _zeta_at(sigma), with the Euler factors of the primes p <= P
@@ -568,18 +629,29 @@ def _rung(sigma: Fraction, P: int):
     is cached by them: every modulus and split that reaches a sigma shares
     it, whichever asks first.
     """
-    zeta, dzeta = _zeta_at(sigma)
-    factor = zeta
-    lo = hi = 0  # sum of log(p) w/(1 - w), w = p^-sigma, at scale 2^-2F
+    power = _power(sigma)
+    factor = _zeta_at(sigma)
     for p in prime_list(P):
-        w_lo, w_hi = _inv_power(p, sigma)
+        w_lo, w_hi = power(p)
         factor = _fx_mul(factor, (_ONE - w_hi, _ONE - w_lo))
+    return _fx_log(factor)
+
+
+@lru_cache(maxsize=None)
+def _rung_slope(sigma: Fraction, P: int) -> tuple[int, int]:
+    """Fixed-point enclosure of d/dsigma log zeta_P(sigma), the slope of
+    _rung(sigma, P): zeta'(sigma)/zeta(sigma) + sum_{p<=P} log(p) w/(1 - w),
+    w = p^-sigma, cached as _rung."""
+    power = _power(sigma)
+    lo = hi = 0  # sum of log(p) w/(1 - w), at scale 2^-2F
+    for p in prime_list(P):
+        w_lo, w_hi = power(p)
         g_lo, g_hi = _log_int(p)
         # w/(1 - w) increases with w
         lo += g_lo * ((w_lo << _FRAC) // (_ONE - w_lo))
         hi += g_hi * -(-(w_hi << _FRAC) // (_ONE - w_hi))
-    ratio = _fx_div(dzeta, zeta)
-    return _fx_log(factor), (ratio[0] + (lo >> _FRAC), ratio[1] - (-hi >> _FRAC))
+    ratio = _fx_div(_dzeta_at(sigma), _zeta_at(sigma))
+    return ratio[0] + (lo >> _FRAC), ratio[1] - (-hi >> _FRAC)
 
 
 def _root_radius(t: list[int]) -> Fraction:
@@ -626,8 +698,9 @@ def _truncation_order(D: int, rho: Fraction, s: Fraction, P: int) -> int:
             return K
 
 
-def _tail_bounds(D: int, rho: Fraction, s: Fraction, P: int, K: int):
-    """Upper bounds, at 2^-F, on |E| and |dE/ds| for the split at P and K:
+def _tail_bounds(D: int, rho: Fraction, s: Fraction, P: int, K: int, slope: bool):
+    """Upper bounds, at 2^-F, on |E| and, with slope, |dE/ds| (None
+    otherwise) for the split at P and K:
     the bounds of the module docstring at u = n^-s, summed over n > P
     against the integrals of x^-sigma and x^-sigma log x from P,
     sigma = s (K+1).  With r = P^-s and w = r^(K+1) = P^-sigma,
@@ -644,6 +717,8 @@ def _tail_bounds(D: int, rho: Fraction, s: Fraction, P: int, K: int):
     sig = s * (K + 1) - 1  # sigma - 1 = a/b
     a, b = sig.numerator, sig.denominator
     tail = _fx_div(_fx_scale(b, lead), _fx(a))
+    if not slope:
+        return tail[1], None
     # log P/(sigma - 1) + 1/(sigma - 1)^2 = b (a log P + b) / a^2
     factor = _fx_div(_fx_scale(b, _fx_add(_fx_scale(a, _log_int(P)), _fx(b))), _fx(a * a))
     dtail = _fx_div(_fx_mul(lead, factor), (_ONE - w[1], _ONE - w[0]))
@@ -657,9 +732,9 @@ def _root_powers(p: int, d: int) -> tuple[tuple[int, int], ...]:
     return tuple(_inv_power(p, Fraction(r, d)) for r in range(d))
 
 
-def _explicit_factors(t: list[int], s: Fraction, P: int):
-    """Fixed-point enclosures of sum_{p<=P} log L(p^-s) and of its
-    s-derivative, -sum log p u L'(u)/L(u).
+def _explicit_factors(t: list[int], s: Fraction, P: int, slope: bool):
+    """Fixed-point enclosures of sum_{p<=P} log L(p^-s) and, with slope, of
+    its s-derivative, -sum log p u L'(u)/L(u) (None otherwise).
 
     With s = 1/d and e = ceil(D/d), p^e L(p^-s) = sum_{r<d} A_r p^(-r/d) for
     exact integers A_r, and likewise for u L'(u), so each prime costs a few
@@ -669,28 +744,34 @@ def _explicit_factors(t: list[int], s: Fraction, P: int):
     e = -(-D // d)
     prod, deriv = (_ONE, _ONE), (0, 0)
     for p in prime_list(P):
-        val = slope = (0, 0)  # p^e L(p^-s) and p^e u L'(u)
+        val = val1 = (0, 0)  # p^e L(p^-s) and p^e u L'(u)
         for r, w in enumerate(_root_powers(p, d)):
             ms = range(r, D + 1, d)
-            a = a1 = 0
-            for m in ms:
-                a, a1 = a * p + t[m], a1 * p + m * t[m]
             c = p ** (e + 1 - len(ms))
+            a = 0
+            for m in ms:
+                a = a * p + t[m]
             val = _fx_add(val, _fx_scale(a * c, w))
-            slope = _fx_add(slope, _fx_scale(a1 * c, w))
+            if slope:
+                a = 0
+                for m in ms:
+                    a = a * p + m * t[m]
+                val1 = _fx_add(val1, _fx_scale(a * c, w))
         if not val[0] > 0:
             raise ArgumentError(
                 f"local factor not positive at p={p}; coefficients corrupt"
             )
         prod = _fx_mul(prod, _fx_div(val, _fx(p**e)))
-        term = _fx_mul(_log_int(p), _fx_div(slope, val))
-        deriv = deriv[0] - term[1], deriv[1] - term[0]
-    return _fx_log(prod), deriv
+        if slope:
+            term = _fx_mul(_log_int(p), _fx_div(val1, val))
+            deriv = deriv[0] - term[1], deriv[1] - term[0]
+    return _fx_log(prod), deriv if slope else None
 
 
-def _euler_product(q: int, s: Fraction, P: int):
-    """Enclosures of log prod_p L(p^-s) and its s-derivative for the local
-    factor L of q, split at P as in the module docstring."""
+def _euler_product(q: int, s: Fraction, P: int, slope: bool = False):
+    """Enclosures of log prod_p L(p^-s) and, with slope, of its
+    s-derivative (None otherwise) for the local factor L of q, split at P
+    as in the module docstring."""
     t = list(local_factor(q).numerator)
     while t[-1] == 0:
         t.pop()
@@ -699,20 +780,20 @@ def _euler_product(q: int, s: Fraction, P: int):
         raise ArgumentError(f"split point {P} leaves p^-s above the root bound")
     K = _truncation_order(D, rho, s, P)
     b = _factor_exponents(t, K)
-    log_prod, deriv = _explicit_factors(t, s, P)
+    log_prod, deriv = _explicit_factors(t, s, P, slope)
     for k in range(1, K + 1):
         if not b[k]:
             continue
         if k * s <= 1:
             raise ArgumentError(f"q={q}: exponent b_{k} = {b[k]} at a zeta pole")
-        lz, dlz = _rung(k * s, P)
-        log_prod = _fx_add(log_prod, _fx_scale(b[k], lz))
-        deriv = _fx_add(deriv, _fx_scale(b[k] * k, dlz))
-    tail, dtail = _tail_bounds(D, rho, s, P, K)
-    return (
-        (log_prod[0] - tail, log_prod[1] + tail),
-        (deriv[0] - dtail, deriv[1] + dtail),
-    )
+        log_prod = _fx_add(log_prod, _fx_scale(b[k], _rung(k * s, P)))
+        if slope:
+            deriv = _fx_add(deriv, _fx_scale(b[k] * k, _rung_slope(k * s, P)))
+    tail, dtail = _tail_bounds(D, rho, s, P, K, slope)
+    log_prod = log_prod[0] - tail, log_prod[1] + tail
+    if slope:
+        deriv = deriv[0] - dtail, deriv[1] + dtail
+    return log_prod, deriv
 
 
 @lru_cache(maxsize=32)
@@ -732,7 +813,7 @@ def log_factor_constants(q: int, tol: float = 1e-4) -> tuple[Certified, Certifie
         raise ClassificationError(
             f"q={q} is in branch {case.branch.value}, which has no log-branch product"
         )
-    log_prod, deriv = _euler_product(q, Fraction(1), EXPLICIT_PRIME_LIMIT)
+    log_prod, deriv = _euler_product(q, Fraction(1), EXPLICIT_PRIME_LIMIT, slope=True)
     product = Certified._of(_fx_exp(log_prod))
     logderiv = Certified._of(deriv)
     _gate(product.error / product.value, tol, f"q={q}: the product at 1")
@@ -761,12 +842,15 @@ def sqrt_factor_at_half(q: int, tol: float = 1e-4) -> Certified:
 class MainTermParams(NamedTuple):
     """Certified constants feeding the branch main term for modulus q.
 
-    Fields not applicable to the branch are None.
+    zeta_q, zeta_prime_q, product_at_one and logderiv_at_one are read on
+    the log branch alone, zeta_half_q and sqrt_product_half on the sqrt
+    branch alone; a field its branch does not read is None, and is not
+    computed.
     """
 
     q: int
     case: CaseClass
-    zeta_q: Certified
+    zeta_q: Certified | None
     zeta_prime_q: Certified | None
     product_at_one: Certified | None
     logderiv_at_one: Certified | None
@@ -804,16 +888,16 @@ def main_term_params(q: int, tol: float = 1e-4) -> MainTermParams:
     product's own achieved error."""
     _check_tolerance(tol)
     case = classify(q)
-    zpq = None
+    zq = zpq = None
     p1 = ld1 = None
     zhq = rhalf = None
     if case.branch is Branch.PM1_MOD8:
         p1, ld1 = log_factor_constants(q, tol)
         zpq = zeta_prime_real(float(q), min(tol, 1e-12))
+        zq = zeta_real(float(q), min(tol, 1e-12))
     elif case.branch is Branch.PM11_MOD24:
         rhalf = sqrt_factor_at_half(q, tol)
         zhq = zeta_real(q / 2.0, min(tol, 1e-12))
-    zq = zeta_real(float(q), min(tol, 1e-12))
     return MainTermParams(
         q=q,
         case=case,

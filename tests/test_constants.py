@@ -512,7 +512,8 @@ def test_euler_maclaurin_remainder_is_an_enclosure():
             with _precision():
                 power = partial(constants._inv_power, sigma=sigma)
                 routes = (
-                    tuple(map(_fx_iv, constants._zeta_sums(sigma, 8, 2, power))),
+                    (_fx_iv(constants._zeta_sums(sigma, 8, 2, power)),
+                     _fx_iv(constants._dzeta_sums(sigma, 8, 2, power))),
                     _euler_maclaurin(sigma, 8, 2),
                 )
             for z, dz in routes:
@@ -642,22 +643,26 @@ def test_ladder_meets_per_sigma_route(s, ks):
     with mp.workdps(80):
         for k in ks:
             sigma = k * s
-            got = constants._zeta_at(sigma) + constants._rung(sigma, P)
+            got = (constants._zeta_at(sigma), constants._dzeta_at(sigma),
+                   constants._rung(sigma, P), constants._rung_slope(sigma, P))
             old = _zeta_pair(sigma) + _log_zeta_rough(sigma, P)
             for new, ref in zip(map(_fx_iv, got), old):
                 assert _meet(new, ref), (sigma, new, ref)
                 assert _width(new) <= _width(ref) + slack, (sigma, new, ref)
 
 
+_CONSTANT_CACHES = (main_term_params, log_factor_constants, sqrt_factor_at_half,
+                    constants._rung, constants._rung_slope, constants._zeta_at,
+                    constants._dzeta_at)
+
+
 def test_constants_do_not_depend_on_modulus_order():
     # a rung depends on sigma and P alone, so every constant is the same
     # interval whichever modulus reaches a sigma first
     moduli = prime_list(60)[1:]
-    caches = (main_term_params, log_factor_constants, sqrt_factor_at_half,
-              constants._rung, constants._zeta_at)
     runs = []
     for order in (moduli, moduli[::-1]):
-        for cache in caches:
+        for cache in _CONSTANT_CACHES:
             cache.cache_clear()
         params = {q: main_term_params(q) for q in order}
         runs.append({
@@ -667,6 +672,36 @@ def test_constants_do_not_depend_on_modulus_order():
             for q, p in params.items()
         })
     assert runs[0] == runs[1]
+
+
+def _work(moduli):
+    """(zeta sums, zeta' sums, rung slopes) that main_term_params makes over
+    moduli from cold caches: each is one miss of its cache."""
+    for cache in _CONSTANT_CACHES:
+        cache.cache_clear()
+    params = [main_term_params(q) for q in moduli]
+    misses = tuple(c.cache_info().misses for c in
+                   (constants._zeta_at, constants._dzeta_at, constants._rung_slope))
+    return misses, params
+
+
+def test_constants_compute_only_what_their_branch_reads():
+    # q = 13 is on the sqrt branch: its rungs and zeta(13/2) are values
+    # alone, and zeta(13) is a rung already
+    assert _work([13])[0] == (45, 0, 0)
+    # the 16 moduli of constants --all-q 60: slopes only for the six on the
+    # log branch, zeta(q) only there too
+    assert _work(prime_list(60)[1:])[0] == (51, 20, 16)
+
+
+def test_zeta_q_is_summed_on_the_log_branch_only():
+    # 1000003 = 19 (mod 24) has no main-term constant, so no zeta value is
+    # summed, least of all zeta(1000003)
+    work, (params,) = _work([1000003])
+    assert work == (0, 0, 0)
+    assert params.zeta_q is None and params.leading_coefficient is None
+    for q, branch_reads in ((7, True), (13, False), (3, False), (5, False)):
+        assert (main_term_params(q).zeta_q is not None) is branch_reads, q
 
 
 def _em_plan_per_n(sigma: float):
@@ -691,7 +726,13 @@ def _em_plan_per_n(sigma: float):
 
 
 def test_em_plan_matches_per_n_planner():
-    sigmas = [k / 2 for k in range(3, 121)] + [float(s) for s in ZETA_POINTS]
+    # the bisecting planner against the scan over every M: the half-integers
+    # the half-line rungs reach, a 0.01-step grid, and the zeta test points
+    sigmas = (
+        [k / 2 for k in range(3, 241)]
+        + [1.1 + k / 100 for k in range(1, 5891)]
+        + [float(s) for s in ZETA_POINTS]
+    )
     for sigma in sigmas:
         assert constants._em_plan(sigma) == _em_plan_per_n(sigma), sigma
 
