@@ -65,17 +65,19 @@ COMMANDS = [
     # A = E sums g(j) D(y // j^2) over j <= sqrt(y), g = mu * mu
     ["trace", "--q", "7", "--max", "1e12"],
     # the memory rows: the walk streams, so the peak is its primes, the D
-    # and E tables to top^(2/5) and the int16 g list to sqrt(top)
+    # and E tables to top^(2/5) and the g = mu * mu table to sqrt(top),
+    # int16 here, the width the table builder's bound picks
     ["trace", "--q", "7", "--max", "1e13"],
     ["trace", "--q", "7", "--max", "1e14"],
     # q = +-3 (mod 8) sums over the cube-full numbers: A(y) = isqrt(y) for
     # q = 13, M(isqrt(y)) with M the Mertens function for q = 19
     ["trace", "--q", "13", "--max", "1e15"],
     ["rh-diagnostic", "--q", "19", "--max", "1e15"],
-    # the seed-0 commands of perfbench's trace-q13 and constants-q60
-    # workloads, verbatim
+    # the seed-0 commands of perfbench's trace-q13, constants-q60 and
+    # verify-q60 workloads, verbatim
     ["trace", "--q", "13", "--max", "10000000", "--prime-cutoff", "30000000"],
     ["constants", "--all-q", "60", "--prime-cutoff", "10000000", "--tolerance", "2e-4"],
+    ["verify", "--all-q", "60", "--limit", "20000"],
 ]
 
 

@@ -3,6 +3,8 @@
 A multiplicative table is fixed by per-exponent values ``c[e]`` that are
 the same for all primes; ``factor_block`` sieves one block of it, and
 ``full_tables`` (called by ``sieves.multiplicative_series``) a table from 1.
+``table_dtype`` is the one rule for a table's width: the narrowest integer
+type that holds the bound max |c[e]|^omega_max on its values.
 Factorization uses per-prime-power stride passes rather than a
 smallest-prime-factor chain: numpy cannot follow the sequential spf
 recurrence efficiently, but strided in-place updates run at C speed.
@@ -12,11 +14,12 @@ the near-curve trivial bound: float64 while b + isqrt(b) < 2^53, where
 floor(b/i) is exact in floats, and int64 above that.
 """
 
+from itertools import count
 from math import isqrt
 
 import numpy as np
 
-from ..arith import MAX_EXACT_X
+from ..arith import MAX_EXACT_X, is_prime
 from ..errors import OverflowHardError
 from ..powerful import prime_list
 
@@ -36,15 +39,15 @@ def factor_block(lo: int, hi: int, primes, c) -> np.ndarray:
     hi, that is len(c) >= (hi - 1).bit_length().  ``primes`` (a list or an
     int array, ascending) must contain every prime p with p*p < hi; the one
     prime factor above that a number can have is found as a leftover and
-    contributes c[1].  The array is int8 when every |c[e]| <= 1, else
-    int64; the caller keeps products of c within int64.
+    contributes c[1].  The array is ``table_dtype(c, hi - 1)``, the width
+    its largest n needs, which refuses a row that could pass int64.
     """
     if lo < 1 or hi <= lo:
         raise ValueError("factor_block requires 1 <= lo < hi")
     c = [int(v) for v in c]
     if len(c) < max(2, (hi - 1).bit_length()) or c[0] != 1:
         raise ValueError("c must start at c[0] = 1 and cover every exponent below hi")
-    dtype = table_dtype(c)
+    dtype = table_dtype(c, hi - 1)
     size = hi - lo
     vals = np.ones(size, dtype=dtype)
     # product of the prime powers found so far (below n < hi, so uint32 holds
@@ -75,24 +78,42 @@ def factor_block(lo: int, hi: int, primes, c) -> np.ndarray:
             pk *= p
         vals[s1] *= fac
 
-    if c[1] != 1:
+    if c[1] != 1 and hi > 2:  # n = 1 has no leftover, and c[1] may not fit
         leftover = found != np.arange(lo, hi, dtype=found.dtype)
         np.multiply(vals, c[1], out=vals, where=leftover)
     return vals
 
 
-def table_dtype(c):
-    """int8 when every |c[e]| <= 1, so that every product of c-values lies
-    in {-1, 0, 1}; else int64."""
-    return np.int8 if max(map(abs, c)) <= 1 else np.int64
+def table_dtype(c, limit: int, what: str = "multiplicative table"):
+    """The narrowest of int8, int16, int32 and int64 that holds every f(n),
+    n <= limit, f(p^e) = c[e]: f(n) is a product of at most omega_max(limit)
+    of the c[e] with e < 2 or 2^e <= limit.  A bound past int64 raises
+    OverflowHardError, before any work."""
+    top = max(abs(int(v)) for v in c[: max(2, limit.bit_length())])
+    bound = top ** _omega_max(limit)
+    for dtype in (np.int8, np.int16, np.int32, np.int64):
+        if bound <= np.iinfo(dtype).max:
+            return dtype
+    raise OverflowHardError(f"{what} could overflow int64 below {limit}")
+
+
+def _omega_max(limit: int) -> int:
+    """The most distinct prime factors any n <= limit has: the largest k
+    with p_1 p_2 ... p_k <= limit."""
+    k, primorial = 0, 1
+    for p in filter(is_prime, count(2)):
+        primorial *= p
+        if primorial > limit:
+            return k
+        k += 1
 
 
 def full_tables(limit: int, c) -> np.ndarray:
     """``factor_block`` values over [0, limit] (entry 0 set to 0), built
-    block by block of ``DEFAULT_SEGMENT``, in ``table_dtype(c)``; ``c`` must
-    cover every exponent up to log2(limit)."""
+    block by block of ``DEFAULT_SEGMENT``, in ``table_dtype(c, limit)``;
+    ``c`` must cover every exponent up to log2(limit)."""
     base = prime_list(isqrt(limit))
-    out = np.zeros(limit + 1, dtype=table_dtype(c))
+    out = np.zeros(limit + 1, dtype=table_dtype(c, limit))
     for lo in range(1, limit + 1, DEFAULT_SEGMENT):
         hi = min(lo + DEFAULT_SEGMENT, limit + 1)
         out[lo:hi] = factor_block(lo, hi, base, c)

@@ -96,9 +96,9 @@ sequence of operations whichever caller asks first, and no derivative is
 summed for a caller that reads values alone: only log_factor_constants
 (the log branch, q = +-1 mod 8) and zeta_prime_real read them, while
 sqrt_factor_at_half, zeta_real and the half-line rungs take values.  log n
-is taken once per integer.  Tolerances stay gates: a result whose certified
-error exceeds the tolerance raises PrecisionError carrying the achieved bound
-instead of returning quietly.
+is taken once per integer, and the (N, M) plan once per sigma.  Tolerances
+stay gates: a result whose certified error exceeds the tolerance raises
+PrecisionError carrying the achieved bound instead of returning quietly.
 """
 
 from bisect import bisect_left
@@ -436,6 +436,7 @@ def _log_int(n: int) -> tuple[int, int]:
     return _fx_log((n << _FRAC, n << _FRAC))
 
 
+@lru_cache(maxsize=None)
 def _em_plan(sigma: float) -> tuple[int, int]:
     """The first (N, M) on the ladder, N before M, whose Euler-Maclaurin
     remainder, as a float estimate, meets _EM_TARGET, with M taken only

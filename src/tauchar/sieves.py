@@ -3,16 +3,17 @@
 Everything downstream consumes these: the divisor count tau(n), the Mobius
 and Liouville functions, perfect-power indicators, the tau character (the
 Legendre symbol of the divisor count) and the Euler-factor expansions, all
-over 1..limit as exact integers: int8 when every value lies in {-1, 0, 1},
-else int64.
+over 1..limit as exact integers.
 
 Each of them is multiplicative and fixed by one row c[e] = f(p^e) shared by
 all primes, and ``multiplicative_series`` is the one builder of such a
 table: when c[1] = 0 the table lives on the powerful numbers, and the
 numpy-free ``powerful.powerful_walk`` lists every (n, f(n)) with f(n) != 0
 to be scattered into a zero table; otherwise the numpy block kernel in
-``tauchar._kernels`` sieves every n.  Either way a row whose products
-could pass int64 is refused first.  ``summatory`` reads its tables of D and
+``tauchar._kernels`` sieves every n.  Either way ``_kernels.table_dtype``
+picks the width, the narrowest of int8, int16, int32 and int64 that holds
+the bound max |c[e]|^omega_max(limit) on every value, and refuses a row
+whose bound passes int64 first.  ``summatory`` reads its tables of D and
 E here, the sums of tau and of e = mu^2 * mu^2 (c = 1, 2, 1, 0, ...) that
 are the A(y) of S(x) = sum_{m cube-full} H(m) A(x // m) on q = +-1 (mod 8).
 The tau character is the exception: it is read off the divisor count, one
@@ -21,24 +22,22 @@ Primality, the Jacobi symbol and the table budget live in the numpy-free
 ``arith`` and are re-exported here.
 """
 
-from itertools import count
-
 import numpy as np
 
 from . import _kernels
 from ._record import Record
 from .arith import MAX_SIEVE_ENTRIES, _jacobi, check_budget, is_prime
-from .errors import ArgumentError, OverflowHardError
+from .errors import ArgumentError
 from .powerful import powerful_walk
 
 
 class CoeffSeries(Record):
     """Exact integer values a(1..limit) of an arithmetic function.
 
-    ``values`` is an int8 or int64 array of length limit + 1 whose entry 0
-    is unused (kept at 0) so that values[n] is a(n).  The builders here
-    return int8 exactly when every value lies in {-1, 0, 1}; arithmetic on
-    the values is done in int64.  Immutable after construction.
+    ``values`` is a signed integer array of length limit + 1 whose entry 0
+    is unused (kept at 0) so that values[n] is a(n), in the width
+    ``_kernels.table_dtype`` picks for the builders here; arithmetic on the
+    values is done in int64.  Immutable after construction.
     """
 
     __slots__ = ("limit", "values")
@@ -46,13 +45,9 @@ class CoeffSeries(Record):
     def __init__(self, limit: int, values: np.ndarray):
         if limit < 1:
             raise ArgumentError(f"series limit must be >= 1, got {limit}")
-        if (
-            values.dtype not in (np.int8, np.int64)
-            or values.ndim != 1
-            or len(values) != limit + 1
-        ):
+        if values.dtype.kind != "i" or values.ndim != 1 or len(values) != limit + 1:
             raise ArgumentError(
-                "values must be a 1-d int8 or int64 array of length limit + 1"
+                "values must be a 1-d signed integer array of length limit + 1"
             )
         values.setflags(write=False)
         self._set(limit=limit, values=values)
@@ -82,14 +77,13 @@ def multiplicative_series(limit: int, c, what: str = "sieve") -> CoeffSeries:
 
     ``c[0]`` must be 1, and ``c`` must reach the exponent 1 and every
     exponent e with 2^e <= limit, that is len(c) >= max(2,
-    limit.bit_length()); otherwise ArgumentError.  A value is a product of
-    at most omega_max(limit) of those c[e], so when max |c[e]| to that
-    power passes int64, OverflowHardError is raised before any work.
+    limit.bit_length()); otherwise ArgumentError.  The table is in the
+    width ``_kernels.table_dtype(c, limit, what)`` picks, which refuses a
+    row whose values could pass int64 before any work.
 
     When c[1] = 0, f lives on the powerful numbers, and the powerful walk
     scatters them into a zero table in O(sqrt(limit)) steps; otherwise the
-    block kernel sieves all of 1..limit.  The table is int8 when every
-    |c[e]| <= 1, so that every value lies in {-1, 0, 1}, else int64.
+    block kernel sieves all of 1..limit.
     """
     if limit < 1:
         raise ArgumentError(f"limit must be >= 1, got {limit}")
@@ -101,25 +95,13 @@ def multiplicative_series(limit: int, c, what: str = "sieve") -> CoeffSeries:
             f"length {len(c)}"
         )
     check_budget(limit, what)
-    if max(map(abs, c[: max(2, limit.bit_length())])) ** _omega_max(limit) >= 2**63:
-        raise OverflowHardError(f"{what} could overflow int64 below {limit}")
+    dtype = _kernels.table_dtype(c, limit, what)
     if c[1]:
         return CoeffSeries(limit, _kernels.full_tables(limit, c))
     n, w = map(np.array, zip(*powerful_walk(c, limit)[1]))
-    values = np.zeros(limit + 1, dtype=_kernels.table_dtype(c))
+    values = np.zeros(limit + 1, dtype=dtype)
     values[n] = w
     return CoeffSeries(limit, values)
-
-
-def _omega_max(limit: int) -> int:
-    """The most distinct prime factors any n <= limit has: the largest k
-    with p_1 p_2 ... p_k <= limit."""
-    k, primorial = 0, 1
-    for p in filter(is_prime, count(2)):
-        primorial *= p
-        if primorial > limit:
-            return k
-        k += 1
 
 
 def divisor_count_sieve(limit: int) -> CoeffSeries:

@@ -19,13 +19,13 @@ visits the ~4.6 x^(1/3) cube-full m (Bateman and Grosswald 1958), and
 ``_streamed_sums`` adds each to every checkpoint in Python integers as it
 runs.  M, D and E are memoised per call.  D and E are read from cumsum
 tables to top^(1/3), or to top^(2/5) on +-7 (mod 24); above them D(y) is
-the hyperbola sum and E(y) = sum_{j <= sqrt y} g(j) D(y // j^2), with
-g = mu * mu listed to sqrt(top).  Everything float-valued here is derived
-from exact integers and certified constants, so residuals carry honest
-error intervals.
+the hyperbola sum and E(y) = sum_{j <= sqrt y} g(j) D(y // j^2), g = mu * mu
+to sqrt(top); ``sieves.multiplicative_series`` builds all three tables in
+the width their bound picks.  Every float here derives from exact integers
+and certified constants, so residuals carry honest error intervals.
 
-numpy, ``_kernels`` and ``sieves`` are imported inside ``_divisor_parts``
-and D, ``constants`` inside ``trace``, the one caller of its main terms.
+numpy and ``sieves`` are imported inside ``_divisor_parts``, ``_kernels``
+inside D, ``constants`` inside ``trace``, the one caller of its main terms.
 The identity scans, a * 1 against the jumps of an identity's right side
 term by term, live in ``dirichlet`` with the routes they share tables with.
 """
@@ -109,16 +109,14 @@ def _mertens(z: int, memo: dict[int, int]) -> int:
     return memo[z]
 
 
-def _divisor_parts(b: int, reach: int, top: int, primes: list[int]):
+def _divisor_parts(b: int, reach: int, top: int):
     """A(y) for a = 2: D for b = 0, E for b = -2, read from cumsum tables
-    to ``reach`` and memoised above them for this call.  ``primes`` must
-    reach top^(1/4), for g."""
+    to ``reach`` and memoised above them for this call."""
     import numpy as np
 
-    from ._kernels import DEFAULT_SEGMENT, factor_block
     from .sieves import divisor_count_sieve, multiplicative_series
 
-    d = np.cumsum(divisor_count_sieve(reach).values)
+    d = np.cumsum(divisor_count_sieve(reach).values, dtype=np.int64)
     d_ints, memo = memoryview(d), {}  # D(y) as Python ints; x // n recurs
 
     def D(y):
@@ -128,14 +126,10 @@ def _divisor_parts(b: int, reach: int, top: int, primes: list[int]):
 
     if not b:
         return D
-    row = [1, 2, 1] + [0] * reach.bit_length()
-    e_ints = memoryview(np.cumsum(multiplicative_series(reach, row).values))
-    # g(p) = -2, g(p^2) = 1: |g(j)| <= 2^omega(j) <= 2^8 for j <= 1e8
-    r = isqrt(top)
-    g = np.zeros(r + 1, dtype=np.int16)
-    for lo in range(1, r + 1, DEFAULT_SEGMENT):
-        hi = min(lo + DEFAULT_SEGMENT, r + 1)
-        g[lo:hi] = factor_block(lo, hi, primes, [1, -2, 1] + [0] * hi.bit_length())
+    e = multiplicative_series(reach, [1, 2, 1] + [0] * reach.bit_length())
+    e_ints = memoryview(np.cumsum(e.values, dtype=np.int64))
+    r = isqrt(top)  # g(p) = -2, g(p^2) = 1
+    g = multiplicative_series(r, [1, -2, 1] + [0] * r.bit_length(), "mu * mu list").values
     g_ints, e_memo = memoryview(g), {}
     # each chunk sums at most _E_CHUNK terms |g(j)| D(y // j^2) <= max|g| D(reach)
     if max(int(g.max()), -int(g.min())) * int(d[reach]) * _E_CHUNK >= 2**63:
@@ -186,12 +180,12 @@ def _checkpoint_sums(q: int, cps: tuple[int, ...], progress=None) -> tuple[int, 
     progress = progress or (lambda stage, done, total: None)
     top = cps[-1]
     w, (a, b) = _local_weights(q, top.bit_length() + 1)
-    primes, nodes = powerful_walk(w, top)
+    nodes = powerful_walk(w, top)[1]
     progress("sieve", 1, 1)
     memo = {}  # Mertens values for this call only
     if a:  # a larger E table spares more E(y) and D(y) summed above it
         reach = integer_nth_root(top**2, 5) if b else integer_nth_root(top, 3)
-        A = _divisor_parts(b, reach, top, primes)
+        A = _divisor_parts(b, reach, top)
     else:
         A = {1: isqrt, 0: None, -1: lambda y: _mertens(isqrt(y), memo)}[b]
     return tuple(_streamed_sums(A, cps, nodes, progress))
@@ -280,8 +274,8 @@ def trace(
     if alphas is None:
         alphas = default_alphas(case)
     alphas = tuple(float(a) for a in alphas)
-    if not all(0 < a <= 1 for a in alphas):
-        raise ArgumentError(f"normalization exponents must lie in (0, 1]: {alphas}")
+    if not alphas or not all(0 < a <= 1 for a in alphas):
+        raise ArgumentError(f"need normalization exponents in (0, 1], got {alphas}")
 
     from .constants import Certified, main_term, main_term_params
 

@@ -243,6 +243,12 @@ def test_trace_usage_errors(capsys):
     assert run(["trace", "--q", "3", "--checkpoints", "2048,1024"], capsys)[0] == 2
     nan_alpha = ["trace", "--q", "13", "--max", "1e5", "--alphas", "nan"]
     assert run(nan_alpha, capsys)[0] == 2
+    # an empty exponent list would leave every data row a cell short of
+    # its header, in either format
+    for empty in ("", ","):
+        for fmt in ("csv", "json"):
+            argv = ["trace", "--q", "13", "--max", "1e5", "--alphas", empty]
+            assert run(argv + ["--format", fmt], capsys)[0] == 2, (empty, fmt)
 
 
 def test_short_interval_summary_matches_library(capsys):

@@ -653,7 +653,7 @@ def test_ladder_meets_per_sigma_route(s, ks):
 
 _CONSTANT_CACHES = (main_term_params, log_factor_constants, sqrt_factor_at_half,
                     constants._rung, constants._rung_slope, constants._zeta_at,
-                    constants._dzeta_at)
+                    constants._dzeta_at, constants._em_plan)
 
 
 def test_constants_do_not_depend_on_modulus_order():
@@ -692,6 +692,11 @@ def test_constants_compute_only_what_their_branch_reads():
     # the 16 moduli of constants --all-q 60: slopes only for the six on the
     # log branch, zeta(q) only there too
     assert _work(prime_list(60)[1:])[0] == (51, 20, 16)
+    # a plan is a function of sigma alone: one per distinct sigma, 51 here,
+    # and 15 for q = 7, whose value and slope halves share every sigma
+    assert constants._em_plan.cache_info().misses == 51
+    _work([7])
+    assert constants._em_plan.cache_info().misses == 15
 
 
 def test_zeta_q_is_summed_on_the_log_branch_only():

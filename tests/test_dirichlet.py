@@ -59,6 +59,24 @@ def random_series(rng, limit, lo=-5, hi=6) -> CoeffSeries:
     return coeff_series(vals)
 
 
+def test_convolve_reads_every_signed_width():
+    # tables come in int8 to int64 by their bound; a convolution of int16
+    # and int32 inputs, near the ends of their ranges, is the convolution
+    # of their int64 copies, with no product taken in the narrow width
+    rng = np.random.default_rng(16)
+    n = 3000
+    a = rng.integers(-(2**15), 2**15, size=n + 1).astype(np.int16)
+    b = rng.integers(-(2**24), 2**24, size=n + 1).astype(np.int32)
+    a[0] = b[0] = 0
+    wide = [CoeffSeries(n, v.astype(np.int64)) for v in (a, b)]
+    narrow = [CoeffSeries(n, v) for v in (a, b)]
+    for i, j in ((0, 0), (0, 1), (1, 1)):
+        want = dirichlet_convolve(wide[i], wide[j])
+        assert dirichlet_convolve(narrow[i], narrow[j]) == want, (i, j)
+        assert dirichlet_convolve(narrow[j], narrow[i]) == want, (i, j)
+    assert want.values.tolist() == brute_convolve(wide[1], wide[1])
+
+
 def test_convolution_matches_brute_force():
     rng = np.random.default_rng(2)
     for _ in range(10):

@@ -414,9 +414,47 @@ def test_multiplicative_series_refuses_int64_overflow_before_any_work(monkeypatc
     # one prime's value 2^40 still fits: below 6 no n has two primes
     assert multiplicative_series(5, [1, 2**40, 1])[5] == 2**40
     assert multiplicative_series(10, [1, 0, 2**31, 1])[4] == 2**31
-    assert [sieves._omega_max(n) for n in (1, 2, 5, 6, 29, 30, 209, 210)] == [
+    assert [_kernels.pyback._omega_max(n) for n in (1, 2, 5, 6, 29, 30, 209, 210)] == [
         0, 1, 1, 2, 2, 3, 3, 4
     ]
+
+
+def test_table_width_is_the_narrowest_that_holds_the_bound():
+    # tau's row reaches c[e] = limit.bit_length(), and a value is a product
+    # of at most omega_max(limit) of them: 5^3 <= 127 at 31, 6^3 at 32,
+    # 12^4 at 2309, 12^5 at 2310 = 2*3*5*7*11, 21^7 < 2^31 at 2^21 - 1 and
+    # 22^7 at 2^21.  Each equals the int64 convolution 1 * 1
+    widths = ((31, np.int8), (32, np.int16), (2309, np.int16), (2310, np.int32),
+              (2**21 - 1, np.int32), (2**21, np.int64))
+    for limit, dtype in widths:
+        tau = divisor_count_sieve(limit)
+        assert tau.values.dtype == dtype, limit
+        ones = ones_series(limit)
+        assert tau == dirichlet_convolve(ones, ones), limit
+    # g = mu * mu has |g| <= 2^omega: 2^6 at 510509, 2^7 at 510510 =
+    # 2*3*5*7*11*13*17; mu itself stays int8
+    for limit, dtype in ((510509, np.int8), (510510, np.int16)):
+        mu = mobius_sieve(limit)
+        g = multiplicative_series(limit, [1, -2, 1] + [0] * limit.bit_length())
+        assert (mu.values.dtype, g.values.dtype) == (np.int8, dtype), limit
+        assert g == dirichlet_convolve(mu, mu), limit
+
+
+def test_factor_block_width_follows_its_largest_n():
+    # a block is bounded by hi - 1 alone, wherever it starts; a row that
+    # could pass int64 is refused before any work
+    primes = prime_list(40)
+    for lo, hi, dtype in ((20, 32, np.int8), (20, 33, np.int16), (1, 33, np.int16)):
+        out = _kernels.factor_block(lo, hi, primes, TAU_C)
+        assert out.dtype == dtype, (lo, hi)
+        assert out.tolist() == [brute_tau(n) for n in range(lo, hi)]
+    mu = _kernels.factor_block(10**12, 10**12 + 64, prime_list(10**6), MU_C)
+    assert mu.dtype == np.int8
+    # n = 1 alone is int8 however large c[1]: it has no prime to take it
+    assert _kernels.factor_block(1, 2, [], [1, 300]).tolist() == [1]
+    assert multiplicative_series(1, [1, 300]).values.dtype == np.int8
+    with pytest.raises(OverflowHardError, match="could overflow int64 below 10"):
+        _kernels.factor_block(6, 11, primes, [1, 2**32, 1, 1])
 
 
 def test_coeff_series_prefix_and_mismatch():
@@ -431,3 +469,9 @@ def test_coeff_series_rejects_wrong_shapes():
         CoeffSeries(3, np.zeros(3, dtype=np.int64))  # needs limit + 1 entries
     with pytest.raises(ArgumentError):
         CoeffSeries(0, np.zeros(1, dtype=np.int64))
+    # any signed integer width, and no other kind
+    for dtype in (np.int8, np.int16, np.int32, np.int64):
+        assert CoeffSeries(3, np.arange(4, dtype=dtype))[3] == 3
+    for dtype in (np.uint8, np.float64, object):
+        with pytest.raises(ArgumentError):
+            CoeffSeries(3, np.zeros(4, dtype=dtype))

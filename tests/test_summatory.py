@@ -10,7 +10,7 @@ from math import isqrt, log
 import numpy as np
 import pytest
 
-from tauchar import constants, powerful, sieves, summatory
+from tauchar import _kernels, constants, powerful, sieves, summatory
 from tauchar._kernels import divisor_window
 from tauchar._kernels.pyback import _D_CHUNK, _floats_exact, _quotient_sum
 from tauchar.arith import is_prime
@@ -284,7 +284,7 @@ def test_e_matches_the_cumsum_of_mu2_mu2(monkeypatch):
     top = 2**20
     want = e_prefix(top)
     monkeypatch.setattr(summatory, "_E_CHUNK", 16)
-    E = summatory._divisor_parts(-2, 50, top, prime_list(integer_nth_root(top, 3)))
+    E = summatory._divisor_parts(-2, 50, top)
     rng = random.Random(20)
     ys = [*range(2**13 + 1), *(rng.randrange(2**13, top) for _ in range(2000)), top]
     assert [E(y) for y in ys] == [want[y] for y in ys]
@@ -296,16 +296,15 @@ def test_e_guard_refuses_products_past_int64(monkeypatch):
     # _E_CHUNK reaches 2^63, and summed exactly just below that
     top = 2**24
     reach = integer_nth_root(top**2, 5)
-    big = 2 ** sieves._omega_max(isqrt(top)) * divisor_summatory(reach)
-    primes = prime_list(integer_nth_root(top, 3))
+    big = 2 ** _kernels.pyback._omega_max(isqrt(top)) * divisor_summatory(reach)
     monkeypatch.setattr(summatory, "_E_CHUNK", (2**63 - 1) // big)
-    E = summatory._divisor_parts(-2, reach, top, primes)
+    E = summatory._divisor_parts(-2, reach, top)
     want = e_prefix(2**20)
     ys = [reach + 1, 2**16 + 1, 2**20]
     assert [E(y) for y in ys] == [want[y] for y in ys]
     monkeypatch.setattr(summatory, "_E_CHUNK", (2**63 - 1) // big + 1)
     with pytest.raises(OverflowHardError):
-        summatory._divisor_parts(-2, reach, top, primes)
+        summatory._divisor_parts(-2, reach, top)
 
 
 def test_mu_mu_budget_refuses_before_any_work(monkeypatch):
