@@ -78,6 +78,8 @@ COMMANDS = [
     ["trace", "--q", "13", "--max", "10000000", "--prime-cutoff", "30000000"],
     ["constants", "--all-q", "60", "--prime-cutoff", "10000000", "--tolerance", "2e-4"],
     ["verify", "--all-q", "60", "--limit", "20000"],
+    # the JSON writer; every row above is CSV
+    ["constants", "--q", "13", "--format", "json"],
 ]
 
 

@@ -13,6 +13,12 @@ short-interval and near-curve run the one scan, curves.range_scan, and
 differ only in the columns and summary keys they print: each is the name
 of a ScanRow or RangeScanReport field.
 
+Every report takes one path.  A handler computes and returns its header,
+rows, summary and exit code, plus only the metadata values it works out
+itself: the checkpoint schedule of trace and rh-diagnostic, and trace's
+exponents.  ``main`` alone reads the rest of the metadata from the
+arguments that ``_SUBCOMMANDS`` names for the subcommand, and writes.
+
 Output is CSV by default: '#'-prefixed metadata and summary lines, then a
 mandatory header row, then data rows.  --format json nests the same content
 under {"metadata", "rows", "summary"}.  Floats are serialized with 17
@@ -134,11 +140,7 @@ def _cell(v) -> str:
 def _json_value(v):
     from fractions import Fraction
 
-    if isinstance(v, Fraction):
-        return str(v)
-    if isinstance(v, tuple):
-        return [_json_value(t) for t in v]
-    return v
+    return str(v) if isinstance(v, Fraction) else v
 
 
 class _Progress:
@@ -160,20 +162,6 @@ class _Progress:
             file=sys.stderr,
             flush=True,
         )
-
-
-def _metadata(args, config: dict) -> dict:
-    md = {
-        "subcommand": args.cmd,
-        "version": __version__,
-        "format": args.format,
-    }
-    md.update(config)
-    if not args.no_timestamp:
-        from datetime import datetime, timezone
-
-        md["timestamp"] = datetime.now(timezone.utc).isoformat()
-    return md
 
 
 def _emit(args, meta: dict, header: list[str], rows: list, summary: dict | None):
@@ -249,7 +237,7 @@ def _moduli(args) -> list[int]:
     return qs
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     from .dirichlet import (
         Tables,
         cube_root_identity_scan,
@@ -280,25 +268,12 @@ def _cmd_verify(args) -> int:
         progress("factorization", i + 1, len(qs))
 
     all_ok = all(r[3] for r in rows)
-    meta = _metadata(
-        args,
-        {
-            "q": args.q,
-            "all_q": args.all_q,
-            "limit": args.limit,
-        },
-    )
-    _emit(
-        args,
-        meta,
-        ["check", "q", "limit", "ok", "first_mismatch"],
-        rows,
-        {"all_pass": all_ok, "checks": len(rows)},
-    )
-    return EXIT_PASS if all_ok else EXIT_MISMATCH
+    summary = {"all_pass": all_ok, "checks": len(rows)}
+    header = ["check", "q", "limit", "ok", "first_mismatch"]
+    return header, rows, summary, EXIT_PASS if all_ok else EXIT_MISMATCH, {}
 
 
-def _cmd_constants(args) -> int:
+def _cmd_constants(args):
     from .constants import main_term_params
 
     qs = _moduli(args)
@@ -327,35 +302,21 @@ def _cmd_constants(args) -> int:
         )
         progress("modulus", i + 1, len(qs))
 
-    meta = _metadata(
-        args,
-        {
-            "q": args.q,
-            "all_q": args.all_q,
-            "tolerance": args.tolerance,
-        },
-    )
-    _emit(
-        args,
-        meta,
-        [
-            "q",
-            "branch",
-            "sub_branch",
-            "first_exponent",
-            "main_kind",
-            "leading_coefficient",
-            "leading_error",
-            "bracket_constant",
-            "bracket_error",
-        ],
-        rows,
-        None,
-    )
-    return EXIT_PASS
+    header = [
+        "q",
+        "branch",
+        "sub_branch",
+        "first_exponent",
+        "main_kind",
+        "leading_coefficient",
+        "leading_error",
+        "bracket_constant",
+        "bracket_error",
+    ]
+    return header, rows, None, EXIT_PASS, {}
 
 
-def _cmd_trace(args) -> int:
+def _cmd_trace(args):
     from .summatory import trace
 
     progress = _Progress("trace")
@@ -375,21 +336,12 @@ def _cmd_trace(args) -> int:
         row += [tr.normalized[i][j] for i in range(len(tr.alphas))]
         row.append(tr.main_errors[j])
         rows.append(row)
-    meta = _metadata(
-        args,
-        {
-            "q": args.q,
-            "max": args.max,
-            "checkpoints": ",".join(str(c) for c in tr.checkpoints),
-            "alphas": ",".join(format(a, ".17g") for a in tr.alphas),
-        },
-    )
     summary = {
         "main_kind": tr.kind,
         "fitted_exponent": tr.fitted_exponent,
     }
-    _emit(args, meta, header, rows, summary)
-    return EXIT_PASS
+    schedule = {"checkpoints": tr.checkpoints, "alphas": tr.alphas}
+    return header, rows, summary, EXIT_PASS, schedule
 
 
 _COUNT_COLUMNS = ["window_base", "n_lo", "n_hi", "delta", "window_double", "near_curve_count"]
@@ -397,23 +349,21 @@ _COUNT_KEYS = ["short_sum", "total_double", "small_n_double", "trivial_bound",
                "n_min", "n_max", "y_within_11_20", "y_within_19_36"]
 
 
-def _scan_report(args, columns: list[str], summary: list[str]) -> int:
+def _scan_report(args, columns: list[str], summary: list[str]):
     """The range scan of (x, x+y], reported as the named ScanRow columns
     and RangeScanReport summary keys."""
     from .curves import ShortIntervalInstance, range_scan
 
     rep = range_scan(ShortIntervalInstance(args.x, args.y, args.c3))
-    meta = _metadata(args, {"x": args.x, "y": args.y, "c3": args.c3})
     rows = [[getattr(r, c) for c in columns] for r in rep.rows]
-    _emit(args, meta, columns, rows, {k: getattr(rep, k) for k in summary})
-    return EXIT_PASS
+    return columns, rows, {k: getattr(rep, k) for k in summary}, EXIT_PASS, {}
 
 
-def _cmd_short_interval(args) -> int:
+def _cmd_short_interval(args):
     return _scan_report(args, _COUNT_COLUMNS, _COUNT_KEYS)
 
 
-def _cmd_near_curve(args) -> int:
+def _cmd_near_curve(args):
     return _scan_report(
         args,
         _COUNT_COLUMNS + ["shape", "shape_value", "ratio", "ft_condition_ok"],
@@ -421,7 +371,7 @@ def _cmd_near_curve(args) -> int:
     )
 
 
-def _cmd_rh_diagnostic(args) -> int:
+def _cmd_rh_diagnostic(args):
     from .summatory import rh_diagnostic
 
     progress = _Progress("rh-diagnostic")
@@ -437,24 +387,8 @@ def _cmd_rh_diagnostic(args) -> int:
         [x, diag.values[j], diag.ratio_unconditional[j], diag.ratio_conditional[j]]
         for j, x in enumerate(diag.checkpoints)
     ]
-    meta = _metadata(
-        args,
-        {
-            "q": args.q,
-            "max": args.max,
-            "checkpoints": ",".join(str(c) for c in diag.checkpoints),
-            "eps": args.eps,
-            "c": args.c,
-        },
-    )
-    _emit(
-        args,
-        meta,
-        ["x", "value", "ratio_unconditional", "ratio_conditional"],
-        rows,
-        None,
-    )
-    return EXIT_PASS
+    header = ["x", "value", "ratio_unconditional", "ratio_conditional"]
+    return header, rows, None, EXIT_PASS, {"checkpoints": diag.checkpoints}
 
 
 def _verify_args(p) -> None:
@@ -508,17 +442,22 @@ def _rh_diagnostic_args(p) -> None:
     p.add_argument("--c", type=float, default=0.2)
 
 
-# name -> (help line, adder of its arguments, handler), in --help's order
+# name -> (help line, adder of its arguments, the arguments its metadata
+# reports in order, handler), in --help's order
 _SUBCOMMANDS = {
-    "verify": ("identity suite + factorization routes", _verify_args, _cmd_verify),
-    "constants": ("certified main-term constants", _constants_args, _cmd_constants),
-    "trace": ("summatory values along checkpoints", _trace_args, _cmd_trace),
+    "verify": ("identity suite + factorization routes", _verify_args,
+               ("q", "all_q", "limit"), _cmd_verify),
+    "constants": ("certified main-term constants", _constants_args,
+                  ("q", "all_q", "tolerance"), _cmd_constants),
+    "trace": ("summatory values along checkpoints", _trace_args,
+              ("q", "max", "checkpoints", "alphas"), _cmd_trace),
     "short-interval": ("exact short-window sum + double-count decomposition",
-                       _window_args, _cmd_short_interval),
+                       _window_args, ("x", "y", "c3"), _cmd_short_interval),
     "near-curve": ("range scan with derivative-test bound shapes",
-                   _window_args, _cmd_near_curve),
+                   _window_args, ("x", "y", "c3"), _cmd_near_curve),
     "rh-diagnostic": ("growth-envelope ratios (no-main-term branch only)",
-                      _rh_diagnostic_args, _cmd_rh_diagnostic),
+                      _rh_diagnostic_args, ("q", "max", "checkpoints", "eps", "c"),
+                      _cmd_rh_diagnostic),
 }
 
 
@@ -547,10 +486,8 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
         names, metavar = argv[:1], "{" + ",".join(_SUBCOMMANDS) + "}"
     sub = p.add_subparsers(dest="cmd", required=True, metavar=metavar)
     for name in names:
-        help_line, add_args, handler = _SUBCOMMANDS[name]
-        ps = sub.add_parser(name, parents=[common], help=help_line)
-        add_args(ps)
-        ps.set_defaults(func=handler)
+        help_line, add_args = _SUBCOMMANDS[name][:2]
+        add_args(sub.add_parser(name, parents=[common], help=help_line))
     return p
 
 
@@ -560,7 +497,19 @@ def main(argv=None) -> int:
     try:
         args = _build_parser(argv).parse_args(argv)
         _check_output(args.output)
-        code = args.func(args)
+        *_, names, handler = _SUBCOMMANDS[args.cmd]
+        header, rows, summary, code, worked_out = handler(args)
+        values = {**vars(args), **worked_out}
+        meta = {"subcommand": args.cmd, "version": __version__, "format": args.format}
+        for k in names:
+            # a list of values, such as a checkpoint schedule, is one cell
+            v = values[k]
+            meta[k] = ",".join(map(_cell, v)) if isinstance(v, tuple) else v
+        if not args.no_timestamp:
+            from datetime import datetime, timezone
+
+            meta["timestamp"] = datetime.now(timezone.utc).isoformat()
+        _emit(args, meta, header, rows, summary)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

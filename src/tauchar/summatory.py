@@ -54,7 +54,7 @@ def _validate_x(x: int, limit: int, q: int) -> int:
     if x > limit:
         raise ArgumentError(
             f"x = {x} exceeds the configured limit {limit}; raise the limit "
-            "explicitly to accept the cost"
+            "(--max on the command line) explicitly to accept the cost"
         )
     _, (a, b) = _local_weights(q, 2)
     if x > MAX_EXACT_X:
@@ -240,6 +240,9 @@ class SummatoryTrace(NamedTuple):
 
 
 def _validate_checkpoints(checkpoints, limit: int, q: int) -> tuple[int, ...]:
+    """The checkpoints as ints, ``default_checkpoints(limit)`` when None."""
+    if checkpoints is None:
+        checkpoints = default_checkpoints(limit)
     cps = tuple(int(c) for c in checkpoints)
     if not cps:
         raise ArgumentError("checkpoint list is empty")
@@ -268,8 +271,6 @@ def trace(
     the sieve, during the walk and as it ends; the caller rate-limits.
     """
     case = classify(q)
-    if checkpoints is None:
-        checkpoints = default_checkpoints(limit)
     cps = _validate_checkpoints(checkpoints, limit, q)
     if alphas is None:
         alphas = default_alphas(case)
@@ -379,8 +380,6 @@ def rh_diagnostic(
         raise ArgumentError(f"eps must lie in (0, 1/4), got {eps}")
     if not 0 < c < inf:
         raise ArgumentError(f"c must be positive and finite, got {c}")
-    if checkpoints is None:
-        checkpoints = default_checkpoints(limit)
     cps = _validate_checkpoints(checkpoints, limit, q)
     # only the decaying envelope can reach 0.0; rh_growth is at least 1
     decay = [float(x) ** 0.5 * subexp_decay(float(x) ** 0.25, c) for x in cps]

@@ -389,6 +389,16 @@ def test_rh_diagnostic_degenerate_envelope_is_usage_error(c, capsys):
     assert "argument error" in err
 
 
+@pytest.mark.parametrize("cmd,q", [("trace", "13"), ("rh-diagnostic", "19")])
+def test_checkpoint_above_max_names_the_max_flag(cmd, q, capsys):
+    # the refusal names the option that raises the limit; neither command
+    # has a --limit
+    code, out, err = run([cmd, "--q", q, "--checkpoints", "2e8"], capsys)
+    assert code == 2 and out == ""
+    assert "x = 200000000 exceeds the configured limit 100000000" in err
+    assert "--max" in err and "--limit" not in err
+
+
 def test_json_document_shape(capsys):
     code, out, _ = run(
         [
@@ -554,8 +564,8 @@ def test_one_subparser_parses_as_all_six(monkeypatch, capsys):
         return lambda p: built.append(name) or add(p)
 
     monkeypatch.setattr(cli, "_SUBCOMMANDS", {
-        name: (help_line, counted(name, add), handler)
-        for name, (help_line, add, handler) in cli._SUBCOMMANDS.items()
+        name: (help_line, counted(name, add), *rest)
+        for name, (help_line, add, *rest) in cli._SUBCOMMANDS.items()
     })
     for argv, digest in PARSER_DIGESTS.items():
         argv = list(argv)
@@ -663,7 +673,9 @@ def test_fast_runs_emit_no_progress_noise(capsys):
 # powerful walk replaced.  The trace digest is of the exact least-squares
 # fitted_exponent, which moved the last digits of that one line; every other
 # line is pinned below by a digest taken from the numpy array route that the
-# streamed walk replaced.
+# streamed walk replaced.  The rows after the benchmark's pin the other two
+# subcommands and the JSON writer of verify, constants and trace, with
+# digests taken before main became the one writer of every report.
 TRACE_ARGV = ["trace", "--q", "13", "--max", "10000000", "--prime-cutoff", "30000000"]
 PINNED_OUTPUTS = [
     (
@@ -686,13 +698,34 @@ PINNED_OUTPUTS = [
         ["near-curve", "--x", "1e13", "--y", "3e6"],
         "8adcbb3c6a253b115d7cfdcec4eb29b3f38024c07f31cc167e37210d87c538b7",
     ),
+    (
+        ["rh-diagnostic", "--q", "19", "--max", "1e7"],
+        "aa8f26703e0e5172814995b84c825d08a065f6f1242900e1f41186fd553a1e5c",
+    ),
+    (
+        ["short-interval", "--x", "1e8", "--y", "4170"],
+        "6fb04bcb3cf243f1e5c38ef8f80b7955433c00fc9247200b3025f9d2326928ac",
+    ),
+    (
+        ["verify", "--q", "7", "--limit", "1e4", "--format", "json"],
+        "57407aff7486ae1ac305f3360abe6a6e2fec575e3baf6f8330eaa41b07e306dd",
+    ),
+    (
+        ["constants", "--q", "13", "--format", "json"],
+        "23c2feb63f44a2fbb190ec4dcf537485334dded02b7c216621ae6cbdbf7434e2",
+    ),
+    (
+        ["trace", "--q", "7", "--max", "1e5", "--format", "json"],
+        "c454485e23e356ff7807da27762752889932b4ed79ab77218c22aaae6aeee5f2",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
     "argv,digest",
     PINNED_OUTPUTS,
-    ids=["constants", "trace", "verify", "verify-1e5", "near-curve"],
+    ids=["constants", "trace", "verify", "verify-1e5", "near-curve", "rh-diagnostic",
+         "short-interval", "verify-json", "constants-json", "trace-json"],
 )
 def test_benchmark_outputs_are_pinned(argv, digest, capsys):
     code, out, _ = run(argv + ["--no-timestamp"], capsys)

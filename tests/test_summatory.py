@@ -557,6 +557,9 @@ def test_default_checkpoints_doubling():
     assert cps[-1] <= 10**5 < 2 * cps[-1]
     with pytest.raises(ArgumentError):
         default_checkpoints(1000)
+    # no schedule given: trace and rh_diagnostic both check the default one
+    assert trace(13, limit=10**5).checkpoints == cps
+    assert rh_diagnostic(19, limit=10**5).checkpoints == cps
 
 
 def test_default_alphas_by_branch():
