@@ -51,6 +51,8 @@ COMMANDS = [
     ["verify", "--all-q", "60", "--limit", "1e4"],
     ["verify", "--all-q", "60", "--limit", "1e6"],
     ["constants", "--all-q", "60"],
+    # 45 moduli: 20 log-branch and 12 sqrt-branch products
+    ["constants", "--all-q", "200"],
     ["trace", "--q", "13", "--max", "1e8"],
     ["rh-diagnostic", "--q", "19", "--max", "1e7"],
     ["near-curve", "--x", "1e8", "--y", "4170"],

@@ -4,7 +4,7 @@ A multiplicative table is fixed by per-exponent values ``c[e]`` that are
 the same for all primes; ``factor_block`` sieves one block of it, and
 ``full_tables`` (called by ``sieves.multiplicative_series``) a table from 1.
 ``table_dtype`` is the one rule for a table's width: the narrowest integer
-type that holds the bound max |c[e]|^omega_max on its values.
+type that holds the largest |f(n)| up to the table's limit.
 Factorization uses per-prime-power stride passes rather than a
 smallest-prime-factor chain: numpy cannot follow the sequential spf
 recurrence efficiently, but strided in-place updates run at C speed.
@@ -15,7 +15,7 @@ floor(b/i) is exact in floats, and int64 above that.
 """
 
 from itertools import count
-from math import isqrt
+from math import isqrt, prod
 
 import numpy as np
 
@@ -86,26 +86,35 @@ def factor_block(lo: int, hi: int, primes, c) -> np.ndarray:
 
 def table_dtype(c, limit: int, what: str = "multiplicative table"):
     """The narrowest of int8, int16, int32 and int64 that holds every f(n),
-    n <= limit, f(p^e) = c[e]: f(n) is a product of at most omega_max(limit)
-    of the c[e] with e < 2 or 2^e <= limit.  A bound past int64 raises
-    OverflowHardError, before any work."""
-    top = max(abs(int(v)) for v in c[: max(2, limit.bit_length())])
-    bound = top ** _omega_max(limit)
+    n <= limit, f(p^e) = c[e]; OverflowHardError, before any work, when
+    int64 cannot.
+
+    The bound is exact: the largest |f(n)| is the largest product of the
+    |c[e_i]| over e_1 >= e_2 >= ... >= 1 with 2^e_1 3^e_2 5^e_3 ... <= limit,
+    since the larger exponents on the smaller primes give the least n with
+    those values.  A short depth-first search over such vectors finds it.
+    """
+    c = [abs(int(v)) for v in c]
+    primes = [2]  # through the first prime whose primorial passes limit
+    while prod(primes) <= limit:
+        primes.append(next(filter(is_prime, count(primes[-1] + 1))))
+
+    def largest(i: int, n: int, emax: int) -> int:
+        # the largest product over e_i <= emax onward, with n p_i^e_i ... <= limit
+        best, m, p = 1, n, primes[i]
+        for e in range(1, emax + 1):
+            m *= p
+            if m > limit:
+                break
+            if c[e]:
+                best = max(best, c[e] * largest(i + 1, m, e))
+        return best
+
+    bound = largest(0, 1, len(c) - 1)
     for dtype in (np.int8, np.int16, np.int32, np.int64):
         if bound <= np.iinfo(dtype).max:
             return dtype
     raise OverflowHardError(f"{what} could overflow int64 below {limit}")
-
-
-def _omega_max(limit: int) -> int:
-    """The most distinct prime factors any n <= limit has: the largest k
-    with p_1 p_2 ... p_k <= limit."""
-    k, primorial = 0, 1
-    for p in filter(is_prime, count(2)):
-        primorial *= p
-        if primorial > limit:
-            return k
-        k += 1
 
 
 def full_tables(limit: int, c) -> np.ndarray:

@@ -2,7 +2,9 @@
 
 The residue classes and the local Euler factors they select live in
 ``cases``; this module re-exports them, so ``constants.classify`` and
-``constants.local_factor`` are the same objects.
+``constants.local_factor`` are the same objects.  ``main_term_params``
+reads the class once and builds only the constants its branch's main term
+reads; the two branch products, at s = 1 and s = 1/2, share one body.
 
 Every numeric constant leaves this module as a ``Certified`` value, a
 fixed-point enclosure: a pair of Python ints (lo, hi) stands for the
@@ -797,6 +799,22 @@ def _euler_product(q: int, s: Fraction, P: int, slope: bool = False):
     return log_prod, deriv
 
 
+def _branch_product(q: int, branch: Branch, s: Fraction, tol: float, what: str):
+    """prod_p L(p^-s) for the local factor L of q in ``branch``, to relative
+    error ``tol``, and the enclosure of the s-derivative of its log at
+    s = 1, on the log branch (None at s = 1/2)."""
+    _check_tolerance(tol)
+    case = classify(q)
+    if case.branch is not branch:
+        raise ClassificationError(
+            f"q={q} is in branch {case.branch.value}, which has no {what}"
+        )
+    log_prod, deriv = _euler_product(q, s, EXPLICIT_PRIME_LIMIT, slope=s == 1)
+    product = Certified._of(_fx_exp(log_prod))
+    _gate(product.error / product.value, tol, f"q={q}: the {what}")
+    return product, deriv
+
+
 @lru_cache(maxsize=32)
 def log_factor_constants(q: int, tol: float = 1e-4) -> tuple[Certified, Certified]:
     """Product at 1 and its log-derivative for the log branch.
@@ -808,16 +826,9 @@ def log_factor_constants(q: int, tol: float = 1e-4) -> tuple[Certified, Certifie
     t[m] = chi(m+1) - chi(m) supported on m in [start, q).  ``tol`` bounds
     the product's relative and the logderiv's absolute error.
     """
-    _check_tolerance(tol)
-    case = classify(q)
-    if case.branch is not Branch.PM1_MOD8:
-        raise ClassificationError(
-            f"q={q} is in branch {case.branch.value}, which has no log-branch product"
-        )
-    log_prod, deriv = _euler_product(q, Fraction(1), EXPLICIT_PRIME_LIMIT, slope=True)
-    product = Certified._of(_fx_exp(log_prod))
+    what = "log-branch product at 1"
+    product, deriv = _branch_product(q, Branch.PM1_MOD8, Fraction(1), tol, what)
     logderiv = Certified._of(deriv)
-    _gate(product.error / product.value, tol, f"q={q}: the product at 1")
     _gate(logderiv.error, tol, f"q={q}: its log-derivative")
     return product, logderiv
 
@@ -828,57 +839,23 @@ def sqrt_factor_at_half(q: int, tol: float = 1e-4) -> Certified:
     prod_p (1 + sum_m t[m] p^{-m/2}) with t[m] = chi(m+1) + chi(m), m >= 3,
     to relative error ``tol``.
     """
-    _check_tolerance(tol)
-    case = classify(q)
-    if case.branch is not Branch.PM11_MOD24:
-        raise ClassificationError(
-            f"q={q} is in branch {case.branch.value}, which has no sqrt-branch product"
-        )
-    log_prod, _ = _euler_product(q, Fraction(1, 2), EXPLICIT_PRIME_LIMIT)
-    product = Certified._of(_fx_exp(log_prod))
-    _gate(product.error / product.value, tol, f"q={q}: the half-line product")
-    return product
+    what = "sqrt-branch product at 1/2"
+    return _branch_product(q, Branch.PM11_MOD24, Fraction(1, 2), tol, what)[0]
 
 
 class MainTermParams(NamedTuple):
-    """Certified constants feeding the branch main term for modulus q.
-
-    zeta_q, zeta_prime_q, product_at_one and logderiv_at_one are read on
-    the log branch alone, zeta_half_q and sqrt_product_half on the sqrt
-    branch alone; a field its branch does not read is None, and is not
-    computed.
+    """The certified constants of the branch main term for modulus q:
+    ``leading_coefficient`` is zeta(q) product(1) on the log branch,
+    zeta(q/2) sqrt-product(1/2) on the sqrt branch, exactly 1 at q = 3,
+    whose main term is x^(1/3), and None on +-5 (mod 24);
+    ``bracket_constant``, -1 + q zeta'(q)/zeta(q) + logderiv, the x log x
+    bracket without its log x + 2 gamma part, is None off the log branch.
     """
 
     q: int
     case: CaseClass
-    zeta_q: Certified | None
-    zeta_prime_q: Certified | None
-    product_at_one: Certified | None
-    logderiv_at_one: Certified | None
-    zeta_half_q: Certified | None
-    sqrt_product_half: Certified | None
-
-    @property
-    def leading_coefficient(self) -> Certified | None:
-        """zeta(q) * product(1) on the log branch; zeta(q/2) * sqrt-product
-        on the sqrt branch; exactly 1 at q = 3, whose main term is x^(1/3);
-        None otherwise."""
-        if self.case.branch is Branch.Q_EQUALS_3:
-            return Certified(1)
-        if self.case.branch is Branch.PM1_MOD8:
-            return self.zeta_q * self.product_at_one
-        if self.case.branch is Branch.PM11_MOD24:
-            return self.zeta_half_q * self.sqrt_product_half
-        return None
-
-    @property
-    def bracket_constant(self) -> Certified | None:
-        """-1 + q zeta'(q)/zeta(q) + logderiv, the x-coefficient bracket
-        without its log x + 2 gamma part (log branch only)."""
-        if self.case.branch is not Branch.PM1_MOD8:
-            return None
-        ratio = self.zeta_prime_q / self.zeta_q
-        return ratio.scale(float(self.q)) + self.logderiv_at_one + Certified(-1.0)
+    leading_coefficient: Certified | None
+    bracket_constant: Certified | None
 
 
 @lru_cache(maxsize=32)
@@ -889,26 +866,19 @@ def main_term_params(q: int, tol: float = 1e-4) -> MainTermParams:
     product's own achieved error."""
     _check_tolerance(tol)
     case = classify(q)
-    zq = zpq = None
-    p1 = ld1 = None
-    zhq = rhalf = None
+    lead = bracket = None
     if case.branch is Branch.PM1_MOD8:
-        p1, ld1 = log_factor_constants(q, tol)
+        product, logderiv = log_factor_constants(q, tol)
         zpq = zeta_prime_real(float(q), min(tol, 1e-12))
         zq = zeta_real(float(q), min(tol, 1e-12))
+        lead = zq * product
+        bracket = (zpq / zq).scale(float(q)) + logderiv + Certified(-1.0)
     elif case.branch is Branch.PM11_MOD24:
-        rhalf = sqrt_factor_at_half(q, tol)
-        zhq = zeta_real(q / 2.0, min(tol, 1e-12))
-    return MainTermParams(
-        q=q,
-        case=case,
-        zeta_q=zq,
-        zeta_prime_q=zpq,
-        product_at_one=p1,
-        logderiv_at_one=ld1,
-        zeta_half_q=zhq,
-        sqrt_product_half=rhalf,
-    )
+        product = sqrt_factor_at_half(q, tol)
+        lead = zeta_real(q / 2.0, min(tol, 1e-12)) * product
+    elif case.branch is Branch.Q_EQUALS_3:
+        lead = Certified(1)
+    return MainTermParams(q, case, lead, bracket)
 
 
 class MainTerm(NamedTuple):

@@ -12,8 +12,8 @@ numpy-free ``powerful.powerful_walk`` lists every (n, f(n)) with f(n) != 0
 to be scattered into a zero table; otherwise the numpy block kernel in
 ``tauchar._kernels`` sieves every n.  Either way ``_kernels.table_dtype``
 picks the width, the narrowest of int8, int16, int32 and int64 that holds
-the bound max |c[e]|^omega_max(limit) on every value, and refuses a row
-whose bound passes int64 first.  ``summatory`` reads its tables of D and
+the largest |f(n)| up to the limit, and refuses a row whose values could
+pass int64 first.  ``summatory`` reads its tables of D and
 E here, the sums of tau and of e = mu^2 * mu^2 (c = 1, 2, 1, 0, ...) that
 are the A(y) of S(x) = sum_{m cube-full} H(m) A(x // m) on q = +-1 (mod 8).
 The tau character is the exception: it is read off the divisor count, one

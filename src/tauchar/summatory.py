@@ -200,7 +200,10 @@ def summatory_convolved(q: int, x: int, *, limit: int = DEFAULT_LIMIT) -> int:
 def default_checkpoints(limit: int = DEFAULT_LIMIT) -> tuple[int, ...]:
     """Powers of two from 2^10 up to the limit."""
     if limit < 1024:
-        raise ArgumentError(f"limit {limit} leaves no default checkpoints")
+        raise ArgumentError(
+            f"limit {limit} leaves no default checkpoints, the first of which is "
+            "1024; raise the limit (--max on the command line) to at least 1024"
+        )
     return tuple(1 << k for k in range(10, limit.bit_length()))
 
 

@@ -399,6 +399,17 @@ def test_checkpoint_above_max_names_the_max_flag(cmd, q, capsys):
     assert "--max" in err and "--limit" not in err
 
 
+@pytest.mark.parametrize("cmd,q", [("trace", "13"), ("rh-diagnostic", "19")])
+def test_max_below_the_first_default_checkpoint_names_it(cmd, q, capsys):
+    # with no --checkpoints the schedule starts at 1024: the refusal says
+    # so, and names the option that raises the limit
+    code, out, err = run([cmd, "--q", q, "--max", "1000"], capsys)
+    assert code == 2 and out == ""
+    assert "the first of which is 1024" in err
+    assert "--max" in err and "--limit" not in err
+    assert run([cmd, "--q", q, "--max", "1024", "--no-timestamp"], capsys)[0] == 0
+
+
 def test_json_document_shape(capsys):
     code, out, _ = run(
         [
@@ -675,7 +686,10 @@ def test_fast_runs_emit_no_progress_noise(capsys):
 # line is pinned below by a digest taken from the numpy array route that the
 # streamed walk replaced.  The rows after the benchmark's pin the other two
 # subcommands and the JSON writer of verify, constants and trace, with
-# digests taken before main became the one writer of every report.
+# digests taken before main became the one writer of every report.  The
+# last two, all 45 moduli below 200 and a log-branch trace whose first
+# exponent is 4, were taken before MainTermParams came to hold only the
+# two constants the main term reads.
 TRACE_ARGV = ["trace", "--q", "13", "--max", "10000000", "--prime-cutoff", "30000000"]
 PINNED_OUTPUTS = [
     (
@@ -718,6 +732,14 @@ PINNED_OUTPUTS = [
         ["trace", "--q", "7", "--max", "1e5", "--format", "json"],
         "c454485e23e356ff7807da27762752889932b4ed79ab77218c22aaae6aeee5f2",
     ),
+    (
+        ["constants", "--all-q", "200"],
+        "f80bca2cc60c939eb83e342d66b97dd8a5698ac161fb350d83662f62ccafdd02",
+    ),
+    (
+        ["trace", "--q", "23", "--max", "1e6"],
+        "8b8d4f6fb32d6b865dd014800a32e10d0483d4d620f6da4ed412d67278eca162",
+    ),
 ]
 
 
@@ -725,7 +747,8 @@ PINNED_OUTPUTS = [
     "argv,digest",
     PINNED_OUTPUTS,
     ids=["constants", "trace", "verify", "verify-1e5", "near-curve", "rh-diagnostic",
-         "short-interval", "verify-json", "constants-json", "trace-json"],
+         "short-interval", "verify-json", "constants-json", "trace-json",
+         "constants-200", "trace-q23"],
 )
 def test_benchmark_outputs_are_pinned(argv, digest, capsys):
     code, out, _ = run(argv + ["--no-timestamp"], capsys)

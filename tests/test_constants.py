@@ -656,6 +656,17 @@ _CONSTANT_CACHES = (main_term_params, log_factor_constants, sqrt_factor_at_half,
                     constants._dzeta_at, constants._em_plan)
 
 
+def _branch_constants(params):
+    """The certified constants main_term_params(q) built: the leading
+    coefficient, the bracket constant and the branch product, read from
+    the cache it filled at the default tolerance."""
+    q, branch = params.q, params.case.branch
+    products = (log_factor_constants(q, 1e-4) if branch is Branch.PM1_MOD8 else
+                (sqrt_factor_at_half(q, 1e-4),) if branch is Branch.PM11_MOD24 else ())
+    consts = (params.leading_coefficient, params.bracket_constant, *products)
+    return [c for c in consts if c is not None]
+
+
 def test_constants_do_not_depend_on_modulus_order():
     # a rung depends on sigma and P alone, so every constant is the same
     # interval whichever modulus reaches a sigma first
@@ -665,12 +676,7 @@ def test_constants_do_not_depend_on_modulus_order():
         for cache in _CONSTANT_CACHES:
             cache.cache_clear()
         params = {q: main_term_params(q) for q in order}
-        runs.append({
-            q: [None if c is None else c.fx for c in (
-                p.zeta_q, p.zeta_prime_q, p.product_at_one, p.logderiv_at_one,
-                p.zeta_half_q, p.sqrt_product_half)]
-            for q, p in params.items()
-        })
+        runs.append({q: [c.fx for c in _branch_constants(p)] for q, p in params.items()})
     assert runs[0] == runs[1]
 
 
@@ -704,9 +710,14 @@ def test_zeta_q_is_summed_on_the_log_branch_only():
     # summed, least of all zeta(1000003)
     work, (params,) = _work([1000003])
     assert work == (0, 0, 0)
-    assert params.zeta_q is None and params.leading_coefficient is None
-    for q, branch_reads in ((7, True), (13, False), (3, False), (5, False)):
-        assert (main_term_params(q).zeta_q is not None) is branch_reads, q
+    assert params.leading_coefficient is None and params.bracket_constant is None
+    # zeta(13) is a rung of q = 13's half-line product, so q = 59 stands for
+    # the sqrt branch: its rungs stop below 59, and it reads zeta(59/2) alone
+    for q, branch_reads in ((7, True), (59, False), (3, False), (5, False)):
+        _work([q])
+        hits = constants._zeta_at.cache_info().hits
+        constants._zeta_at(Fraction(q))
+        assert (constants._zeta_at.cache_info().hits > hits) is branch_reads, q
 
 
 def _em_plan_per_n(sigma: float):

@@ -127,11 +127,12 @@ def test_convolution_overflow_guard_sees_int64_min():
 
 
 def loop_convolve(a: CoeffSeries, b: CoeffSeries) -> CoeffSeries:
-    """The per-d route: one strided update for every nonzero a(d)."""
+    """The per-d route: one strided update for every nonzero a(d), each
+    product taken in int64 whatever the widths of a and b."""
     n = a.limit
     out = np.zeros(n + 1, dtype=np.int64)
     for d in np.nonzero(a.values)[0].tolist():
-        out[d::d] += a.values[d] * b.values[1 : n // d + 1]
+        out[d::d] += a.values[d] * b.values[1 : n // d + 1].astype(np.int64)
     return CoeffSeries(n, out)
 
 

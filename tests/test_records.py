@@ -27,7 +27,7 @@ def _records():
     return [
         (classify(7), "q"),
         (local_factor(7), "name"),
-        (main_term_params(7), "zeta_q"),
+        (main_term_params(7), "leading_coefficient"),
         (main_term(7, 10**6), "value"),
         (CurveConfig(X=3.125, s=Fraction(1), N=1, delta=0.125), "delta"),
         (ShortIntervalInstance(Fraction(10**6), Fraction(300)), "y"),

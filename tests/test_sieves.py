@@ -399,38 +399,39 @@ def test_powerful_walk_refuses_weights_off_the_powerful_numbers():
 
 def test_multiplicative_series_refuses_int64_overflow_before_any_work(monkeypatch):
     # 6 = 2 * 3 and 10 = 2 * 5 would take (2^32)^2 = 2^64, which wraps to 0
-    # in the block kernel; on the walk a wide row would reach numpy's bare
-    # OverflowError.  Either way the bound max |c|^omega_max(limit) refuses
-    # the row first
+    # in the block kernel, and so would 36 = 2^2 3^2 on the walk, where a
+    # wide row would reach numpy's bare OverflowError.  Either way the
+    # largest |f(n)| to the limit refuses the row first
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the int64 guard")
 
     monkeypatch.setattr(_kernels, "full_tables", no_work)
     monkeypatch.setattr(sieves, "powerful_walk", no_work)
-    for c in ([1, 2**32, 1, 1], [1, 0, 2**32, 1], [1, 0, 1, -(2**63)]):
+    for limit, c in ((10, [1, 2**32, 1, 1]), (36, [1, 0, 2**32, 1, 1, 1]),
+                     (10, [1, 0, 1, -(2**63)])):
         with pytest.raises(OverflowHardError):
-            multiplicative_series(10, c)
+            multiplicative_series(limit, c)
     monkeypatch.undo()
-    # one prime's value 2^40 still fits: below 6 no n has two primes
+    # one prime's value 2^40 still fits: below 6 no n has two primes, and
+    # below 36 no n has two squares
     assert multiplicative_series(5, [1, 2**40, 1])[5] == 2**40
     assert multiplicative_series(10, [1, 0, 2**31, 1])[4] == 2**31
-    assert [_kernels.pyback._omega_max(n) for n in (1, 2, 5, 6, 29, 30, 209, 210)] == [
-        0, 1, 1, 2, 2, 3, 3, 4
-    ]
+    assert multiplicative_series(35, [1, 0, 2**32, 1, 1, 1])[9] == 2**32
 
 
 def test_table_width_is_the_narrowest_that_holds_the_bound():
-    # tau's row reaches c[e] = limit.bit_length(), and a value is a product
-    # of at most omega_max(limit) of them: 5^3 <= 127 at 31, 6^3 at 32,
-    # 12^4 at 2309, 12^5 at 2310 = 2*3*5*7*11, 21^7 < 2^31 at 2^21 - 1 and
-    # 22^7 at 2^21.  Each equals the int64 convolution 1 * 1
-    widths = ((31, np.int8), (32, np.int16), (2309, np.int16), (2310, np.int32),
-              (2**21 - 1, np.int32), (2**21, np.int64))
+    # the width holds the largest |f(n)| to the limit, which some n with
+    # non-increasing exponents on the first primes takes: tau(n) <= 127
+    # below 83160 = 2^3 3^3 5 7 11, where tau = 128, and tau(n) <= 768 to
+    # MAX_SIEVE_ENTRIES.  Each table equals the int64 convolution 1 * 1
+    widths = ((31, np.int8), (2310, np.int8), (83159, np.int8), (83160, np.int16),
+              (2**21, np.int16))
     for limit, dtype in widths:
         tau = divisor_count_sieve(limit)
         assert tau.values.dtype == dtype, limit
         ones = ones_series(limit)
         assert tau == dirichlet_convolve(ones, ones), limit
+    assert _kernels.table_dtype(TAU_C, MAX_SIEVE_ENTRIES) == np.int16
     # g = mu * mu has |g| <= 2^omega: 2^6 at 510509, 2^7 at 510510 =
     # 2*3*5*7*11*13*17; mu itself stays int8
     for limit, dtype in ((510509, np.int8), (510510, np.int16)):
@@ -443,11 +444,13 @@ def test_table_width_is_the_narrowest_that_holds_the_bound():
 def test_factor_block_width_follows_its_largest_n():
     # a block is bounded by hi - 1 alone, wherever it starts; a row that
     # could pass int64 is refused before any work
-    primes = prime_list(40)
-    for lo, hi, dtype in ((20, 32, np.int8), (20, 33, np.int16), (1, 33, np.int16)):
+    primes = prime_list(300)
+    for lo, hi, dtype in ((83100, 83160, np.int8), (83100, 83161, np.int16),
+                          (83160, 83161, np.int16)):
         out = _kernels.factor_block(lo, hi, primes, TAU_C)
         assert out.dtype == dtype, (lo, hi)
-        assert out.tolist() == [brute_tau(n) for n in range(lo, hi)]
+        want = [np.prod([e + 1 for e in brute_exponents(n, primes)]) for n in range(lo, hi)]
+        assert out.tolist() == want
     mu = _kernels.factor_block(10**12, 10**12 + 64, prime_list(10**6), MU_C)
     assert mu.dtype == np.int8
     # n = 1 alone is int8 however large c[1]: it has no prime to take it

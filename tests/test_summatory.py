@@ -10,7 +10,7 @@ from math import isqrt, log
 import numpy as np
 import pytest
 
-from tauchar import _kernels, constants, powerful, sieves, summatory
+from tauchar import constants, powerful, sieves, summatory
 from tauchar._kernels import divisor_window
 from tauchar._kernels.pyback import _D_CHUNK, _floats_exact, _quotient_sum
 from tauchar.arith import is_prime
@@ -292,11 +292,12 @@ def test_e_matches_the_cumsum_of_mu2_mu2(monkeypatch):
 
 def test_e_guard_refuses_products_past_int64(monkeypatch):
     # a chunk sums g(j) D(y // j^2) in int64, so it is refused once max|g|
-    # = 2^omega_max(sqrt top) times D(reach), the largest D it reads, times
-    # _E_CHUNK reaches 2^63, and summed exactly just below that
+    # = 2^5 (2310 = 2 3 5 7 11 is the last primorial to sqrt top) times
+    # D(reach), the largest D it reads, times _E_CHUNK reaches 2^63, and
+    # summed exactly just below that
     top = 2**24
     reach = integer_nth_root(top**2, 5)
-    big = 2 ** _kernels.pyback._omega_max(isqrt(top)) * divisor_summatory(reach)
+    big = 2**5 * divisor_summatory(reach)
     monkeypatch.setattr(summatory, "_E_CHUNK", (2**63 - 1) // big)
     E = summatory._divisor_parts(-2, reach, top)
     want = e_prefix(2**20)
