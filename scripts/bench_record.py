@@ -50,6 +50,8 @@ COMMANDS = [
     ["--help"],
     ["verify", "--all-q", "60", "--limit", "1e4"],
     ["verify", "--all-q", "60", "--limit", "1e6"],
+    # the 17 dense convolutions with 1 dominate, each in its bound's width
+    ["verify", "--all-q", "60", "--limit", "3e6"],
     ["constants", "--all-q", "60"],
     # 45 moduli: 20 log-branch and 12 sqrt-branch products
     ["constants", "--all-q", "200"],

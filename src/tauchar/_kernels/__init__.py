@@ -7,7 +7,8 @@ the rest of the package.
 
 Exported surface:
     DEFAULT_SEGMENT, divisor_window(a, b), factor_block(lo, hi, primes, c),
-    full_tables(limit, c), table_dtype(c, limit, what)
+    full_tables(limit, c), table_dtype(c, limit, what), width(bound, refusal)
 """
 
-from .pyback import DEFAULT_SEGMENT, divisor_window, factor_block, full_tables, table_dtype
+from .pyback import (DEFAULT_SEGMENT, divisor_window, factor_block, full_tables,
+                     table_dtype, width)

@@ -3,8 +3,8 @@
 A multiplicative table is fixed by per-exponent values ``c[e]`` that are
 the same for all primes; ``factor_block`` sieves one block of it, and
 ``full_tables`` (called by ``sieves.multiplicative_series``) a table from 1.
-``table_dtype`` is the one rule for a table's width: the narrowest integer
-type that holds the largest |f(n)| up to the table's limit.
+``width`` is the one rule for an integer array's width, the narrowest
+integer type that holds its bound; ``table_dtype`` bounds a table.
 Factorization uses per-prime-power stride passes rather than a
 smallest-prime-factor chain: numpy cannot follow the sequential spf
 recurrence efficiently, but strided in-place updates run at C speed.
@@ -110,11 +110,17 @@ def table_dtype(c, limit: int, what: str = "multiplicative table"):
                 best = max(best, c[e] * largest(i + 1, m, e))
         return best
 
-    bound = largest(0, 1, len(c) - 1)
+    return width(largest(0, 1, len(c) - 1), f"{what} could overflow int64 below {limit}")
+
+
+def width(bound: int, refusal: str):
+    """The narrowest of int8, int16, int32 and int64 that holds every
+    integer of size at most ``bound``; OverflowHardError(refusal) when
+    int64 cannot."""
     for dtype in (np.int8, np.int16, np.int32, np.int64):
         if bound <= np.iinfo(dtype).max:
             return dtype
-    raise OverflowHardError(f"{what} could overflow int64 below {limit}")
+    raise OverflowHardError(refusal)
 
 
 def full_tables(limit: int, c) -> np.ndarray:

@@ -261,6 +261,8 @@ def _cmd_verify(args):
         miss = fn(args.limit, tables)
         rows.append([name, q_tag, args.limit, miss is None, miss])
         progress("identity", i + 1, len(scans))
+    for q in {3, 5}.difference(qs):  # the scans' series no modulus reads
+        tables.release(q)
     for i, q in enumerate(qs):
         rep = verify_factorization(q, args.limit, tables)
         for route in rep.routes:

@@ -43,8 +43,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _kernels
 from .cases import Branch, LocalFactor, SubBranch, classify, local_factor
-from .errors import ArgumentError, OverflowHardError
+from .errors import ArgumentError
 from .roots import integer_nth_root
 from .sieves import (
     CoeffSeries,
@@ -57,8 +58,6 @@ from .sieves import (
     power_indicator_series,
     tau_char_sieve,
 )
-
-_INT64_MAX = 2**63 - 1
 
 
 def _abs_max(v: np.ndarray) -> int:
@@ -118,7 +117,7 @@ def _split_convolve(av: np.ndarray, bv: np.ndarray, n: int, dtype) -> np.ndarray
 
 def _exact_bound(a: CoeffSeries, b: CoeffSeries) -> int:
     """max over m of sum_{d k = m} |a(d) b(k)|, in Python ints: the largest
-    partial sum any int64 convolution of a and b can reach."""
+    partial sum any convolution of a and b can reach."""
     return int(
         _split_convolve(
             np.abs(a.values.astype(object)), np.abs(b.values.astype(object)),
@@ -136,29 +135,25 @@ def dirichlet_convolve(a: CoeffSeries, b: CoeffSeries) -> CoeffSeries:
     over every d.  That is O(n log n) work in at most 2 r numpy calls.
     When one side is as sparse as a power indicator or an Euler
     expansion, a loop over its whole support costs less, and a cost model
-    on the support sizes takes it (``_split_convolve``).  The values come
-    out as int64 whatever the inputs' dtype.
+    on the support sizes takes it (``_split_convolve``).
 
-    Overflow guard: tau(n) < 2 sqrt(n) terms of size max|a| max|b| bound
-    every partial sum a priori.  Only when that bound exceeds int64 is the
-    exact bound, the largest sum of |a(d) b(k)|, computed in Python ints
-    before the convolution is refused.
+    Width: tau(n) < 2 sqrt(n) terms of size max|a| max|b| bound every
+    partial sum a priori, and the values accumulate in the width
+    ``_kernels.width`` picks for that bound.  Only above int64 is the exact
+    bound, the largest sum of |a(d) b(k)|, computed in Python ints and
+    used instead, or the convolution refused.
     """
     if a.limit != b.limit:
         raise ArgumentError(
             f"series limits differ: {a.limit} != {b.limit}"
         )
     n = a.limit
-    max_a = _abs_max(a.values)
-    max_b = _abs_max(b.values)
-    if max_a * max_b * (2 * isqrt(n) + 1) > _INT64_MAX:
+    bound = _abs_max(a.values) * _abs_max(b.values) * (2 * isqrt(n) + 1)
+    if bound >= 2**63:
         bound = _exact_bound(a, b)
-        if bound > _INT64_MAX:
-            raise OverflowHardError(
-                "convolution could exceed signed 64-bit range "
-                f"(a sum of |a(d) b(k)| reaches {bound})"
-            )
-    return CoeffSeries(n, _split_convolve(a.values, b.values, n, np.int64))
+    dtype = _kernels.width(bound, "convolution could exceed signed 64-bit range "
+                           f"(a sum of |a(d) b(k)| reaches {bound})")
+    return CoeffSeries(n, _split_convolve(a.values, b.values, n, dtype))
 
 
 def expand_euler_product(local: LocalFactor, limit: int) -> CoeffSeries:
@@ -240,37 +235,18 @@ def _tables(limit: int, tables: Tables | None) -> Tables:
     return tables
 
 
-def _identity_scan(star_one: CoeffSeries, jumps: dict[int, int]) -> int | None:
-    """First x <= limit where sum_{n <= x} (a * 1)(n), given a * 1, differs
-    from sum_{n <= x} jumps.get(n, 0); None when none does.
-
-    Two sequences' prefix sums first differ exactly where the sequences
-    do, so comparing a * 1 with the jumps coefficient by coefficient, with
-    the comparator verify_factorization uses, decides every x <= limit.
-    """
-    values = np.zeros(star_one.limit + 1, dtype=np.int64)
-    values[list(jumps)] = list(jumps.values())
-    return star_one.first_mismatch(CoeffSeries(star_one.limit, values))
-
-
-def _powers(limit: int, k: int) -> dict[int, int]:
-    """The jumps of floor(x^(1/k)): 1 at every m^k <= limit."""
-    return dict.fromkeys((m**k for m in range(1, integer_nth_root(limit, k) + 1)), 1)
-
-
 def square_root_identity_scan(limit: int, tables: Tables | None = None) -> int | None:
     """First x <= limit where the Liouville convolution sum differs from
     floor(sqrt(x)); None when the identity holds everywhere.
 
     The partial sums agree up to x exactly when their terms do, so this
-    checks (lambda * 1)(n) = [n is a square] for every n <= limit.
-    ``tables``, when given, is the store of a run at this limit.
+    checks (lambda * 1)(n) against the store's square indicator for every
+    n <= limit.  ``tables``, when given, is the store of a run at this limit.
     """
     check_budget(limit, "identity scan")
-    ones = _tables(limit, tables).ones()
-    return _identity_scan(
-        dirichlet_convolve(liouville_sieve(limit), ones), _powers(limit, 2)
-    )
+    tables = _tables(limit, tables)
+    star_one = dirichlet_convolve(liouville_sieve(limit), tables.ones())
+    return star_one.first_mismatch(tables.power(2))
 
 
 def cube_root_identity_scan(limit: int, tables: Tables | None = None) -> int | None:
@@ -278,13 +254,13 @@ def cube_root_identity_scan(limit: int, tables: Tables | None = None) -> int | N
     floor(x^(1/3)); None when the identity holds everywhere.
 
     The partial sums agree up to x exactly when their terms do, so this
-    checks (tauchar_3 * 1)(n) = [n is a cube] for every n <= limit.
-    ``tables``, when given, is the store of a run at this limit, and the
-    q = 3 routes then reuse its tauchar_3 * 1.
+    checks (tauchar_3 * 1)(n) against the store's cube indicator for every
+    n <= limit.  ``tables``, when given, is the store of a run at this
+    limit, and the q = 3 routes then reuse both tables.
     """
     check_budget(limit, "identity scan")
-    star_one = _tables(limit, tables).char_star_one(3)
-    return _identity_scan(star_one, _powers(limit, 3))
+    tables = _tables(limit, tables)
+    return tables.char_star_one(3).first_mismatch(tables.power(3))
 
 
 def _fifth_power_jumps(limit: int) -> dict[int, int]:
@@ -314,8 +290,11 @@ def fifth_power_identity_scan(limit: int, tables: Tables | None = None) -> int |
     limit, and the q = 5 route then reuses its tauchar_5 * 1.
     """
     check_budget(limit, "identity scan")
+    jumps = _fifth_power_jumps(limit)
+    values = np.zeros(limit + 1, dtype=np.int8)
+    values[list(jumps)] = list(jumps.values())
     star_one = _tables(limit, tables).char_star_one(5)
-    return _identity_scan(star_one, _fifth_power_jumps(limit))
+    return star_one.first_mismatch(CoeffSeries(limit, values))
 
 
 class RouteCheck(NamedTuple):

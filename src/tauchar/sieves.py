@@ -36,8 +36,8 @@ class CoeffSeries(Record):
 
     ``values`` is a signed integer array of length limit + 1 whose entry 0
     is unused (kept at 0) so that values[n] is a(n), in the width
-    ``_kernels.table_dtype`` picks for the builders here; arithmetic on the
-    values is done in int64.  Immutable after construction.
+    ``_kernels.width`` picks for its bound, which comparisons do not
+    depend on.  Immutable after construction.
     """
 
     __slots__ = ("limit", "values")

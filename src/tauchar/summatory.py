@@ -114,6 +114,7 @@ def _divisor_parts(b: int, reach: int, top: int):
     to ``reach`` and memoised above them for this call."""
     import numpy as np
 
+    from ._kernels import width
     from .sieves import divisor_count_sieve, multiplicative_series
 
     d = np.cumsum(divisor_count_sieve(reach).values, dtype=np.int64)
@@ -132,8 +133,8 @@ def _divisor_parts(b: int, reach: int, top: int):
     g = multiplicative_series(r, [1, -2, 1] + [0] * r.bit_length(), "mu * mu list").values
     g_ints, e_memo = memoryview(g), {}
     # each chunk sums at most _E_CHUNK terms |g(j)| D(y // j^2) <= max|g| D(reach)
-    if max(int(g.max()), -int(g.min())) * int(d[reach]) * _E_CHUNK >= 2**63:
-        raise OverflowHardError(f"g(j) D(y // j^2) could overflow int64 below {top}")
+    width(max(int(g.max()), -int(g.min())) * int(d[reach]) * _E_CHUNK,
+          f"g(j) D(y // j^2) could overflow int64 below {top}")
 
     def E(y):
         if y <= reach:

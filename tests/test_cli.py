@@ -804,6 +804,24 @@ def test_verify_builds_each_shared_table_once(monkeypatch, capsys):
     assert dict(built) == want
 
 
+def test_verify_drops_the_scans_series_of_moduli_it_does_not_check(monkeypatch, capsys):
+    # the cube and fifth-power scans build tauchar_3 * 1 and tauchar_5 * 1;
+    # a run that verifies neither q = 3 nor q = 5 does not hold them
+    stores = []
+
+    class Kept(dirichlet.Tables):
+        def __init__(self, limit):
+            super().__init__(limit)
+            stores.append(self)
+
+    monkeypatch.setattr(dirichlet, "Tables", Kept)
+    code, _, _ = run(["verify", "--q", "7", "--limit", "1e4"], capsys)
+    assert code == 0
+    [tables] = stores
+    for q in (3, 5):
+        assert not {("char", q), ("char_star_one", q), ("power", q)} & set(tables._kept)
+
+
 _FRESH_MAIN = """
 import sys
 from tauchar import cli

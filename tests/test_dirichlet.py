@@ -136,6 +136,28 @@ def loop_convolve(a: CoeffSeries, b: CoeffSeries) -> CoeffSeries:
     return CoeffSeries(n, out)
 
 
+def test_width_is_the_narrowest_that_holds_the_bound():
+    for bound, dtype in ((0, np.int8), (127, np.int8), (128, np.int16),
+                         (2**15, np.int32), (2**31, np.int64), (2**63 - 1, np.int64)):
+        assert _kernels.width(bound, "refused") is dtype, bound
+    with pytest.raises(OverflowHardError, match="^refused$"):
+        _kernels.width(2**63, "refused")
+
+
+def test_convolution_accumulates_in_the_width_its_bound_picks():
+    # the a-priori bound max|a| max|b| (2 isqrt(n) + 1) picks the width:
+    # chi_7 * 1 is bounded by 7 at n = 15 and by 201 at 10^4, tau * tau by
+    # 64^2 201 at 10^4; each result is the int64 per-d loop
+    for a, b, dtype in ((tau_char_sieve(7, 15), ones_series(15), np.int8),
+                        (tau_char_sieve(7, 10**4), ones_series(10**4), np.int16),
+                        (divisor_count_sieve(10**4), divisor_count_sieve(10**4), np.int32)):
+        got = dirichlet_convolve(a, b)
+        assert got.values.dtype == dtype, (a.limit, dtype)
+        assert got == loop_convolve(a, b), (a.limit, dtype)
+        assert dirichlet_convolve(b, a).values.dtype == dtype, (a.limit, dtype)
+    assert Tables(10**6).char_star_one(7).values.dtype == np.int16
+
+
 def loop_inverse(a: CoeffSeries) -> CoeffSeries:
     """The recursion b(m) = -a(1) sum_{d | m, d > 1} a(d) b(m/d) in Python
     ints, checked into int64 at the end."""

@@ -423,7 +423,7 @@ def test_table_width_is_the_narrowest_that_holds_the_bound():
     # the width holds the largest |f(n)| to the limit, which some n with
     # non-increasing exponents on the first primes takes: tau(n) <= 127
     # below 83160 = 2^3 3^3 5 7 11, where tau = 128, and tau(n) <= 768 to
-    # MAX_SIEVE_ENTRIES.  Each table equals the int64 convolution 1 * 1
+    # MAX_SIEVE_ENTRIES.  Each table equals the convolution 1 * 1
     widths = ((31, np.int8), (2310, np.int8), (83159, np.int8), (83160, np.int16),
               (2**21, np.int16))
     for limit, dtype in widths:
