@@ -65,7 +65,6 @@ from .errors import (
     PrecisionError,
     ResourceLimitError,
     TaucharError,
-    UndecidablePointError,
 )
 
 EXIT_PASS = 0
@@ -528,12 +527,7 @@ def main(argv=None) -> int:
     except ArgumentError as e:
         print(f"tauchar: argument error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (
-        ResourceLimitError,
-        PrecisionError,
-        OverflowHardError,
-        UndecidablePointError,
-    ) as e:
+    except (ResourceLimitError, PrecisionError, OverflowHardError) as e:
         print(f"tauchar: resource/precision error: {e}", file=sys.stderr)
         return EXIT_RESOURCE
     except TaucharError as e:

@@ -433,8 +433,8 @@ def _inv_power(n: int, sigma: Fraction) -> tuple[int, int]:
 
 @lru_cache(maxsize=1 << 12)
 def _log_int(n: int) -> tuple[int, int]:
-    """Fixed-point enclosure of log n, taken once per integer; the cache is
-    bounded because a near-curve window may ask for millions of n."""
+    """Fixed-point enclosure of log n, taken once per integer in a bounded
+    cache."""
     return _fx_log((n << _FRAC, n << _FRAC))
 
 
@@ -771,11 +771,11 @@ def _explicit_factors(t: list[int], s: Fraction, P: int, slope: bool):
     return _fx_log(prod), deriv if slope else None
 
 
-def _euler_product(q: int, s: Fraction, P: int, slope: bool = False):
+def _euler_product(t, s: Fraction, P: int, slope: bool = False):
     """Enclosures of log prod_p L(p^-s) and, with slope, of its
-    s-derivative (None otherwise) for the local factor L of q, split at P
-    as in the module docstring."""
-    t = list(local_factor(q).numerator)
+    s-derivative (None otherwise) for the local polynomial
+    L(u) = sum_m t[m] u^m, t[0] = 1, split at P as in the module docstring."""
+    t = list(t)
     while t[-1] == 0:
         t.pop()
     D, rho = len(t) - 1, _root_radius(t)
@@ -788,7 +788,7 @@ def _euler_product(q: int, s: Fraction, P: int, slope: bool = False):
         if not b[k]:
             continue
         if k * s <= 1:
-            raise ArgumentError(f"q={q}: exponent b_{k} = {b[k]} at a zeta pole")
+            raise ArgumentError(f"exponent b_{k} = {b[k]} at a zeta pole")
         log_prod = _fx_add(log_prod, _fx_scale(b[k], _rung(k * s, P)))
         if slope:
             deriv = _fx_add(deriv, _fx_scale(b[k] * k, _rung_slope(k * s, P)))
@@ -809,7 +809,12 @@ def _branch_product(q: int, branch: Branch, s: Fraction, tol: float, what: str):
         raise ClassificationError(
             f"q={q} is in branch {case.branch.value}, which has no {what}"
         )
-    log_prod, deriv = _euler_product(q, s, EXPLICIT_PRIME_LIMIT, slope=s == 1)
+    try:
+        log_prod, deriv = _euler_product(
+            local_factor(q).numerator, s, EXPLICIT_PRIME_LIMIT, slope=s == 1
+        )
+    except ArgumentError as e:
+        raise ArgumentError(f"q={q}: {e}") from None
     product = Certified._of(_fx_exp(log_prod))
     _gate(product.error / product.value, tol, f"q={q}: the {what}")
     return product, deriv

@@ -2,20 +2,13 @@
 
 The central counter R(f, N, delta) is the number of integers n in a window
 with distance from f(n) = X/n^s to the nearest integer strictly below delta.
-Two routes exist:
-
-* exact: when X^2 and delta^2 are rational and 2s is an integer, the
-  predicate ||sqrt(u) - k|| < delta (u = X^2/n^{2s}) reduces to sign-safe
-  inequalities — (sqrt(u) - k)^2 < delta^2 iff 2k sqrt(u) >
-  u + k^2 - delta^2, squared once more when the right side is positive —
-  cross-multiplied into Python integers: with u = A/M and delta^2 = P/Q,
-  ``_near_integer_sq(A, M, P, Q)``.  No floating point, no rationals, no
-  misclassification.
-* general: an outward-rounded fixed-point enclosure of the distance, in
-  the integer arithmetic of ``constants`` (imported inside this route
-  only), compared with delta's exact rational; a point whose enclosure
-  contains delta raises a hard error listing the offending n rather than
-  guessing.
+X^2 and delta^2 are rational and 2s is an integer, so each n is decided
+exactly: the predicate ||sqrt(u) - k|| < delta (u = X^2/n^{2s}) reduces to
+sign-safe inequalities — (sqrt(u) - k)^2 < delta^2 iff 2k sqrt(u) >
+u + k^2 - delta^2, squared once more when the right side is positive —
+cross-multiplied into Python integers: with u = A/M and delta^2 = P/Q,
+``_near_integer_sq(A, M, P, Q)``.  No floating point, no rationals, no
+misclassification.
 
 The short-interval machinery specializes to the fifth-power curve
 f(n) = sqrt(x/n^5).  The fifth-power convolution, the Dirichlet product of
@@ -34,7 +27,7 @@ So a scan loads neither ``summatory`` nor ``sieves``.
 """
 
 from fractions import Fraction
-from math import inf, isqrt, lcm, log
+from math import isqrt, lcm, log
 from typing import NamedTuple
 
 import numpy as np
@@ -42,7 +35,7 @@ import numpy as np
 from ._kernels import DEFAULT_SEGMENT, divisor_window, factor_block
 from ._record import Record
 from .arith import check_budget
-from .errors import ArgumentError, TaucharError, UndecidablePointError
+from .errors import ArgumentError, TaucharError
 from .roots import floor_rational_root, integer_nth_root
 from .powerful import prime_list
 
@@ -63,65 +56,26 @@ def _to_fraction(v) -> Fraction:
 class CurveConfig(Record):
     """Window and threshold for counting integers near X/n^s.
 
-    ``X`` and ``delta`` are the working float values; ``X_sq`` and
-    ``delta_sq`` optionally carry exact squares enabling the exact route
-    (requires 2s integral).  The window is the closed range [N, 2N].
+    ``X_sq`` and ``delta_sq`` are the exact squares of X and delta, and 2s
+    is an integer.  The window is the closed range [N, 2N].
     """
 
-    __slots__ = ("X", "s", "N", "delta", "X_sq", "delta_sq")
+    __slots__ = ("X_sq", "s", "N", "delta_sq")
 
-    def __init__(
-        self,
-        X: float,
-        s: Fraction,
-        N: int,
-        delta: float,
-        X_sq: Fraction | None = None,
-        delta_sq: Fraction | None = None,
-    ):
+    def __init__(self, X_sq, s, N: int, delta_sq):
+        X_sq, delta_sq = _to_fraction(X_sq), _to_fraction(delta_sq)
+        s, N = Fraction(s), int(N)
         if N < 1:
             raise ArgumentError(f"window base must be >= 1, got {N}")
-        if not 0.0 < delta < 0.25:
-            raise ArgumentError(f"delta must lie in (0, 1/4), got {delta}")
-        if not isinstance(s, Fraction):
-            s = Fraction(s)
+        if not Fraction(0) < delta_sq < Fraction(1, 16):
+            raise ArgumentError(f"delta_sq must lie in (0, 1/16), got {delta_sq}")
         if s <= 0:
             raise ArgumentError(f"exponent must be positive, got {s}")
-        if not X > 0:
-            raise ArgumentError(f"X must be positive, got {X}")
-        if X_sq is not None:
-            if X_sq <= 0:
-                raise ArgumentError("X_sq must be positive")
-            if abs(float(X_sq) - X * X) > 1e-6 * max(1.0, X * X):
-                raise ArgumentError("X and X_sq disagree")
-        if delta_sq is not None:
-            if not Fraction(0) < delta_sq < Fraction(1, 16):
-                raise ArgumentError("delta_sq must lie in (0, 1/16)")
-            if abs(float(delta_sq) - delta * delta) > 1e-6:
-                raise ArgumentError("delta and delta_sq disagree")
-        self._set(X=X, s=s, N=N, delta=delta, X_sq=X_sq, delta_sq=delta_sq)
-
-    @classmethod
-    def from_exact(cls, X_sq, s, N: int, delta_sq) -> "CurveConfig":
-        """Exact-route config; float fields are derived for display."""
-        X_sq = _to_fraction(X_sq)
-        delta_sq = _to_fraction(delta_sq)
-        return cls(
-            X=float(X_sq) ** 0.5,
-            s=Fraction(s),
-            N=int(N),
-            delta=float(delta_sq) ** 0.5,
-            X_sq=X_sq,
-            delta_sq=delta_sq,
-        )
-
-    @property
-    def exact_capable(self) -> bool:
-        return (
-            self.X_sq is not None
-            and self.delta_sq is not None
-            and (2 * self.s).denominator == 1
-        )
+        if (2 * s).denominator != 1:
+            raise ArgumentError(f"2s must be an integer, got s = {s}")
+        if X_sq <= 0:
+            raise ArgumentError(f"X_sq must be positive, got {X_sq}")
+        self._set(X_sq=X_sq, s=s, N=N, delta_sq=delta_sq)
 
 
 def _near_integer_sq(A: int, M: int, P: int, Q: int) -> bool:
@@ -141,63 +95,14 @@ def _near_integer_sq(A: int, M: int, P: int, Q: int) -> bool:
     return False
 
 
-def _count_exact(cfg: CurveConfig, n_lo: int, n_hi: int) -> int:
+def count_near_curve(cfg: CurveConfig) -> int:
+    """Number of n in [N, 2N] with ||X/n^s|| strictly below delta, each n
+    decided exactly on u = X^2/n^(2s)."""
+    check_budget(2 * cfg.N, "near-curve window")
     A, L, two_s = cfg.X_sq.numerator, cfg.X_sq.denominator, int(2 * cfg.s)
     P, Q = cfg.delta_sq.numerator, cfg.delta_sq.denominator
-    return sum(_near_integer_sq(A, L * n**two_s, P, Q) for n in range(n_lo, n_hi + 1))
-
-
-def _count_general(cfg: CurveConfig, n_lo: int, n_hi: int) -> int:
-    """Count by an interval enclosure of ||X n^-s|| for each n.
-
-    t = X n^-s is enclosed in fixed point, [lo, hi] 2^-F, by
-    constants._inv_power: isqrt when 2s is an integer, exp(-s log n)
-    otherwise.  The integer nearest any point of t lies in
-    [floor(lo 2^-F), ceil(hi 2^-F)], so the least distance to those
-    integers, taken at each end, encloses ||t||.  An n counts when that
-    enclosure lies below delta, compared as exact integers; an n whose
-    enclosure contains delta raises UndecidablePointError.
-    """
-    from .constants import _FRAC, _fx, _fx_mul, _inv_power
-
-    X = _fx(*Fraction(cfg.X).as_integer_ratio())
-    delta = Fraction(cfg.delta)
-    # a distance d 2^-F is below delta = p/q when d q < p 2^F
-    num, den = delta.numerator << _FRAC, delta.denominator
-    cnt = 0
-    undecidable: list[int] = []
-    for n in range(n_lo, n_hi + 1):
-        lo, hi = _fx_mul(X, _inv_power(n, cfg.s))
-        near_lo = near_hi = inf  # least of the lower and of the upper ends
-        for k in range(lo >> _FRAC, -(-hi >> _FRAC) + 1):
-            K = k << _FRAC
-            ends = abs(lo - K), abs(hi - K)
-            near_lo = min(near_lo, 0 if lo <= K <= hi else min(ends))
-            near_hi = min(near_hi, max(ends))
-        if near_lo * den <= num <= near_hi * den:
-            undecidable.append(n)
-        elif near_hi * den < num:
-            cnt += 1
-    if undecidable:
-        raise UndecidablePointError(
-            "the distance enclosure contains the threshold at "
-            f"{len(undecidable)} point(s); supply exact payloads to decide",
-            points=undecidable,
-        )
-    return cnt
-
-
-def count_near_curve(cfg: CurveConfig) -> int:
-    """Number of n in [N, 2N] with ||X/n^s|| strictly below delta.
-
-    Uses exact rational arithmetic when the config carries exact squares
-    (and 2s is an integer); otherwise interval enclosures that raise rather
-    than misclassify a point whose enclosure contains delta.
-    """
-    check_budget(2 * cfg.N, "near-curve window")
-    if cfg.exact_capable:
-        return _count_exact(cfg, cfg.N, 2 * cfg.N)
-    return _count_general(cfg, cfg.N, 2 * cfg.N)
+    window = range(cfg.N, 2 * cfg.N + 1)
+    return sum(_near_integer_sq(A, L * n**two_s, P, Q) for n in window)
 
 
 class ShortIntervalInstance(Record):
@@ -285,18 +190,15 @@ def _applicable_shape(n: int, x: Fraction) -> str:
     return "first_derivative"
 
 
-def bound_shapes(
-    N: int, x, y, c3=Fraction(1, 4), delta_sq: Fraction | None = None
-) -> BoundShapes:
+def bound_shapes(N: int, x, y, c3=Fraction(1, 4)) -> BoundShapes:
     """Evaluate all three bound shapes at window base N for the canonical
-    curve sqrt(x/n^5) with delta = y / sqrt(N^5 x) (or a supplied delta^2)."""
+    curve sqrt(x/n^5) with delta = y / sqrt(N^5 x)."""
     x = _to_fraction(x)
     y = _to_fraction(y)
     c3 = _to_fraction(c3)
     if N < 1:
         raise ArgumentError(f"N must be >= 1, got {N}")
-    if delta_sq is None:
-        delta_sq = y * y / (Fraction(N) ** 5 * x)
+    delta_sq = y * y / (Fraction(N) ** 5 * x)
     xf = float(x)
     delta = float(delta_sq) ** 0.5
     lam5 = (xf * float(N) ** -15) ** 0.5
@@ -432,7 +334,7 @@ def range_scan(inst: ShortIntervalInstance) -> RangeScanReport:
             window_double += c
             r_count += near
         total += window_double
-        shapes = bound_shapes(n, x, y, c3, delta_sq=dsq if dsq > 0 else None)
+        shapes = bound_shapes(n, x, y, c3)
         shape = shapes.applicable
         shape_value = getattr(shapes, shape)
         ft_ok = shapes.ft_condition_ok if shape == "filaseta_trifonov" else None

@@ -41,14 +41,3 @@ class PrecisionError(TaucharError):
 class OverflowHardError(TaucharError, OverflowError):
     """Exact integer coefficients left the 64-bit window; results were discarded."""
 
-
-class UndecidablePointError(TaucharError):
-    """A near-curve distance fell inside the guard band around the threshold.
-
-    Carries ``points``: the offending integers, so the caller can re-run with
-    a different threshold instead of trusting a silent misclassification.
-    """
-
-    def __init__(self, message: str, points: list[int]):
-        super().__init__(message)
-        self.points = points

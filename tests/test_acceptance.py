@@ -216,7 +216,7 @@ def test_criterion_5_near_curve_counts():
         X_sq = Fraction(int(rng.integers(1, 10**8)), int(rng.integers(1, 100)))
         two_s = int(rng.integers(1, 8))
         delta_sq = Fraction(int(rng.integers(1, 6250)), 10**5)  # delta in (0, 1/4)
-        cfg = CurveConfig.from_exact(X_sq, Fraction(two_s, 2), N, delta_sq)
+        cfg = CurveConfig(X_sq, Fraction(two_s, 2), N, delta_sq)
         got = count_near_curve(cfg)
         want = _oracle_count_quad(cfg)
         if got != want:

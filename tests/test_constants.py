@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from mpmath import iv
 
-from tauchar import cases, constants, curves
+from tauchar import cases, constants
 from tauchar.arith import _jacobi, is_prime
 from tauchar.cases import _step_coeffs
 from tauchar.constants import (
@@ -1041,32 +1041,6 @@ def test_tabulated_constants_against_mpmath():
         assert mp.pi - mp.mpf(pi_lower.numerator) / pi_lower.denominator < mp.mpf(10) ** -30
         assert _contains(GAMMA.fx, +mp.euler, 2 * 10**-30 * ONE)
         assert _contains(constants._LOG2, mp.log(2) * mp.ldexp(1, constants._GUARD), 400)
-
-
-# ------------------------------------------------------------------
-# The general near-curve route decides each n on the fixed-point
-# enclosure; off the half-integers it must count as mpmath does (on dyadic
-# inputs tests/test_curves.py holds it to the exact route).
-
-
-def test_general_count_off_the_half_integers_against_mpmath():
-    rng = random.Random(29)
-    with mp.workdps(80):
-        for _ in range(12):
-            N = rng.randrange(1, 200)
-            X = rng.randrange(1, 10**6) / 16.0
-            s = Fraction(rng.randrange(1, 12), rng.choice([3, 4, 5]))
-            if (2 * s).denominator == 1:
-                continue
-            delta = rng.randrange(1, 2400) / 10**4
-            want = 0
-            for n in range(N, 2 * N + 1):
-                t = mp.mpf(X) * mp.power(n, -mp.mpf(s.numerator) / s.denominator)
-                dist = abs(t - mp.nint(t))
-                assert abs(dist - mp.mpf(delta)) > mp.mpf("1e-40"), "oracle tie; bad config"
-                want += dist < mp.mpf(delta)
-            cfg = curves.CurveConfig(X=X, s=s, N=N, delta=delta)
-            assert curves._count_general(cfg, N, 2 * N) == want, (X, s, N, delta)
 
 
 # ------------------------------------------------------------------

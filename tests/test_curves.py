@@ -9,7 +9,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from tauchar import _kernels, constants, curves
+from tauchar import _kernels, curves
 from tauchar._kernels import divisor_window
 from tauchar.curves import (
     BoundShapes,
@@ -21,7 +21,7 @@ from tauchar.curves import (
     range_scan,
     short_interval_sum,
 )
-from tauchar.errors import ArgumentError, OverflowHardError, UndecidablePointError
+from tauchar.errors import ArgumentError, OverflowHardError
 from tauchar.powerful import prime_list
 from tauchar.roots import integer_nth_root
 from tauchar.sieves import mobius_sieve
@@ -81,85 +81,44 @@ def random_exact_config(rng) -> CurveConfig:
     delta_sq = Fraction(int(rng.integers(1, 500)), 10**4)
     if delta_sq >= Fraction(1, 16):
         delta_sq = Fraction(1, 17)
-    return CurveConfig.from_exact(X_sq, Fraction(two_s, 2), N, delta_sq)
+    return CurveConfig(X_sq, Fraction(two_s, 2), N, delta_sq)
 
 
 def test_exact_count_matches_high_precision_oracle():
     rng = np.random.default_rng(7)
     for _ in range(30):
         cfg = random_exact_config(rng)
-        assert cfg.exact_capable
         got = count_near_curve(cfg)
         assert got == oracle_count(cfg.X_sq, cfg.s, cfg.N, cfg.delta_sq)
-
-
-def test_general_route_agrees_on_dyadic_inputs():
-    # dyadic X makes the float field lossless, so the two routes see the
-    # same curve; distances for half-integer s are irrational, never tied.
-    # The larger X and N make t span many integers and widen the
-    # enclosures of the general route
-    rng = np.random.default_rng(8)
-    for trials, x_top, n_top in ((20, 2000, 120), (12, 2**40, 400)):
-        for _ in range(trials):
-            N = int(rng.integers(1, n_top))
-            X = int(rng.integers(1, x_top)) / 8.0
-            s = Fraction(int(rng.integers(1, 6)), 2)
-            delta_sq = Fraction(int(rng.integers(1, 600)), 10**4)
-            exact = CurveConfig.from_exact(
-                Fraction(X).limit_denominator(64) ** 2, s, N, delta_sq
-            )
-            general = CurveConfig(X=X, s=s, N=N, delta=float(delta_sq) ** 0.5)
-            assert not general.exact_capable
-            assert count_near_curve(general) == count_near_curve(exact)
+    # X^2 to 2^80 and N to 400: X/n^s spans many integers across the window
+    # and the cross-multiplied predicate runs on integers of up to ~190 bits
+    big = random.Random(8)
+    for _ in range(12):
+        N = big.randrange(1, 400)
+        X_sq = Fraction(big.randrange(1, 2**80), big.randrange(1, 64))
+        s = Fraction(big.randrange(1, 6), 2)
+        delta_sq = Fraction(big.randrange(1, 600), 10**4)
+        got = count_near_curve(CurveConfig(X_sq, s, N, delta_sq))
+        assert got == oracle_count(X_sq, s, N, delta_sq), (X_sq, s, N, delta_sq)
 
 
 def test_integer_point_on_curve_is_counted():
     # 32 / 4^(5/2) = 1 exactly, so n = 4 is a hit at any positive threshold
-    cfg = CurveConfig.from_exact(1024, Fraction(5, 2), 4, Fraction(1, 100))
+    cfg = CurveConfig(1024, Fraction(5, 2), 4, Fraction(1, 100))
     assert count_near_curve(cfg) == 1
-    tiny = CurveConfig.from_exact(1024, Fraction(5, 2), 4, Fraction(1, 10**12))
+    tiny = CurveConfig(1024, Fraction(5, 2), 4, Fraction(1, 10**12))
     assert count_near_curve(tiny) == 1
 
 
 def test_vanishing_threshold_counts_only_exact_hits():
-    cfg = CurveConfig.from_exact(7, Fraction(5, 2), 4, Fraction(1, 10**12))
+    cfg = CurveConfig(7, Fraction(5, 2), 4, Fraction(1, 10**12))
     assert count_near_curve(cfg) == 0
 
 
-def test_general_route_refuses_threshold_tie():
-    # X / 1^1 = 3.125 sits exactly delta = 0.125 from its nearest integer
-    cfg = CurveConfig(X=3.125, s=Fraction(1), N=1, delta=0.125)
-    with pytest.raises(UndecidablePointError) as info:
-        count_near_curve(cfg)
-    assert info.value.points == [1]
-
-
-def test_general_route_decides_on_the_whole_enclosure(monkeypatch):
-    # widen every enclosure of n^-s by 1/32 each way, so at n = 1 and s = 1
-    # t = 3.125 becomes [3.02734375, 3.22265625], whose distance to the
-    # integers is [0.02734375, 0.22265625], and t = 3 becomes
-    # [2.90625, 3.09375], at distance [0, 0.09375]
-    exact = constants._inv_power
-    pad = 1 << (constants._FRAC - 5)
-
-    def wide(n, sigma):
-        lo, hi = exact(n, sigma)
-        return lo - pad, hi + pad
-
-    monkeypatch.setattr(constants, "_inv_power", wide)
-    for X, delta, want in ((3.125, 0.125, None), (3.125, 0.24, 1), (3.125, 0.02, 0),
-                           (3.0, 0.05, None), (3.0, 0.1, 1)):
-        cfg = CurveConfig(X=X, s=Fraction(1), N=1, delta=delta)
-        if want is None:
-            with pytest.raises(UndecidablePointError):
-                curves._count_general(cfg, 1, 1)
-        else:
-            assert curves._count_general(cfg, 1, 1) == want, (X, delta)
-
-
 def test_exact_route_decides_the_same_tie():
+    # X / 1^1 = 3.125 sits exactly delta = 0.125 from its nearest integer;
     # strict inequality: distance == delta is NOT near
-    cfg = CurveConfig.from_exact(
+    cfg = CurveConfig(
         Fraction(3125, 10**3) ** 2, Fraction(1), 1, Fraction(125, 10**3) ** 2
     )
     assert count_near_curve(cfg) == 0
@@ -200,24 +159,20 @@ def test_integer_predicate_matches_fraction_oracle():
 
 def test_config_validation():
     with pytest.raises(ArgumentError):
-        CurveConfig(X=1.0, s=Fraction(1), N=0, delta=0.1)
+        CurveConfig(1, Fraction(1), 0, Fraction(1, 100))
     with pytest.raises(ArgumentError):
-        CurveConfig(X=1.0, s=Fraction(1), N=1, delta=0.3)
+        CurveConfig(1, Fraction(1), 1, Fraction(9, 100))
     with pytest.raises(ArgumentError):
-        CurveConfig(X=1.0, s=Fraction(1), N=1, delta=0.0)
+        CurveConfig(1, Fraction(1), 1, 0)
     with pytest.raises(ArgumentError):
-        CurveConfig(X=-1.0, s=Fraction(1), N=1, delta=0.1)
+        CurveConfig(-1, Fraction(1), 1, Fraction(1, 100))
     with pytest.raises(ArgumentError):
-        CurveConfig(X=1.0, s=Fraction(0), N=1, delta=0.1)
+        CurveConfig(1, Fraction(0), 1, Fraction(1, 100))
     with pytest.raises(ArgumentError):
-        CurveConfig(X=2.0, s=Fraction(1), N=1, delta=0.1, X_sq=Fraction(9))
+        CurveConfig(4, Fraction(1), 1, Fraction(1, 16))
+    # 2s must be an integer, or u = X^2/n^(2s) is not rational
     with pytest.raises(ArgumentError):
-        CurveConfig.from_exact(4, Fraction(1), 1, Fraction(1, 16))
-
-
-def test_exact_capability_requires_half_integer_exponent():
-    cfg = CurveConfig.from_exact(4, Fraction(1, 3), 2, Fraction(1, 100))
-    assert not cfg.exact_capable
+        CurveConfig(4, Fraction(1, 3), 2, Fraction(1, 100))
 
 
 def test_short_interval_matches_convolution_route():

@@ -29,7 +29,7 @@ def _records():
         (local_factor(7), "name"),
         (main_term_params(7), "leading_coefficient"),
         (main_term(7, 10**6), "value"),
-        (CurveConfig(X=3.125, s=Fraction(1), N=1, delta=0.125), "delta"),
+        (CurveConfig(3.125**2, Fraction(1), 1, 0.125**2), "delta_sq"),
         (ShortIntervalInstance(Fraction(10**6), Fraction(300)), "y"),
         (bound_shapes(16, 10**7, 3000), "delta"),
         (scan.rows[0], "n_lo"),
@@ -55,10 +55,10 @@ def test_every_record_refuses_assignment():
 
 def test_validated_records_compare_by_value():
     # equal fields, equal records, equal hashes; another class is not equal
-    a = CurveConfig.from_exact(1024, Fraction(5, 2), 4, Fraction(1, 100))
-    b = CurveConfig.from_exact(1024, Fraction(5, 2), 4, Fraction(1, 100))
+    a = CurveConfig(1024, Fraction(5, 2), 4, Fraction(1, 100))
+    b = CurveConfig(1024, Fraction(5, 2), 4, Fraction(1, 100))
     assert a == b and hash(a) == hash(b)
-    assert a != CurveConfig.from_exact(1024, Fraction(5, 2), 5, Fraction(1, 100))
+    assert a != CurveConfig(1024, Fraction(5, 2), 5, Fraction(1, 100))
     assert ShortIntervalInstance(10, 1) == ShortIntervalInstance(Fraction(10), 1)
     assert local_factor(7) == local_factor(7)
     assert local_factor(7) != local_factor(23)
@@ -69,5 +69,5 @@ def test_validated_records_compare_by_value():
     series = pickle.loads(pickle.dumps(CoeffSeries(3, np.arange(4, dtype=np.int64))))
     assert series[3] == 3 and not series.values.flags.writeable
     # the constructor normalises before it stores
-    assert CurveConfig(X=3.125, s=1, N=1, delta=0.125).s == Fraction(1)
+    assert CurveConfig(3.125**2, 1, 1, 0.125**2).s == Fraction(1)
     assert ShortIntervalInstance(10**6, 300.0).y == Fraction(300)
