@@ -63,6 +63,8 @@ COMMANDS = [
     ["near-curve", "--x", "1e16", "--y", "1e9"],
     ["short-interval", "--x", "1e8", "--y", "4170"],
     ["constants", "--q", "3"],
+    # q = 3's main term is x^(1/3): the one CLI path through the cube-root leaf
+    ["trace", "--q", "3", "--max", "1e17"],
     # q = 23 walks the 4-full numbers over the primes to top^(1/4)
     ["trace", "--q", "23", "--max", "1e14"],
     # q = 7 walks the cube-full numbers over the primes to top^(1/3), and

@@ -14,12 +14,11 @@ the near-curve trivial bound: float64 while b + isqrt(b) < 2^53, where
 floor(b/i) is exact in floats, and int64 above that.
 """
 
-from itertools import count
-from math import isqrt, prod
+from math import isqrt
 
 import numpy as np
 
-from ..arith import MAX_EXACT_X, is_prime
+from ..arith import MAX_EXACT_X
 from ..errors import OverflowHardError
 from ..powerful import prime_list
 
@@ -29,6 +28,9 @@ from ..powerful import prime_list
 DEFAULT_SEGMENT = 1 << 20
 
 _D_CHUNK = 1 << 15  # the hyperbola pass: two buffers of 256 KiB
+
+# the 16 primes to 53, whose product passes 2^64
+_TABLE_PRIMES = prime_list(53)
 
 
 def factor_block(lo: int, hi: int, primes, c) -> np.ndarray:
@@ -86,8 +88,8 @@ def factor_block(lo: int, hi: int, primes, c) -> np.ndarray:
 
 def table_dtype(c, limit: int, what: str = "multiplicative table"):
     """The narrowest of int8, int16, int32 and int64 that holds every f(n),
-    n <= limit, f(p^e) = c[e]; OverflowHardError, before any work, when
-    int64 cannot.
+    n <= limit < 2^64, f(p^e) = c[e]; OverflowHardError, before any work,
+    when int64 cannot.
 
     The bound is exact: the largest |f(n)| is the largest product of the
     |c[e_i]| over e_1 >= e_2 >= ... >= 1 with 2^e_1 3^e_2 5^e_3 ... <= limit,
@@ -95,13 +97,10 @@ def table_dtype(c, limit: int, what: str = "multiplicative table"):
     those values.  A short depth-first search over such vectors finds it.
     """
     c = [abs(int(v)) for v in c]
-    primes = [2]  # through the first prime whose primorial passes limit
-    while prod(primes) <= limit:
-        primes.append(next(filter(is_prime, count(primes[-1] + 1))))
 
     def largest(i: int, n: int, emax: int) -> int:
         # the largest product over e_i <= emax onward, with n p_i^e_i ... <= limit
-        best, m, p = 1, n, primes[i]
+        best, m, p = 1, n, _TABLE_PRIMES[i]
         for e in range(1, emax + 1):
             m *= p
             if m > limit:

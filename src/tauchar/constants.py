@@ -16,15 +16,16 @@ library is needed.  The arithmetic rests on one rounding fact.
 * Directed rounding.  For an integer z, floor(z 2^-F) = z >> F and
   ceil(z 2^-F) = -((-z) >> F); for integers u and v > 0 the quotient
   rounds by floor division; and for a real y >= 0 and k >= 1,
-  floor(y^(1/k)) = floor(floor(y)^(1/k)), so isqrt and
-  roots.integer_nth_root round roots.  The exact sum, product or quotient
-  (divisor > 0) of two intervals is the hull of the results at their
-  endpoints, so rounding the least of those down and the greatest up gives
-  an interval that contains it.  By induction, every fixed-point result
-  encloses the exact real, and each rounding widens it by at most 2^-F.
-  When 2 sigma = m is an integer, n^-sigma 2^F = sqrt(2^2F / n^m) is
-  rounded this way from integers alone, to the tightest enclosure, and
-  x^(1/3) 2^F lies in [r, r + 1] for r = integer_nth_root(x 2^3F, 3).
+  floor(y^(1/k)) = floor(floor(y)^(1/k)), so roots.integer_nth_root rounds
+  roots.  The exact sum, product or quotient (divisor > 0) of two intervals
+  is the hull of the results at their endpoints, so rounding the least of
+  those down and the greatest up gives an interval that contains it.  By
+  induction, every fixed-point result encloses the exact real, and each
+  rounding widens it by at most 2^-F.  So one leaf, _fx_root, gives the
+  tightest enclosure of every power and root from integers alone:
+  y^(1/k) 2^F lies in [r, r + 1], or [r, r] when r^k = y 2^kF, for
+  r = integer_nth_root(floor(y 2^kF), k).  At sigma = a/b, n^-sigma is the
+  leaf at y = n^-a, k = b: a floor division at b = 1, isqrt at b = 2.
 
 The leaves are series summed at the wider scale 2^-W, W = F + 32, with
 every term rounded down, then rounded outward to 2^-F.  A term reached
@@ -107,7 +108,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
-from math import ceil, inf, isfinite, isqrt, lcm, log, nextafter, pi, sqrt, ulp
+from math import ceil, inf, isfinite, lcm, log, nextafter, pi, sqrt, ulp
 from typing import NamedTuple
 
 from .cases import (  # all re-exported as constants.<name>
@@ -145,6 +146,9 @@ _EM_TARGET = 2.0**-150
 _TAIL_TARGET = 2.0**-75
 _EM_LADDER = (8, 12, 16, 24, 32, 48, 64, 96, 128)
 _EM_MAX_TERMS = 40
+
+# the largest denominator of an exact argument of zeta_real and zeta_prime_real
+_MAX_DENOMINATOR = 12
 
 # fraction bits of the fixed-point enclosures (lo, hi) = [lo, hi] 2^-_FRAC,
 # and the _GUARD more bits at which the atanh and exp series are summed
@@ -254,17 +258,24 @@ def _fx_exp(x: tuple[int, int]) -> tuple[int, int]:
     return ends[0], ends[1]
 
 
+def _fx_root(num: int, den: int, k: int) -> tuple[int, int]:
+    """The tightest enclosure of (num/den)^(1/k) for num >= 0, den > 0 and
+    k >= 1: [r, r + 1], or [r, r] when r^k den = num 2^kF, with
+    r = floor((num/den)^(1/k) 2^F)."""
+    y = num << k * _FRAC
+    r = integer_nth_root(y // den, k)
+    return r, r + (r**k * den != y)
+
+
 def _fx_sqrt(x: tuple[int, int]) -> tuple[int, int]:
-    """Enclosure of sqrt x for an enclosure x of non-negative numbers."""
-    a, b = x[0] << _FRAC, x[1] << _FRAC
-    hi = isqrt(b)
-    return isqrt(a), hi + (hi * hi != b)
+    """Enclosure of sqrt x for an enclosure x >= 0, the root leaf at each end."""
+    return _fx_root(x[0], _ONE, 2)[0], _fx_root(x[1], _ONE, 2)[1]
 
 
 def _fx_cbrt(num: int, den: int) -> tuple[int, int]:
     """Enclosure of (num/den)^(1/3) for num >= 0, den > 0: [r, r + 1] with
-    r = floor((num/den)^(1/3) 2^F), one unit wide even at a perfect cube."""
-    r = integer_nth_root((num << 3 * _FRAC) // den, 3)
+    r the root leaf's lower end, one unit wide even at a perfect cube."""
+    r = _fx_root(num, den, 3)[0]
     return r, r + 1
 
 
@@ -404,30 +415,15 @@ def _bernoulli_numerators() -> tuple[int, tuple[int, ...]]:
 
 
 def _power(sigma: Fraction):
-    """The function n -> fixed-point enclosure of n^-sigma, with sigma's
-    numerator and denominator read once.  When m = 2 sigma is an integer
-    the enclosure is the tightest one, sqrt(2^2F / n^m) rounded by integer
-    division and isqrt; otherwise it is exp(-sigma log n)."""
+    """The function n -> tightest fixed-point enclosure of n^-sigma for a
+    rational sigma = a/b >= 0, with a and b read once: the root leaf of
+    1/n^a at order b."""
     a, b = sigma.numerator, sigma.denominator
-    if b > 2:
-        minus_sigma = _fx(-a, b)
-        return lambda n: _fx_exp(_fx_mul(minus_sigma, _log_int(n)))
-    m = a * (2 // b)
-    if m % 2 == 0:
-        k = m // 2
-        return lambda n: _fx(1, n**k)
-    y = _ONE << _FRAC
-
-    def half(n: int) -> tuple[int, int]:
-        x = n**m
-        lo = isqrt(y // x)
-        return lo, lo + (lo * lo * x != y)
-
-    return half
+    return lambda n: _fx_root(1, n**a, b)
 
 
 def _inv_power(n: int, sigma: Fraction) -> tuple[int, int]:
-    """Fixed-point enclosure of n^-sigma, by _power."""
+    """The tightest fixed-point enclosure of n^-sigma, by _power."""
     return _power(sigma)(n)
 
 
@@ -593,11 +589,14 @@ def _check_tolerance(tol: float) -> None:
         raise ArgumentError(f"tolerance must be positive and finite, got {tol}")
 
 
-def _series_argument(s: float, tol: float) -> Fraction:
-    if not s > 1.1:
-        raise ArgumentError(f"series argument must exceed 1.1, got {s}")
+def _series_argument(s: int | float | Fraction, tol: float) -> Fraction:
+    if not 1.1 < s < inf:
+        raise ArgumentError(f"series argument must exceed 1.1 and be finite, got {s}")
     _check_tolerance(tol)
-    return Fraction(float(s))
+    sigma = Fraction(s)
+    if sigma.denominator > _MAX_DENOMINATOR:
+        raise ArgumentError(f"series argument {s} = {sigma}: denominator > {_MAX_DENOMINATOR}")
+    return sigma
 
 
 def _gate(achieved: float, tol: float, what: str) -> None:
@@ -608,15 +607,16 @@ def _gate(achieved: float, tol: float, what: str) -> None:
         )
 
 
-def zeta_real(s: float, tol: float = 1e-12) -> Certified:
-    """zeta(s) for real s > 1.1 with certified absolute error <= tol."""
+def zeta_real(s: int | float | Fraction, tol: float = 1e-12) -> Certified:
+    """zeta(s) for s > 1.1, taken exactly, to certified absolute error <= tol;
+    ArgumentError, before any work, when s has a denominator above 12."""
     c = Certified._of(_zeta_at(_series_argument(s, tol)))
     _gate(c.error, tol, f"zeta({s})")
     return c
 
 
-def zeta_prime_real(s: float, tol: float = 1e-12) -> Certified:
-    """zeta'(s) = -sum log(n) n^{-s} for real s > 1.1, certified as zeta_real."""
+def zeta_prime_real(s: int | float | Fraction, tol: float = 1e-12) -> Certified:
+    """zeta'(s) = -sum log(n) n^{-s} for s > 1.1, taken as by zeta_real."""
     c = Certified._of(_dzeta_at(_series_argument(s, tol)))
     _gate(c.error, tol, f"zeta'({s})")
     return c

@@ -2,6 +2,7 @@
 forms, against mpmath, against the brute-force float prime products, and
 against themselves at moved split points."""
 
+import hashlib
 import math
 import random
 from contextlib import contextmanager
@@ -30,7 +31,7 @@ from tauchar.constants import (
     zeta_prime_real,
     zeta_real,
 )
-from tauchar.errors import ArgumentError, ClassificationError, PrecisionError
+from tauchar.errors import ArgumentError, ClassificationError, PrecisionError, TaucharError
 from tauchar.powerful import prime_list
 
 # ------------------------------------------------------------------
@@ -94,16 +95,28 @@ def test_zeta_prime_values():
     assert abs(zeta_prime_real(7.0).value) < abs(zeta_prime_real(5.0).value)
 
 
-def test_zeta_argument_guards():
+def test_zeta_argument_guards(monkeypatch):
     with pytest.raises(ArgumentError):
         zeta_real(1.05)
     with pytest.raises(ArgumentError):
         zeta_real(2.0, tol=0.0)
+    # s is taken exactly: the float 1.2 is 5404319552844595/2^52, whose
+    # denominator is above 12, so it is refused before any plan or sum
+    def no_sum(*args):
+        raise AssertionError("summed")
+
+    monkeypatch.setattr(constants, "_em_plan", no_sum)
+    for fn in (zeta_real, zeta_prime_real):
+        for s in (1.2, Fraction(20, 13), 2 + 2.0**-40):
+            with pytest.raises(ArgumentError, match="denominator"):
+                fn(s)
+        with pytest.raises(ArgumentError, match="finite"):
+            fn(math.inf)
 
 
 def test_zeta_unreachable_tolerance_reports_achievable():
     with pytest.raises(PrecisionError) as info:
-        zeta_real(1.2, tol=1e-30)
+        zeta_real(Fraction(6, 5), tol=1e-30)
     assert info.value.achievable > 1e-30
 
 
@@ -486,7 +499,7 @@ def test_products_agree_across_explicit_splits(monkeypatch):
                 assert c.error <= 1e-15 * abs(c.value), q
 
 
-ZETA_POINTS = [1.2, 1.5, 2, 3.5, 5.5, 7, 23, 29.5]
+ZETA_POINTS = [Fraction(6, 5), 1.5, 2, 3.5, 5.5, 7, 23, 29.5]
 
 
 def encloses(c, x, slack):
@@ -494,10 +507,11 @@ def encloses(c, x, slack):
     return a - slack <= x <= b + slack
 
 
-@pytest.mark.parametrize("s", ZETA_POINTS)
+@pytest.mark.parametrize("s", ZETA_POINTS, ids=str)
 def test_zeta_against_mpmath(s):
     with mp.workdps(50):
-        ref = mp.zeta(s), mp.zeta(s, derivative=1)
+        x = mp.mpf(Fraction(s).numerator) / Fraction(s).denominator
+        ref = mp.zeta(x), mp.zeta(x, derivative=1)
         for c, x in zip((zeta_real(s), zeta_prime_real(s)), ref):
             assert encloses(c, x, mp.mpf(10) ** -48), (s, c, x)
             assert mp.mpf(c.value) - c.error <= x <= mp.mpf(c.value) + c.error
@@ -705,6 +719,25 @@ def test_constants_compute_only_what_their_branch_reads():
     assert constants._em_plan.cache_info().misses == 15
 
 
+def test_certified_constants_are_pinned():
+    # every enclosure of main_term_params over the odd primes to 200, or its
+    # refusal, hashed: a change of any end by one unit of 2^-F shows here
+    for cache in _CONSTANT_CACHES:
+        cache.cache_clear()
+    lines = []
+    for q in prime_list(200)[1:]:
+        try:
+            p = main_term_params(q)
+        except TaucharError as e:
+            lines.append(f"{q} {type(e).__name__}: {e}")
+            continue
+        ends = (c.fx if c is not None else None
+                for c in (p.leading_coefficient, p.bracket_constant))
+        lines.append(f"{q} {p.case.branch.name} " + " ".join(map(str, ends)))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "bcda3775883c886f8405b7d2cdb991f1dd5dcf70ecf3e5c77525c652f03ee929"
+
+
 def test_zeta_q_is_summed_on_the_log_branch_only():
     # 1000003 = 19 (mod 24) has no main-term constant, so no zeta value is
     # summed, least of all zeta(1000003)
@@ -809,17 +842,22 @@ def test_fixed_point_kernels_enclose_exact_results():
 
 
 def test_fixed_point_powers_are_tightest():
-    # n^-m/2 2^F lies in [lo, hi] with hi - lo <= 1, checked by squaring
+    # n^-a/b 2^F lies in [lo, hi] with hi - lo <= 1, checked by b-th powers,
+    # and the ends meet only at an exact power
     rng = random.Random(21)
-    for _ in range(400):
-        n, m = rng.randrange(2, 10**4), rng.randrange(0, 120)
-        lo, hi = constants._inv_power(n, Fraction(m, 2))
-        assert 0 <= lo and hi - lo <= 1, (n, m)
-        assert lo * lo * n**m <= ONE * ONE <= hi * hi * n**m, (n, m)
+    for _ in range(600):
+        b = rng.choice([1, 2, 3, 4, 5, 6, 12])
+        n, sigma = rng.randrange(2, 10**4), Fraction(rng.randrange(0, 120), b)
+        lo, hi = constants._inv_power(n, sigma)
+        a, b = sigma.numerator, sigma.denominator
+        assert 0 <= lo and hi - lo <= 1, (n, sigma)
+        assert lo**b * n**a <= ONE**b <= hi**b * n**a, (n, sigma)
+        assert (lo == hi) == (lo**b * n**a == ONE**b), (n, sigma)
+    assert constants._inv_power(2**12, Fraction(1, 12)) == (ONE // 2, ONE // 2)
     lo, hi = constants._inv_power(3, Fraction(6, 5))
     with mp.workdps(80):
-        exact = mp.mpf(3) ** mp.mpf("-1.2") * ONE
-    assert lo <= exact <= hi and hi - lo <= 2**40
+        exact = mp.mpf(3) ** (mp.mpf(-6) / 5) * ONE
+    assert lo <= exact <= hi and hi - lo <= 1
 
 
 def test_fixed_point_conversions():
